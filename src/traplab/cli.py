@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
+from typing import Any, Optional
 
 import numpy as np
 
@@ -48,6 +48,8 @@ _SCENARIO_PARAM_KEYS = (
 )
 
 _CASE_NAMES = {c.value: c for c in CurvatureCase}
+# eigenvalues reported as the spectrum head of the spectrum command
+SPECTRUM_HEAD = 8
 
 
 def parse_config_file(path: str) -> dict:
@@ -325,7 +327,7 @@ def _cmd_spectrum(cfg: dict):
         raise ConfigError("spectrum currently supports the einstein_cylinder n=2 equator")
     case = stability.equator_deformation_case(resolution)
     matrix = stability.assemble_stability_operator(case.grid, case.coefficients)
-    eig = stability.principal_eigenvalue(matrix, case.grid)
+    eig = stability.principal_eigenvalue(matrix, case.grid, k=SPECTRUM_HEAD)
     tol_q = _tol(cfg, "potential", 1e-9)
     tol_l = _tol(cfg, "lambda1", 1e-9)
     q_vals = case.coefficients.Q
@@ -347,22 +349,24 @@ def _cmd_spectrum(cfg: dict):
             abs(eig.lambda1_real) > 1e-6,
         ),
     ]
+    # each distinct resolution is built and solved once
+    lams = {resolution: eig.lambda1_real}
     table = []
-    res_list = [max(8, resolution // 4), max(8, resolution // 2), resolution]
-    lams = {}
-    for n in res_list:
-        c = stability.equator_deformation_case(n)
-        m = stability.assemble_stability_operator(c.grid, c.coefficients)
-        lams[n] = stability.principal_eigenvalue(m, c.grid).lambda1_real
+    for n in (max(8, resolution // 4), max(8, resolution // 2), resolution):
+        if n not in lams:
+            c = stability.equator_deformation_case(n)
+            m = stability.assemble_stability_operator(c.grid, c.coefficients)
+            lams[n] = stability.principal_eigenvalue(m, c.grid).lambda1_real
         table.append({"resolution": n, "lambda1": lams[n]})
     payload = {
         "lambda1": {"re": eig.lambda1_real, "im": float(eig.lambda1.imag)},
+        "lambda1_residual": eig.residual,
         "positivity": eig.positivity,
-        "spectrum_head": sorted(eig.spectrum.real.tolist())[:8],
+        "spectrum_head": eig.spectrum_head.real.tolist(),
         "convergence_table": table,
         "resolution": resolution,
     }
-    return checks, payload, (case.grid.nodes, eig.eigenfunction)
+    return checks, payload, (case.grid, eig)
 
 
 def _cmd_deform(cfg: dict):
@@ -445,18 +449,20 @@ _COMMANDS = {
 }
 
 
-def execute_config(cfg: dict) -> dict:
-    """Run one configured command and return the full report dict."""
+def _execute(cfg: dict) -> tuple[dict, Any]:
+    """The report dict plus the command's extra output (None for most commands)."""
     command = cfg.get("command")
     if command not in _COMMANDS:
         raise ConfigError(f"unknown command {command!r}; available: {sorted(_COMMANDS)}")
     with Stopwatch() as sw:
-        result = _COMMANDS[command](cfg)
-    if len(result) == 3:
-        checks, payload, _extra = result
-    else:
-        checks, payload = result
-    return build_report(command, cfg, checks, sw.elapsed, payload)
+        checks, payload, *extra = _COMMANDS[command](cfg)
+    report = build_report(command, cfg, checks, sw.elapsed, payload)
+    return report, extra[0] if extra else None
+
+
+def execute_config(cfg: dict) -> dict:
+    """Run one configured command and return the full report dict."""
+    return _execute(cfg)[0]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -561,7 +567,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _merge_config(args)
-        report = execute_config(cfg)
+        report, extra = _execute(cfg)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
@@ -582,10 +588,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     out = cfg.get("out")
     if out:
         if cfg.get("format", "json") == "csv" and cfg.get("command") == "spectrum":
-            case = stability.equator_deformation_case(int(cfg.get("resolution", 64)))
-            matrix = stability.assemble_stability_operator(case.grid, case.coefficients)
-            eig = stability.principal_eigenvalue(matrix, case.grid)
-            write_eigenfunction_csv(out, case.grid.nodes, eig.eigenfunction)
+            grid, eig = extra
+            write_eigenfunction_csv(out, grid.nodes, eig.eigenfunction)
             spectrum_path = out + ".spectrum.csv"
             with open(spectrum_path, "w") as fh:
                 fh.write("re,im\n")

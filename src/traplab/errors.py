@@ -50,7 +50,7 @@ class ResolutionTooLow(TrapLabError):
 
 
 class EigensolverFailure(TrapLabError):
-    """Dense eigendecomposition failed to converge."""
+    """Principal eigensolve failed: no convergence, or a non-real principal eigenvalue."""
 
 
 class DegenerateMOTS(TrapLabError):

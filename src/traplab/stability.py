@@ -13,17 +13,25 @@ flat tori, latitude-longitude grids with staggered rows for spheres), so the
 time-symmetric case produces a matrix that is exactly self-adjoint in the
 quadrature inner product.
 
-The principal eigenvalue is taken from a dense eigendecomposition as the
-eigenvalue of minimal real part; the deformation check moves the surface
-along its unit normal with the principal eigenfunction as velocity and
-verifies the derivative identity for the outward null expansion.
+The principal eigenvalue lambda_1 is real and has minimal real part
+(arXiv:0704.2889).  Every eigenvalue lies in a Gershgorin disc, so a real
+shift sigma below all discs has Re(lambda) - sigma >= lambda_1 - sigma > 0
+for every eigenvalue: lambda_1 is the eigenvalue nearest sigma, hence the
+dominant eigenvalue of (A - sigma I)^-1.  ``lowest_eigenpairs`` inverts the
+shifted matrix once and runs orthogonal iteration with Rayleigh-Ritz
+extraction on it, using numpy only and a fixed starting block, so replays are
+bytewise identical.  The full dense spectrum is computed only on request.
+The deformation check moves the surface along its unit normal with the
+principal eigenfunction as velocity and verifies the derivative identity for
+the outward null expansion.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -39,6 +47,9 @@ from .submanifold import EmbeddingJet2, extrinsic_data
 
 MIN_NODES_PER_AXIS = 8
 DEGENERACY_TOL = 1e-6
+# extra Ritz directions carried beyond the k wanted eigenpairs
+OVERSAMPLING = 8
+MAX_ITERATIONS = 500
 
 
 class GridKind(enum.Enum):
@@ -282,31 +293,22 @@ def _laplacian_latlong(grid: SurfaceGrid) -> np.ndarray:
     radius_sq = grid.metric_diag[0, 0]
     theta = grid.nodes[:, 0].reshape(n_theta, n_phi)
     sin_t = np.sin(theta)
-    mat = np.zeros((num, num))
     idx = np.arange(num).reshape(n_theta, n_phi)
-    # theta direction: conservative flux with face values sin(theta +- dtheta/2)
-    sin_face_up = np.sin(theta + 0.5 * dtheta)
-    sin_face_dn = np.sin(theta - 0.5 * dtheta)
-    for j in range(n_theta):
-        for k in range(n_phi):
-            row = idx[j, k]
-            denom = radius_sq * sin_t[j, k] * dtheta * dtheta
-            if j + 1 < n_theta:
-                c = sin_face_up[j, k] / denom
-                mat[row, idx[j + 1, k]] += c
-                mat[row, row] -= c
-            if j - 1 >= 0:
-                c = sin_face_dn[j, k] / denom
-                mat[row, idx[j - 1, k]] += c
-                mat[row, row] -= c
+    # theta direction: conservative flux with face values sin(theta +- dtheta/2);
+    # the first and last rows have no neighbour across the pole
+    denom = radius_sq * sin_t * dtheta * dtheta
+    c_up = np.sin(theta + 0.5 * dtheta) / denom
+    c_dn = np.sin(theta - 0.5 * dtheta) / denom
+    c_up[-1] = 0.0
+    c_dn[0] = 0.0
     # phi direction: periodic second difference
-    for j in range(n_theta):
-        scale = 1.0 / (radius_sq * sin_t[j, 0] ** 2 * dphi * dphi)
-        for k in range(n_phi):
-            row = idx[j, k]
-            mat[row, idx[j, (k + 1) % n_phi]] += scale
-            mat[row, idx[j, (k - 1) % n_phi]] += scale
-            mat[row, row] -= 2.0 * scale
+    scale = np.broadcast_to(1.0 / (radius_sq * sin_t[:, :1] ** 2 * dphi * dphi), idx.shape)
+    mat = np.zeros((num, num))
+    mat[idx[:-1], idx[1:]] = c_up[:-1]
+    mat[idx[1:], idx[:-1]] = c_dn[1:]
+    mat[idx, np.roll(idx, -1, axis=1)] = scale
+    mat[idx, np.roll(idx, 1, axis=1)] = scale
+    mat[idx, idx] = -c_up - c_dn - 2.0 * scale
     return mat
 
 
@@ -327,37 +329,89 @@ def _drift_matrix(grid: SurfaceGrid, x: np.ndarray) -> np.ndarray:
     return mat
 
 
+def lowest_eigenpairs(matrix: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k eigenvalues of minimal real part nearest a Gershgorin shift.
+
+    The shift sigma sits one unit below the Gershgorin lower bound
+    min(diag - off-diagonal row sum), so the principal eigenvalue is the
+    eigenvalue nearest sigma and the dominant one of (A - sigma I)^-1.
+    Orthogonal iteration on that inverse carries ``OVERSAMPLING`` directions
+    beyond the k wanted ones (the block spans the whole space when
+    k + OVERSAMPLING >= N); Rayleigh-Ritz on Q^T A Q extracts the pairs,
+    ordered by real part with ties broken by minimal imaginary magnitude.
+    For a real spectrum these are the k lowest eigenvalues.  Iteration stops
+    once every residual ||A phi - lambda phi|| of a unit eigenvector is below
+    N eps ||A||_inf.  The starting block is the constant vector followed by
+    fixed-seed columns, so the result is a pure function of the matrix.
+
+    Returns the eigenvalues and unit eigenvectors (columns).
+    """
+    if not np.isfinite(matrix).all():
+        raise EigensolverFailure("operator has non-finite entries")
+    num = matrix.shape[0]
+    diag = np.diag(matrix)
+    row_sums = np.abs(matrix).sum(axis=1)
+    sigma = float((diag - (row_sums - np.abs(diag))).min()) - 1.0
+    tol = num * np.finfo(float).eps * float(row_sums.max())
+    q = np.random.default_rng(0).standard_normal((num, min(num, k + OVERSAMPLING)))
+    q[:, 0] = 1.0
+    try:
+        inverse = np.linalg.inv(matrix - sigma * np.eye(num))
+        for _ in range(MAX_ITERATIONS):
+            q, _ = np.linalg.qr(inverse @ q)
+            aq = matrix @ q
+            vals, coeffs = np.linalg.eig(q.T @ aq)
+            lead = np.lexsort((np.abs(vals.imag), vals.real))[:k]
+            vals, coeffs = vals[lead], coeffs[:, lead]
+            vecs = q @ coeffs
+            residuals = np.linalg.norm(aq @ coeffs - vecs * vals, axis=0)
+            if residuals.max() <= tol:
+                break
+        else:
+            raise EigensolverFailure(
+                f"no convergence in {MAX_ITERATIONS} iterations: residual "
+                f"{residuals.max():.3e} above {tol:.3e}"
+            )
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverFailure(str(exc)) from exc
+    lam = vals[0]
+    if abs(lam.imag) > 1e-8 * (1.0 + abs(lam.real)):
+        raise EigensolverFailure(
+            f"principal eigenvalue has non-negligible imaginary part {lam.imag:.3e}"
+        )
+    return vals, vecs
+
+
 @dataclass
 class PrincipalEigen:
     lambda1: complex
     eigenfunction: np.ndarray
-    spectrum: np.ndarray
     positivity: bool
+    # ||A phi - lambda1 phi|| / ||phi|| of the returned pair
+    residual: float
+    # the eigenvalues found by the solve, lambda1 first
+    spectrum_head: np.ndarray
+    matrix: np.ndarray = field(repr=False)
 
     @property
     def lambda1_real(self) -> float:
         return float(self.lambda1.real)
 
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """Every eigenvalue of the operator, by a dense solve on first use."""
+        return np.linalg.eigvals(self.matrix)
 
-def principal_eigenvalue(matrix: np.ndarray, grid: SurfaceGrid) -> PrincipalEigen:
+
+def principal_eigenvalue(matrix: np.ndarray, grid: SurfaceGrid, k: int = 1) -> PrincipalEigen:
     """Eigenvalue of minimal real part with its one-signed eigenfunction.
 
-    Ties in the real part are broken by minimal imaginary magnitude.  The
-    eigenfunction is rescaled to be real with positive mean; the positivity
-    flag records whether it is strictly one-signed.
+    ``k`` eigenvalues are solved for (see ``lowest_eigenpairs``) and kept as
+    ``spectrum_head``.  The eigenfunction is rescaled to be real with positive
+    mean; the positivity flag records whether it is strictly one-signed.
     """
-    try:
-        vals, vecs = np.linalg.eig(matrix)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverFailure(str(exc)) from exc
-    order = np.lexsort((np.abs(vals.imag), vals.real))
-    lead = order[0]
-    lam = vals[lead]
-    if abs(lam.imag) > 1e-8 * (1.0 + abs(lam.real)):
-        raise EigensolverFailure(
-            f"principal eigenvalue has non-negligible imaginary part {lam.imag:.3e}"
-        )
-    vec = vecs[:, lead]
+    vals, vecs = lowest_eigenpairs(matrix, k)
+    vec = vecs[:, 0]
     pivot = vec[np.argmax(np.abs(vec))]
     vec = (vec / pivot).real
     if vec.mean() < 0:
@@ -365,8 +419,16 @@ def principal_eigenvalue(matrix: np.ndarray, grid: SurfaceGrid) -> PrincipalEige
     scale = np.abs(vec).max()
     vec = vec / scale
     positivity = bool(vec.min() > 0.0) or bool(vec.max() < 0.0)
+    # the Rayleigh quotient of the real eigenfunction, accumulated in extended
+    # precision, is accurate to the rounding level of the matrix itself
+    wide = vec.astype(np.longdouble)
+    lam = float(wide @ (matrix @ wide) / (wide @ wide))
+    residual = float(np.linalg.norm(matrix @ vec - lam * vec) / np.linalg.norm(vec))
+    head = vals.copy()
+    head[0] = lam
     return PrincipalEigen(
-        lambda1=complex(lam), eigenfunction=vec, spectrum=vals, positivity=positivity
+        lambda1=complex(lam), eigenfunction=vec, positivity=positivity,
+        residual=residual, spectrum_head=head, matrix=matrix,
     )
 
 

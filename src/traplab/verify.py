@@ -530,14 +530,12 @@ def verify_linear_lemmas(seed: int = 2024) -> list[CheckRecord]:
     return records
 
 
-def verify_spectral_properties(count: int = 50, seed: int = 99) -> list[CheckRecord]:
-    """Principal-eigenvalue structure on seeded random circle operators."""
+def random_circle_operators(count: int = 50, seed: int = 99, n: int = 48):
+    """Seeded random circle operators; every second one is drift-free.
+
+    Yields (grid, assembled matrix, time_symmetric).
+    """
     rng = np.random.default_rng(seed)
-    n = 48
-    bad_real = 0
-    bad_minimal = 0
-    bad_sign = 0
-    worst_sym = 0.0
     for k in range(count):
         grid = stability.circle_grid(n)
         s = grid.nodes[:, 0]
@@ -559,7 +557,16 @@ def verify_spectral_properties(count: int = 50, seed: int = 99) -> list[CheckRec
         coeffs = stability.StabilityCoefficients(
             Q=q, X=x.reshape(-1, 1), divX=divx, normX_sq=x**2
         )
-        mat = stability.assemble_stability_operator(grid, coeffs)
+        yield grid, stability.assemble_stability_operator(grid, coeffs), time_symmetric
+
+
+def verify_spectral_properties(count: int = 50, seed: int = 99) -> list[CheckRecord]:
+    """Principal-eigenvalue structure on seeded random circle operators."""
+    bad_real = 0
+    bad_minimal = 0
+    bad_sign = 0
+    worst_sym = 0.0
+    for grid, mat, time_symmetric in random_circle_operators(count, seed):
         eig = stability.principal_eigenvalue(mat, grid)
         if abs(eig.lambda1.imag) > 1e-8 * (1.0 + abs(eig.lambda1.real)):
             bad_real += 1
