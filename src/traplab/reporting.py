@@ -41,12 +41,13 @@ def sanitize(obj):
         return [sanitize(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return [sanitize(v) for v in obj.tolist()]
+    # bool before int: bool is a subclass of int
+    if isinstance(obj, (np.bool_, bool)):
+        return bool(obj)
     if isinstance(obj, (np.floating, float)):
         return float(obj)
     if isinstance(obj, (np.integer, int)):
         return int(obj)
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
     if isinstance(obj, complex):
         return {"re": float(obj.real), "im": float(obj.imag)}
     return obj

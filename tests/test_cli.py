@@ -7,7 +7,7 @@ import pytest
 
 from traplab.cli import execute_config, parse_config_file
 from traplab.errors import ConfigError
-from traplab.reporting import report_bytes
+from traplab.reporting import CheckRecord, build_report, report_bytes, sanitize
 
 
 def run_cli(*args):
@@ -125,6 +125,24 @@ class TestExecuteConfig:
         stripped = json.loads(report_bytes(report, drop_wall_time=True))
         runtime = [c for c in stripped["checks"] if c["name"].endswith("-runtime")]
         assert runtime and all(c["measured"] is None and c["passed"] for c in runtime)
+
+
+class TestSanitize:
+    def test_python_bool_stays_bool(self):
+        assert sanitize(True) is True
+
+    def test_numpy_bool_becomes_bool(self):
+        assert sanitize(np.bool_(False)) is False
+
+    def test_int_stays_int(self):
+        value = sanitize(3)
+        assert type(value) is int and value == 3
+
+    def test_failing_record_serialises_false(self):
+        record = CheckRecord("x", "anchor", 1.0, 0.0, 1e-9, passed=False)
+        data = report_bytes(build_report("linear", {}, [record], 0.0))
+        assert json.loads(data)["checks"][0]["passed"] is False
+        assert b'"passed": false' in data
 
 
 class TestCommandLine:
