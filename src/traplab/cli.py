@@ -217,6 +217,8 @@ def _cmd_energy(cfg: dict):
     sc.require_spacetime()
     seed = int(cfg.get("seed", 0))
     count = int(cfg.get("count", 32))
+    if count < 1:
+        raise ConfigError(f"count must be at least 1, got {count}")
     reports = energy.condition_suite(
         sc.metric, sc.energy_points, sc.time_orientation, seed=seed, count=count
     )
@@ -258,6 +260,8 @@ def _cmd_constraints(cfg: dict):
         raise ConfigError(f"scenario {sc.name} carries no initial data")
     seed = int(cfg.get("seed", 0))
     count = int(cfg.get("points", 50))
+    if count < 1:
+        raise ConfigError(f"points must be at least 1, got {count}")
     rng = np.random.default_rng(seed)
     data = sc.initial_data
     if sc.name == "schwarzschild_slice_isotropic":

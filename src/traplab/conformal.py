@@ -283,8 +283,8 @@ def trapping_perturbation(
     weak_tol = 1e-9
     for u in sigma.sample_set:
         data = submanifold.extrinsic_data(sigma, m_field, u)
-        p = sigma.chart(u)
-        m = m_field(p)
+        p = data.H.base
+        m = data.metric
         x = x_field(p)
         hh = m.inner(data.H.components, data.H.components)
         hx = m.inner(data.H.components, x.components)
@@ -303,9 +303,8 @@ def trapping_perturbation(
     records = []
     for u in sigma.sample_set:
         data_n = submanifold.extrinsic_data(sigma, gn_field, u)
-        p = sigma.chart(u)
-        gn = gn_field(p)
-        x = x_field(p)
+        gn = data_n.metric
+        x = x_field(data_n.H.base)
         records.append(
             TrappingPerturbationRecord(
                 u=np.asarray(u, dtype=float),

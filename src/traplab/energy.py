@@ -7,7 +7,9 @@ sampling; a report therefore either exhibits a concrete violating witness or
 states satisfaction *on the sampled directions only*.  Sampling is seeded and
 deterministic: causal directions are drawn from an orthonormal frame adapted
 to the time orientation, boosted at fixed rapidity levels, together with
-exactly null combinations.
+exactly null combinations.  ``condition_suite`` yields all five verdicts from
+one pass: each point's metric jet, curvature tensor, Ricci form and cone
+sample are computed once and every sampled value feeds its conditions.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ VectorField = Callable[[np.ndarray], TangentVector]
 RAPIDITY_LEVELS = (0.0, 1.0, 2.0, 4.0)
 DEFAULT_DIRECTIONS = 64
 STRICT_MARGIN = 1e-10
+# least tidal eigenvalue below -TIDAL_TOL violates positive semidefiniteness
+TIDAL_TOL = 1e-9
 
 
 class Condition(enum.Enum):
@@ -77,8 +81,6 @@ class ConditionReport:
 @dataclass
 class ConeSample:
     vectors: list[TangentVector]
-    seed: int
-    boost_levels: tuple[float, ...] = RAPIDITY_LEVELS
 
 
 def sample_cone(
@@ -120,7 +122,7 @@ def sample_cone(
         vectors.append(TangentVector(p, v))
     for tv in vectors:
         causal_classify(m, tv, x)
-    return ConeSample(vectors=vectors, seed=seed)
+    return ConeSample(vectors=vectors)
 
 
 def _aux_complement(v: np.ndarray) -> list[np.ndarray]:
@@ -148,25 +150,8 @@ def check_ricci_condition(
     count: int = DEFAULT_DIRECTIONS,
 ) -> ConditionReport:
     """Ricci form on sampled causal directions at the given points."""
-    min_value = np.inf
-    witness = None
-    used = 0
-    for p in points:
-        p = np.asarray(p, dtype=float)
-        m = m_field(p)
-        ric = ricci_from_riemann(riemann(m), m)
-        cone = sample_cone(m, p, x_field(p), count=count, seed=seed)
-        for tv in cone.vectors:
-            val = float(tv.components @ ric @ tv.components)
-            used += 1
-            min_value = min(min_value, val)
-            violated = val <= STRICT_MARGIN if strict else val < -STRICT_MARGIN
-            if violated and witness is None:
-                witness = Witness(point=p, vector=tv.components, value=val)
     condition = Condition.RICCI_STRICT if strict else Condition.RICCI_WEAK
-    if witness is not None:
-        return ConditionReport(condition, Verdict.VIOLATED, float(min_value), used, witness)
-    return ConditionReport(condition, Verdict.SATISFIED_ON_SAMPLES, float(min_value), used)
+    return condition_suite(m_field, points, x_field, seed, count)[condition]
 
 
 def check_riem_condition(
@@ -177,31 +162,9 @@ def check_riem_condition(
     seed: int = 0,
     count: int = DEFAULT_DIRECTIONS,
 ) -> ConditionReport:
-    """Curvature quadratic form R(w, v, v, w) over sampled causal planes.
-
-    For each causal sample v the partners w run over a deterministic
-    auxiliary-orthonormal complement of v, which guarantees non-collinearity.
-    """
-    min_value = np.inf
-    witness = None
-    used = 0
-    for p in points:
-        p = np.asarray(p, dtype=float)
-        m = m_field(p)
-        r = riemann(m)
-        cone = sample_cone(m, p, x_field(p), count=count, seed=seed)
-        for tv in cone.vectors:
-            for w in _aux_complement(tv.components):
-                val = riem_quadform(r, m, TangentVector(p, w), tv)
-                used += 1
-                min_value = min(min_value, val)
-                violated = val <= STRICT_MARGIN if strict else val < -STRICT_MARGIN
-                if violated and witness is None:
-                    witness = Witness(point=p, vector=tv.components, value=val, partner=w)
+    """Curvature quadratic form R(w, v, v, w) over sampled causal planes."""
     condition = Condition.PLANE_STRICT if strict else Condition.PLANE_WEAK
-    if witness is not None:
-        return ConditionReport(condition, Verdict.VIOLATED, float(min_value), used, witness)
-    return ConditionReport(condition, Verdict.SATISFIED_ON_SAMPLES, float(min_value), used)
+    return condition_suite(m_field, points, x_field, seed, count)[condition]
 
 
 def tidal_operator(
@@ -273,38 +236,18 @@ def tidal_operator(
     return 0.5 * (mat + mat.T)
 
 
-def tidal_psd(mat: np.ndarray, tol: float = 1e-9) -> bool:
+def tidal_psd(mat: np.ndarray, tol: float = TIDAL_TOL) -> bool:
     return bool(np.linalg.eigvalsh(mat).min() >= -tol)
 
 
-def check_tidal_condition(
-    m_field: MetricField,
-    points: Sequence[np.ndarray],
-    x_field: VectorField,
-    seed: int = 0,
-    count: int = DEFAULT_DIRECTIONS,
+def _condition_report(
+    condition: Condition, samples: list[Witness], violated: Callable[[float], bool]
 ) -> ConditionReport:
-    """Positive semidefiniteness of tidal operators on sampled causal directions."""
-    min_value = np.inf
-    witness = None
-    used = 0
-    for p in points:
-        p = np.asarray(p, dtype=float)
-        m = m_field(p)
-        r = riemann(m)
-        cone = sample_cone(m, p, x_field(p), count=count, seed=seed)
-        for tv in cone.vectors:
-            mat = tidal_operator(m, r, tv)
-            eigs = np.linalg.eigvalsh(mat)
-            val = float(eigs.min())
-            used += 1
-            if val < min_value:
-                min_value = val
-            if val < -1e-9 and witness is None:
-                witness = Witness(point=p, vector=tv.components, value=val)
-    if witness is not None:
-        return ConditionReport(Condition.TIDAL_PSD, Verdict.VIOLATED, float(min_value), used, witness)
-    return ConditionReport(Condition.TIDAL_PSD, Verdict.SATISFIED_ON_SAMPLES, float(min_value), used)
+    """Minimum, sample count and first violating witness of one condition."""
+    witness = next((s for s in samples if violated(s.value)), None)
+    min_value = float(min((s.value for s in samples), default=np.inf))
+    verdict = Verdict.SATISFIED_ON_SAMPLES if witness is None else Verdict.VIOLATED
+    return ConditionReport(condition, verdict, min_value, len(samples), witness)
 
 
 def condition_suite(
@@ -314,14 +257,48 @@ def condition_suite(
     seed: int = 0,
     count: int = DEFAULT_DIRECTIONS,
 ) -> dict[Condition, ConditionReport]:
-    """All five condition reports with one shared seed."""
-    return {
-        Condition.RICCI_STRICT: check_ricci_condition(m_field, points, True, x_field, seed, count),
-        Condition.RICCI_WEAK: check_ricci_condition(m_field, points, False, x_field, seed, count),
-        Condition.PLANE_STRICT: check_riem_condition(m_field, points, True, x_field, seed, count),
-        Condition.PLANE_WEAK: check_riem_condition(m_field, points, False, x_field, seed, count),
-        Condition.TIDAL_PSD: check_tidal_condition(m_field, points, x_field, seed, count),
-    }
+    """All five condition reports from one pass over the points.
+
+    Each point gets one metric jet, one curvature tensor, one Ricci form and
+    one cone sample.  Every causal sample v yields Ric(v, v), the plane values
+    R(w, v, v, w) for w over a deterministic auxiliary-orthonormal complement
+    of v (so w is never collinear with v), and the least eigenvalue of the
+    tidal operator.  Strict and weak variants read the same values.
+    """
+    ricci_samples: list[Witness] = []
+    plane_samples: list[Witness] = []
+    tidal_samples: list[Witness] = []
+    for p in points:
+        p = np.asarray(p, dtype=float)
+        m = m_field(p)
+        r = riemann(m)
+        ric = ricci_from_riemann(r, m)
+        for tv in sample_cone(m, p, x_field(p), count=count, seed=seed).vectors:
+            v = tv.components
+            ricci_samples.append(Witness(p, v, float(v @ ric @ v)))
+            for w in _aux_complement(v):
+                val = riem_quadform(r, m, TangentVector(p, w), tv)
+                plane_samples.append(Witness(p, v, val, partner=w))
+            least = float(np.linalg.eigvalsh(tidal_operator(m, r, tv)).min())
+            tidal_samples.append(Witness(p, v, least))
+
+    def strict(val: float) -> bool:
+        return val <= STRICT_MARGIN
+
+    def weak(val: float) -> bool:
+        return val < -STRICT_MARGIN
+
+    def tidal(val: float) -> bool:
+        return val < -TIDAL_TOL
+
+    conditions = (
+        (Condition.RICCI_STRICT, ricci_samples, strict),
+        (Condition.RICCI_WEAK, ricci_samples, weak),
+        (Condition.PLANE_STRICT, plane_samples, strict),
+        (Condition.PLANE_WEAK, plane_samples, weak),
+        (Condition.TIDAL_PSD, tidal_samples, tidal),
+    )
+    return {c: _condition_report(c, samples, violated) for c, samples, violated in conditions}
 
 
 def inclusion_chain_holds(reports: dict[Condition, ConditionReport]) -> bool:

@@ -318,9 +318,3 @@ def lorentz_frame(m: MetricJet2, x: TangentVector) -> np.ndarray:
     if len(frame) != n:
         raise SingularMetric("failed to complete an orthonormal frame")
     return np.stack(frame, axis=1)
-
-
-def riemannian_frame(m: MetricJet2) -> np.ndarray:
-    """Orthonormal frame columns for a positive definite metric."""
-    l = np.linalg.cholesky(m.g)
-    return np.linalg.inv(l).T

@@ -89,7 +89,7 @@ def initial_data_expansions(
     """Null expansions (theta_+, theta_-) = tr_Sigma K +- H_nu at parameter u."""
     data = extrinsic_data(e, d.h_field, u)
     x = data.H.base
-    m = d.h_field(x)
+    m = data.metric
     nu_vec = np.asarray(nu(u), dtype=float)
     if abs(m.inner(nu_vec, nu_vec) - 1.0) > 1e-8:
         raise NotUnitNormal("nu is not h-unit")

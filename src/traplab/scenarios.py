@@ -21,7 +21,6 @@ for the verification suites:
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -36,12 +35,6 @@ from .submanifold import EmbeddingJet2
 
 MetricField = Callable[[np.ndarray], MetricJet2]
 VectorField = Callable[[np.ndarray], TangentVector]
-
-
-class ScenarioKind(enum.Enum):
-    SPACETIME = "spacetime"
-    INITIAL_DATA = "initial_data"
-    BOTH = "both"
 
 
 @dataclass
@@ -63,7 +56,6 @@ class SliceSurface:
 @dataclass
 class Scenario:
     name: str
-    kind: ScenarioKind
     dim: int
     metric: Optional[MetricField] = None
     time_orientation: Optional[VectorField] = None
@@ -72,7 +64,6 @@ class Scenario:
     initial_data: Optional[InitialData] = None
     slice_surfaces: dict[str, SliceSurface] = field(default_factory=dict)
     energy_points: list[np.ndarray] = field(default_factory=list)
-    params: dict = field(default_factory=dict)
 
     def require_spacetime(self):
         if self.metric is None:
@@ -287,11 +278,9 @@ def _build_minkowski(params: dict) -> Scenario:
         raise BadParams("minkowski needs dim >= 2")
     sc = Scenario(
         name="minkowski",
-        kind=ScenarioKind.BOTH,
         dim=dim,
         metric=_flat_field(dim),
         time_orientation=_coordinate_time_field(dim),
-        params={"dim": dim},
     )
     slice_dim = dim - 1
     sc.initial_data = InitialData(
@@ -334,12 +323,10 @@ def _build_torus_quotient(params: dict) -> Scenario:
     periods = (None,) + (1.0,) * m
     sc = Scenario(
         name="minkowski_torus_quotient",
-        kind=ScenarioKind.BOTH,
         dim=dim,
         metric=_flat_field(dim),
         time_orientation=_coordinate_time_field(dim),
         periods=periods,
-        params={"m": m},
     )
     per_axis = int(params.get("samples_per_axis", 8))
     sigma_samples = _grid_samples(per_axis, m - 1) if m > 1 else np.zeros((1, 0))
@@ -371,12 +358,10 @@ def _build_einstein_cylinder(params: dict) -> Scenario:
     dim = n + 1
     sc = Scenario(
         name="einstein_cylinder",
-        kind=ScenarioKind.BOTH,
         dim=dim,
         metric=_cylinder_metric_field(n),
         time_orientation=_coordinate_time_field(dim),
         periods=(None,) * n + (2.0 * math.pi,),
-        params={"n": n},
     )
     sc.initial_data = InitialData(
         dim=n, h_field=_sphere_slice_field(n), K_field=zero_K_field(n)
@@ -487,11 +472,9 @@ def _build_schwarzschild(params: dict) -> Scenario:
 
     sc = Scenario(
         name="schwarzschild_slice_isotropic",
-        kind=ScenarioKind.BOTH,
         dim=dim,
         metric=metric,
         time_orientation=_coordinate_time_field(dim),
-        params={"mass": mass},
     )
     sc.initial_data = InitialData(dim=slice_dim, h_field=h_field, K_field=zero_K_field(slice_dim))
 
@@ -555,11 +538,9 @@ def _build_flrw_dust(params: dict) -> Scenario:
 
     sc = Scenario(
         name="flrw_dust",
-        kind=ScenarioKind.SPACETIME,
         dim=dim,
         metric=metric,
         time_orientation=_coordinate_time_field(dim),
-        params={"dim": dim},
     )
     sc.energy_points = [
         np.concatenate(([0.8], np.zeros(ns))),

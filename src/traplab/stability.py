@@ -202,7 +202,7 @@ def stability_coefficients(
         u = grid.nodes[idx]
         ext = extrinsic_data(emb, data.h_field, u)
         p = ext.H.base
-        m = data.h_field(p)
+        m = ext.metric
         k, _ = data.K_field(p)
         nu = np.asarray(surface.nu(u), dtype=float)
         cq = constraint_quantities(data, p)

@@ -73,13 +73,22 @@ class EmbeddingJet2:
 
 @dataclass
 class ExtrinsicData:
+    """Extrinsic geometry at one parameter, with the ambient metric jet at
+    ``H.base`` it was computed from."""
+
     induced: np.ndarray
     induced_inv: np.ndarray
     tangent: np.ndarray
     II: np.ndarray
     H: TangentVector
-    normal_basis: list[np.ndarray]
     normal_projector: np.ndarray
+    metric: MetricJet2
+
+    @property
+    def normal_basis(self) -> list[np.ndarray]:
+        """Orthonormal spanning set of the g-normal space, from the kernel of D^T g."""
+        _, _, vt = np.linalg.svd(self.tangent.T @ self.metric.g)
+        return [vt[i] for i in range(self.tangent.shape[1], self.metric.dim)]
 
 
 @dataclass
@@ -133,17 +142,14 @@ def extrinsic_data(e: EmbeddingJet2, m_field: MetricField, u: np.ndarray) -> Ext
     p_norm = np.eye(m.dim) - p_tan
     ii = np.einsum("ab,bij->aij", p_norm, accel)
     h_comps = np.einsum("ij,aij->a", induced_inv, ii)
-    # orthonormal spanning set of the g-normal space, from the kernel of D^T g
-    _, sv, vt = np.linalg.svd(d.T @ g)
-    basis = [vt[i] for i in range(e.sigma_dim, m.dim)]
     return ExtrinsicData(
         induced=induced,
         induced_inv=induced_inv,
         tangent=d,
         II=ii,
         H=TangentVector(x, h_comps),
-        normal_basis=basis,
         normal_projector=p_norm,
+        metric=m,
     )
 
 
@@ -161,9 +167,15 @@ def null_frame(
     if e.outward is None:
         raise OrientationFailure("embedding declares no outward reference")
     data = extrinsic_data(e, m_field, u)
+    return _null_frame(e, data, x_field(data.H.base), u)
+
+
+def _null_frame(
+    e: EmbeddingJet2, data: ExtrinsicData, xv: TangentVector, u: np.ndarray
+) -> NullFrame:
+    """The null frame of ``null_frame`` from extrinsic data already at hand."""
     x = data.H.base
-    m = m_field(x)
-    xv = x_field(x)
+    m = data.metric
     x_perp = data.normal_projector @ xv.components
     q = m.inner(x_perp, x_perp)
     if q >= 0:
@@ -187,7 +199,7 @@ def null_expansions(
 ) -> tuple[float, float]:
     """Null expansion scalars (-g(H, l+), -g(H, l-)) at parameter u."""
     data = extrinsic_data(e, m_field, u)
-    m = m_field(data.H.base)
+    m = data.metric
     theta_p = -m.inner(data.H.components, frame.l_plus.components)
     theta_m = -m.inner(data.H.components, frame.l_minus.components)
     return float(theta_p), float(theta_m)
@@ -213,13 +225,12 @@ def trapping_classify(
     frames_available = e.codim == 2 and e.outward is not None
     for u in samples:
         data = extrinsic_data(e, m_field, u)
-        p = data.H.base
-        m = m_field(p)
-        xv = x_field(p)
+        m = data.metric
+        xv = x_field(data.H.base)
         theta_plus = None
         if frames_available:
             try:
-                frame = null_frame(e, m_field, x_field, u)
+                frame = _null_frame(e, data, xv, u)
                 theta_plus = -m.inner(data.H.components, frame.l_plus.components)
             except OrientationFailure:
                 theta_plus = None

@@ -192,9 +192,8 @@ def verify_conformal_dual_path(pairs: int = 50, seed: int = 101) -> list[CheckRe
             0.15 * rng.normal(size=(dim, dim)),
         )
         data = extrinsic_data(emb, m_field, u)
-        p = data.H.base
-        m = m_field(p)
-        f = f_field(p)
+        m = data.metric
+        f = f_field(data.H.base)
         h_formula = conformal.conformal_mean_curvature(
             data.H, f, emb.sigma_dim, m, data.normal_projector
         )
@@ -203,7 +202,7 @@ def verify_conformal_dual_path(pairs: int = 50, seed: int = 101) -> list[CheckRe
         )
         hat_field = rescaled_metric_field(m_field, f_field)
         data_hat = extrinsic_data(emb, hat_field, u)
-        m_hat = hat_field(p)
+        m_hat = data_hat.metric
         scale = max(1.0, float(np.abs(data_hat.H.components).max()))
         worst_h = max(
             worst_h, float(np.abs(h_formula.components - data_hat.H.components).max()) / scale

@@ -205,6 +205,20 @@ class TestCommandLine:
             doc.pop("wall_time_s")
         assert json.dumps(docs[0], sort_keys=True) == json.dumps(docs[1], sort_keys=True)
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("energy-check", "--scenario", "minkowski", "--count", "0"),
+            ("constraints", "--scenario", "schwarzschild_slice_isotropic", "--points", "0"),
+        ],
+    )
+    def test_zero_count_is_config_error(self, args):
+        proc = run_cli(*args)
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("configuration error")
+        assert "Traceback" not in proc.stderr
+
     def test_verify_single_suite(self):
         proc = run_cli("verify", "linear-lemmas")
         assert proc.returncode == 0

@@ -199,6 +199,26 @@ class TestConditionSuite:
         assert reports[Condition.RICCI_WEAK].satisfied
         assert not reports[Condition.TIDAL_PSD].satisfied
 
+    def test_one_curvature_and_cone_sample_per_point(self, monkeypatch):
+        from traplab import energy
+
+        counts = {"riemann": 0, "sample_cone": 0}
+
+        def counted(name):
+            original = getattr(energy, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in counts:
+            monkeypatch.setattr(energy, name, counted(name))
+        assert len(SCHW.energy_points) == 3
+        condition_suite(SCHW.metric, SCHW.energy_points, SCHW.time_orientation, seed=7, count=8)
+        assert counts == {"riemann": 3, "sample_cone": 3}
+
     def test_tidal_verdict_implies_weak_plane_on_same_samples(self):
         for sc in (MINK, CYL, FLRW):
             reports = condition_suite(

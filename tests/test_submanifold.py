@@ -48,6 +48,13 @@ class TestExtrinsicData:
         data = extrinsic_data(CYL.embeddings["equator"], CYL.metric, np.array([0.8]))
         assert data.H.aux_norm() < 1e-14
 
+    def test_carries_metric_jet_at_base(self):
+        data = extrinsic_data(CYL.embeddings["equator"], CYL.metric, np.array([0.8]))
+        jet = CYL.metric(data.H.base)
+        assert data.metric.signature is jet.signature
+        for name in ("g", "dg", "ddg"):
+            assert np.array_equal(getattr(data.metric, name), getattr(jet, name))
+
     def test_induced_metric_spacelike_check(self):
         timelike_plane = coordinate_plane_embedding(4, (2, 3), np.zeros((1, 2)), outward_axis=2)
         with pytest.raises(NotSpacelike):
@@ -191,6 +198,23 @@ class TestTrappingClassify:
     def test_torus_extremal(self):
         out = trapping_classify(TORUS.embeddings["Sigma"], TORUS.metric, TORUS.time_orientation)
         assert out.label is TrappingLabel.EXTREMAL
+
+    def test_one_extrinsic_evaluation_per_sample(self, monkeypatch):
+        from traplab import submanifold
+
+        calls = []
+        original = submanifold.extrinsic_data
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(submanifold, "extrinsic_data", counted)
+        emb = TORUS.embeddings["Sigma"]
+        out = trapping_classify(emb, TORUS.metric, TORUS.time_orientation)
+        assert len(out.per_point) == len(emb.sample_set)
+        assert len(calls) == len(emb.sample_set)
+        assert all(r.theta_plus is not None for r in out.per_point)
 
     def test_sphere_not_weakly_trapped(self):
         out = trapping_classify(MINK.embeddings["sphere"], MINK.metric, MINK.time_orientation)
