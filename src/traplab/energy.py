@@ -245,7 +245,7 @@ def _condition_report(
 ) -> ConditionReport:
     """Minimum, sample count and first violating witness of one condition."""
     witness = next((s for s in samples if violated(s.value)), None)
-    min_value = float(min((s.value for s in samples), default=np.inf))
+    min_value = float(min(s.value for s in samples))
     verdict = Verdict.SATISFIED_ON_SAMPLES if witness is None else Verdict.VIOLATED
     return ConditionReport(condition, verdict, min_value, len(samples), witness)
 
@@ -263,7 +263,9 @@ def condition_suite(
     one cone sample.  Every causal sample v yields Ric(v, v), the plane values
     R(w, v, v, w) for w over a deterministic auxiliary-orthonormal complement
     of v (so w is never collinear with v), and the least eigenvalue of the
-    tidal operator.  Strict and weak variants read the same values.
+    tidal operator.  Strict and weak variants read the same values.  Raises
+    ValueError when nothing is sampled (no points, or ``count`` below 1):
+    an empty sample would make every condition pass.
     """
     ricci_samples: list[Witness] = []
     plane_samples: list[Witness] = []
@@ -279,8 +281,11 @@ def condition_suite(
             for w in _aux_complement(v):
                 val = riem_quadform(r, m, TangentVector(p, w), tv)
                 plane_samples.append(Witness(p, v, val, partner=w))
-            least = float(np.linalg.eigvalsh(tidal_operator(m, r, tv)).min())
-            tidal_samples.append(Witness(p, v, least))
+            tidal = np.linalg.eigvalsh(tidal_operator(m, r, tv))
+            if tidal.size:  # a null v in dimension 2 has an empty screen space
+                tidal_samples.append(Witness(p, v, float(tidal.min())))
+    if not ricci_samples:
+        raise ValueError(f"no causal directions sampled ({len(points)} points, count={count})")
 
     def strict(val: float) -> bool:
         return val <= STRICT_MARGIN

@@ -107,10 +107,12 @@ def build_report(command: str, config: dict, checks: list[CheckRecord], wall_tim
 
 
 def report_bytes(report: dict, drop_wall_time: bool = False) -> bytes:
-    """Serialize deterministically; optionally strip all wall-time data.
+    """Serialize deterministically as strict JSON; optionally strip all wall-time data.
 
     Wall-time data means the top-level wall_time_s field and the measured
-    seconds of runtime-budget checks (their pass flags stay).
+    seconds of runtime-budget checks (their pass flags stay).  A NaN or
+    infinite float raises ValueError instead of being written as the
+    non-standard ``NaN``/``Infinity``.
     """
     doc = dict(report)
     if drop_wall_time:
@@ -121,7 +123,7 @@ def report_bytes(report: dict, drop_wall_time: bool = False) -> bytes:
                 check = dict(check, measured=None)
             checks.append(check)
         doc["checks"] = checks
-    return json.dumps(doc, sort_keys=True, indent=2).encode()
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False).encode()
 
 
 def write_report_json(report: dict, path: str) -> None:

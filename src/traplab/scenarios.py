@@ -283,11 +283,12 @@ def _build_minkowski(params: dict) -> Scenario:
         time_orientation=_coordinate_time_field(dim),
     )
     slice_dim = dim - 1
-    sc.initial_data = InitialData(
-        dim=slice_dim,
-        h_field=lambda p: MetricJet2.flat(slice_dim, Signature.RIEMANNIAN),
-        K_field=zero_K_field(slice_dim),
-    )
+    if slice_dim >= 2:  # a metric jet needs dimension at least 2
+        sc.initial_data = InitialData(
+            dim=slice_dim,
+            h_field=lambda p: MetricJet2.flat(slice_dim, Signature.RIEMANNIAN),
+            K_field=zero_K_field(slice_dim),
+        )
     if dim == 4:
         radius = float(params.get("radius", 1.0))
         if radius <= 0:

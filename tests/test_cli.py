@@ -5,7 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from traplab.cli import execute_config, parse_config_file
+from traplab import cli
+from traplab.cli import execute_config, parse_config_file, resolve
 from traplab.errors import ConfigError
 from traplab.reporting import CheckRecord, build_report, report_bytes, sanitize
 
@@ -36,6 +37,12 @@ class TestConfigParsing:
     def test_malformed_line_rejected(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("this is not a key value pair\n")
+        with pytest.raises(ConfigError):
+            parse_config_file(str(bad))
+
+    def test_undecodable_file_rejected(self, tmp_path):
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"n = \xff\xfe\n")
         with pytest.raises(ConfigError):
             parse_config_file(str(bad))
 
@@ -111,6 +118,38 @@ class TestExecuteConfig:
         with pytest.raises(ConfigError):
             execute_config({"command": "frobnicate"})
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            {"command": "spectrum", "resolutoin": 32},
+            {"command": "deform", "scenario": "minkowski"},
+            {"command": "curvature", "tolerances": {"lambda1": 1e-3}},
+            {"command": "curvature", "tolerances": "curvature=1"},
+            {"command": "curvature", "n": True},
+            {"command": "curvature", "n": 1.5},
+            {"command": "deform", "fd_step": "small"},
+            {"command": "spectrum", "n": 3},
+            {"command": "curvature", "case": "null-spacelike", "dim": 3},
+            {"command": "perturb", "bump_inner": 0.5, "bump_outer": 0.4},
+            {"command": "classify", "scenario": "minkowski_torus_quotient", "surface": "Sigma",
+             "samples_per_axis": 0},
+            {"command": "constraints", "scenario": "minkowski", "dim": 2},
+            {"command": "energy-check", "scenario": "minkowski", "seed": -1},
+        ],
+    )
+    def test_invalid_config_is_config_error(self, cfg):
+        with pytest.raises(ConfigError):
+            execute_config(cfg)
+
+    def test_resolve_fills_defaults_without_touching_the_echo(self):
+        cfg = {"command": "constraints", "scenario": "minkowski", "points": 3}
+        resolved = resolve(cfg)
+        assert resolved["seed"] == 0 and resolved["format"] == "json"
+        assert resolved["tolerances"] == {"energy-density": 1e-9, "vacuum": None}
+        assert resolved["mass"] is None  # scenario parameters keep the scenario's default
+        assert execute_config(cfg)["config"] == cfg
+        assert cfg == {"command": "constraints", "scenario": "minkowski", "points": 3}
+
     def test_replay_byte_identical(self):
         cfg = {"command": "linear", "seed": 11}
         a = execute_config(dict(cfg))
@@ -137,6 +176,12 @@ class TestSanitize:
     def test_int_stays_int(self):
         value = sanitize(3)
         assert type(value) is int and value == 3
+
+    def test_nan_payload_rejected(self):
+        # reports are strict JSON: no NaN or Infinity tokens
+        report = build_report("linear", {}, [], 0.0, {"value": float("nan")})
+        with pytest.raises(ValueError):
+            report_bytes(report)
 
     def test_failing_record_serialises_false(self):
         record = CheckRecord("x", "anchor", 1.0, 0.0, 1e-9, passed=False)
@@ -210,14 +255,56 @@ class TestCommandLine:
         [
             ("energy-check", "--scenario", "minkowski", "--count", "0"),
             ("constraints", "--scenario", "schwarzschild_slice_isotropic", "--points", "0"),
+            ("curvature", "--n", "0"),
+            ("spectrum", "--resolution", "0"),
+            ("deform", "--fd-step", "0"),
+            ("deform", "--q-offset", "nan"),
+            ("curvature", "--case", "null-spacelike", "--n", "1", "--tol", "curvature=inf"),
+            ("curvature", "--case", "timelike", "--n", "1", "--tol", "x=nan"),
+            ("spectrum", "--config", "TYPO_CONFIG"),
         ],
     )
-    def test_zero_count_is_config_error(self, args):
-        proc = run_cli(*args)
+    def test_zero_count_is_config_error(self, args, tmp_path):
+        # every input the option table rejects: one line, exit 2, no traceback
+        typo = tmp_path / "typo.cfg"
+        typo.write_text("resolutoin = 32\n")
+        proc = run_cli(*(str(typo) if a == "TYPO_CONFIG" else a for a in args))
         assert proc.returncode == 2
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("configuration error")
         assert "Traceback" not in proc.stderr
+
+    def test_deform_takes_no_scenario_or_n(self):
+        proc = run_cli("deform", "--scenario", "minkowski", "--n", "7")
+        assert proc.returncode == 2
+        assert "unrecognized arguments: --scenario minkowski --n 7" in proc.stderr
+        assert proc.stderr.startswith("usage:") and "Traceback" not in proc.stderr
+
+    def test_perturb_n_is_the_conformal_index(self):
+        proc = run_cli("perturb", "--scenario", "einstein_cylinder", "--surface", "equator",
+                       "--n", "4")
+        assert proc.returncode == 0, proc.stderr
+        assert "[PASS] class-after-rescale" in proc.stdout
+
+    def test_config_file_format_and_suites_are_read(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text('suites = "linear-lemmas"\nformat = "csv"\n')
+        out = tmp_path / "report.json"
+        proc = run_cli("verify", "--config", str(cfg), "--out", str(out))
+        assert proc.returncode == 0
+        doc = json.loads(out.read_text())
+        assert set(doc["payload"]) == {"linear-lemmas"}
+        assert doc["config"]["format"] == "csv"  # csv applies to spectrum only
+
+    def test_crash_is_internal_error_exit_four(self, monkeypatch, capsys):
+        def boom(cfg):
+            raise RuntimeError("boom\nsecond line")
+
+        monkeypatch.setitem(cli.COMMANDS, "linear", cli.COMMANDS["linear"]._replace(run=boom))
+        assert cli.main(["linear"]) == 4
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["internal error: RuntimeError: boom second line"]
+        assert captured.out == ""
 
     def test_verify_single_suite(self):
         proc = run_cli("verify", "linear-lemmas")

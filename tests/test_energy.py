@@ -219,6 +219,24 @@ class TestConditionSuite:
         condition_suite(SCHW.metric, SCHW.energy_points, SCHW.time_orientation, seed=7, count=8)
         assert counts == {"riemann": 3, "sample_cone": 3}
 
+    @pytest.mark.parametrize("points, count", [([], 8), (None, 0)], ids=["no-points", "count-0"])
+    def test_empty_sample_is_rejected(self, points, count):
+        # zero samples would report every condition as satisfied on samples
+        points = MINK.energy_points if points is None else points
+        with pytest.raises(ValueError, match="no causal directions sampled"):
+            condition_suite(MINK.metric, points, MINK.time_orientation, count=count)
+
+    def test_two_dimensional_null_directions_have_no_tidal_sample(self):
+        # count 8 includes exact null directions, whose screen space is empty
+        # in dimension 2: they give Ricci samples but no tidal sample
+        flat2 = build_scenario("minkowski", {"dim": 2})
+        reports = condition_suite(
+            flat2.metric, flat2.energy_points, flat2.time_orientation, count=8
+        )
+        assert reports[Condition.RICCI_WEAK].samples_used == 16
+        assert 0 < reports[Condition.TIDAL_PSD].samples_used < 16
+        assert reports[Condition.TIDAL_PSD].satisfied
+
     def test_tidal_verdict_implies_weak_plane_on_same_samples(self):
         for sc in (MINK, CYL, FLRW):
             reports = condition_suite(
