@@ -22,6 +22,7 @@ import argparse
 import json
 import math
 import numbers
+import re
 import sys
 from dataclasses import asdict, dataclass, replace
 from typing import Any, Callable, NamedTuple, Optional
@@ -55,6 +56,8 @@ from .submanifold import trapping_classify
 _CASE_NAMES = {c.value: c for c in CurvatureCase}
 # eigenvalues reported as the spectrum head of the spectrum command
 SPECTRUM_HEAD = 8
+# a config-file line up to its comment; a '#' inside a JSON string is kept
+_BEFORE_COMMENT = re.compile(r'(?:"(?:[^"\\]|\\.)*"|[^#])*')
 
 # where a key may come from; SCENARIO keys come from a config file only and
 # are passed on to build_scenario when given
@@ -87,12 +90,15 @@ class Command(NamedTuple):
 
 
 def parse_config_file(path: str) -> dict:
-    """Flat ``key = value`` lines; values parsed as JSON when possible."""
+    """Flat ``key = value`` lines; values parsed as JSON when possible.
+
+    A ``#`` starts a comment unless it lies inside a double-quoted string.
+    """
     config: dict = {}
     try:
         with open(path) as fh:
             for lineno, raw in enumerate(fh, 1):
-                line = raw.split("#", 1)[0].strip()
+                line = _BEFORE_COMMENT.match(raw).group(0).strip()
                 if not line:
                     continue
                 if "=" not in line:

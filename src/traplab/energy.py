@@ -172,11 +172,11 @@ def tidal_operator(
 ) -> np.ndarray:
     """Matrix of w -> R(w, v)v on the orthogonal complement of causal v.
 
-    For timelike v the matrix is taken in a g-orthonormal basis of the
-    spacelike complement; for null v in a basis of the screen space
-    orthogonal to v and a companion null vector with g(v, n) = -2 (the
-    quotient by the v direction).  Both are symmetric in the induced inner
-    product.
+    For timelike v the matrix is taken in the spacelike legs of
+    ``lorentz_frame(m, v)``, a g-orthonormal basis of the complement; for
+    null v in a basis of the screen space orthogonal to v and a companion
+    null vector with g(v, n) = -2 (the quotient by the v direction).  Both
+    are symmetric in the induced inner product.
     """
     if v.aux_norm() <= 1e-14:
         raise ZeroVector("tidal operator needs a nonzero causal vector")
@@ -184,19 +184,8 @@ def tidal_operator(
     q = m.inner(v.components, v.components)
     aux2 = v.aux_norm() ** 2
     if q < -1e-10 * aux2:
-        # timelike: orthonormalize the g-orthogonal complement
-        vn = v.components / np.sqrt(-q)
-        basis = []
-        for k in range(m.dim):
-            cand = np.eye(m.dim)[k].astype(float)
-            cand = cand + float(cand @ g @ vn) * vn
-            for b in basis:
-                cand = cand - float(cand @ g @ b) * b
-            nrm2 = float(cand @ g @ cand)
-            if nrm2 > 1e-10:
-                basis.append(cand / np.sqrt(nrm2))
-            if len(basis) == m.dim - 1:
-                break
+        # timelike: the spacelike legs of the Lorentz frame along v
+        basis = list(lorentz_frame(m, v).T[1:])
     elif abs(q) <= 1e-10 * aux2:
         # null: companion null vector with g(v, n) = -2, then screen basis
         vn = v.components
@@ -236,8 +225,8 @@ def tidal_operator(
     return 0.5 * (mat + mat.T)
 
 
-def tidal_psd(mat: np.ndarray, tol: float = TIDAL_TOL) -> bool:
-    return bool(np.linalg.eigvalsh(mat).min() >= -tol)
+def tidal_psd(mat: np.ndarray) -> bool:
+    return bool(np.linalg.eigvalsh(mat).min() >= -TIDAL_TOL)
 
 
 def _condition_report(

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -95,6 +96,10 @@ class MetricJet2:
     signature : Signature
         Lorentzian metrics must have exactly one negative eigenvalue,
         Riemannian metrics must be positive definite.
+
+    ``cond`` is the 2-norm condition number of g, taken from the eigenvalues
+    the signature check computes (the singular values of a symmetric matrix
+    are the absolute eigenvalues).
     """
 
     dim: int
@@ -102,6 +107,8 @@ class MetricJet2:
     dg: np.ndarray
     ddg: np.ndarray
     signature: Signature = Signature.LORENTZIAN
+    cond: float = field(init=False, repr=False, compare=False)
+    _inverse: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.g = np.asarray(self.g, dtype=float)
@@ -129,6 +136,8 @@ class MetricJet2:
         else:
             if eigs.min() <= 0:
                 raise ValueError("Riemannian metric must be positive definite")
+        abs_eigs = np.abs(eigs)
+        self.cond = float(abs_eigs.max() / abs_eigs.min())
 
     @classmethod
     def flat(cls, dim: int, signature: Signature = Signature.LORENTZIAN) -> "MetricJet2":
@@ -144,10 +153,17 @@ class MetricJet2:
         return cls(n, g, np.zeros((n,) * 3), np.zeros((n,) * 4), signature)
 
     def inverse(self) -> np.ndarray:
-        """Inverse metric; raises SingularMetric past the condition limit."""
-        if np.linalg.cond(self.g) > COND_LIMIT:
+        """Inverse metric, computed on the first call and returned read-only.
+
+        Every later call returns the same array.  Raises SingularMetric on
+        every call when ``cond`` exceeds ``COND_LIMIT``.
+        """
+        if self.cond > COND_LIMIT:
             raise SingularMetric(f"metric condition number exceeds {COND_LIMIT:.0e}")
-        return np.linalg.inv(self.g)
+        if self._inverse is None:
+            self._inverse = np.linalg.inv(self.g)
+            self._inverse.flags.writeable = False
+        return self._inverse
 
     def inner(self, v: np.ndarray, w: np.ndarray) -> float:
         return float(np.asarray(v) @ self.g @ np.asarray(w))
@@ -226,10 +242,9 @@ def riemann(m: MetricJet2, symmetry_tol: float = SYMMETRY_TOL) -> CurvatureTenso
     return CurvatureTensor(R=r, symmetry_residual=float(res))
 
 
-def ricci(m: MetricJet2, symmetry_tol: float = SYMMETRY_TOL) -> np.ndarray:
+def ricci(m: MetricJet2) -> np.ndarray:
     """Ricci tensor, the inverse-metric trace of the Riemann tensor."""
-    r = riemann(m, symmetry_tol=symmetry_tol)
-    return ricci_from_riemann(r, m)
+    return ricci_from_riemann(riemann(m), m)
 
 
 def ricci_from_riemann(r: CurvatureTensor, m: MetricJet2) -> np.ndarray:
@@ -238,9 +253,8 @@ def ricci_from_riemann(r: CurvatureTensor, m: MetricJet2) -> np.ndarray:
     return 0.5 * (ric + ric.T)
 
 
-def scalar_curvature(m: MetricJet2, symmetry_tol: float = SYMMETRY_TOL) -> float:
-    ric = ricci(m, symmetry_tol=symmetry_tol)
-    return float(np.einsum("jk,jk->", m.inverse(), ric))
+def scalar_curvature(m: MetricJet2) -> float:
+    return float(np.einsum("jk,jk->", m.inverse(), ricci(m)))
 
 
 def causal_classify(m: MetricJet2, v: TangentVector, x: TangentVector) -> CausalClass:

@@ -54,13 +54,14 @@ class ConstraintQuantities:
     vacuum: bool
 
 
-def constraint_quantities(
-    d: InitialData, p: np.ndarray, vacuum_tol: float = VACUUM_TOL
-) -> ConstraintQuantities:
+def constraint_quantities(d: InitialData, p: np.ndarray) -> ConstraintQuantities:
     """Energy density and current of the data at a point."""
     p = np.asarray(p, dtype=float)
-    m = d.h_field(p)
-    k, dk = d.K_field(p)
+    return constraints_from_jet(d.h_field(p), *d.K_field(p))
+
+
+def constraints_from_jet(m: MetricJet2, k: np.ndarray, dk: np.ndarray) -> ConstraintQuantities:
+    """Energy density and current from the metric jet and (K, dK) at a point."""
     k = np.asarray(k, dtype=float)
     dk = np.asarray(dk, dtype=float)
     hinv = m.inverse()
@@ -76,7 +77,7 @@ def constraint_quantities(
     dhinv = -np.einsum("ia,jab,bk->jik", hinv, m.dg, hinv)
     d_tr_k = np.einsum("jik,ik->j", dhinv, k) + np.einsum("ik,jik->j", hinv, dk)
     j = div_k - d_tr_k
-    vacuum = abs(rho) <= vacuum_tol and float(np.linalg.norm(j)) <= vacuum_tol
+    vacuum = abs(rho) <= VACUUM_TOL and float(np.linalg.norm(j)) <= VACUUM_TOL
     return ConstraintQuantities(rho=float(rho), J=j, vacuum=vacuum)
 
 
@@ -110,15 +111,15 @@ class MotsLabel(enum.Enum):
     NONE = "none"
 
 
-def mots_classify(theta_plus_samples: Sequence[float], tol: float = MOTS_TOL) -> MotsLabel:
+def mots_classify(theta_plus_samples: Sequence[float]) -> MotsLabel:
     """Aggregate outer-trapping label from sampled theta_+ values."""
     vals = np.asarray(list(theta_plus_samples), dtype=float)
     if vals.size == 0:
         raise ValueError("need at least one sample")
-    if np.all(vals < -tol):
+    if np.all(vals < -MOTS_TOL):
         return MotsLabel.OUTER_TRAPPED
-    if np.all(np.abs(vals) <= tol):
+    if np.all(np.abs(vals) <= MOTS_TOL):
         return MotsLabel.MOTS
-    if np.all(vals <= tol):
+    if np.all(vals <= MOTS_TOL):
         return MotsLabel.WEAKLY_OUTER_TRAPPED
     return MotsLabel.NONE

@@ -153,7 +153,6 @@ def fd_metric_jet(
     g_func: Callable[[np.ndarray], np.ndarray],
     p: np.ndarray,
     signature: Signature = Signature.LORENTZIAN,
-    step: float = FD_STEP,
 ) -> MetricJet2:
     """Build a metric 2-jet from a plain metric callable by finite differences.
 
@@ -163,6 +162,7 @@ def fd_metric_jet(
     """
     p = np.asarray(p, dtype=float)
     n = p.shape[0]
+    step = FD_STEP
     g0 = np.asarray(g_func(p), dtype=float)
 
     def d1(k: int, h: float) -> np.ndarray:

@@ -92,23 +92,14 @@ def _grid_samples(count_per_axis: int, dims: int, period: float = 1.0) -> np.nda
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def sphere_embedding(
-    radius: float,
-    ambient_dim: int,
-    time_slice: float = 0.0,
-    spatial_only: bool = False,
-    n_theta: int = 6,
-    n_phi: int = 8,
-) -> EmbeddingJet2:
-    """Round 2-sphere embedding, either into a {t = const} slice of a
+def sphere_embedding(radius: float, ambient_dim: int, spatial_only: bool = False) -> EmbeddingJet2:
+    """Round 2-sphere embedding, either into the {t = 0} slice of a
     4-dimensional spacetime or directly into 3-space (``spatial_only``)."""
     offset = 0 if spatial_only else 1
 
     def point(u):
         t, p = float(u[0]), float(u[1])
         x = np.zeros(ambient_dim)
-        if not spatial_only:
-            x[0] = time_slice
         x[offset + 0] = radius * math.sin(t) * math.cos(p)
         x[offset + 1] = radius * math.sin(t) * math.sin(p)
         x[offset + 2] = radius * math.cos(t)
@@ -146,7 +137,7 @@ def sphere_embedding(
         chart=point,
         d_chart=d_point,
         dd_chart=dd_point,
-        sample_set=_latlong_samples(n_theta, n_phi),
+        sample_set=_latlong_samples(6, 8),
         outward=outward,
         name=f"sphere_r{radius:g}",
     )
@@ -254,10 +245,9 @@ def circle_embedding(
     build_dd: Callable[[float], np.ndarray],
     outward_vec: Callable[[float], np.ndarray],
     n_samples: int,
-    period: float = 2.0 * math.pi,
     name: str = "circle",
 ) -> EmbeddingJet2:
-    samples = (np.arange(n_samples) * period / n_samples).reshape(-1, 1)
+    samples = (np.arange(n_samples) * (2.0 * math.pi) / n_samples).reshape(-1, 1)
     return EmbeddingJet2(
         sigma_dim=1,
         ambient_dim=ambient_dim,

@@ -41,9 +41,9 @@ from .errors import (
     EigensolverFailure,
     ResolutionTooLow,
 )
-from .initial_data import InitialData, constraint_quantities, initial_data_expansions
+from .initial_data import InitialData, constraints_from_jet, initial_data_expansions
 from .scenarios import SliceSurface, build_scenario
-from .submanifold import EmbeddingJet2, extrinsic_data
+from .submanifold import EmbeddingJet2, ExtrinsicData, extrinsic_data
 
 MIN_NODES_PER_AXIS = 8
 DEGENERACY_TOL = 1e-6
@@ -155,18 +155,25 @@ def latlong_sphere_grid(n_theta: int, n_phi: int, radius: float = 1.0) -> Surfac
     )
 
 
-def grid_from_surface(surface: SliceSurface, data: InitialData, resolution: int) -> SurfaceGrid:
-    """Grid matched to a one-dimensional slice surface parametrization."""
+def _curve_nodes(surface: SliceSurface, data: InitialData, resolution: int):
+    """Each node parameter of a curve surface with its extrinsic data."""
     emb = surface.embedding
     if emb.sigma_dim != 1:
         raise ValueError("grid_from_surface supports curve surfaces; use latlong_sphere_grid")
-    period = surface.param_period
-    du = period / resolution
-    h = np.empty(resolution)
+    du = surface.param_period / resolution
     for i in range(resolution):
-        d = extrinsic_data(emb, data.h_field, np.array([i * du]))
-        h[i] = d.induced[0, 0]
-    return circle_grid(resolution, period, h, analytic_measure=surface.measure)
+        u = np.array([i * du])
+        yield u, extrinsic_data(emb, data.h_field, u)
+
+
+def _curve_grid(surface: SliceSurface, h: list[float]) -> SurfaceGrid:
+    return circle_grid(len(h), surface.param_period, np.array(h), analytic_measure=surface.measure)
+
+
+def grid_from_surface(surface: SliceSurface, data: InitialData, resolution: int) -> SurfaceGrid:
+    """Grid matched to a one-dimensional slice surface parametrization."""
+    h = [ext.induced[0, 0] for _, ext in _curve_nodes(surface, data, resolution)]
+    return _curve_grid(surface, h)
 
 
 @dataclass
@@ -193,36 +200,49 @@ def stability_coefficients(
 ) -> StabilityCoefficients:
     """Assemble the geometric coefficients of the stability operator."""
     emb = surface.embedding
-    num = grid.num_nodes
-    pdim = grid.nodes.shape[1]
-    q = np.empty(num)
-    x = np.zeros((num, pdim))
-    norm_x = np.zeros(num)
-    for idx in range(num):
-        u = grid.nodes[idx]
-        ext = extrinsic_data(emb, data.h_field, u)
-        p = ext.H.base
-        m = ext.metric
-        k, _ = data.K_field(p)
-        nu = np.asarray(surface.nu(u), dtype=float)
-        cq = constraint_quantities(data, p)
-        # scalar second fundamental form in direction nu, as a form on Sigma
-        k_nu = -np.einsum("a,aij->ij", m.g @ nu, ext.II)
-        k_pull = ext.tangent.T @ k @ ext.tangent
-        total = k_nu + k_pull
-        norm_total_sq = float(
-            np.einsum("ac,bd,ab,cd->", ext.induced_inv, ext.induced_inv, total, total)
-        )
-        q[idx] = (
-            0.5 * surface.scal_sigma(u)
-            - (float(cq.J @ nu) + cq.rho)
-            - 0.5 * norm_total_sq
-        )
-        omega = ext.tangent.T @ k @ nu
-        x[idx] = ext.induced_inv @ omega
-        norm_x[idx] = float(omega @ ext.induced_inv @ omega)
-    div_x = _divergence_on_grid(grid, x)
-    return StabilityCoefficients(Q=q, X=x, divX=div_x, normX_sq=norm_x)
+    rows = [
+        _node_coefficients(data, surface, u, extrinsic_data(emb, data.h_field, u))
+        for u in grid.nodes
+    ]
+    return _coefficients(grid, rows)
+
+
+def _node_coefficients(
+    data: InitialData, surface: SliceSurface, u: np.ndarray, ext: ExtrinsicData
+) -> tuple[float, np.ndarray, float]:
+    """Potential Q, drift X and |X|^2 at one node, from its extrinsic data."""
+    m = ext.metric
+    k, dk = data.K_field(ext.H.base)
+    nu = np.asarray(surface.nu(u), dtype=float)
+    cq = constraints_from_jet(m, k, dk)
+    # scalar second fundamental form in direction nu, as a form on Sigma
+    k_nu = -np.einsum("a,aij->ij", m.g @ nu, ext.II)
+    k_pull = ext.tangent.T @ k @ ext.tangent
+    total = k_nu + k_pull
+    norm_total_sq = float(
+        np.einsum("ac,bd,ab,cd->", ext.induced_inv, ext.induced_inv, total, total)
+    )
+    q = 0.5 * surface.scal_sigma(u) - (float(cq.J @ nu) + cq.rho) - 0.5 * norm_total_sq
+    omega = ext.tangent.T @ k @ nu
+    return q, ext.induced_inv @ omega, float(omega @ ext.induced_inv @ omega)
+
+
+def _coefficients(grid: SurfaceGrid, rows: list[tuple]) -> StabilityCoefficients:
+    q, x, norm_x = (np.array(column, dtype=float) for column in zip(*rows))
+    return StabilityCoefficients(Q=q, X=x, divX=_divergence_on_grid(grid, x), normX_sq=norm_x)
+
+
+def _curve_grid_and_coefficients(
+    surface: SliceSurface, data: InitialData, resolution: int
+) -> tuple[SurfaceGrid, StabilityCoefficients]:
+    """``grid_from_surface`` and ``stability_coefficients`` from one
+    ``extrinsic_data`` per node."""
+    h, rows = [], []
+    for u, ext in _curve_nodes(surface, data, resolution):
+        h.append(ext.induced[0, 0])
+        rows.append(_node_coefficients(data, surface, u, ext))
+    grid = _curve_grid(surface, h)
+    return grid, _coefficients(grid, rows)
 
 
 def _divergence_on_grid(grid: SurfaceGrid, x: np.ndarray) -> np.ndarray:
@@ -447,17 +467,12 @@ class DeformationCase:
 
     ``theta_of(t, phi)`` returns the outward null expansion at every grid
     node of the surface displaced by t * phi along the outward unit normal.
-    ``q_offset`` adds a constant to the potential; the expansion functional
-    is extended accordingly by q_offset * t * phi so that its linearization
-    matches the shifted operator.
     """
 
     grid: SurfaceGrid
     coefficients: StabilityCoefficients
     theta_of: Callable[[float, np.ndarray], np.ndarray]
     injectivity_scale: float = 1.0
-    q_offset: float = 0.0
-    label: str = ""
 
 
 @dataclass
@@ -471,12 +486,7 @@ class DeformationReport:
     outer_trapped_achieved: bool
 
 
-def deformation_check(
-    case: DeformationCase,
-    eigen: Optional[PrincipalEigen] = None,
-    fd_step: float = 1e-4,
-    step_scale: float = 0.05,
-) -> DeformationReport:
+def deformation_check(case: DeformationCase, fd_step: float = 1e-4) -> DeformationReport:
     """Verify d(theta_+)/dt = lambda_1 phi and achieve theta_+ < 0.
 
     The displacement sign follows the rule: move along +nu when lambda_1 < 0
@@ -484,9 +494,8 @@ def deformation_check(
     scale; the report records whether the displaced surface is outer trapped
     at every node.
     """
-    if eigen is None:
-        matrix = assemble_stability_operator(case.grid, case.coefficients)
-        eigen = principal_eigenvalue(matrix, case.grid)
+    matrix = assemble_stability_operator(case.grid, case.coefficients)
+    eigen = principal_eigenvalue(matrix, case.grid)
     lam = eigen.lambda1_real
     if abs(lam) <= DEGENERACY_TOL:
         raise DegenerateMOTS(f"principal eigenvalue {lam:.3e} below degeneracy threshold")
@@ -498,7 +507,7 @@ def deformation_check(
     fd = (theta_plus - theta_minus) / (2.0 * fd_step)
     predicted = lam * phi
     rel = np.abs(fd - predicted) / np.maximum(np.abs(predicted), 1e-300)
-    t_star = step_scale * case.injectivity_scale * (1.0 if lam < 0 else -1.0)
+    t_star = 0.05 * case.injectivity_scale * (1.0 if lam < 0 else -1.0)
     theta_displaced = case.theta_of(t_star, phi)
     return DeformationReport(
         lambda1=lam,
@@ -554,17 +563,18 @@ def _nodal_curve_embedding(
     return emb, nu
 
 
-def equator_deformation_case(
-    resolution: int = 64, q_offset: float = 0.0, n_sphere: int = 2
-) -> DeformationCase:
-    """Deformation case for the equator of the unit-sphere slice (n = 2)."""
-    if n_sphere != 2:
-        raise ValueError("deformation case implemented for the 2-sphere slice")
+def equator_deformation_case(resolution: int = 64, q_offset: float = 0.0) -> DeformationCase:
+    """Deformation case for the equator of the unit-sphere slice (n = 2).
+
+    ``q_offset`` adds a constant to the potential; the expansion functional
+    is extended accordingly by q_offset * t * phi so that its linearization
+    matches the shifted operator.
+    """
     sc = build_scenario("einstein_cylinder", {"n": 2, "equator_samples": resolution})
     data = sc.initial_data
     surface = sc.slice_surfaces["equator"]
-    grid = grid_from_surface(surface, data, resolution)
-    coeffs = stability_coefficients(data, surface, grid).shifted(q_offset)
+    grid, coeffs = _curve_grid_and_coefficients(surface, data, resolution)
+    coeffs = coeffs.shifted(q_offset)
 
     def theta_of(t: float, phi: np.ndarray) -> np.ndarray:
         theta_vals = 0.5 * math.pi + t * phi
@@ -574,14 +584,7 @@ def equator_deformation_case(
             out[i] = initial_data_expansions(data, emb, nu, u)[0]
         return out + q_offset * t * phi
 
-    return DeformationCase(
-        grid=grid,
-        coefficients=coeffs,
-        theta_of=theta_of,
-        injectivity_scale=surface.injectivity_scale,
-        q_offset=q_offset,
-        label="einstein_cylinder_equator",
-    )
+    return DeformationCase(grid, coeffs, theta_of, surface.injectivity_scale)
 
 
 def flat_torus_degenerate_case(resolution: int = 32) -> DeformationCase:
@@ -589,17 +592,10 @@ def flat_torus_degenerate_case(resolution: int = 32) -> DeformationCase:
     sc = build_scenario("minkowski_torus_quotient", {"m": 2, "samples_per_axis": resolution})
     data = sc.initial_data
     surface = sc.slice_surfaces["Sigma"]
-    grid = grid_from_surface(surface, data, resolution)
-    coeffs = stability_coefficients(data, surface, grid)
+    grid, coeffs = _curve_grid_and_coefficients(surface, data, resolution)
 
     def theta_of(t: float, phi: np.ndarray) -> np.ndarray:
         # flat quotient: a normal displacement of the flat circle stays minimal
         return np.zeros(grid.num_nodes)
 
-    return DeformationCase(
-        grid=grid,
-        coefficients=coeffs,
-        theta_of=theta_of,
-        injectivity_scale=surface.injectivity_scale,
-        label="flat_torus_circle",
-    )
+    return DeformationCase(grid, coeffs, theta_of, surface.injectivity_scale)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -209,21 +209,19 @@ def trapping_classify(
     e: EmbeddingJet2,
     m_field: MetricField,
     x_field: VectorField,
-    samples: Optional[Sequence[np.ndarray]] = None,
-    tol: float = CLASSIFY_TOL,
 ) -> TrappingClass:
-    """Classify the trapping type of the surface over a sample set.
+    """Classify the trapping type of the surface over its sample set.
 
-    Decision order with tolerance band tol: strictly trapped everywhere,
-    else extremal (H vanishes everywhere), else marginally outer trapped
-    (theta_+ vanishes everywhere, codimension 2 only), else weakly trapped
-    when the closed inequalities hold everywhere, else not weakly trapped.
+    Decision order with tolerance band CLASSIFY_TOL: strictly trapped
+    everywhere, else extremal (H vanishes everywhere), else marginally outer
+    trapped (theta_+ vanishes everywhere, codimension 2 only), else weakly
+    trapped when the closed inequalities hold everywhere, else not weakly
+    trapped.
     """
-    if samples is None:
-        samples = e.sample_set
+    tol = CLASSIFY_TOL
     records = []
     frames_available = e.codim == 2 and e.outward is not None
-    for u in samples:
+    for u in e.sample_set:
         data = extrinsic_data(e, m_field, u)
         m = data.metric
         xv = x_field(data.H.base)

@@ -41,14 +41,14 @@ from .submanifold import TrappingLabel, extrinsic_data, trapping_classify
 # --- helpers ----------------------------------------------------------------
 
 def random_polynomial_metric_jet(
-    rng: np.random.Generator, dim: int, signature: Signature = Signature.LORENTZIAN,
-    amplitude: float = 0.15,
+    rng: np.random.Generator, dim: int, signature: Signature = Signature.LORENTZIAN
 ) -> MetricJet2:
     """Random analytic metric jet: base metric plus bounded random derivatives.
 
     Any symmetric derivative data is the exact 2-jet of a polynomial metric,
     so these jets are exact-jet scenarios in their own right.
     """
+    amplitude = 0.15
     g = np.eye(dim)
     if signature is Signature.LORENTZIAN:
         g[0, 0] = -1.0
@@ -637,10 +637,9 @@ SUITES: dict[str, Callable[[], list[CheckRecord]]] = {
 
 
 def run_suites(names: list[str] | None = None) -> dict[str, list[CheckRecord]]:
-    selected = list(SUITES) if not names or names == ["all"] else names
-    out = {}
-    for name in selected:
-        if name not in SUITES:
+    """Run the named suites; ``all`` anywhere in the names runs every suite once."""
+    names = names or ["all"]
+    for name in names:
+        if name != "all" and name not in SUITES:
             raise KeyError(f"unknown verification suite {name!r}; available: {sorted(SUITES)}")
-        out[name] = SUITES[name]()
-    return out
+    return {name: SUITES[name]() for name in (SUITES if "all" in names else names)}

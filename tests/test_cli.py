@@ -34,6 +34,17 @@ class TestConfigParsing:
         assert cfg["n"] == 3
         assert cfg["expect"] == "extremal"
 
+    @pytest.mark.parametrize("line, expected", [
+        ('expect = "trapped # or not"', {"expect": "trapped # or not"}),
+        ("n = 3  # comment", {"n": 3}),
+        ("scenario = minkowski # c", {"scenario": "minkowski"}),
+        ("# scenario = minkowski", {}),
+    ])
+    def test_comment_starts_outside_a_string(self, tmp_path, line, expected):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(line + "\n")
+        assert parse_config_file(str(cfg_file)) == expected
+
     def test_malformed_line_rejected(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("this is not a key value pair\n")
@@ -329,6 +340,21 @@ class TestCommandLine:
             check = failing[f"{prefix}{n}"]
             assert check["measured"] == pytest.approx(-8.0 / n, rel=1e-9)
             assert check["expected"] == pytest.approx(-4.0 / n, rel=1e-12)
+
+    def test_verify_all_among_other_names_runs_every_suite_once(self, tmp_path):
+        from traplab.verify import SUITES
+
+        out = tmp_path / "report.json"
+        proc = run_cli("verify", "all", "linear-lemmas", "--out", str(out))
+        assert proc.returncode == 1
+        report = json.loads(out.read_text())
+        assert set(report["payload"]) == set(SUITES)
+        order = list(dict.fromkeys(c["name"].split("/")[0] for c in report["checks"]))
+        assert order == list(SUITES)
+        prefix = "curvature-perturbation/curvature-perturbation-null-spacelike-n"
+        assert {c["name"] for c in report["checks"] if not c["passed"]} == {
+            f"{prefix}{n}" for n in (1, 2, 5, 10)
+        }
 
     def test_verify_single_case_form(self):
         proc = run_cli("verify", "curvature-perturbation", "--case", "timelike", "--n", "1")

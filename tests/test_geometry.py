@@ -79,6 +79,45 @@ class TestChristoffel:
         with pytest.raises(SingularMetric):
             christoffel(m)
 
+    def test_singular_metric_rejected_on_every_call(self):
+        m = MetricJet2.constant(np.diag([-1.0, 1.0, 1.0, 1e-13]))
+        for _ in range(3):
+            with pytest.raises(SingularMetric):
+                m.inverse()
+
+    def test_condition_just_inside_the_limit_inverts(self):
+        m = MetricJet2.constant(np.diag([-1.0, 1.0, 1.0, 1e-11]))
+        assert m.cond == pytest.approx(1e11, rel=1e-12)
+        assert np.array_equal(m.inverse(), np.diag([-1.0, 1.0, 1.0, 1e11]))
+
+    def test_inverse_is_cached_and_read_only(self):
+        m = sphere_jet(1.1)
+        ginv = m.inverse()
+        assert m.inverse() is ginv
+        assert np.abs(ginv @ m.g - np.eye(2)).max() < 1e-14
+        with pytest.raises(ValueError):
+            ginv[0, 0] = 1.0
+
+    def test_one_inversion_per_jet_through_the_curvature_chain(self, monkeypatch):
+        jet = CYL.metric(SPHERE_POINT)
+        calls = {"inv": 0, "cond": 0}
+
+        def counted(name):
+            original = getattr(np.linalg, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(np.linalg, name, counted(name))
+        christoffel(jet)
+        ricci_from_riemann(riemann(jet), jet)
+        scalar_curvature(jet)
+        assert calls == {"inv": 1, "cond": 0}
+
 
 class TestRiemann:
     def test_flat(self):

@@ -262,6 +262,31 @@ class TestDeformation:
         rep = deformation_check(equator_deformation_case(32), fd_step=1e-3)
         assert rep.max_rel_error < 2e-3
 
+    @pytest.mark.parametrize("build", [equator_deformation_case, flat_torus_degenerate_case])
+    def test_one_geometry_evaluation_per_grid_node(self, build, monkeypatch):
+        from traplab import stability
+
+        calls = {"extrinsic_data": 0, "h_field": 0}
+
+        def counted(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        def scenario_with_counted_h_field(*args, **kwargs):
+            sc = build_scenario(*args, **kwargs)
+            sc.initial_data.h_field = counted("h_field", sc.initial_data.h_field)
+            return sc
+
+        monkeypatch.setattr(stability, "extrinsic_data",
+                            counted("extrinsic_data", stability.extrinsic_data))
+        monkeypatch.setattr(stability, "build_scenario", scenario_with_counted_h_field)
+        case = build(32)
+        assert case.grid.num_nodes == 32
+        assert calls == {"extrinsic_data": 32, "h_field": 32}
+
 
 class TestEigensolverGuards:
     def test_complex_bottom_pair_rejected(self):
