@@ -39,6 +39,7 @@ from .conformal import (
     trapping_perturbation,
 )
 from .errors import ConfigError, DegenerateMOTS, TrapLabError
+from .geometry import norm
 from .initial_data import constraint_quantities
 from .reporting import (
     CheckRecord,
@@ -242,9 +243,8 @@ def _cmd_constraints(cfg: dict):
                                        rng.uniform(0, 2 * np.pi, data.dim - 1))))
         else:
             pts.append(rng.uniform(-1.0, 1.0, data.dim))
-    cqs = [constraint_quantities(data, p) for p in pts]
-    rho_arr = np.array([cq.rho for cq in cqs])
-    j_arr = np.array([float(np.linalg.norm(cq.J)) for cq in cqs])
+    cq = constraint_quantities(data, np.array(pts))
+    rho_arr, j_arr = cq.rho, norm(cq.J)
     if sc.name == "einstein_cylinder":
         expected_rho = 0.5 * data.dim * (data.dim - 1)
         worst_rho = float(rho_arr[np.argmax(np.abs(rho_arr - expected_rho))])

@@ -27,11 +27,14 @@ from .errors import NotWeaklyTrapped
 from .geometry import (
     MetricJet2,
     TangentVector,
+    asymmetric,
     christoffel,
+    norm,
     riemann,
     riem_quadform,
+    stacked,
 )
-from .jets import Jet1, radial_hessian, smoothstep_down
+from .jets import Jet1, elementwise, radial_hessian, smoothstep_down
 
 ScalarField = Callable[[np.ndarray], "ScalarJet2"]
 MetricField = Callable[[np.ndarray], MetricJet2]
@@ -39,7 +42,9 @@ MetricField = Callable[[np.ndarray], MetricJet2]
 
 @dataclass
 class ScalarJet2:
-    """Scalar value with gradient and symmetric Hessian at a point."""
+    """Scalar value with gradient and symmetric Hessian at a point, or at each
+    point of a stack (``value`` of shape (...), ``grad`` (..., n), ``hess``
+    (..., n, n))."""
 
     value: float
     grad: np.ndarray
@@ -48,8 +53,7 @@ class ScalarJet2:
     def __post_init__(self):
         self.grad = np.asarray(self.grad, dtype=float)
         self.hess = np.asarray(self.hess, dtype=float)
-        scale = max(1.0, float(np.abs(self.hess).max()))
-        if np.abs(self.hess - self.hess.T).max() > 1e-10 * scale:
+        if asymmetric(self.hess, (-1, -2), 1e-10, 2):
             raise ValueError("Hessian must be symmetric")
 
     @classmethod
@@ -58,13 +62,14 @@ class ScalarJet2:
 
     def __mul__(self, other):
         if isinstance(other, ScalarJet2):
+            a, b = np.asarray(self.value)[..., None], np.asarray(other.value)[..., None]
             return ScalarJet2(
                 self.value * other.value,
-                self.value * other.grad + other.value * self.grad,
-                self.value * other.hess
-                + other.value * self.hess
-                + np.outer(self.grad, other.grad)
-                + np.outer(other.grad, self.grad),
+                a * other.grad + b * self.grad,
+                a[..., None] * other.hess
+                + b[..., None] * self.hess
+                + self.grad[..., :, None] * other.grad[..., None, :]
+                + other.grad[..., :, None] * self.grad[..., None, :],
             )
         return ScalarJet2(self.value * other, self.grad * other, self.hess * other)
 
@@ -99,33 +104,33 @@ class BumpProfile:
 
 
 def bump(profile: BumpProfile, p: np.ndarray) -> ScalarJet2:
-    """Evaluate the mollifier bump with exact gradient and Hessian."""
+    """Evaluate the mollifier bump with exact gradient and Hessian at p of
+    shape (..., dim)."""
     p = np.asarray(p, dtype=float)
-    dim = p.shape[0]
-    axes = profile.axes if profile.axes is not None else tuple(range(dim))
+    dim = p.shape[-1]
+    axes = np.array(profile.axes if profile.axes is not None else range(dim))
     if profile.periods is not None and len(profile.periods) != len(axes):
         raise ValueError("periods must align with the distance axes")
-    offset = p[list(axes)] - profile.center[list(axes)]
+    offset = p[..., axes] - profile.center[axes]
     if profile.periods is not None:
         for i, period in enumerate(profile.periods):
             if period is not None:
-                offset[i] -= period * np.round(offset[i] / period)
-    r = float(np.linalg.norm(offset))
-    width = profile.outer_radius - profile.inner_radius
-    if r <= profile.inner_radius:
-        return ScalarJet2.constant(1.0, dim)
-    if r >= profile.outer_radius:
-        return ScalarJet2.constant(0.0, dim)
-    s = smoothstep_down((r - profile.inner_radius) / width)
-    # reparametrize the step jet from s to r, then from r to coordinates
-    radial = Jet1(s.f, s.d1 / width, s.d2 / width**2)
-    value, sub_grad, sub_hess = radial_hessian(radial, offset)
-    grad = np.zeros(dim)
-    hess = np.zeros((dim, dim))
-    grad[list(axes)] = sub_grad
-    for a, ia in enumerate(axes):
-        for b, ib in enumerate(axes):
-            hess[ia, ib] = sub_hess[a, b]
+                offset[..., i] -= period * np.round(offset[..., i] / period)
+    r = norm(offset)
+    # exactly 1 inside and 0 outside, with zero derivatives
+    value = np.where(r <= profile.inner_radius, 1.0, 0.0)
+    grad = np.zeros(p.shape)
+    hess = np.zeros(p.shape + (dim,))
+    band = (r > profile.inner_radius) & (r < profile.outer_radius)
+    if np.count_nonzero(band):
+        width = profile.outer_radius - profile.inner_radius
+        s = smoothstep_down((r - profile.inner_radius) / width)
+        # reparametrize the step jet from s to r, then from r to coordinates
+        radial = Jet1(s.f, s.d1 / width, s.d2 / width**2)
+        step, sub_grad, sub_hess = radial_hessian(radial, offset)
+        value = np.where(band, step, value)
+        grad[..., axes] = np.where(band[..., None], sub_grad, 0.0)
+        hess[..., axes[:, None], axes] = np.where(band[..., None, None], sub_hess, 0.0)
     return ScalarJet2(value, grad, hess)
 
 
@@ -135,11 +140,15 @@ def bump_field(profile: BumpProfile) -> ScalarField:
 
 def coordinate_scalar_field(axis: int, dim: int, scale: float = 1.0) -> ScalarField:
     """The field p -> scale * p[axis] with its exact jet."""
+    grad = np.zeros(dim)
+    grad[axis] = scale
 
     def f(p: np.ndarray) -> ScalarJet2:
-        grad = np.zeros(dim)
-        grad[axis] = scale
-        return ScalarJet2(scale * float(p[axis]), grad, np.zeros((dim, dim)))
+        p = np.asarray(p, dtype=float)
+        shape = p.shape[:-1]
+        return ScalarJet2(
+            scale * p[..., axis], stacked(grad, shape), np.zeros(shape + (dim, dim))
+        )
 
     return f
 
@@ -152,7 +161,8 @@ def quadratic_scalar_field(c0: float, b: np.ndarray, c: np.ndarray) -> ScalarFie
 
     def f(p: np.ndarray) -> ScalarJet2:
         p = np.asarray(p, dtype=float)
-        return ScalarJet2(c0 + float(b @ p) + float(p @ c @ p), b + 2.0 * c @ p, 2.0 * c)
+        value = c0 + np.vecdot(p, b) + np.vecdot(np.vecmat(p, c), p)
+        return ScalarJet2(value, b + np.matvec(2.0 * c, p), stacked(2.0 * c, p.shape[:-1]))
 
     return f
 
@@ -167,14 +177,15 @@ def scaled_field(f: ScalarField, factor: float) -> ScalarField:
 
 def rescale_metric(m: MetricJet2, f: ScalarJet2) -> MetricJet2:
     """Conformal rescaling e^{2f} g with jets from exact product/chain rules."""
-    w = math.exp(2.0 * f.value)
-    g = w * m.g
+    w = elementwise(math.exp, 2.0 * f.value)
+    w2, w3, w4 = (np.asarray(w).reshape(np.shape(w) + (1,) * k) for k in (2, 3, 4))
+    g = w2 * m.g
     fg = f.grad
-    dg = w * (2.0 * np.einsum("k,ij->kij", fg, m.g) + m.dg)
-    ddg = w * (
-        2.0 * np.einsum("l,kij->lkij", fg, 2.0 * np.einsum("k,ij->kij", fg, m.g) + m.dg)
-        + 2.0 * np.einsum("lk,ij->lkij", f.hess, m.g)
-        + 2.0 * np.einsum("k,lij->lkij", fg, m.dg)
+    dg = w3 * (2.0 * np.einsum("...k,...ij->...kij", fg, m.g) + m.dg)
+    ddg = w4 * (
+        2.0 * np.einsum("...l,...kij->...lkij", fg, 2.0 * np.einsum("...k,...ij->...kij", fg, m.g) + m.dg)
+        + 2.0 * np.einsum("...lk,...ij->...lkij", f.hess, m.g)
+        + 2.0 * np.einsum("...k,...lij->...lkij", fg, m.dg)
         + m.ddg
     )
     return MetricJet2(m.dim, g, dg, ddg, m.signature)
@@ -186,7 +197,7 @@ def rescaled_metric_field(m_field: MetricField, f_field: ScalarField) -> MetricF
 
 def metric_gradient(m: MetricJet2, f: ScalarJet2) -> np.ndarray:
     """Contravariant gradient components of f for the metric m."""
-    return m.inverse() @ f.grad
+    return np.matvec(m.inverse(), f.grad)
 
 
 def conformal_connection_check(
@@ -281,37 +292,37 @@ def trapping_perturbation(
     if n < 1:
         raise ValueError("n must be a positive integer")
     weak_tol = 1e-9
-    for u in sigma.sample_set:
-        data = submanifold.extrinsic_data(sigma, m_field, u)
-        p = data.H.base
-        m = data.metric
-        x = x_field(p)
-        hh = m.inner(data.H.components, data.H.components)
-        hx = m.inner(data.H.components, x.components)
-        if hh > weak_tol or hx < -weak_tol:
-            raise NotWeaklyTrapped(
-                f"input violates the closed trapping inequalities at u={u}: "
-                f"g(H,H)={hh:.3e}, g(H,X)={hx:.3e}"
-            )
-        tau = tau_field(p)
-        grad_tau = metric_gradient(m, tau)
-        if m.inner(grad_tau, grad_tau) >= 0 or m.inner(grad_tau, x.components) >= 0:
-            raise ValueError("tau gradient must be future-directed timelike on the surface")
+    samples = sigma.sample_set
+    data = submanifold.extrinsic_data(sigma, m_field, samples)
+    p = data.H.base
+    m = data.metric
+    x = x_field(p)
+    hh = m.inner(data.H.components, data.H.components)
+    hx = m.inner(data.H.components, x.components)
+    grad_tau = metric_gradient(m, tau_field(p))
+    not_weak = (hh > weak_tol) | (hx < -weak_tol)
+    not_future = (m.inner(grad_tau, grad_tau) >= 0) | (m.inner(grad_tau, x.components) >= 0)
+    # report the first failing sample, the closed inequalities before tau
+    first = int(np.argmax(not_weak | not_future))
+    if not_weak[first]:
+        raise NotWeaklyTrapped(
+            f"input violates the closed trapping inequalities at u={samples[first]}: "
+            f"g(H,H)={hh[first]:.3e}, g(H,X)={hx[first]:.3e}"
+        )
+    if not_future[first]:
+        raise ValueError("tau gradient must be future-directed timelike on the surface")
 
     f_field = scaled_field(product_field(bump_field(profile), tau_field), 1.0 / n)
     gn_field = rescaled_metric_field(m_field, f_field)
-    records = []
-    for u in sigma.sample_set:
-        data_n = submanifold.extrinsic_data(sigma, gn_field, u)
-        gn = data_n.metric
-        x = x_field(data_n.H.base)
-        records.append(
-            TrappingPerturbationRecord(
-                u=np.asarray(u, dtype=float),
-                gn_H_H=gn.inner(data_n.H.components, data_n.H.components),
-                gn_H_X=gn.inner(data_n.H.components, x.components),
-            )
-        )
+    data_n = submanifold.extrinsic_data(sigma, gn_field, samples)
+    gn = data_n.metric
+    x = x_field(data_n.H.base)
+    hh = gn.inner(data_n.H.components, data_n.H.components)
+    hx = gn.inner(data_n.H.components, x.components)
+    records = [
+        TrappingPerturbationRecord(u=u, gn_H_H=float(a), gn_H_X=float(b))
+        for u, a, b in zip(samples, hh, hx)
+    ]
     return TrappingPerturbationResult(n=n, metric_field=gn_field, records=records)
 
 
@@ -324,27 +335,19 @@ class CurvatureCase(enum.Enum):
 def _case_fields(case: CurvatureCase, dim: int):
     e = np.eye(dim)
     if case is CurvatureCase.TIMELIKE_V:
-        # profile grows along the timelike direction of v
+        # profile exp(t), growing along the timelike direction of v
         def xi(p: np.ndarray) -> ScalarJet2:
-            v = math.exp(float(p[0]))
-            return ScalarJet2(v, v * e[0], v * np.outer(e[0], e[0]))
+            v = np.asarray(elementwise(math.exp, np.asarray(p, dtype=float)[..., 0]))
+            return ScalarJet2(v, v[..., None] * e[0], v[..., None, None] * np.outer(e[0], e[0]))
 
         return xi, e[0], e[1]
+    # the null profiles (t + x1)^2 and t^2
+    zero = np.zeros(dim)
     if case is CurvatureCase.NULL_V_SPACELIKE_W:
         s = e[0] + e[1]
-
-        def xi(p: np.ndarray) -> ScalarJet2:
-            q = float(p[0] + p[1])
-            return ScalarJet2(q * q, 2.0 * q * s, 2.0 * np.outer(s, s))
-
-        return xi, e[0] + e[1], e[2]
+        return quadratic_scalar_field(0.0, zero, np.outer(s, s)), s, e[2]
     if case is CurvatureCase.NULL_V_NULL_W:
-
-        def xi(p: np.ndarray) -> ScalarJet2:
-            q = float(p[0])
-            return ScalarJet2(q * q, 2.0 * q * e[0], 2.0 * np.outer(e[0], e[0]))
-
-        return xi, e[0] + e[1], e[0] - e[1]
+        return quadratic_scalar_field(0.0, zero, np.outer(e[0], e[0])), e[0] + e[1], e[0] - e[1]
     raise ValueError(f"unknown case {case}")
 
 

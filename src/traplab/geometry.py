@@ -61,7 +61,8 @@ class CausalClass(enum.Enum):
 
 @dataclass
 class TangentVector:
-    """Vector attached to a chart point; ``components`` in coordinate basis."""
+    """Vector attached to a chart point, or to each point of a stack;
+    ``components`` in coordinate basis."""
 
     base: np.ndarray
     components: np.ndarray
@@ -74,32 +75,35 @@ class TangentVector:
 
     @property
     def dim(self) -> int:
-        return self.base.shape[0]
+        return self.base.shape[-1]
 
     def aux_norm(self) -> float:
         """Euclidean norm of the components (auxiliary, metric-independent)."""
-        return float(np.linalg.norm(self.components))
+        return norm(self.components)
 
 
 @dataclass
 class MetricJet2:
-    """Metric with first and second coordinate derivatives at one point.
+    """Metric with first and second coordinate derivatives at a point, or at
+    each point of a stack.
 
     Parameters
     ----------
-    g : (dim, dim) array
+    g : (..., dim, dim) array
         Metric components, symmetric.
-    dg : (dim, dim, dim) array
-        First derivatives, ``dg[k, i, j] = d_k g_ij``.
-    ddg : (dim, dim, dim, dim) array
-        Second derivatives, ``ddg[l, k, i, j] = d_l d_k g_ij``.
+    dg : (..., dim, dim, dim) array
+        First derivatives, ``dg[..., k, i, j] = d_k g_ij``.
+    ddg : (..., dim, dim, dim, dim) array
+        Second derivatives, ``ddg[..., l, k, i, j] = d_l d_k g_ij``.
     signature : Signature
         Lorentzian metrics must have exactly one negative eigenvalue,
         Riemannian metrics must be positive definite.
 
-    ``cond`` is the 2-norm condition number of g, taken from the eigenvalues
-    the signature check computes (the singular values of a symmetric matrix
-    are the absolute eigenvalues).
+    Leading axes stack points; a jet with no leading axis is one point, and
+    every check below holds at each point of a stack.  ``cond`` is the 2-norm
+    condition number of g at each point, taken from the eigenvalues the
+    signature check computes (the singular values of a symmetric matrix are
+    the absolute eigenvalues).
     """
 
     dim: int
@@ -107,8 +111,9 @@ class MetricJet2:
     dg: np.ndarray
     ddg: np.ndarray
     signature: Signature = Signature.LORENTZIAN
-    cond: float = field(init=False, repr=False, compare=False)
+    cond: np.ndarray = field(init=False, repr=False, compare=False)
     _inverse: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
+    _connection: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.g = np.asarray(self.g, dtype=float)
@@ -117,98 +122,136 @@ class MetricJet2:
         n = self.dim
         if n < 2:
             raise ValueError("dimension must be at least 2")
-        if self.g.shape != (n, n) or self.dg.shape != (n, n, n) or self.ddg.shape != (n, n, n, n):
+        points = self.g.shape[:-2]
+        if (self.g.shape != points + (n, n) or self.dg.shape != points + (n,) * 3
+                or self.ddg.shape != points + (n,) * 4):
             raise ValueError("jet array shapes inconsistent with dim")
-        scale = max(1.0, float(np.abs(self.g).max()))
-        if np.abs(self.g - self.g.T).max() > 1e-12 * scale:
-            raise ValueError("metric matrix must be symmetric")
-        if np.abs(self.dg - np.swapaxes(self.dg, 1, 2)).max() > 1e-10 * max(1.0, np.abs(self.dg).max()):
-            raise ValueError("dg must be symmetric in (i, j)")
-        dd_scale = max(1.0, float(np.abs(self.ddg).max()))
-        if np.abs(self.ddg - np.swapaxes(self.ddg, 2, 3)).max() > 1e-10 * dd_scale:
-            raise ValueError("ddg must be symmetric in (i, j)")
-        if np.abs(self.ddg - np.swapaxes(self.ddg, 0, 1)).max() > 1e-10 * dd_scale:
-            raise ValueError("ddg must be symmetric in (k, l)")
+        for a, axes, rel, what in (
+            (self.g, (-1, -2), 1e-12, "metric matrix must be symmetric"),
+            (self.dg, (-1, -2), 1e-10, "dg must be symmetric in (i, j)"),
+            (self.ddg, (-1, -2), 1e-10, "ddg must be symmetric in (i, j)"),
+            (self.ddg, (-3, -4), 1e-10, "ddg must be symmetric in (k, l)"),
+        ):
+            if asymmetric(a, axes, rel, a.ndim - len(points)):
+                raise ValueError(what)
+        # ascending eigenvalues: one negative then positive ones, or all positive
         eigs = np.linalg.eigvalsh(self.g)
         if self.signature is Signature.LORENTZIAN:
-            if int(np.sum(eigs < 0)) != 1 or int(np.sum(eigs > 0)) != n - 1:
+            if np.count_nonzero(~((eigs[..., 0] < 0) & (eigs[..., 1] > 0))):
                 raise ValueError("Lorentzian metric needs exactly one negative eigenvalue")
-        else:
-            if eigs.min() <= 0:
-                raise ValueError("Riemannian metric must be positive definite")
+        elif np.count_nonzero(~(eigs[..., 0] > 0)):
+            raise ValueError("Riemannian metric must be positive definite")
         abs_eigs = np.abs(eigs)
-        self.cond = float(abs_eigs.max() / abs_eigs.min())
+        self.cond = np.maximum.reduce(abs_eigs, axis=-1) / np.minimum.reduce(abs_eigs, axis=-1)
 
     @classmethod
     def flat(cls, dim: int, signature: Signature = Signature.LORENTZIAN) -> "MetricJet2":
         g = np.eye(dim)
         if signature is Signature.LORENTZIAN:
             g[0, 0] = -1.0
-        return cls(dim, g, np.zeros((dim,) * 3), np.zeros((dim,) * 4), signature)
+        return cls.constant(g, signature)
 
     @classmethod
     def constant(cls, g: np.ndarray, signature: Signature = Signature.LORENTZIAN) -> "MetricJet2":
         g = np.asarray(g, dtype=float)
-        n = g.shape[0]
-        return cls(n, g, np.zeros((n,) * 3), np.zeros((n,) * 4), signature)
+        n = g.shape[-1]
+        return cls(n, g, np.zeros(g.shape + (n,)), np.zeros(g.shape + (n, n)), signature)
 
     def inverse(self) -> np.ndarray:
         """Inverse metric, computed on the first call and returned read-only.
 
         Every later call returns the same array.  Raises SingularMetric on
-        every call when ``cond`` exceeds ``COND_LIMIT``.
+        every call when ``cond`` exceeds ``COND_LIMIT`` at any point.
         """
-        if self.cond > COND_LIMIT:
+        if np.count_nonzero(self.cond > COND_LIMIT):
             raise SingularMetric(f"metric condition number exceeds {COND_LIMIT:.0e}")
         if self._inverse is None:
             self._inverse = np.linalg.inv(self.g)
             self._inverse.flags.writeable = False
         return self._inverse
 
-    def inner(self, v: np.ndarray, w: np.ndarray) -> float:
-        return float(np.asarray(v) @ self.g @ np.asarray(w))
+    def connection(self) -> np.ndarray:
+        """``christoffel`` of this jet, computed on the first call and returned
+        read-only; every later call returns the same array."""
+        if self._connection is None:
+            self._connection = christoffel(self)
+            self._connection.flags.writeable = False
+        return self._connection
+
+    def inner(self, v: np.ndarray, w: np.ndarray):
+        """g(v, w) at each point, computed as ``(v @ g) @ w``."""
+        return np.vecdot(np.vecmat(v, self.g), w)
+
+
+def _max_abs(a: np.ndarray, core: int):
+    """max |a| over the last ``core`` axes, at each point of the leading ones."""
+    return np.maximum.reduce(np.abs(a).reshape(a.shape[: a.ndim - core] + (-1,)), axis=-1)
+
+
+def asymmetric(a: np.ndarray, axes: tuple[int, int], rel: float, core: int) -> bool:
+    """Whether ``a`` departs from symmetry in ``axes`` by more than ``rel`` times
+    max(1, max |a|) at any point; the last ``core`` axes hold one point."""
+    swapped = a.swapaxes(*axes)
+    return not (a == swapped).all() and np.count_nonzero(
+        _max_abs(a - swapped, core) > rel * np.maximum(1.0, _max_abs(a, core))
+    ) > 0
+
+
+def stacked(a: np.ndarray, points: tuple[int, ...]) -> np.ndarray:
+    """A copy of ``a`` at each point of the leading shape ``points``."""
+    out = np.empty(points + a.shape)
+    out[...] = a
+    return out
+
+
+def norm(v: np.ndarray):
+    """Euclidean norm over the last axis, sqrt(v . v) as ``np.linalg.norm``
+    computes it for one vector."""
+    return np.sqrt(np.vecdot(v, v))
 
 
 @dataclass
 class CurvatureTensor:
-    """Covariant (0,4) curvature components at a point."""
+    """Covariant (0,4) curvature components at a point, or at each point of a
+    stack, with the symmetry residual of each point."""
 
     R: np.ndarray
-    symmetry_residual: float = field(default=0.0)
+    symmetry_residual: np.ndarray = field(default=0.0)
 
     def max_abs(self) -> float:
         return float(np.abs(self.R).max())
 
 
 def christoffel(m: MetricJet2) -> np.ndarray:
-    """Connection coefficients ``G[k, i, j]`` of the metric jet.
+    """Connection coefficients ``G[..., k, i, j]`` of the metric jet.
 
     Satisfies metric compatibility
     ``d_k g_ij = G[l, k, i] g_lj + G[l, k, j] g_il`` exactly in exact
-    arithmetic.
+    arithmetic.  ``MetricJet2.connection`` keeps the result of one call per jet.
     """
     ginv = m.inverse()
     # G^k_ij = 1/2 g^{kl} (d_i g_lj + d_j g_il - d_l g_ij)
-    bracket = np.einsum("ilj->lij", m.dg) + np.einsum("jil->lij", m.dg) - m.dg
-    return 0.5 * np.einsum("kl,lij->kij", ginv, bracket)
+    bracket = np.einsum("...ilj->...lij", m.dg) + np.einsum("...jil->...lij", m.dg) - m.dg
+    return 0.5 * np.einsum("...kl,...lij->...kij", ginv, bracket)
 
 
 def christoffel_derivative(m: MetricJet2) -> np.ndarray:
-    """First coordinate derivatives ``dG[l, k, i, j] = d_l G^k_ij``."""
+    """First coordinate derivatives ``dG[..., l, k, i, j] = d_l G^k_ij``."""
     ginv = m.inverse()
-    dginv = -np.einsum("ka,lab,bm->lkm", ginv, m.dg, ginv)
+    dginv = -np.einsum("...ka,...lab,...bm->...lkm", ginv, m.dg, ginv)
     b = (
-        np.einsum("imj->mij", m.dg)
-        + np.einsum("jim->mij", m.dg)
+        np.einsum("...imj->...mij", m.dg)
+        + np.einsum("...jim->...mij", m.dg)
         - m.dg
     )
     db = (
-        np.einsum("pimj->pmij", m.ddg)
-        + np.einsum("pjim->pmij", m.ddg)
+        np.einsum("...pimj->...pmij", m.ddg)
+        + np.einsum("...pjim->...pmij", m.ddg)
         - m.ddg
     )
     return 0.5 * (
-        np.einsum("pkm,mij->pkij", dginv, b) + np.einsum("km,pmij->pkij", ginv, db)
+        np.einsum("...pkm,...mij->...pkij", dginv, b)
+        + np.einsum("...km,...pmij->...pkij", ginv, db)
     )
 
 
@@ -217,29 +260,28 @@ def riemann(m: MetricJet2, symmetry_tol: float = SYMMETRY_TOL) -> CurvatureTenso
 
     The returned components satisfy antisymmetry in the first and last index
     pairs, pair symmetry, and the first Bianchi identity; the largest relative
-    residual over these four checks is stored on the tensor and must not
-    exceed ``symmetry_tol``.
+    residual over these four checks is stored for each point and must not
+    exceed ``symmetry_tol`` at any point.
     """
-    gam = christoffel(m)
+    gam = m.connection()
     dgam = christoffel_derivative(m)
     # R_ijk^l = d_i G^l_jk - d_j G^l_ik + G^l_ia G^a_jk - G^l_ja G^a_ik
     r_up = (
-        np.einsum("iljk->ijkl", dgam)
-        - np.einsum("jlik->ijkl", dgam)
-        + np.einsum("lia,ajk->ijkl", gam, gam)
-        - np.einsum("lja,aik->ijkl", gam, gam)
+        np.einsum("...iljk->...ijkl", dgam)
+        - np.einsum("...jlik->...ijkl", dgam)
+        + np.einsum("...lia,...ajk->...ijkl", gam, gam)
+        - np.einsum("...lja,...aik->...ijkl", gam, gam)
     )
-    r = np.einsum("ijkm,ml->ijkl", r_up, m.g)
-    scale = max(1.0, float(np.abs(r).max()))
-    res = max(
-        np.abs(r + np.einsum("ijlk->ijkl", r)).max(),
-        np.abs(r + np.einsum("jikl->ijkl", r)).max(),
-        np.abs(r - np.einsum("klij->ijkl", r)).max(),
-        np.abs(r + np.einsum("iklj->ijkl", r) + np.einsum("iljk->ijkl", r)).max(),
-    ) / scale
-    if res > symmetry_tol:
-        raise ValueError(f"curvature symmetry residual {res:.3e} exceeds {symmetry_tol:.1e}")
-    return CurvatureTensor(R=r, symmetry_residual=float(res))
+    r = np.einsum("...ijkm,...ml->...ijkl", r_up, m.g)
+    res = _max_abs(np.maximum(
+        np.maximum(np.abs(r + np.einsum("...ijlk->...ijkl", r)),
+                   np.abs(r + np.einsum("...jikl->...ijkl", r))),
+        np.maximum(np.abs(r - np.einsum("...klij->...ijkl", r)),
+                   np.abs(r + np.einsum("...iklj->...ijkl", r) + np.einsum("...iljk->...ijkl", r))),
+    ), 4) / np.maximum(1.0, _max_abs(r, 4))
+    if np.count_nonzero(res > symmetry_tol):
+        raise ValueError(f"curvature symmetry residual {res.max():.3e} exceeds {symmetry_tol:.1e}")
+    return CurvatureTensor(R=r, symmetry_residual=res)
 
 
 def ricci(m: MetricJet2) -> np.ndarray:
@@ -249,12 +291,12 @@ def ricci(m: MetricJet2) -> np.ndarray:
 
 def ricci_from_riemann(r: CurvatureTensor, m: MetricJet2) -> np.ndarray:
     ginv = m.inverse()
-    ric = np.einsum("im,ijkm->jk", ginv, r.R)
-    return 0.5 * (ric + ric.T)
+    ric = np.einsum("...im,...ijkm->...jk", ginv, r.R)
+    return 0.5 * (ric + np.swapaxes(ric, -1, -2))
 
 
-def scalar_curvature(m: MetricJet2) -> float:
-    return float(np.einsum("jk,jk->", m.inverse(), ricci(m)))
+def scalar_curvature(m: MetricJet2):
+    return np.einsum("...jk,...jk->...", m.inverse(), ricci(m))
 
 
 def causal_classify(m: MetricJet2, v: TangentVector, x: TangentVector) -> CausalClass:

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NotUnitNormal
-from .geometry import MetricJet2, christoffel, scalar_curvature
+from .geometry import MetricJet2, norm, scalar_curvature
 from .submanifold import EmbeddingJet2, extrinsic_data
 
 VACUUM_TOL = 1e-10
@@ -61,24 +61,26 @@ def constraint_quantities(d: InitialData, p: np.ndarray) -> ConstraintQuantities
 
 
 def constraints_from_jet(m: MetricJet2, k: np.ndarray, dk: np.ndarray) -> ConstraintQuantities:
-    """Energy density and current from the metric jet and (K, dK) at a point."""
+    """Energy density and current from the metric jet and (K, dK) at a point,
+    or at each point of a stack (``rho`` and ``vacuum`` are then arrays)."""
     k = np.asarray(k, dtype=float)
     dk = np.asarray(dk, dtype=float)
     hinv = m.inverse()
     scal = scalar_curvature(m)
-    norm_k_sq = float(np.einsum("ij,kl,ik,jl->", k, k, hinv, hinv))
-    tr_k = float(np.einsum("ij,ij->", hinv, k))
+    norm_k_sq = np.einsum("...ij,...kl,...ik,...jl->...", k, k, hinv, hinv)
+    tr_k = np.einsum("...ij,...ij->...", hinv, k)
     rho = 0.5 * (scal - norm_k_sq + tr_k * tr_k)
 
-    gam = christoffel(m)
+    gam = m.connection()
     # covariant derivative (nabla_i K)_{kj}; gam[l, i, k] = Gamma^l_{ik}
-    cov_dk = dk - np.einsum("lik,lj->ikj", gam, k) - np.einsum("lij,kl->ikj", gam, k)
-    div_k = np.einsum("ik,ikj->j", hinv, cov_dk)
-    dhinv = -np.einsum("ia,jab,bk->jik", hinv, m.dg, hinv)
-    d_tr_k = np.einsum("jik,ik->j", dhinv, k) + np.einsum("ik,jik->j", hinv, dk)
+    cov_dk = (dk - np.einsum("...lik,...lj->...ikj", gam, k)
+              - np.einsum("...lij,...kl->...ikj", gam, k))
+    div_k = np.einsum("...ik,...ikj->...j", hinv, cov_dk)
+    dhinv = -np.einsum("...ia,...jab,...bk->...jik", hinv, m.dg, hinv)
+    d_tr_k = np.einsum("...jik,...ik->...j", dhinv, k) + np.einsum("...ik,...jik->...j", hinv, dk)
     j = div_k - d_tr_k
-    vacuum = abs(rho) <= VACUUM_TOL and float(np.linalg.norm(j)) <= VACUUM_TOL
-    return ConstraintQuantities(rho=float(rho), J=j, vacuum=vacuum)
+    vacuum = (np.abs(rho) <= VACUUM_TOL) & (norm(j) <= VACUUM_TOL)
+    return ConstraintQuantities(rho=rho, J=j, vacuum=vacuum)
 
 
 def initial_data_expansions(

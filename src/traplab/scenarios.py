@@ -21,6 +21,7 @@ for the verification suites:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -28,9 +29,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import BadParams, UnknownScenario
-from .geometry import MetricJet2, Signature, TangentVector
+from .geometry import MetricJet2, Signature, TangentVector, norm, stacked
 from .initial_data import InitialData, zero_K_field
-from .jets import Jet1, radial_hessian
+from .jets import Jet1, elementwise, radial_hessian
 from .submanifold import EmbeddingJet2
 
 MetricField = Callable[[np.ndarray], MetricJet2]
@@ -71,13 +72,19 @@ class Scenario:
         return self.metric
 
 
-def _flat_field(dim: int) -> MetricField:
-    return lambda p: MetricJet2.flat(dim)
+def _flat_field(dim: int, signature: Signature = Signature.LORENTZIAN) -> MetricField:
+    g = MetricJet2.flat(dim, signature).g
+    return lambda p: MetricJet2.constant(stacked(g, np.shape(p)[:-1]), signature)
 
 
 def _coordinate_time_field(dim: int) -> VectorField:
     e0 = np.eye(dim)[0]
-    return lambda p: TangentVector(np.asarray(p, dtype=float), e0)
+
+    def field(p):
+        p = np.asarray(p, dtype=float)
+        return TangentVector(p, stacked(e0, p.shape[:-1]))
+
+    return field
 
 
 def _latlong_samples(n_theta: int, n_phi: int) -> np.ndarray:
@@ -92,45 +99,56 @@ def _grid_samples(count_per_axis: int, dims: int, period: float = 1.0) -> np.nda
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
+# factors of the sphere chart entries: sin t, sin p, cos t, cos p and 1
+_ST, _SP, _CT, _CP, _ONE = range(5)
+
+
+def _sphere_map(entries, ambient_dim: int, offset: int = 0):
+    """Map of (..., 2) sphere parameters to arrays (..., ambient_dim, 2, ...).
+
+    Each entry (index, coefficient, f, h) sets the component at ``index``, its
+    Euclidean row shifted by ``offset``, to coefficient * f * h; every other
+    component is zero.
+    """
+    index, coef, first, second = (np.array(column) for column in zip(*entries))
+    shape = (ambient_dim,) + (2,) * (index.shape[1] - 1)
+    flat = np.ravel_multi_index((index[:, 0] + offset, *index[:, 1:].T), shape)
+
+    def f(u):
+        u = np.asarray(u, dtype=float)
+        factors = np.concatenate((np.sin(u), np.cos(u), np.ones(u.shape[:-1] + (1,))), axis=-1)
+        out = np.zeros(u.shape[:-1] + (math.prod(shape),))
+        out[..., flat] = coef * factors.take(first, axis=-1) * factors.take(second, axis=-1)
+        return out.reshape(u.shape[:-1] + shape)
+
+    return f
+
+
+def _radial_entries(r: float):
+    return [((0,), r, _ST, _CP), ((1,), r, _ST, _SP), ((2,), r, _CT, _ONE)]
+
+
+_unit_radial = _sphere_map(_radial_entries(1.0), 3)
+
+
 def sphere_embedding(radius: float, ambient_dim: int, spatial_only: bool = False) -> EmbeddingJet2:
     """Round 2-sphere embedding, either into the {t = 0} slice of a
     4-dimensional spacetime or directly into 3-space (``spatial_only``)."""
     offset = 0 if spatial_only else 1
-
-    def point(u):
-        t, p = float(u[0]), float(u[1])
-        x = np.zeros(ambient_dim)
-        x[offset + 0] = radius * math.sin(t) * math.cos(p)
-        x[offset + 1] = radius * math.sin(t) * math.sin(p)
-        x[offset + 2] = radius * math.cos(t)
-        return x
-
-    def d_point(u):
-        t, p = float(u[0]), float(u[1])
-        d = np.zeros((ambient_dim, 2))
-        st, ct, sp, cp = math.sin(t), math.cos(t), math.sin(p), math.cos(p)
-        d[offset + 0] = (radius * ct * cp, -radius * st * sp)
-        d[offset + 1] = (radius * ct * sp, radius * st * cp)
-        d[offset + 2] = (-radius * st, 0.0)
-        return d
-
-    def dd_point(u):
-        t, p = float(u[0]), float(u[1])
-        dd = np.zeros((ambient_dim, 2, 2))
-        st, ct, sp, cp = math.sin(t), math.cos(t), math.sin(p), math.cos(p)
-        dd[offset + 0] = [[-radius * st * cp, -radius * ct * sp], [-radius * ct * sp, -radius * st * cp]]
-        dd[offset + 1] = [[-radius * st * sp, radius * ct * cp], [radius * ct * cp, -radius * st * sp]]
-        dd[offset + 2] = [[-radius * ct, 0.0], [0.0, 0.0]]
-        return dd
-
-    def outward(u):
-        t, p = float(u[0]), float(u[1])
-        x = np.zeros(ambient_dim)
-        x[offset + 0] = math.sin(t) * math.cos(p)
-        x[offset + 1] = math.sin(t) * math.sin(p)
-        x[offset + 2] = math.cos(t)
-        return x
-
+    r = radius
+    d_entries = [
+        ((0, 0), r, _CT, _CP), ((0, 1), -r, _ST, _SP), ((1, 0), r, _CT, _SP),
+        ((1, 1), r, _ST, _CP), ((2, 0), -r, _ST, _ONE),
+    ]
+    dd_entries = [
+        ((0, 0, 0), -r, _ST, _CP), ((0, 0, 1), -r, _CT, _SP), ((0, 1, 0), -r, _CT, _SP),
+        ((0, 1, 1), -r, _ST, _CP), ((1, 0, 0), -r, _ST, _SP), ((1, 0, 1), r, _CT, _CP),
+        ((1, 1, 0), r, _CT, _CP), ((1, 1, 1), -r, _ST, _SP), ((2, 0, 0), -r, _CT, _ONE),
+    ]
+    point, d_point, dd_point, outward = (
+        _sphere_map(entries, ambient_dim, offset)
+        for entries in (_radial_entries(r), d_entries, dd_entries, _radial_entries(1.0))
+    )
     return EmbeddingJet2(
         sigma_dim=2,
         ambient_dim=ambient_dim,
@@ -161,55 +179,69 @@ def coordinate_plane_embedding(
     e_out = np.eye(ambient_dim)[outward_axis]
 
     def point(u):
-        x = np.zeros(ambient_dim)
-        x[list(fixed_axes)] = values
-        x[free] = np.asarray(u, dtype=float)
+        u = np.asarray(u, dtype=float)
+        x = np.zeros(u.shape[:-1] + (ambient_dim,))
+        x[..., list(fixed_axes)] = values
+        x[..., free] = u
         return x
+
+    def constant(a):
+        return lambda u: stacked(a, np.shape(u)[:-1])
 
     return EmbeddingJet2(
         sigma_dim=sigma_dim,
         ambient_dim=ambient_dim,
         chart=point,
-        d_chart=lambda u: d,
-        dd_chart=lambda u: dd,
+        d_chart=constant(d),
+        dd_chart=constant(dd),
         sample_set=samples,
-        outward=lambda u: e_out,
+        outward=constant(e_out),
         name=f"plane_fixed{fixed_axes}",
     )
 
 
 # --- round sphere jets -----------------------------------------------------
 
-def round_sphere_jet(n: int, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Metric 2-jet of the unit round n-sphere in nested polar coordinates.
+@functools.lru_cache(maxsize=None)
+def _below(n: int):
+    """For the pairs k < i and the triples l, k < i: their index arrays, the
+    flat positions of dg[k, i, i] and ddg[l, k, i, i], and where l == k."""
+    idx = np.arange(n)
+    k, i = np.nonzero(idx[:, None] < idx)
+    l, k2, i2 = np.nonzero((idx[:, None, None] < idx) & (idx[:, None] < idx))
+    return k, i, (k * n + i) * n + i, l, k2, i2, ((l * n + k2) * n + i2) * n + i2, l == k2
 
-    g_ii = prod_{j<i} sin^2(theta_j); valid away from the coordinate poles.
+
+def round_sphere_jet(n: int, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Metric 2-jet of the unit round n-sphere in nested polar coordinates,
+    at angles of shape (..., n).
+
+    g_ii = a_i = prod_{j<i} sin^2(theta_j); valid away from the coordinate poles.
     """
     angles = np.asarray(angles, dtype=float)
-    g = np.zeros((n, n))
-    dg = np.zeros((n, n, n))
-    ddg = np.zeros((n, n, n, n))
+    shape = angles.shape[:-1]
     sin2 = np.sin(angles) ** 2
     # derivatives only ever involve the first n-1 angles (k < i), so the
     # last angle may sit at a coordinate zero without harm
-    cot = np.zeros(n)
-    csc2 = np.zeros(n)
-    cot[: n - 1] = np.cos(angles[: n - 1]) / np.sin(angles[: n - 1])
-    csc2[: n - 1] = 1.0 / sin2[: n - 1]
-    prods = np.ones(n)
-    for i in range(1, n):
-        prods[i] = prods[i - 1] * sin2[i - 1]
-    for i in range(n):
-        a = prods[i]
-        g[i, i] = a
-        for k in range(i):
-            dg[k, i, i] = a * 2.0 * cot[k]
-            for l in range(i):
-                if k == l:
-                    ddg[k, k, i, i] = a * (4.0 * cot[k] ** 2 - 2.0 * csc2[k])
-                else:
-                    ddg[l, k, i, i] = a * 4.0 * cot[k] * cot[l]
-    return g, dg, ddg
+    cot = np.cos(angles[..., : n - 1]) / np.sin(angles[..., : n - 1])
+    csc2 = 1.0 / sin2[..., : n - 1]
+    a = np.ones(shape + (n,))
+    np.multiply.accumulate(sin2[..., :-1], axis=-1, out=a[..., 1:])
+    k, i, at_dg, l, k2, i2, at_ddg, same = _below(n)
+    g = np.zeros(shape + (n * n,))
+    dg = np.zeros(shape + (n**3,))
+    ddg = np.zeros(shape + (n**4,))
+    g[..., :: n + 1] = a
+    # d_k a_i = 2 cot_k a_i and the second derivatives, for k, l < i
+    dg[..., at_dg] = a.take(i, axis=-1) * 2.0 * cot.take(k, axis=-1)
+    a2 = a.take(i2, axis=-1)
+    cot_k = cot.take(k2, axis=-1)
+    ddg[..., at_ddg] = np.where(
+        same,
+        a2 * (4.0 * elementwise(lambda c: c**2, cot_k) - 2.0 * csc2.take(k2, axis=-1)),
+        a2 * 4.0 * cot_k * cot.take(l, axis=-1),
+    )
+    return g.reshape(shape + (n, n)), dg.reshape(shape + (n,) * 3), ddg.reshape(shape + (n,) * 4)
 
 
 def _cylinder_metric_field(n: int) -> MetricField:
@@ -217,14 +249,15 @@ def _cylinder_metric_field(n: int) -> MetricField:
 
     def metric(p: np.ndarray) -> MetricJet2:
         p = np.asarray(p, dtype=float)
-        gs, dgs, ddgs = round_sphere_jet(n, p[1:])
-        g = np.zeros((dim, dim))
-        g[0, 0] = -1.0
-        g[1:, 1:] = gs
-        dg = np.zeros((dim,) * 3)
-        dg[1:, 1:, 1:] = dgs
-        ddg = np.zeros((dim,) * 4)
-        ddg[1:, 1:, 1:, 1:] = ddgs
+        gs, dgs, ddgs = round_sphere_jet(n, p[..., 1:])
+        shape = p.shape[:-1]
+        g = np.zeros(shape + (dim, dim))
+        g[..., 0, 0] = -1.0
+        g[..., 1:, 1:] = gs
+        dg = np.zeros(shape + (dim,) * 3)
+        dg[..., 1:, 1:, 1:] = dgs
+        ddg = np.zeros(shape + (dim,) * 4)
+        ddg[..., 1:, 1:, 1:, 1:] = ddgs
         return MetricJet2(dim, g, dg, ddg, Signature.LORENTZIAN)
 
     return metric
@@ -232,32 +265,14 @@ def _cylinder_metric_field(n: int) -> MetricField:
 
 def _sphere_slice_field(n: int) -> MetricField:
     def metric(p: np.ndarray) -> MetricJet2:
-        g, dg, ddg = round_sphere_jet(n, np.asarray(p, dtype=float))
+        g, dg, ddg = round_sphere_jet(n, p)
         return MetricJet2(n, g, dg, ddg, Signature.RIEMANNIAN)
 
     return metric
 
 
-def circle_embedding(
-    ambient_dim: int,
-    build_point: Callable[[float], np.ndarray],
-    build_d: Callable[[float], np.ndarray],
-    build_dd: Callable[[float], np.ndarray],
-    outward_vec: Callable[[float], np.ndarray],
-    n_samples: int,
-    name: str = "circle",
-) -> EmbeddingJet2:
-    samples = (np.arange(n_samples) * (2.0 * math.pi) / n_samples).reshape(-1, 1)
-    return EmbeddingJet2(
-        sigma_dim=1,
-        ambient_dim=ambient_dim,
-        chart=lambda u: build_point(float(u[0])),
-        d_chart=lambda u: build_d(float(u[0])).reshape(ambient_dim, 1),
-        dd_chart=lambda u: build_dd(float(u[0])).reshape(ambient_dim, 1, 1),
-        sample_set=samples,
-        outward=lambda u: outward_vec(float(u[0])),
-        name=name,
-    )
+def _circle_samples(n_samples: int) -> np.ndarray:
+    return (np.arange(n_samples) * (2.0 * math.pi) / n_samples).reshape(-1, 1)
 
 
 # --- scenario builders -----------------------------------------------------
@@ -276,7 +291,7 @@ def _build_minkowski(params: dict) -> Scenario:
     if slice_dim >= 2:  # a metric jet needs dimension at least 2
         sc.initial_data = InitialData(
             dim=slice_dim,
-            h_field=lambda p: MetricJet2.flat(slice_dim, Signature.RIEMANNIAN),
+            h_field=_flat_field(slice_dim, Signature.RIEMANNIAN),
             K_field=zero_K_field(slice_dim),
         )
     if dim == 4:
@@ -288,16 +303,9 @@ def _build_minkowski(params: dict) -> Scenario:
             dim, (0, 1), _grid_samples(4, 2), outward_axis=1
         )
         slice_sphere = sphere_embedding(radius, slice_dim, spatial_only=True)
-
-        def nu(u):
-            t, p = float(u[0]), float(u[1])
-            return np.array(
-                [math.sin(t) * math.cos(p), math.sin(t) * math.sin(p), math.cos(t)]
-            )
-
         sc.slice_surfaces["sphere"] = SliceSurface(
             embedding=slice_sphere,
-            nu=nu,
+            nu=_unit_radial,
             mots_candidate=False,
             scal_sigma=lambda u: 2.0 / radius**2,
             measure=4.0 * math.pi * radius**2,
@@ -324,7 +332,7 @@ def _build_torus_quotient(params: dict) -> Scenario:
     sc.embeddings["Sigma"] = coordinate_plane_embedding(dim, (0, 1), sigma_samples, outward_axis=1)
     sc.initial_data = InitialData(
         dim=m,
-        h_field=lambda p: MetricJet2.flat(m, Signature.RIEMANNIAN),
+        h_field=_flat_field(m, Signature.RIEMANNIAN),
         K_field=zero_K_field(m),
     )
     slice_sigma = coordinate_plane_embedding(m, (0,), sigma_samples, outward_axis=0)
@@ -354,29 +362,17 @@ def _build_einstein_cylinder(params: dict) -> Scenario:
         time_orientation=_coordinate_time_field(dim),
         periods=(None,) * n + (2.0 * math.pi,),
     )
-    sc.initial_data = InitialData(
-        dim=n, h_field=_sphere_slice_field(n), K_field=zero_K_field(n)
-    )
+    sc.initial_data = InitialData(dim=n, h_field=_sphere_slice_field(n), K_field=zero_K_field(n))
     n_samples = int(params.get("equator_samples", 16))
     if n == 2:
-        # equator circle of the sphere slice, theta = pi/2
-        sc.embeddings["equator"] = circle_embedding(
-            ambient_dim=dim,
-            build_point=lambda s: np.array([0.0, math.pi / 2.0, s]),
-            build_d=lambda s: np.array([0.0, 0.0, 1.0]),
-            build_dd=lambda s: np.zeros(3),
-            outward_vec=lambda s: np.array([0.0, 1.0, 0.0]),
-            n_samples=n_samples,
-            name="equator",
+        # equator circle {t = 0, theta = pi/2} of the sphere slice
+        sc.embeddings["equator"] = coordinate_plane_embedding(
+            dim, (0, 1), _circle_samples(n_samples), outward_axis=1,
+            fixed_values=(0.0, math.pi / 2.0),
         )
-        slice_equator = circle_embedding(
-            ambient_dim=n,
-            build_point=lambda s: np.array([math.pi / 2.0, s]),
-            build_d=lambda s: np.array([0.0, 1.0]),
-            build_dd=lambda s: np.zeros(2),
-            outward_vec=lambda s: np.array([1.0, 0.0]),
-            n_samples=n_samples,
-            name="equator_slice",
+        slice_equator = coordinate_plane_embedding(
+            n, (0,), _circle_samples(n_samples), outward_axis=0,
+            fixed_values=(math.pi / 2.0,),
         )
         sc.slice_surfaces["equator"] = SliceSurface(
             embedding=slice_equator,
@@ -436,29 +432,32 @@ def _build_schwarzschild(params: dict) -> Scenario:
     slice_dim = 3
     dim = 4
 
+    eye = np.eye(slice_dim)
+
     def h_field(p: np.ndarray) -> MetricJet2:
         p = np.asarray(p, dtype=float)
-        v, grad, hess = radial_hessian(_schwarzschild_psi4(mass, float(np.linalg.norm(p))), p)
-        g = v * np.eye(slice_dim)
-        dg = np.einsum("k,ij->kij", grad, np.eye(slice_dim))
-        ddg = np.einsum("lk,ij->lkij", hess, np.eye(slice_dim))
+        v, grad, hess = radial_hessian(_schwarzschild_psi4(mass, norm(p)), p)
+        g = np.asarray(v)[..., None, None] * eye
+        dg = np.einsum("...k,ij->...kij", grad, eye)
+        ddg = np.einsum("...lk,ij->...lkij", hess, eye)
         return MetricJet2(slice_dim, g, dg, ddg, Signature.RIEMANNIAN)
 
     def metric(p: np.ndarray) -> MetricJet2:
         p = np.asarray(p, dtype=float)
-        x = p[1:]
-        r = float(np.linalg.norm(x))
+        x = p[..., 1:]
+        r = norm(x)
         v4, grad4, hess4 = radial_hessian(_schwarzschild_psi4(mass, r), x)
         vn, gradn, hessn = radial_hessian(_schwarzschild_lapse_sq(mass, r), x)
-        g = np.zeros((dim, dim))
-        g[0, 0] = -vn
-        g[1:, 1:] = v4 * np.eye(slice_dim)
-        dg = np.zeros((dim,) * 3)
-        ddg = np.zeros((dim,) * 4)
-        dg[1:, 0, 0] = -gradn
-        ddg[1:, 1:, 0, 0] = -hessn
-        dg[1:, 1:, 1:] += np.einsum("k,ij->kij", grad4, np.eye(slice_dim))
-        ddg[1:, 1:, 1:, 1:] += np.einsum("lk,ij->lkij", hess4, np.eye(slice_dim))
+        shape = p.shape[:-1]
+        g = np.zeros(shape + (dim, dim))
+        g[..., 0, 0] = -vn
+        g[..., 1:, 1:] = np.asarray(v4)[..., None, None] * eye
+        dg = np.zeros(shape + (dim,) * 3)
+        ddg = np.zeros(shape + (dim,) * 4)
+        dg[..., 1:, 0, 0] = -gradn
+        ddg[..., 1:, 1:, 0, 0] = -hessn
+        dg[..., 1:, 1:, 1:] += np.einsum("...k,ij->...kij", grad4, eye)
+        ddg[..., 1:, 1:, 1:, 1:] += np.einsum("...lk,ij->...lkij", hess4, eye)
         return MetricJet2(dim, g, dg, ddg, Signature.LORENTZIAN)
 
     sc = Scenario(
@@ -474,10 +473,7 @@ def _build_schwarzschild(params: dict) -> Scenario:
         psi_sq = (1.0 + mass / (2.0 * r0)) ** 2
 
         def nu(u):
-            t, p = float(u[0]), float(u[1])
-            return np.array(
-                [math.sin(t) * math.cos(p), math.sin(t) * math.sin(p), math.cos(t)]
-            ) / psi_sq
+            return _unit_radial(u) / psi_sq
 
         area_radius = psi_sq * r0
         sc.slice_surfaces[name] = SliceSurface(
@@ -512,19 +508,19 @@ def _build_flrw_dust(params: dict) -> Scenario:
     ns = dim - 1
 
     def metric(p: np.ndarray) -> MetricJet2:
-        t = float(p[0])
-        if t <= 0:
+        t = np.asarray(p, dtype=float)[..., 0]
+        if np.count_nonzero(t <= 0):
             raise BadParams("flrw_dust chart requires t > 0")
-        a2 = t ** (4.0 / 3.0)
-        da2 = (4.0 / 3.0) * t ** (1.0 / 3.0)
-        dda2 = (4.0 / 9.0) * t ** (-2.0 / 3.0)
-        g = np.eye(dim) * a2
-        g[0, 0] = -1.0
-        dg = np.zeros((dim,) * 3)
-        ddg = np.zeros((dim,) * 4)
+        a2 = elementwise(lambda v: v ** (4.0 / 3.0), t)
+        da2 = (4.0 / 3.0) * elementwise(lambda v: v ** (1.0 / 3.0), t)
+        dda2 = (4.0 / 9.0) * elementwise(lambda v: v ** (-2.0 / 3.0), t)
+        g = np.eye(dim) * np.asarray(a2)[..., None, None]
+        g[..., 0, 0] = -1.0
+        dg = np.zeros(t.shape + (dim,) * 3)
+        ddg = np.zeros(t.shape + (dim,) * 4)
         for i in range(1, dim):
-            dg[0, i, i] = da2
-            ddg[0, 0, i, i] = dda2
+            dg[..., 0, i, i] = da2
+            ddg[..., 0, 0, i, i] = dda2
         return MetricJet2(dim, g, dg, ddg, Signature.LORENTZIAN)
 
     sc = Scenario(

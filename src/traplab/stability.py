@@ -155,25 +155,26 @@ def latlong_sphere_grid(n_theta: int, n_phi: int, radius: float = 1.0) -> Surfac
     )
 
 
-def _curve_nodes(surface: SliceSurface, data: InitialData, resolution: int):
-    """Each node parameter of a curve surface with its extrinsic data."""
+def _curve_nodes(
+    surface: SliceSurface, data: InitialData, resolution: int
+) -> tuple[np.ndarray, ExtrinsicData]:
+    """The node parameters of a curve surface, (resolution, 1), with their
+    extrinsic data from one ``extrinsic_data`` call."""
     emb = surface.embedding
     if emb.sigma_dim != 1:
         raise ValueError("grid_from_surface supports curve surfaces; use latlong_sphere_grid")
-    du = surface.param_period / resolution
-    for i in range(resolution):
-        u = np.array([i * du])
-        yield u, extrinsic_data(emb, data.h_field, u)
+    u = (np.arange(resolution) * (surface.param_period / resolution))[:, None]
+    return u, extrinsic_data(emb, data.h_field, u)
 
 
-def _curve_grid(surface: SliceSurface, h: list[float]) -> SurfaceGrid:
-    return circle_grid(len(h), surface.param_period, np.array(h), analytic_measure=surface.measure)
+def _curve_grid(surface: SliceSurface, ext: ExtrinsicData) -> SurfaceGrid:
+    h = ext.induced[:, 0, 0]
+    return circle_grid(len(h), surface.param_period, h, analytic_measure=surface.measure)
 
 
 def grid_from_surface(surface: SliceSurface, data: InitialData, resolution: int) -> SurfaceGrid:
     """Grid matched to a one-dimensional slice surface parametrization."""
-    h = [ext.induced[0, 0] for _, ext in _curve_nodes(surface, data, resolution)]
-    return _curve_grid(surface, h)
+    return _curve_grid(surface, _curve_nodes(surface, data, resolution)[1])
 
 
 @dataclass
@@ -199,36 +200,29 @@ def stability_coefficients(
     data: InitialData, surface: SliceSurface, grid: SurfaceGrid
 ) -> StabilityCoefficients:
     """Assemble the geometric coefficients of the stability operator."""
-    emb = surface.embedding
-    rows = [
-        _node_coefficients(data, surface, u, extrinsic_data(emb, data.h_field, u))
-        for u in grid.nodes
-    ]
-    return _coefficients(grid, rows)
+    ext = extrinsic_data(surface.embedding, data.h_field, grid.nodes)
+    return _coefficients(grid, data, surface, grid.nodes, ext)
 
 
-def _node_coefficients(
-    data: InitialData, surface: SliceSurface, u: np.ndarray, ext: ExtrinsicData
-) -> tuple[float, np.ndarray, float]:
-    """Potential Q, drift X and |X|^2 at one node, from its extrinsic data."""
+def _coefficients(
+    grid: SurfaceGrid, data: InitialData, surface: SliceSurface, u: np.ndarray, ext: ExtrinsicData
+) -> StabilityCoefficients:
+    """Potential Q, drift X, div X and |X|^2 at the grid nodes u, from their
+    extrinsic data."""
     m = ext.metric
     k, dk = data.K_field(ext.H.base)
     nu = np.asarray(surface.nu(u), dtype=float)
     cq = constraints_from_jet(m, k, dk)
     # scalar second fundamental form in direction nu, as a form on Sigma
-    k_nu = -np.einsum("a,aij->ij", m.g @ nu, ext.II)
-    k_pull = ext.tangent.T @ k @ ext.tangent
-    total = k_nu + k_pull
-    norm_total_sq = float(
-        np.einsum("ac,bd,ab,cd->", ext.induced_inv, ext.induced_inv, total, total)
-    )
-    q = 0.5 * surface.scal_sigma(u) - (float(cq.J @ nu) + cq.rho) - 0.5 * norm_total_sq
-    omega = ext.tangent.T @ k @ nu
-    return q, ext.induced_inv @ omega, float(omega @ ext.induced_inv @ omega)
-
-
-def _coefficients(grid: SurfaceGrid, rows: list[tuple]) -> StabilityCoefficients:
-    q, x, norm_x = (np.array(column, dtype=float) for column in zip(*rows))
+    k_nu = -np.einsum("...a,...aij->...ij", np.matvec(m.g, nu), ext.II)
+    tangent_t = np.swapaxes(ext.tangent, -1, -2)
+    total = k_nu + tangent_t @ k @ ext.tangent
+    inv = ext.induced_inv
+    norm_total_sq = np.einsum("...ac,...bd,...ab,...cd->...", inv, inv, total, total)
+    q = 0.5 * surface.scal_sigma(u) - (np.vecdot(cq.J, nu) + cq.rho) - 0.5 * norm_total_sq
+    omega = np.matvec(tangent_t @ k, nu)
+    x = np.matvec(inv, omega)
+    norm_x = np.vecdot(np.vecmat(omega, inv), omega)
     return StabilityCoefficients(Q=q, X=x, divX=_divergence_on_grid(grid, x), normX_sq=norm_x)
 
 
@@ -236,13 +230,10 @@ def _curve_grid_and_coefficients(
     surface: SliceSurface, data: InitialData, resolution: int
 ) -> tuple[SurfaceGrid, StabilityCoefficients]:
     """``grid_from_surface`` and ``stability_coefficients`` from one
-    ``extrinsic_data`` per node."""
-    h, rows = [], []
-    for u, ext in _curve_nodes(surface, data, resolution):
-        h.append(ext.induced[0, 0])
-        rows.append(_node_coefficients(data, surface, u, ext))
-    grid = _curve_grid(surface, h)
-    return grid, _coefficients(grid, rows)
+    ``extrinsic_data`` call over the nodes."""
+    u, ext = _curve_nodes(surface, data, resolution)
+    grid = _curve_grid(surface, ext)
+    return grid, _coefficients(grid, data, surface, u, ext)
 
 
 def _divergence_on_grid(grid: SurfaceGrid, x: np.ndarray) -> np.ndarray:

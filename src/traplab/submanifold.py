@@ -23,7 +23,7 @@ from .errors import (
     NotSpacelike,
     OrientationFailure,
 )
-from .geometry import MetricJet2, TangentVector, christoffel
+from .geometry import MetricJet2, TangentVector
 
 MetricField = Callable[[np.ndarray], MetricJet2]
 VectorField = Callable[[np.ndarray], TangentVector]
@@ -37,7 +37,8 @@ class EmbeddingJet2:
 
     ``chart(u)`` maps a parameter tuple to ambient chart coordinates,
     ``d_chart(u)`` returns the (ambient, sigma) Jacobian and ``dd_chart(u)``
-    the (ambient, sigma, sigma) second derivatives.  ``outward`` optionally
+    the (ambient, sigma, sigma) second derivatives.  Given parameters of shape
+    (..., sigma) they return the same leading axes.  ``outward`` optionally
     declares a reference ambient vector used to orient normal frames.
     """
 
@@ -60,21 +61,24 @@ class EmbeddingJet2:
         return self.ambient_dim - self.sigma_dim
 
     def at(self, u: np.ndarray):
-        """Chart point, Jacobian and second derivatives at parameter u."""
+        """Chart point, Jacobian and second derivatives at parameter u, or at
+        each parameter of a (..., sigma) stack."""
         u = np.asarray(u, dtype=float)
         x = np.asarray(self.chart(u), dtype=float)
         d = np.asarray(self.d_chart(u), dtype=float)
         dd = np.asarray(self.dd_chart(u), dtype=float)
         sv = np.linalg.svd(d, compute_uv=False)
-        if sv[-1] <= 1e-10 * max(sv[0], 1.0):
-            raise ImmersionFailure(f"embedding Jacobian rank-deficient at u={u}")
+        bad = sv[..., -1] <= 1e-10 * np.maximum(sv[..., 0], 1.0)
+        if np.count_nonzero(bad):
+            raise ImmersionFailure(f"embedding Jacobian rank-deficient at u={u[bad][0]}")
         return x, d, dd
 
 
 @dataclass
 class ExtrinsicData:
-    """Extrinsic geometry at one parameter, with the ambient metric jet at
-    ``H.base`` it was computed from."""
+    """Extrinsic geometry at one parameter, or at each parameter of a stack
+    (every array then has the stack's leading axes), with the ambient metric
+    jet at ``H.base`` it was computed from."""
 
     induced: np.ndarray
     induced_inv: np.ndarray
@@ -87,8 +91,8 @@ class ExtrinsicData:
     @property
     def normal_basis(self) -> list[np.ndarray]:
         """Orthonormal spanning set of the g-normal space, from the kernel of D^T g."""
-        _, _, vt = np.linalg.svd(self.tangent.T @ self.metric.g)
-        return [vt[i] for i in range(self.tangent.shape[1], self.metric.dim)]
+        _, _, vt = np.linalg.svd(np.swapaxes(self.tangent, -1, -2) @ self.metric.g)
+        return [vt[..., i, :] for i in range(self.tangent.shape[-1], self.metric.dim)]
 
 
 @dataclass
@@ -121,27 +125,31 @@ class TrappingClass:
 
 
 def extrinsic_data(e: EmbeddingJet2, m_field: MetricField, u: np.ndarray) -> ExtrinsicData:
-    """Induced metric, shape tensor and mean curvature vector at parameter u.
+    """Induced metric, shape tensor and mean curvature vector at parameter u,
+    or at each parameter of a (B, sigma) stack with one metric-field call.
 
     The shape tensor is the normal projection of the ambient covariant
     acceleration of the coordinate frame; the mean curvature vector is its
     trace against the inverse induced metric, so it is independent of the
     parametrization.
     """
+    u = np.asarray(u, dtype=float)
     x, d, dd = e.at(u)
     m = m_field(x)
     g = m.g
-    induced = d.T @ g @ d
+    d_t = np.swapaxes(d, -1, -2)
+    induced = d_t @ g @ d
     eigs = np.linalg.eigvalsh(induced)
-    if eigs.min() <= 1e-12 * max(1.0, abs(eigs.max())):
-        raise NotSpacelike(f"induced metric not positive definite at u={u}")
+    bad = eigs.min(axis=-1) <= 1e-12 * np.maximum(1.0, np.abs(eigs.max(axis=-1)))
+    if np.count_nonzero(bad):
+        raise NotSpacelike(f"induced metric not positive definite at u={u[bad][0]}")
     induced_inv = np.linalg.inv(induced)
-    gam = christoffel(m)
-    accel = dd + np.einsum("abc,bi,cj->aij", gam, d, d)
-    p_tan = d @ induced_inv @ d.T @ g
+    gam = m.connection()
+    accel = dd + np.einsum("...abc,...bi,...cj->...aij", gam, d, d)
+    p_tan = d @ induced_inv @ d_t @ g
     p_norm = np.eye(m.dim) - p_tan
-    ii = np.einsum("ab,bij->aij", p_norm, accel)
-    h_comps = np.einsum("ij,aij->a", induced_inv, ii)
+    ii = np.einsum("...ab,...bij->...aij", p_norm, accel)
+    h_comps = np.einsum("...ij,...aij->...a", induced_inv, ii)
     return ExtrinsicData(
         induced=induced,
         induced_inv=induced_inv,

@@ -266,11 +266,13 @@ class TestDeformation:
     def test_one_geometry_evaluation_per_grid_node(self, build, monkeypatch):
         from traplab import stability
 
+        # points evaluated: the leading-axis size of each call's parameters
         calls = {"extrinsic_data": 0, "h_field": 0}
 
         def counted(name, original):
             def wrapper(*args, **kwargs):
-                calls[name] += 1
+                points = args[-1]
+                calls[name] += int(np.prod(np.shape(points)[:-1]))
                 return original(*args, **kwargs)
 
             return wrapper
@@ -286,6 +288,28 @@ class TestDeformation:
         case = build(32)
         assert case.grid.num_nodes == 32
         assert calls == {"extrinsic_data": 32, "h_field": 32}
+
+    @pytest.mark.parametrize("build", [equator_deformation_case, flat_torus_degenerate_case])
+    def test_one_connection_per_grid_node(self, build, monkeypatch):
+        # extrinsic data, the curvature and the constraint current share the
+        # Christoffel symbols of each node's jet
+        import sys
+
+        from traplab import geometry
+
+        points = []
+        original = geometry.christoffel
+
+        def counted(m):
+            points.append(int(np.prod(m.g.shape[:-2])))
+            return original(m)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("traplab") and getattr(module, "christoffel", None) is original:
+                monkeypatch.setattr(module, "christoffel", counted)
+        case = build(32)
+        assert case.grid.num_nodes == 32
+        assert sum(points) == 32
 
 
 class TestEigensolverGuards:
