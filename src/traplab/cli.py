@@ -50,6 +50,7 @@ from .reporting import (
     relative_error,
     write_eigenfunction_csv,
     write_report_json,
+    write_spectrum_csv,
 )
 from .scenarios import build_scenario
 from .submanifold import trapping_classify
@@ -554,10 +555,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if out and cfg["format"] == "csv" and cfg["command"] == "spectrum":
             grid, eig = extra
             write_eigenfunction_csv(out, grid.nodes, eig.eigenfunction)
-            with open(out + ".spectrum.csv", "w") as fh:
-                fh.write("re,im\n")
-                for val in sorted(eig.spectrum, key=lambda z: (z.real, z.imag)):
-                    fh.write(f"{float(val.real)!r},{float(val.imag)!r}\n")
+            write_spectrum_csv(out + ".spectrum.csv", eig.spectrum)
             print(f"spectrum written to {out}.spectrum.csv")
         elif out:
             write_report_json(report, out)

@@ -9,6 +9,8 @@ identical output except for the wall-time field.
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 import time
 from dataclasses import asdict, dataclass
 from typing import Any, Optional
@@ -126,23 +128,24 @@ def report_bytes(report: dict, drop_wall_time: bool = False) -> bytes:
     return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False).encode()
 
 
-def write_report_json(report: dict, path: str) -> None:
-    """Atomic write: serialize fully, then move into place."""
-    import os
-    import tempfile
-
-    data = report_bytes(report)
+def _write_atomic(path: str, data: bytes) -> None:
+    """Write the whole file beside ``path``, then move it into place, so a
+    failure mid-write never leaves a truncated file."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
-            fh.write(b"\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_report_json(report: dict, path: str) -> None:
+    """Atomic write of the serialized report."""
+    _write_atomic(path, report_bytes(report) + b"\n")
 
 
 def write_eigenfunction_csv(path: str, nodes: np.ndarray, values: np.ndarray) -> None:
@@ -153,8 +156,15 @@ def write_eigenfunction_csv(path: str, nodes: np.ndarray, values: np.ndarray) ->
     lines = [header]
     for row, val in zip(nodes, values):
         lines.append(",".join(repr(float(c)) for c in row) + f",{float(val)!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_atomic(path, ("\n".join(lines) + "\n").encode())
+
+
+def write_spectrum_csv(path: str, spectrum: np.ndarray) -> None:
+    """CSV layout: header re,im; eigenvalues by real, then imaginary part."""
+    lines = ["re,im"]
+    for val in sorted(spectrum, key=lambda z: (z.real, z.imag)):
+        lines.append(f"{float(val.real)!r},{float(val.imag)!r}")
+    _write_atomic(path, ("\n".join(lines) + "\n").encode())
 
 
 class Stopwatch:

@@ -17,9 +17,13 @@ The principal eigenvalue lambda_1 is real and has minimal real part
 (arXiv:0704.2889).  Every eigenvalue lies in a Gershgorin disc, so a real
 shift sigma below all discs has Re(lambda) - sigma >= lambda_1 - sigma > 0
 for every eigenvalue: lambda_1 is the eigenvalue nearest sigma, hence the
-dominant eigenvalue of (A - sigma I)^-1.  ``lowest_eigenpairs`` inverts the
-shifted matrix once and runs orthogonal iteration with Rayleigh-Ritz
-extraction on it, using numpy only and a fixed starting block, so replays are
+dominant eigenvalue of (A - sigma I)^-1.  The operators are block tridiagonal
+in grid rows (block-cyclic on periodic grids), so ``lowest_eigenpairs``
+factors the shifted matrix once by blocks of grid rows, without pivoting since
+it is strictly diagonally dominant, and runs orthogonal iteration with
+Rayleigh-Ritz extraction on the factors.  An operator whose blocks would have
+fewer than ``MIN_BLOCK_NODES`` nodes is one block, factored by one dense
+inverse.  The solve uses numpy only and a fixed starting block, so replays are
 bytewise identical.  The full dense spectrum is computed only on request.
 The deformation check moves the surface along its unit normal with the
 principal eigenfunction as velocity and verifies the derivative identity for
@@ -50,6 +54,9 @@ DEGENERACY_TOL = 1e-6
 # extra Ritz directions carried beyond the k wanted eigenpairs
 OVERSAMPLING = 8
 MAX_ITERATIONS = 500
+# smallest block of the factored eigensolve: below it the per-block Python
+# work of a solve costs more than the dense arithmetic it saves
+MIN_BLOCK_NODES = 16
 
 
 class GridKind(enum.Enum):
@@ -340,7 +347,110 @@ def _drift_matrix(grid: SurfaceGrid, x: np.ndarray) -> np.ndarray:
     return mat
 
 
-def lowest_eigenpairs(matrix: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+def _block_size(grid: Optional[SurfaceGrid], num: int) -> int:
+    """Nodes per block of an N-node operator on ``grid`` (see
+    ``lowest_eigenpairs``); N itself when there are fewer than three blocks."""
+    if grid is None:
+        return num
+    if len(grid.nodes) != num:
+        raise ValueError(f"operator of order {num} on a grid of {len(grid.nodes)} nodes")
+    if len(grid.shape) > 1:
+        size = num // grid.shape[0]
+    else:
+        size = max(d for d in range(1, math.isqrt(num) + 1) if num % d == 0)
+    return size if size >= MIN_BLOCK_NODES and num >= 3 * size else num
+
+
+class _BlockOperator:
+    """An N x N grid operator as m x m blocks of b nodes.
+
+    Every nonzero of block row i lies in block columns i - 1, i, i + 1 (mod
+    m): block-cyclic on periodic grids, block-tridiagonal with zero corners
+    on lat-long grids.  These three block diagonals are copied out as
+    ``bands``, one band holding the whole matrix when m = 1.
+    """
+
+    def __init__(self, matrix: np.ndarray, grid: Optional[SurfaceGrid] = None):
+        num = matrix.shape[0]
+        self.b = _block_size(grid, num)
+        self.m = num // self.b
+        self.blocks = matrix.reshape(self.m, self.b, self.m, self.b)
+        offsets = [0, -1, 1] if self.m > 1 else [0]
+        rows = np.arange(self.m)
+        self.bands = self.blocks[rows, :, (rows + np.array(offsets)[:, None]) % self.m, :]
+        # (band, roll) pairs: band k meets x rolled by -offsets[k] block rows
+        self.couplings = [(band, -offset) for band, offset in zip(self.bands[1:], offsets[1:])]
+        if not np.isfinite(self.bands).all():
+            raise EigensolverFailure("operator has non-finite entries")
+        if self.m > 1 and np.count_nonzero(matrix) != np.count_nonzero(self.bands):
+            raise EigensolverFailure(
+                f"operator has nonzeros outside the block-tridiagonal stencil of "
+                f"{self.m} blocks of {self.b} nodes"
+            )
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """A x for x of shape (N,) or (N, c)."""
+        xb = x.reshape(self.m, self.b, -1)
+        out = self.bands[0] @ xb
+        for band, roll in self.couplings:
+            out += band @ np.roll(xb, roll, axis=0)
+        return out.reshape(x.shape)
+
+    def shifted_solver(self, sigma: float) -> Callable[[np.ndarray], np.ndarray]:
+        """x -> (A - sigma I)^-1 x by a block LU factorisation made once.
+
+        Blocks 0 .. m-2 are eliminated in order without pivoting, which is
+        stable because A - sigma I is strictly row diagonally dominant for the
+        Gershgorin shift.  The cyclic corner blocks are carried as a fill
+        column (block column m-1) and a fill row (block row m-1): block-arrow
+        elimination.  Each pivot block is inverted once; for m = 1 this is
+        one dense inverse of the whole matrix.
+        """
+        a, m, last = self.blocks, self.m, self.m - 1
+        d = self.bands[0] - sigma * np.eye(self.b)
+        # step i keeps the pivot inverse P_i = S_i^-1, the fill column F_i
+        # (block (i, m-1) of U), the fill-row multiplier V_i = G_i P_i and,
+        # below the last block row, the lower multiplier W_{i+1} = A_{i+1,i} P_i
+        pivots, fill_col, fill_row, lower = [], [], [], []
+        s, t, f, g = d[0], d[last], a[0, :, last], a[last, :, 0]
+        for i in range(last):
+            p = np.linalg.inv(s)
+            v = g @ p
+            t = t - v @ f
+            pivots.append(p)
+            fill_col.append(f)
+            fill_row.append(v)
+            if i + 1 < last:
+                w = a[i + 1, :, i] @ p
+                s = d[i + 1] - w @ a[i, :, i + 1]
+                f = a[i + 1, :, last] - w @ f
+                g = a[last, :, i + 1] - v @ a[i, :, i + 1]
+                lower.append(w)
+        pivots.append(np.linalg.inv(t))
+        spans = [slice(i * self.b, (i + 1) * self.b) for i in range(m)]
+
+        def solve(y: np.ndarray) -> np.ndarray:
+            z = [y[spans[0]]]
+            for i in range(1, last):
+                z.append(y[spans[i]] - lower[i - 1] @ z[-1])
+            acc = y[spans[last]]
+            for i in range(last):
+                acc = acc - fill_row[i] @ z[i]
+            x = np.empty(y.shape)
+            x_last = np.matmul(pivots[last], acc, out=x[spans[last]])
+            for i in reversed(range(last)):
+                r = z[i] - fill_col[i] @ x_last
+                if i + 1 < last:
+                    r = r - a[i, :, i + 1] @ x[spans[i + 1]]
+                np.matmul(pivots[i], r, out=x[spans[i]])
+            return x
+
+        return solve
+
+
+def lowest_eigenpairs(
+    matrix: np.ndarray, k: int, grid: Optional[SurfaceGrid] = None
+) -> tuple[np.ndarray, np.ndarray]:
     """The k eigenvalues of minimal real part nearest a Gershgorin shift.
 
     The shift sigma sits one unit below the Gershgorin lower bound
@@ -355,22 +465,34 @@ def lowest_eigenpairs(matrix: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarra
     N eps ||A||_inf.  The starting block is the constant vector followed by
     fixed-seed columns, so the result is a pure function of the matrix.
 
+    A - sigma I is factored once by blocks (``_BlockOperator.shifted_solver``)
+    and the factors are applied at each iteration.  A block is one latitude
+    row on a lat-long grid, one line of the last axis on a periodic 2-d grid,
+    and on an N-node circle the largest divisor of N not above sqrt(N).
+    Without a grid, or when a block would have fewer than
+    ``MIN_BLOCK_NODES`` nodes, the operator is one block and the
+    factorisation is one dense inverse.  The finiteness check, the
+    Gershgorin sums and A Q read only the three block diagonals, and an
+    operator with a nonzero outside them raises ``EigensolverFailure``.
+
     Returns the eigenvalues and unit eigenvectors (columns).
     """
-    if not np.isfinite(matrix).all():
-        raise EigensolverFailure("operator has non-finite entries")
-    num = matrix.shape[0]
-    diag = np.diag(matrix)
-    row_sums = np.abs(matrix).sum(axis=1)
+    return _orthogonal_iteration(_BlockOperator(matrix, grid), k)
+
+
+def _orthogonal_iteration(op: _BlockOperator, k: int) -> tuple[np.ndarray, np.ndarray]:
+    num = op.m * op.b
+    diag = np.diagonal(op.bands[0], axis1=1, axis2=2).ravel()
+    row_sums = np.abs(op.bands).sum(axis=3).sum(axis=0).ravel()
     sigma = float((diag - (row_sums - np.abs(diag))).min()) - 1.0
     tol = num * np.finfo(float).eps * float(row_sums.max())
     q = np.random.default_rng(0).standard_normal((num, min(num, k + OVERSAMPLING)))
     q[:, 0] = 1.0
     try:
-        inverse = np.linalg.inv(matrix - sigma * np.eye(num))
+        solve = op.shifted_solver(sigma)
         for _ in range(MAX_ITERATIONS):
-            q, _ = np.linalg.qr(inverse @ q)
-            aq = matrix @ q
+            q, _ = np.linalg.qr(solve(q))
+            aq = op.apply(q)
             vals, coeffs = np.linalg.eig(q.T @ aq)
             lead = np.lexsort((np.abs(vals.imag), vals.real))[:k]
             vals, coeffs = vals[lead], coeffs[:, lead]
@@ -417,11 +539,12 @@ class PrincipalEigen:
 def principal_eigenvalue(matrix: np.ndarray, grid: SurfaceGrid, k: int = 1) -> PrincipalEigen:
     """Eigenvalue of minimal real part with its one-signed eigenfunction.
 
-    ``k`` eigenvalues are solved for (see ``lowest_eigenpairs``) and kept as
-    ``spectrum_head``.  The eigenfunction is rescaled to be real with positive
+    ``k`` eigenvalues are solved for (see ``lowest_eigenpairs``; ``grid``
+    chooses the blocks of the solve) and kept as ``spectrum_head``.  The eigenfunction is rescaled to be real with positive
     mean; the positivity flag records whether it is strictly one-signed.
     """
-    vals, vecs = lowest_eigenpairs(matrix, k)
+    op = _BlockOperator(matrix, grid)
+    vals, vecs = _orthogonal_iteration(op, k)
     vec = vecs[:, 0]
     pivot = vec[np.argmax(np.abs(vec))]
     vec = (vec / pivot).real
@@ -433,8 +556,8 @@ def principal_eigenvalue(matrix: np.ndarray, grid: SurfaceGrid, k: int = 1) -> P
     # the Rayleigh quotient of the real eigenfunction, accumulated in extended
     # precision, is accurate to the rounding level of the matrix itself
     wide = vec.astype(np.longdouble)
-    lam = float(wide @ (matrix @ wide) / (wide @ wide))
-    residual = float(np.linalg.norm(matrix @ vec - lam * vec) / np.linalg.norm(vec))
+    lam = float(wide @ op.apply(wide) / (wide @ wide))
+    residual = float(np.linalg.norm(op.apply(vec) - lam * vec) / np.linalg.norm(vec))
     head = vals.copy()
     head[0] = lam
     return PrincipalEigen(

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from traplab import cli, stability
+from traplab import cli, reporting, stability
 from traplab.errors import EigensolverFailure
 from traplab.stability import (
     StabilityCoefficients,
@@ -18,6 +18,7 @@ from traplab.stability import (
     circle_grid,
     latlong_sphere_grid,
     lowest_eigenpairs,
+    periodic_tensor_grid,
     principal_eigenvalue,
 )
 from traplab.verify import random_circle_operators
@@ -107,6 +108,112 @@ class TestGuards:
         assert repr(a.residual) == repr(b.residual)
 
 
+def _drift_torus_operator():
+    """16 x 32 flat torus, non-constant Q and a divergence-free 2-d drift."""
+    grid = periodic_tensor_grid((16, 32), (2.0 * math.pi, 2.0 * math.pi))
+    u, v = grid.nodes[:, 0], grid.nodes[:, 1]
+    q = -0.5 + 0.3 * np.sin(u) + 0.2 * np.cos(2.0 * v) + 0.1 * np.sin(u + v)
+    x = np.stack([0.2 * np.cos(v), 0.15 * np.sin(u)], axis=1)
+    coeffs = StabilityCoefficients(Q=q, X=x, divX=np.zeros(len(q)), normX_sq=(x**2).sum(axis=1))
+    return grid, assemble_stability_operator(grid, coeffs)
+
+
+def _sphere_operator(n_theta, n_phi):
+    """Lat-long unit sphere with a potential varying in latitude and longitude."""
+    grid = latlong_sphere_grid(n_theta, n_phi)
+    theta, phi = grid.nodes[:, 0], grid.nodes[:, 1]
+    q = -2.0 + 0.5 * np.cos(theta) + 0.3 * np.sin(theta) * np.cos(phi)
+    coeffs = StabilityCoefficients.zero(grid)
+    coeffs.Q = q
+    return grid, assemble_stability_operator(grid, coeffs)
+
+
+def _circle_operator(n, index=0):
+    grid, mat, _ = list(random_circle_operators(count=index + 1, n=n))[index]
+    return grid, mat
+
+
+BLOCK_OPERATORS = {
+    **{f"circle-256-{i}": lambda i=i: _circle_operator(256, i) for i in range(4)},
+    "torus-16x32": _drift_torus_operator,
+    "sphere-16x32": lambda: _sphere_operator(16, 32),
+    "sphere-24x48": lambda: _sphere_operator(24, 48),
+    "circle-1024": lambda: _circle_operator(1024),
+}
+
+
+class TestBlockPath:
+    """Operators factored by grid-row blocks against dense oracles."""
+
+    @pytest.mark.parametrize("name", [*(f"circle-256-{i}" for i in range(4)),
+                                      "torus-16x32", "sphere-16x32"])
+    def test_matches_dense_oracle(self, name):
+        grid, mat = BLOCK_OPERATORS[name]()
+        assert stability._BlockOperator(mat, grid).m > 1
+        eig = principal_eigenvalue(mat, grid, k=cli.SPECTRUM_HEAD)
+        assert abs(eig.lambda1 - _dense_principal(mat)[0]) < 1e-10
+        vals = np.linalg.eigvals(mat)
+        dense = vals[np.lexsort((np.abs(vals.imag), vals.real))][: cli.SPECTRUM_HEAD]
+        head = eig.spectrum_head
+        assert np.abs(head.real - dense.real).max() < 1e-9
+        assert np.abs(np.abs(head.imag) - np.abs(dense.imag)).max() < 1e-9
+
+    def test_factored_solve_matches_linalg_solve(self):
+        grid, mat = BLOCK_OPERATORS["sphere-24x48"]()
+        op = stability._BlockOperator(mat, grid)
+        assert (op.m, op.b) == (24, 48)
+        diag = np.diag(mat)
+        sigma = (diag - (np.abs(mat).sum(axis=1) - np.abs(diag))).min() - 1.0
+        shifted = mat - sigma * np.eye(grid.num_nodes)
+        solve = op.shifted_solver(sigma)
+        rhs = np.random.default_rng(3).standard_normal((grid.num_nodes, 3))
+        for y in (rhs, rhs[:, 0]):
+            ref = np.linalg.solve(shifted, y)
+            assert np.linalg.norm(solve(y) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_nonzero_outside_block_stencil_rejected(self):
+        grid, mat = BLOCK_OPERATORS["circle-256-0"]()
+        mat[0, 128] = 0.1
+        with pytest.raises(EigensolverFailure, match="stencil"):
+            principal_eigenvalue(mat, grid)
+
+    @pytest.mark.parametrize("name", ["sphere-24x48", "circle-1024"])
+    def test_no_linalg_call_sees_more_than_one_block(self, name, monkeypatch):
+        # the factorisation inverts one b x b block at a time; only the
+        # N x (k + OVERSAMPLING) iterate and its residuals, never an N x N
+        # array, reach np.linalg with more than b rows
+        grid, mat = BLOCK_OPERATORS[name]()
+        op = stability._BlockOperator(mat, grid)
+        calls = []
+
+        def counted(fname, func):
+            def wrapper(*args, **kwargs):
+                shapes = [a.shape for a in args if isinstance(a, np.ndarray)]
+                calls.append((fname, shapes))
+                return func(*args, **kwargs)
+            return wrapper
+
+        for fname in np.linalg.__all__:
+            func = getattr(np.linalg, fname)
+            if callable(func) and not isinstance(func, type):
+                monkeypatch.setattr(np.linalg, fname, counted(fname, func))
+        principal_eigenvalue(mat, grid)
+        inverses = [shapes[0] for fname, shapes in calls if fname == "inv"]
+        assert inverses == [(op.b, op.b)] * op.m
+        for fname, shapes in calls:
+            assert all(len(s) < 2 or min(s[-2:]) <= op.b for s in shapes), (fname, shapes)
+
+    @pytest.mark.parametrize("name", ["sphere-24x48", "circle-1024"])
+    def test_repeat_solves_are_bitwise_identical(self, name):
+        grid, mat = BLOCK_OPERATORS[name]()
+        a = principal_eigenvalue(mat, grid, k=cli.SPECTRUM_HEAD)
+        b = principal_eigenvalue(mat.copy(), grid, k=cli.SPECTRUM_HEAD)
+        assert repr(a.lambda1) == repr(b.lambda1)
+        assert a.eigenfunction.tobytes() == b.eigenfunction.tobytes()
+        assert a.spectrum_head.tobytes() == b.spectrum_head.tobytes()
+        assert repr(a.residual) == repr(b.residual)
+
+
 class TestSpectrumRequest:
     def test_resolution_eight_reports_eight_head_values(self):
         report = cli.execute_config(
@@ -148,6 +255,23 @@ class TestSpectrumRequest:
         assert len(Path(out).read_text().splitlines()) == 33
         assert len(Path(out + ".spectrum.csv").read_text().splitlines()) == 33
 
+    @pytest.mark.parametrize("write", [
+        lambda path: reporting.write_eigenfunction_csv(path, np.zeros((2, 1)), np.ones(2)),
+        lambda path: reporting.write_spectrum_csv(path, np.array([1.0 + 0j, -1.0])),
+    ], ids=["eigenfunction", "spectrum"])
+    def test_failed_csv_write_keeps_the_old_file(self, write, tmp_path, monkeypatch):
+        path = tmp_path / "out.csv"
+        path.write_text("old\n")
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(reporting.os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            write(str(path))
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
 
 def test_scipy_never_imported():
     # the numpy-only eigen path keeps import time and resident memory small
@@ -155,7 +279,7 @@ def test_scipy_never_imported():
         """
         import sys
         import traplab
-        from traplab import cli, stability
+        from traplab import cli, reporting, stability
         grid = stability.latlong_sphere_grid(8, 16)
         coeffs = stability.StabilityCoefficients.zero(grid).shifted(-2.0)
         stability.principal_eigenvalue(stability.assemble_stability_operator(grid, coeffs), grid)
