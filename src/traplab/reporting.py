@@ -21,6 +21,11 @@ from . import __version__
 
 SIGNATURE_CONVENTION = "(-,+,...,+)"
 
+# the process umask, read once: written files get the mode open() would give
+# them rather than the 0600 of a fresh temporary file
+_UMASK = os.umask(0)
+os.umask(_UMASK)
+
 
 @dataclass
 class CheckRecord:
@@ -134,6 +139,7 @@ def _write_atomic(path: str, data: bytes) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
+        os.fchmod(fd, 0o666 & ~_UMASK)
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
         os.replace(tmp, path)

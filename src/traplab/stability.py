@@ -18,13 +18,14 @@ The principal eigenvalue lambda_1 is real and has minimal real part
 shift sigma below all discs has Re(lambda) - sigma >= lambda_1 - sigma > 0
 for every eigenvalue: lambda_1 is the eigenvalue nearest sigma, hence the
 dominant eigenvalue of (A - sigma I)^-1.  The operators are block tridiagonal
-in grid rows (block-cyclic on periodic grids), so ``lowest_eigenpairs``
+in grid rows (block-cyclic on periodic grids), so ``principal_eigenvalue``
 factors the shifted matrix once by blocks of grid rows, without pivoting since
 it is strictly diagonally dominant, and runs orthogonal iteration with
-Rayleigh-Ritz extraction on the factors.  An operator whose blocks would have
-fewer than ``MIN_BLOCK_NODES`` nodes is one block, factored by one dense
-inverse.  The solve uses numpy only and a fixed starting block, so replays are
-bytewise identical.  The full dense spectrum is computed only on request.
+Rayleigh-Ritz extraction on the factors (``lowest_eigenpairs``).  An operator
+whose blocks would have fewer than ``MIN_BLOCK_NODES`` nodes is one block,
+factored by one dense inverse.  The solve uses numpy only and a fixed
+starting block, so replays are bytewise identical.  The full dense spectrum
+is computed only on request.
 The deformation check moves the surface along its unit normal with the
 principal eigenfunction as velocity and verifies the derivative identity for
 the outward null expansion.
@@ -367,7 +368,7 @@ class _BlockOperator:
     Every nonzero of block row i lies in block columns i - 1, i, i + 1 (mod
     m): block-cyclic on periodic grids, block-tridiagonal with zero corners
     on lat-long grids.  These three block diagonals are copied out as
-    ``bands``, one band holding the whole matrix when m = 1.
+    ``bands``; when m = 1 the one band is a view of the whole matrix.
     """
 
     def __init__(self, matrix: np.ndarray, grid: Optional[SurfaceGrid] = None):
@@ -375,11 +376,13 @@ class _BlockOperator:
         self.b = _block_size(grid, num)
         self.m = num // self.b
         self.blocks = matrix.reshape(self.m, self.b, self.m, self.b)
-        offsets = [0, -1, 1] if self.m > 1 else [0]
-        rows = np.arange(self.m)
-        self.bands = self.blocks[rows, :, (rows + np.array(offsets)[:, None]) % self.m, :]
-        # (band, roll) pairs: band k meets x rolled by -offsets[k] block rows
-        self.couplings = [(band, -offset) for band, offset in zip(self.bands[1:], offsets[1:])]
+        if self.m == 1:
+            self.bands = matrix.reshape(1, 1, num, num)
+        else:
+            # bands 0, 1, 2 hold blocks (i, i), (i, i - 1) and (i, i + 1)
+            rows = np.arange(self.m)
+            cols = (rows + np.array([0, -1, 1])[:, None]) % self.m
+            self.bands = self.blocks[rows, :, cols, :]
         if not np.isfinite(self.bands).all():
             raise EigensolverFailure("operator has non-finite entries")
         if self.m > 1 and np.count_nonzero(matrix) != np.count_nonzero(self.bands):
@@ -390,10 +393,12 @@ class _BlockOperator:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """A x for x of shape (N,) or (N, c)."""
+        if self.m == 1:
+            return self.bands[0, 0] @ x
         xb = x.reshape(self.m, self.b, -1)
         out = self.bands[0] @ xb
-        for band, roll in self.couplings:
-            out += band @ np.roll(xb, roll, axis=0)
+        out += self.bands[1] @ np.roll(xb, 1, axis=0)
+        out += self.bands[2] @ np.roll(xb, -1, axis=0)
         return out.reshape(x.shape)
 
     def shifted_solver(self, sigma: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -404,7 +409,7 @@ class _BlockOperator:
         Gershgorin shift.  The cyclic corner blocks are carried as a fill
         column (block column m-1) and a fill row (block row m-1): block-arrow
         elimination.  Each pivot block is inverted once; for m = 1 this is
-        one dense inverse of the whole matrix.
+        one dense inverse of the whole matrix, applied by one product.
         """
         a, m, last = self.blocks, self.m, self.m - 1
         d = self.bands[0] - sigma * np.eye(self.b)
@@ -427,6 +432,9 @@ class _BlockOperator:
                 g = a[last, :, i + 1] - v @ a[i, :, i + 1]
                 lower.append(w)
         pivots.append(np.linalg.inv(t))
+        if last == 0:
+            inverse = pivots[0]
+            return lambda y: inverse @ y
         spans = [slice(i * self.b, (i + 1) * self.b) for i in range(m)]
 
         def solve(y: np.ndarray) -> np.ndarray:
@@ -448,9 +456,7 @@ class _BlockOperator:
         return solve
 
 
-def lowest_eigenpairs(
-    matrix: np.ndarray, k: int, grid: Optional[SurfaceGrid] = None
-) -> tuple[np.ndarray, np.ndarray]:
+def lowest_eigenpairs(matrix: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The k eigenvalues of minimal real part nearest a Gershgorin shift.
 
     The shift sigma sits one unit below the Gershgorin lower bound
@@ -465,19 +471,20 @@ def lowest_eigenpairs(
     N eps ||A||_inf.  The starting block is the constant vector followed by
     fixed-seed columns, so the result is a pure function of the matrix.
 
-    A - sigma I is factored once by blocks (``_BlockOperator.shifted_solver``)
-    and the factors are applied at each iteration.  A block is one latitude
-    row on a lat-long grid, one line of the last axis on a periodic 2-d grid,
-    and on an N-node circle the largest divisor of N not above sqrt(N).
-    Without a grid, or when a block would have fewer than
-    ``MIN_BLOCK_NODES`` nodes, the operator is one block and the
-    factorisation is one dense inverse.  The finiteness check, the
+    A - sigma I is factored once by blocks of grid nodes
+    (``_BlockOperator.shifted_solver``) and the factors are applied at each
+    iteration.  ``principal_eigenvalue`` takes the blocks from its grid: one
+    latitude row on a lat-long grid, one line of the last axis on a periodic
+    2-d grid, and on an N-node circle the largest divisor of N not above
+    sqrt(N).  When a block would have fewer than ``MIN_BLOCK_NODES`` nodes,
+    and always here, where no grid is given, the operator is one block and
+    the factorisation is one dense inverse.  The finiteness check, the
     Gershgorin sums and A Q read only the three block diagonals, and an
     operator with a nonzero outside them raises ``EigensolverFailure``.
 
     Returns the eigenvalues and unit eigenvectors (columns).
     """
-    return _orthogonal_iteration(_BlockOperator(matrix, grid), k)
+    return _orthogonal_iteration(_BlockOperator(matrix), k)
 
 
 def _orthogonal_iteration(op: _BlockOperator, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -540,8 +547,9 @@ def principal_eigenvalue(matrix: np.ndarray, grid: SurfaceGrid, k: int = 1) -> P
     """Eigenvalue of minimal real part with its one-signed eigenfunction.
 
     ``k`` eigenvalues are solved for (see ``lowest_eigenpairs``; ``grid``
-    chooses the blocks of the solve) and kept as ``spectrum_head``.  The eigenfunction is rescaled to be real with positive
-    mean; the positivity flag records whether it is strictly one-signed.
+    chooses the blocks of the solve) and kept as ``spectrum_head``.  The
+    eigenfunction is rescaled to be real with positive mean; the positivity
+    flag records whether it is strictly one-signed.
     """
     op = _BlockOperator(matrix, grid)
     vals, vecs = _orthogonal_iteration(op, k)

@@ -214,6 +214,12 @@ class TestBlockPath:
         assert repr(a.residual) == repr(b.residual)
 
 
+CSV_WRITERS = [
+    lambda path: reporting.write_eigenfunction_csv(path, np.zeros((2, 1)), np.ones(2)),
+    lambda path: reporting.write_spectrum_csv(path, np.array([1.0 + 0j, -1.0])),
+]
+
+
 class TestSpectrumRequest:
     def test_resolution_eight_reports_eight_head_values(self):
         report = cli.execute_config(
@@ -255,10 +261,15 @@ class TestSpectrumRequest:
         assert len(Path(out).read_text().splitlines()) == 33
         assert len(Path(out + ".spectrum.csv").read_text().splitlines()) == 33
 
-    @pytest.mark.parametrize("write", [
-        lambda path: reporting.write_eigenfunction_csv(path, np.zeros((2, 1)), np.ones(2)),
-        lambda path: reporting.write_spectrum_csv(path, np.array([1.0 + 0j, -1.0])),
-    ], ids=["eigenfunction", "spectrum"])
+    @pytest.mark.parametrize("write", CSV_WRITERS, ids=["eigenfunction", "spectrum"])
+    def test_csv_gets_the_mode_open_gives(self, write, tmp_path):
+        reference = tmp_path / "reference.csv"
+        reference.write_text("")
+        path = tmp_path / "out.csv"
+        write(str(path))
+        assert path.stat().st_mode == reference.stat().st_mode
+
+    @pytest.mark.parametrize("write", CSV_WRITERS, ids=["eigenfunction", "spectrum"])
     def test_failed_csv_write_keeps_the_old_file(self, write, tmp_path, monkeypatch):
         path = tmp_path / "out.csv"
         path.write_text("old\n")
