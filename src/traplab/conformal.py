@@ -293,12 +293,9 @@ def trapping_perturbation(
         raise ValueError("n must be a positive integer")
     weak_tol = 1e-9
     samples = sigma.sample_set
-    data = submanifold.extrinsic_data(sigma, m_field, samples)
+    data, x, hh, hx = submanifold._trapping_data(sigma, m_field, x_field)
     p = data.H.base
     m = data.metric
-    x = x_field(p)
-    hh = m.inner(data.H.components, data.H.components)
-    hx = m.inner(data.H.components, x.components)
     grad_tau = metric_gradient(m, tau_field(p))
     not_weak = (hh > weak_tol) | (hx < -weak_tol)
     not_future = (m.inner(grad_tau, grad_tau) >= 0) | (m.inner(grad_tau, x.components) >= 0)
@@ -314,11 +311,7 @@ def trapping_perturbation(
 
     f_field = scaled_field(product_field(bump_field(profile), tau_field), 1.0 / n)
     gn_field = rescaled_metric_field(m_field, f_field)
-    data_n = submanifold.extrinsic_data(sigma, gn_field, samples)
-    gn = data_n.metric
-    x = x_field(data_n.H.base)
-    hh = gn.inner(data_n.H.components, data_n.H.components)
-    hx = gn.inner(data_n.H.components, x.components)
+    _, _, hh, hx = submanifold._trapping_data(sigma, gn_field, x_field)
     records = [
         TrappingPerturbationRecord(u=u, gn_H_H=float(a), gn_H_X=float(b))
         for u, a, b in zip(samples, hh, hx)

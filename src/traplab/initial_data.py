@@ -89,19 +89,22 @@ def initial_data_expansions(
     nu: Callable[[np.ndarray], np.ndarray],
     u: np.ndarray,
 ) -> tuple[float, float]:
-    """Null expansions (theta_+, theta_-) = tr_Sigma K +- H_nu at parameter u."""
+    """Null expansions (theta_+, theta_-) = tr_Sigma K +- H_nu at parameter u,
+    or arrays of them at each parameter of a (B, sigma) stack with one
+    ``extrinsic_data`` call; nu must be h-unit and h-normal at every point."""
     data = extrinsic_data(e, d.h_field, u)
-    x = data.H.base
     m = data.metric
     nu_vec = np.asarray(nu(u), dtype=float)
-    if abs(m.inner(nu_vec, nu_vec) - 1.0) > 1e-8:
+    if np.count_nonzero(np.abs(m.inner(nu_vec, nu_vec) - 1.0) > 1e-8):
         raise NotUnitNormal("nu is not h-unit")
-    tangency = np.abs(data.tangent.T @ m.g @ nu_vec).max()
-    if tangency > 1e-8 * max(1.0, float(np.abs(data.tangent).max())):
+    tangent_t = np.swapaxes(data.tangent, -1, -2)
+    tangency = np.abs(np.matvec(tangent_t @ m.g, nu_vec)).max(axis=-1)
+    scale = np.maximum(1.0, np.abs(data.tangent).max(axis=(-2, -1)))
+    if np.count_nonzero(tangency > 1e-8 * scale):
         raise NotUnitNormal("nu is not h-normal to the surface")
-    k, _ = d.K_field(x)
-    k_pullback = data.tangent.T @ np.asarray(k, dtype=float) @ data.tangent
-    tr_sigma_k = float(np.einsum("ab,ab->", data.induced_inv, k_pullback))
+    k, _ = d.K_field(data.H.base)
+    k_pullback = tangent_t @ np.asarray(k, dtype=float) @ data.tangent
+    tr_sigma_k = np.einsum("...ab,...ab->...", data.induced_inv, k_pullback)
     h_nu = -m.inner(nu_vec, data.H.components)
     return tr_sigma_k + h_nu, tr_sigma_k - h_nu
 

@@ -47,6 +47,7 @@ from .errors import (
     ResolutionTooLow,
 )
 from .initial_data import InitialData, constraints_from_jet, initial_data_expansions
+from .jets import elementwise
 from .scenarios import SliceSurface, build_scenario
 from .submanifold import EmbeddingJet2, ExtrinsicData, extrinsic_data
 
@@ -656,31 +657,34 @@ def _nodal_curve_embedding(
     d_theta = (np.roll(theta_vals, -1) - np.roll(theta_vals, 1)) / (2.0 * du)
     dd_theta = (np.roll(theta_vals, -1) - 2.0 * theta_vals + np.roll(theta_vals, 1)) / du**2
 
-    def node_index(u: np.ndarray) -> int:
-        val = float(np.atleast_1d(u)[0])
-        idx = int(round(val / du)) % n
-        if abs(val - round(val / du) * du) > 1e-9:
+    def node_index(u: np.ndarray) -> np.ndarray:
+        val = np.asarray(u, dtype=float)[..., 0]
+        steps = np.round(val / du)
+        if np.count_nonzero(np.abs(val - steps * du) > 1e-9):
             raise ValueError("nodal embedding evaluated off the grid")
-        return idx
+        return steps.astype(int) % n
+
+    def rows(u: np.ndarray, nodal: np.ndarray, second) -> np.ndarray:
+        """The (..., 2) pairs (nodal value at the node of u, second)."""
+        return np.stack(np.broadcast_arrays(nodal[node_index(u)], second), axis=-1)
 
     emb = EmbeddingJet2(
         sigma_dim=1,
         ambient_dim=2,
-        chart=lambda u: np.array([theta_vals[node_index(u)], float(np.atleast_1d(u)[0])]),
-        d_chart=lambda u: np.array([[d_theta[node_index(u)]], [1.0]]),
-        dd_chart=lambda u: np.array([[[dd_theta[node_index(u)]]], [[0.0]]]),
+        chart=lambda u: rows(u, theta_vals, np.asarray(u, dtype=float)[..., 0]),
+        d_chart=lambda u: rows(u, d_theta, 1.0)[..., None],
+        dd_chart=lambda u: rows(u, dd_theta, 0.0)[..., None, None],
         sample_set=grid.nodes,
         name="displaced_equator",
     )
 
     def nu(u: np.ndarray) -> np.ndarray:
         i = node_index(u)
-        theta = theta_vals[i]
+        s2 = elementwise(lambda theta: math.sin(theta) ** 2, theta_vals[i])
         slope = d_theta[i]
-        s2 = math.sin(theta) ** 2
-        raw = np.array([1.0, -slope / s2])
-        norm = math.sqrt(1.0 + slope**2 / s2)
-        return raw / norm
+        raw = np.stack(np.broadcast_arrays(1.0, -slope / s2), axis=-1)
+        norm = np.sqrt(1.0 + elementwise(lambda v: v**2, slope) / s2)
+        return raw / np.expand_dims(norm, -1)
 
     return emb, nu
 
@@ -699,12 +703,8 @@ def equator_deformation_case(resolution: int = 64, q_offset: float = 0.0) -> Def
     coeffs = coeffs.shifted(q_offset)
 
     def theta_of(t: float, phi: np.ndarray) -> np.ndarray:
-        theta_vals = 0.5 * math.pi + t * phi
-        emb, nu = _nodal_curve_embedding(grid, theta_vals)
-        out = np.empty(grid.num_nodes)
-        for i, u in enumerate(grid.nodes):
-            out[i] = initial_data_expansions(data, emb, nu, u)[0]
-        return out + q_offset * t * phi
+        emb, nu = _nodal_curve_embedding(grid, 0.5 * math.pi + t * phi)
+        return initial_data_expansions(data, emb, nu, grid.nodes)[0] + q_offset * t * phi
 
     return DeformationCase(grid, coeffs, theta_of, surface.injectivity_scale)
 

@@ -23,7 +23,7 @@ from .errors import (
     NotSpacelike,
     OrientationFailure,
 )
-from .geometry import MetricJet2, TangentVector
+from .geometry import MetricJet2, TangentVector, norm
 
 MetricField = Callable[[np.ndarray], MetricJet2]
 VectorField = Callable[[np.ndarray], TangentVector]
@@ -175,31 +175,36 @@ def null_frame(
     if e.outward is None:
         raise OrientationFailure("embedding declares no outward reference")
     data = extrinsic_data(e, m_field, u)
-    return _null_frame(e, data, x_field(data.H.base), u)
+    frame, oriented = _null_frame(e, data, x_field(data.H.base), u)
+    if not oriented.all():
+        raise OrientationFailure("outward reference degenerates in the normal space")
+    return frame
 
 
 def _null_frame(
     e: EmbeddingJet2, data: ExtrinsicData, xv: TangentVector, u: np.ndarray
-) -> NullFrame:
-    """The null frame of ``null_frame`` from extrinsic data already at hand."""
+) -> tuple[NullFrame, np.ndarray]:
+    """The null frame of ``null_frame`` from extrinsic data already at hand, at
+    parameter u or at each parameter of a (B, sigma) stack, and a mask that is
+    False where the outward reference degenerates in the normal space (the
+    frame is meaningless there)."""
     x = data.H.base
     m = data.metric
-    x_perp = data.normal_projector @ xv.components
+    x_perp = np.matvec(data.normal_projector, xv.components)
     q = m.inner(x_perp, x_perp)
-    if q >= 0:
+    if np.count_nonzero(q >= 0):
         raise NonTimelikeOrientation("normal projection of X is not timelike")
-    n_t = x_perp / np.sqrt(-q)
+    n_t = x_perp / np.sqrt(-q)[..., None]
     ref = np.asarray(e.outward(u), dtype=float)
-    w = data.normal_projector @ ref
-    w = w + m.inner(w, n_t) * n_t
+    w = np.matvec(data.normal_projector, ref)
+    w = w + m.inner(w, n_t)[..., None] * n_t
     s = m.inner(w, w)
-    if s <= 1e-12 * max(1.0, float(np.linalg.norm(ref)) ** 2):
-        raise OrientationFailure("outward reference degenerates in the normal space")
-    n_s = w / np.sqrt(s)
+    oriented = s > 1e-12 * np.maximum(1.0, norm(ref) ** 2)
+    n_s = w / np.sqrt(np.where(oriented, s, 1.0))[..., None]
     return NullFrame(
         l_plus=TangentVector(x, n_t + n_s),
         l_minus=TangentVector(x, n_t - n_s),
-    )
+    ), oriented
 
 
 def null_expansions(
@@ -213,6 +218,15 @@ def null_expansions(
     return float(theta_p), float(theta_m)
 
 
+def _trapping_data(e: EmbeddingJet2, m_field: MetricField, x_field: VectorField):
+    """Extrinsic data, the time orientation X, g(H, H) and g(H, X) at every
+    sample of ``e``, from one ``extrinsic_data`` and one ``x_field`` call."""
+    data = extrinsic_data(e, m_field, e.sample_set)
+    xv = x_field(data.H.base)
+    h = data.H.components
+    return data, xv, data.metric.inner(h, h), data.metric.inner(h, xv.components)
+
+
 def trapping_classify(
     e: EmbeddingJet2,
     m_field: MetricField,
@@ -224,31 +238,21 @@ def trapping_classify(
     everywhere, else extremal (H vanishes everywhere), else marginally outer
     trapped (theta_+ vanishes everywhere, codimension 2 only), else weakly
     trapped when the closed inequalities hold everywhere, else not weakly
-    trapped.
+    trapped.  theta_+ is None at samples where the outward reference
+    degenerates.
     """
     tol = CLASSIFY_TOL
-    records = []
-    frames_available = e.codim == 2 and e.outward is not None
-    for u in e.sample_set:
-        data = extrinsic_data(e, m_field, u)
-        m = data.metric
-        xv = x_field(data.H.base)
-        theta_plus = None
-        if frames_available:
-            try:
-                frame = _null_frame(e, data, xv, u)
-                theta_plus = -m.inner(data.H.components, frame.l_plus.components)
-            except OrientationFailure:
-                theta_plus = None
-        records.append(
-            PointTrappingRecord(
-                u=np.asarray(u, dtype=float),
-                g_H_H=m.inner(data.H.components, data.H.components),
-                g_H_X=m.inner(data.H.components, xv.components),
-                H_aux=data.H.aux_norm(),
-                theta_plus=theta_plus,
-            )
-        )
+    u = e.sample_set
+    data, xv, hh, hx = _trapping_data(e, m_field, x_field)
+    theta_plus = [None] * len(u)
+    if e.codim == 2 and e.outward is not None:
+        frame, oriented = _null_frame(e, data, xv, u)
+        values = -data.metric.inner(data.H.components, frame.l_plus.components)
+        theta_plus = [t if ok else None for t, ok in zip(values, oriented)]
+    records = [
+        PointTrappingRecord(u=s, g_H_H=a, g_H_X=b, H_aux=c, theta_plus=t)
+        for s, a, b, c, t in zip(u, hh, hx, data.H.aux_norm(), theta_plus)
+    ]
     if all(r.g_H_H < -tol and r.g_H_X > tol for r in records):
         return TrappingClass(TrappingLabel.TRAPPED, records)
     if all(r.H_aux <= tol for r in records):

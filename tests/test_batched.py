@@ -3,7 +3,12 @@
 Every scenario field, conformal field and embedding is called once with a
 (B, dim) stack and once per point; the arrays must be equal bit for bit, and
 a stack with one bad point must raise what the call at that point raises.
+The same holds for the initial-data expansions and the trapping
+classification, which evaluate whole sample sets.
 """
+
+import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -16,11 +21,27 @@ from traplab.conformal import (
     quadratic_scalar_field,
     rescaled_metric_field,
     scaled_field,
+    trapping_perturbation,
 )
-from traplab.errors import ImmersionFailure, NotSpacelike, SingularMetric
-from traplab.geometry import MetricJet2, Signature, christoffel, riemann
+from traplab.errors import (
+    ImmersionFailure,
+    NonTimelikeOrientation,
+    NotSpacelike,
+    NotUnitNormal,
+    OrientationFailure,
+    SingularMetric,
+)
+from traplab.geometry import MetricJet2, Signature, TangentVector, christoffel, riemann
+from traplab.initial_data import initial_data_expansions
 from traplab.scenarios import build_scenario
-from traplab.submanifold import EmbeddingJet2, extrinsic_data
+from traplab.stability import _nodal_curve_embedding, circle_grid
+from traplab.submanifold import (
+    EmbeddingJet2,
+    extrinsic_data,
+    null_expansions,
+    null_frame,
+    trapping_classify,
+)
 
 SCENARIOS = [
     ("minkowski", {}),
@@ -189,3 +210,129 @@ def test_immersion_failure_point():
     _raises_like_the_point(lambda u: extrinsic_data(emb, flat, u), emb.sample_set, 0)
     with pytest.raises(ImmersionFailure):
         extrinsic_data(emb, flat, emb.sample_set)
+
+
+def test_unit_normal_point():
+    sc = build_scenario("minkowski_torus_quotient", {"m": 3, "samples_per_axis": 4})
+    surf = sc.slice_surfaces["Sigma"]
+    samples = surf.embedding.sample_set
+    e = np.eye(3)
+
+    def nu_bad_at(bad, wrong):
+        def nu(u):
+            at_bad = np.all(np.asarray(u) == samples[bad], axis=-1)[..., None]
+            return np.where(at_bad, wrong, e[0])
+        return nu
+
+    # not h-unit at sample 5; unit but tangent to the surface at sample 9
+    for bad, wrong in ((5, 2.0 * e[0]), (9, (e[0] + e[1]) / math.sqrt(2.0))):
+        nu = nu_bad_at(bad, wrong)
+        _raises_like_the_point(
+            lambda u: initial_data_expansions(sc.initial_data, surf.embedding, nu, u), samples, bad
+        )
+        with pytest.raises(NotUnitNormal):
+            initial_data_expansions(sc.initial_data, surf.embedding, nu, samples)
+
+
+def test_non_timelike_orientation_point():
+    sc = build_scenario("minkowski_torus_quotient", {"m": 3, "samples_per_axis": 4})
+    emb = sc.embeddings["Sigma"]
+    bad = 6
+    bad_point = emb.chart(emb.sample_set[bad])
+
+    def x_field(p):
+        # the outward direction e1 instead of e0 at one sample
+        p = np.asarray(p, dtype=float)
+        at_bad = np.all(p == bad_point, axis=-1)[..., None]
+        return TangentVector(p, np.where(at_bad, np.eye(4)[1], np.eye(4)[0]))
+
+    _raises_like_the_point(lambda u: null_frame(emb, sc.metric, x_field, u), emb.sample_set, bad)
+    with pytest.raises(NonTimelikeOrientation):
+        trapping_classify(emb, sc.metric, x_field)
+
+
+# --- whole sample sets against per-sample calls ------------------------------
+
+def _slice_surfaces():
+    out = []
+    for (name, params), label in zip(SCENARIOS, IDS):
+        sc = build_scenario(name, params)
+        out += [(f"{label}-{key}", sc.initial_data, surf.embedding, surf.nu)
+                for key, surf in sc.slice_surfaces.items()]
+    # a displaced equator with a non-constant profile, as the deformation check builds it
+    grid = circle_grid(32)
+    s = grid.nodes[:, 0]
+    emb, nu = _nodal_curve_embedding(grid, 0.5 * math.pi + 0.05 * (1.0 + 0.3 * np.cos(s)))
+    out.append(("displaced-equator", build_scenario("einstein_cylinder", {"n": 2}).initial_data,
+                emb, nu))
+    return out
+
+
+SLICE_SURFACES = _slice_surfaces()
+
+
+@pytest.mark.parametrize("label,data,emb,nu", SLICE_SURFACES, ids=[s[0] for s in SLICE_SURFACES])
+def test_initial_data_expansions(label, data, emb, nu):
+    samples = emb.sample_set
+    plus, minus = initial_data_expansions(data, emb, nu, samples)
+    singles = [initial_data_expansions(data, emb, nu, u) for u in samples]
+    _assert_stacked(plus, [tp for tp, _ in singles])
+    _assert_stacked(minus, [tm for _, tm in singles])
+
+
+def _classify_surfaces():
+    torus = build_scenario("minkowski_torus_quotient", {})
+    mink = build_scenario("minkowski", {})
+    cyl = build_scenario("einstein_cylinder", {"n": 2})
+    sigma = torus.embeddings["Sigma"]
+    tau = coordinate_scalar_field(0, 4, scale=-1.0)
+    profile = BumpProfile(0.2, 0.45, np.zeros(4), axes=(0, 1), periods=(None, 1.0))
+    perturbed = trapping_perturbation(torus.metric, sigma, torus.time_orientation, tau, profile, 1)
+    return [
+        ("torus-Sigma", sigma, torus.metric, torus.time_orientation),
+        ("minkowski-sphere", mink.embeddings["sphere"], mink.metric, mink.time_orientation),
+        ("cylinder-equator", cyl.embeddings["equator"], cyl.metric, cyl.time_orientation),
+        ("perturbed-torus", sigma, perturbed.metric_field, torus.time_orientation),
+    ]
+
+
+CLASSIFY_SURFACES = _classify_surfaces()
+
+
+@pytest.mark.parametrize("label,emb,m_field,x_field", CLASSIFY_SURFACES,
+                         ids=[s[0] for s in CLASSIFY_SURFACES])
+def test_trapping_classify_records(label, emb, m_field, x_field):
+    out = trapping_classify(emb, m_field, x_field)
+    assert len(out.per_point) == len(emb.sample_set)
+    for rec, u in zip(out.per_point, emb.sample_set):
+        data = extrinsic_data(emb, m_field, u)
+        m, h = data.metric, data.H.components
+        assert np.array_equal(rec.u, u)
+        assert rec.g_H_H == m.inner(h, h)
+        assert rec.g_H_X == m.inner(h, x_field(data.H.base).components)
+        assert rec.H_aux == data.H.aux_norm()
+        frame = null_frame(emb, m_field, x_field, u)
+        assert rec.theta_plus == null_expansions(emb, m_field, frame, u)[0]
+
+
+def test_degenerate_outward_samples():
+    sc = build_scenario("minkowski_torus_quotient", {"m": 3, "samples_per_axis": 4})
+    emb = sc.embeddings["Sigma"]
+    bad = [0, 7, 13]
+    at_bad = [i in bad for i in range(len(emb.sample_set))]
+
+    def outward(u):
+        # e2 is tangent to Sigma, so its normal projection vanishes
+        u = np.asarray(u, dtype=float)
+        hit = (u[..., None, :] == emb.sample_set[bad]).all(axis=-1).any(axis=-1)
+        return np.where(hit[..., None], np.eye(4)[2], np.eye(4)[1])
+
+    odd = dataclasses.replace(emb, outward=outward)
+    out = trapping_classify(odd, sc.metric, sc.time_orientation)
+    assert [r.theta_plus is None for r in out.per_point] == at_bad
+    for u, degenerate in zip(emb.sample_set, at_bad):
+        if degenerate:
+            with pytest.raises(OrientationFailure):
+                null_frame(odd, sc.metric, sc.time_orientation, u)
+    with pytest.raises(OrientationFailure):
+        null_frame(odd, sc.metric, sc.time_orientation, emb.sample_set)

@@ -289,6 +289,22 @@ class TestDeformation:
         assert case.grid.num_nodes == 32
         assert calls == {"extrinsic_data": 32, "h_field": 32}
 
+    def test_one_expansion_pass_per_theta_of(self, monkeypatch):
+        # the two finite-difference passes and the displaced surface each
+        # evaluate the expansions over all nodes in one call
+        from traplab import stability
+
+        calls = []
+        original = stability.initial_data_expansions
+
+        def counted(*args, **kwargs):
+            calls.append(int(np.prod(np.shape(args[-1])[:-1])))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(stability, "initial_data_expansions", counted)
+        deformation_check(equator_deformation_case(32))
+        assert calls == [32, 32, 32]
+
     @pytest.mark.parametrize("build", [equator_deformation_case, flat_torus_degenerate_case])
     def test_one_connection_per_grid_node(self, build, monkeypatch):
         # extrinsic data, the curvature and the constraint current share the
