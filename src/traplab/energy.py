@@ -9,7 +9,10 @@ deterministic: causal directions are drawn from an orthonormal frame adapted
 to the time orientation, boosted at fixed rapidity levels, together with
 exactly null combinations.  ``condition_suite`` yields all five verdicts from
 one pass: each point's metric jet, curvature tensor, Ricci form and cone
-sample are computed once and every sampled value feeds its conditions.
+sample are computed once.  The cone sample is one ``(count, dim)`` stack, and
+its complements, plane values, Ricci values and tidal operators are each
+computed over the whole stack, in the order a loop over the directions would
+visit them.
 """
 
 from __future__ import annotations
@@ -26,7 +29,9 @@ from .geometry import (
     MetricJet2,
     TangentVector,
     causal_classify,
+    gram_schmidt,
     lorentz_frame,
+    norm,
     ricci_from_riemann,
     riemann,
     riem_quadform,
@@ -78,9 +83,13 @@ class ConditionReport:
         return self.verdict is Verdict.SATISFIED_ON_SAMPLES
 
 
-@dataclass
-class ConeSample:
-    vectors: list[TangentVector]
+# (e0, u, sign) of the eight direction slots: boosts at the rapidity levels,
+# e0 + u, -(e0 + u), the past boost at rapidity 1, and e0 - u; cosh and sinh
+# are taken one scalar at a time, and the past slots negate the whole sum.
+_SLOTS = np.array(
+    [(np.cosh(chi), np.sinh(chi), 1.0) for chi in RAPIDITY_LEVELS]
+    + [(1.0, 1.0, 1.0), (1.0, 1.0, -1.0), (np.cosh(1.0), np.sinh(1.0), -1.0), (1.0, -1.0, 1.0)]
+)
 
 
 def sample_cone(
@@ -89,154 +98,134 @@ def sample_cone(
     x: TangentVector,
     count: int = DEFAULT_DIRECTIONS,
     seed: int = 0,
-) -> ConeSample:
-    """Deterministic causal directions at a point, aux-normalized.
+) -> TangentVector:
+    """Deterministic causal directions at a point, aux-normalized, as one
+    ``(count, dim)`` stack.
 
     The sample mixes boosted unit timelike vectors at the fixed rapidity
     levels with exactly null frame combinations, in both time orientations;
     every eighth slot pattern contains at least three exact null vectors.
+    Direction k is slot k mod 8 of the spatial direction drawn k-th.
     """
     p = np.asarray(p, dtype=float)
     frame = lorentz_frame(m, x)
-    e0 = frame[:, 0]
-    spatial = frame[:, 1:]
-    rng = np.random.default_rng(seed)
-    vectors = []
-    for k in range(count):
-        direction = rng.normal(size=m.dim - 1)
-        direction /= np.linalg.norm(direction)
-        u = spatial @ direction
-        slot = k % 8
-        if slot < 4:
-            chi = RAPIDITY_LEVELS[slot]
-            v = np.cosh(chi) * e0 + np.sinh(chi) * u
-        elif slot == 4:
-            v = e0 + u
-        elif slot == 5:
-            v = -(e0 + u)
-        elif slot == 6:
-            v = -(np.cosh(1.0) * e0 + np.sinh(1.0) * u)
-        else:
-            v = e0 - u
-        v = v / np.linalg.norm(v)
-        vectors.append(TangentVector(p, v))
-    for tv in vectors:
-        causal_classify(m, tv, x)
-    return ConeSample(vectors=vectors)
+    directions = np.random.default_rng(seed).normal(size=(count, m.dim - 1))
+    directions /= norm(directions)[:, None]
+    u = np.matvec(frame[:, 1:], directions)
+    a, b, sign = _SLOTS[np.arange(count) % 8, :, None].transpose(1, 0, 2)
+    v = sign * (a * frame[:, 0] + b * u)
+    cone = TangentVector(np.broadcast_to(p, v.shape), v / norm(v)[:, None])
+    causal_classify(m, cone, x)
+    return cone
 
 
-def _aux_complement(v: np.ndarray) -> list[np.ndarray]:
-    """Euclidean-orthonormal basis of the complement of v (deterministic)."""
-    n = v.shape[0]
-    basis = [v / np.linalg.norm(v)]
-    for k in range(n):
-        cand = np.eye(n)[k]
-        for b in basis:
-            cand = cand - np.dot(cand, b) * b
-        nrm = np.linalg.norm(cand)
-        if nrm > 1e-10:
-            basis.append(cand / nrm)
-        if len(basis) == n:
-            break
-    return basis[1:]
+def _aux_complement(v: np.ndarray) -> np.ndarray:
+    """Euclidean-orthonormal basis of the complement of each v of a stack,
+    ``(count, dim - 1, dim)`` (deterministic)."""
+    unit = v / norm(v)[..., None]
+    basis, _ = gram_schmidt(
+        np.vecdot, lambda e: e - np.vecdot(e, unit)[..., None] * unit, v.shape[-1],
+        v.shape[-1] - 1, lambda nrm2: np.sqrt(nrm2) > 1e-10,
+    )
+    return basis
 
 
-def check_ricci_condition(
-    m_field: MetricField,
-    points: Sequence[np.ndarray],
-    strict: bool,
-    x_field: VectorField,
-    seed: int = 0,
-    count: int = DEFAULT_DIRECTIONS,
-) -> ConditionReport:
-    """Ricci form on sampled causal directions at the given points."""
-    condition = Condition.RICCI_STRICT if strict else Condition.RICCI_WEAK
-    return condition_suite(m_field, points, x_field, seed, count)[condition]
-
-
-def check_riem_condition(
-    m_field: MetricField,
-    points: Sequence[np.ndarray],
-    strict: bool,
-    x_field: VectorField,
-    seed: int = 0,
-    count: int = DEFAULT_DIRECTIONS,
-) -> ConditionReport:
-    """Curvature quadratic form R(w, v, v, w) over sampled causal planes."""
-    condition = Condition.PLANE_STRICT if strict else Condition.PLANE_WEAK
-    return condition_suite(m_field, points, x_field, seed, count)[condition]
-
-
-def tidal_operator(
-    m: MetricJet2, r: CurvatureTensor, v: TangentVector
-) -> np.ndarray:
+def tidal_operator(m: MetricJet2, r: CurvatureTensor, v: TangentVector):
     """Matrix of w -> R(w, v)v on the orthogonal complement of causal v.
 
     For timelike v the matrix is taken in the spacelike legs of
     ``lorentz_frame(m, v)``, a g-orthonormal basis of the complement; for
     null v in a basis of the screen space orthogonal to v and a companion
     null vector with g(v, n) = -2 (the quotient by the v direction).  Both
-    are symmetric in the induced inner product.
+    are symmetric in the induced inner product.  A ``(count, dim)`` stack
+    gives a list of the ``count`` matrices (a null v's is one row smaller),
+    with one ``lorentz_frame`` call for all timelike v, one Gram-Schmidt for
+    all null v and one contraction for each kind.
     """
-    if v.aux_norm() <= 1e-14:
+    comps = v.components.reshape(-1, m.dim)
+    aux = norm(comps)
+    if np.count_nonzero(aux <= 1e-14):
         raise ZeroVector("tidal operator needs a nonzero causal vector")
-    g = m.g
-    q = m.inner(v.components, v.components)
-    aux2 = v.aux_norm() ** 2
-    if q < -1e-10 * aux2:
-        # timelike: the spacelike legs of the Lorentz frame along v
-        basis = list(lorentz_frame(m, v).T[1:])
-    elif abs(q) <= 1e-10 * aux2:
-        # null: companion null vector with g(v, n) = -2, then screen basis
-        vn = v.components
-        seed_vec = None
-        for k in range(m.dim):
-            cand = np.eye(m.dim)[k].astype(float)
-            if abs(float(cand @ g @ vn)) > 1e-8:
-                seed_vec = cand
-                break
-        if seed_vec is None:
-            raise ZeroVector("null vector is metric-orthogonal to the whole chart frame")
-        a = float(seed_vec @ g @ seed_vec)
-        b = float(seed_vec @ g @ vn)
-        n_vec = seed_vec - (a / (2.0 * b)) * vn
-        n_vec = n_vec * (-2.0 / float(n_vec @ g @ vn))
-        pairing = float(vn @ g @ n_vec)  # equals -2 by construction
-        basis = []
-        for k in range(m.dim):
-            cand = np.eye(m.dim)[k].astype(float)
-            cand = cand - (float(cand @ g @ n_vec) / pairing) * vn
-            cand = cand - (float(cand @ g @ vn) / pairing) * n_vec
-            for bb in basis:
-                cand = cand - float(cand @ g @ bb) * bb
-            nrm2 = float(cand @ g @ cand)
-            if nrm2 > 1e-10:
-                basis.append(cand / np.sqrt(nrm2))
-            if len(basis) == m.dim - 2:
-                break
-    else:
+    q, aux2 = m.inner(comps, comps), aux**2
+    timelike = q < -1e-10 * aux2
+    null = abs(q) <= 1e-10 * aux2
+    if np.count_nonzero(~(timelike | null)):
         raise ZeroVector("tidal operator is defined for causal vectors only")
-    mat = np.empty((len(basis), len(basis)))
-    for i, bi in enumerate(basis):
-        for j, bj in enumerate(basis):
-            mat[i, j] = np.einsum(
-                "ijkl,i,j,k,l->", r.R, bj, v.components, v.components, bi
-            )
-    return 0.5 * (mat + mat.T)
+    # timelike: the spacelike legs of the Lorentz frame along v
+    legs = lorentz_frame(m, TangentVector(v.base.reshape(-1, m.dim)[timelike], comps[timelike]))
+    # null: companion null vector with g(v, n) = -2, then screen basis
+    vn = comps[null]
+    along = m.inner(np.eye(m.dim)[:, None], vn).T
+    found = abs(along) > 1e-8
+    if np.count_nonzero(~found.any(axis=-1)):
+        raise ZeroVector("null vector is metric-orthogonal to the whole chart frame")
+    first = np.argmax(found, axis=-1)
+    seed_vec = np.eye(m.dim)[first]
+    a = m.inner(seed_vec, seed_vec)
+    n_vec = seed_vec - (a / (2.0 * along[np.arange(len(vn)), first]))[:, None] * vn
+    n_vec = n_vec * (-2.0 / m.inner(n_vec, vn))[:, None]
+    pairing = m.inner(vn, n_vec)[:, None]  # equals -2 by construction
+
+    def off_v_and_n(e):
+        cand = e - (m.inner(e, n_vec)[:, None] / pairing) * vn
+        return cand - (m.inner(cand, vn)[:, None] / pairing) * n_vec
+
+    screen, _ = gram_schmidt(m.inner, off_v_and_n, m.dim, m.dim - 2, lambda nrm2: nrm2 > 1e-10)
+    mats = [None] * len(comps)
+    for mask, basis in ((timelike, legs.swapaxes(-1, -2)[:, 1:]), (null, screen)):
+        vecs = comps[mask]
+        mat = np.einsum("...ijkl,...ai,...j,...k,...bl->...ba", r.R, basis, vecs, vecs, basis)
+        for i, sym in zip(np.flatnonzero(mask), 0.5 * (mat + mat.swapaxes(-1, -2))):
+            mats[i] = sym
+    return mats[0] if v.components.ndim == 1 else mats
+
+
+def _tidal_violation(least):
+    return least < -TIDAL_TOL
 
 
 def tidal_psd(mat: np.ndarray) -> bool:
-    return bool(np.linalg.eigvalsh(mat).min() >= -TIDAL_TOL)
+    """Whether the tidal matrix is positive semidefinite within ``TIDAL_TOL``;
+    an empty one (a null v in dimension 2 has no screen space) is, vacuously."""
+    return mat.size == 0 or not _tidal_violation(np.linalg.eigvalsh(mat).min())
+
+
+def _least_eigenvalues(mats: list[np.ndarray]) -> np.ndarray:
+    """Least eigenvalue of each matrix, NaN for an empty one, by one stacked
+    ``eigvalsh`` per matrix size."""
+    sizes = np.array([len(mat) for mat in mats])
+    least = np.full(len(mats), np.nan)
+    for size in set(sizes) - {0}:
+        group = np.flatnonzero(sizes == size)
+        least[group] = np.linalg.eigvalsh(np.stack([mats[i] for i in group])).min(axis=-1)
+    return least
 
 
 def _condition_report(
-    condition: Condition, samples: list[Witness], violated: Callable[[float], bool]
+    condition: Condition, parts: list[tuple], violated: Callable[[np.ndarray], np.ndarray]
 ) -> ConditionReport:
-    """Minimum, sample count and first violating witness of one condition."""
-    witness = next((s for s in samples if violated(s.value)), None)
-    min_value = float(min(s.value for s in samples))
+    """Minimum, sample count and first violating witness of one condition.
+
+    Each part holds one point's values with their points, vectors and, for
+    plane values, partners, one row per sample in sampling order."""
+    values, points, vectors, *partners = map(np.concatenate, zip(*parts))
+    bad = np.flatnonzero(violated(values))
+    witness = None
+    if bad.size:
+        i = bad[0]
+        witness = Witness(points[i], vectors[i], float(values[i]),
+                          partners[0][i] if partners else None)
+    min_value = float(values[np.argmin(values)])  # the first of equal minima, as min()
     verdict = Verdict.SATISFIED_ON_SAMPLES if witness is None else Verdict.VIOLATED
-    return ConditionReport(condition, verdict, min_value, len(samples), witness)
+    return ConditionReport(condition, verdict, min_value, len(values), witness)
+
+
+def _strict(val: np.ndarray) -> np.ndarray:
+    return val <= STRICT_MARGIN
+
+
+def _weak(val: np.ndarray) -> np.ndarray:
+    return val < -STRICT_MARGIN
 
 
 def condition_suite(
@@ -248,51 +237,44 @@ def condition_suite(
 ) -> dict[Condition, ConditionReport]:
     """All five condition reports from one pass over the points.
 
-    Each point gets one metric jet, one curvature tensor, one Ricci form and
-    one cone sample.  Every causal sample v yields Ric(v, v), the plane values
-    R(w, v, v, w) for w over a deterministic auxiliary-orthonormal complement
-    of v (so w is never collinear with v), and the least eigenvalue of the
-    tidal operator.  Strict and weak variants read the same values.  Raises
-    ValueError when nothing is sampled (no points, or ``count`` below 1):
-    an empty sample would make every condition pass.
+    Each point gets one metric jet, one curvature tensor, one Ricci form, one
+    cone sample and one ``tidal_operator`` call.  Every causal sample v yields
+    Ric(v, v), the plane values R(w, v, v, w) for w over a deterministic
+    auxiliary-orthonormal complement of v (so w is never collinear with v),
+    and the least eigenvalue of the tidal operator; each is computed for all
+    of a point's samples at once.  Strict and weak variants read the same
+    values.  Raises ValueError when nothing is sampled (no points, or
+    ``count`` below 1): an empty sample would make every condition pass.
     """
-    ricci_samples: list[Witness] = []
-    plane_samples: list[Witness] = []
-    tidal_samples: list[Witness] = []
+    if count < 1 or not len(points):
+        raise ValueError(f"no causal directions sampled ({len(points)} points, count={count})")
+    ricci, plane, tidal = [], [], []
     for p in points:
         p = np.asarray(p, dtype=float)
         m = m_field(p)
         r = riemann(m)
         ric = ricci_from_riemann(r, m)
-        for tv in sample_cone(m, p, x_field(p), count=count, seed=seed).vectors:
-            v = tv.components
-            ricci_samples.append(Witness(p, v, float(v @ ric @ v)))
-            for w in _aux_complement(v):
-                val = riem_quadform(r, m, TangentVector(p, w), tv)
-                plane_samples.append(Witness(p, v, val, partner=w))
-            tidal = np.linalg.eigvalsh(tidal_operator(m, r, tv))
-            if tidal.size:  # a null v in dimension 2 has an empty screen space
-                tidal_samples.append(Witness(p, v, float(tidal.min())))
-    if not ricci_samples:
-        raise ValueError(f"no causal directions sampled ({len(points)} points, count={count})")
-
-    def strict(val: float) -> bool:
-        return val <= STRICT_MARGIN
-
-    def weak(val: float) -> bool:
-        return val < -STRICT_MARGIN
-
-    def tidal(val: float) -> bool:
-        return val < -TIDAL_TOL
-
+        cone = sample_cone(m, p, x_field(p), count=count, seed=seed)
+        v = cone.components
+        w = _aux_complement(v)
+        at = np.broadcast_to(p, w.shape)
+        planes = riem_quadform(
+            r, m, TangentVector(at, w), TangentVector(at, np.broadcast_to(v[:, None], w.shape))
+        )
+        least = _least_eigenvalues(tidal_operator(m, r, cone))
+        screen = ~np.isnan(least)  # a null v in dimension 2 has no tidal sample
+        ricci.append((np.vecdot(np.vecmat(v, ric), v), cone.base, v))
+        plane.append((planes.ravel(), at.reshape(-1, m.dim), np.repeat(v, m.dim - 1, axis=0),
+                      w.reshape(-1, m.dim)))
+        tidal.append((least[screen], cone.base[screen], v[screen]))
     conditions = (
-        (Condition.RICCI_STRICT, ricci_samples, strict),
-        (Condition.RICCI_WEAK, ricci_samples, weak),
-        (Condition.PLANE_STRICT, plane_samples, strict),
-        (Condition.PLANE_WEAK, plane_samples, weak),
-        (Condition.TIDAL_PSD, tidal_samples, tidal),
+        (Condition.RICCI_STRICT, ricci, _strict),
+        (Condition.RICCI_WEAK, ricci, _weak),
+        (Condition.PLANE_STRICT, plane, _strict),
+        (Condition.PLANE_WEAK, plane, _weak),
+        (Condition.TIDAL_PSD, tidal, _tidal_violation),
     )
-    return {c: _condition_report(c, samples, violated) for c, samples, violated in conditions}
+    return {c: _condition_report(c, parts, violated) for c, parts, violated in conditions}
 
 
 def inclusion_chain_holds(reports: dict[Condition, ConditionReport]) -> bool:

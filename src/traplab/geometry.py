@@ -299,78 +299,95 @@ def scalar_curvature(m: MetricJet2):
     return np.einsum("...jk,...jk->...", m.inverse(), ricci(m))
 
 
-def causal_classify(m: MetricJet2, v: TangentVector, x: TangentVector) -> CausalClass:
+def causal_classify(m: MetricJet2, v: TangentVector, x: TangentVector):
     """Classify ``v`` against the time orientation defined by timelike ``x``.
 
     The decision is sign based: the causal type comes from the sign of
     g(v, v) with a scale-aware zero band, and future/past from the sign of
-    g(v, x).  Conformal rescaling therefore cannot change the answer.
+    g(v, x).  Conformal rescaling therefore cannot change the answer.  For a
+    stack of vectors the result is an array holding the class of each.
     """
     if m.signature is not Signature.LORENTZIAN:
         raise ValueError("causal classification needs a Lorentzian metric")
     xx = m.inner(x.components, x.components)
-    if xx >= -NULL_TOL * x.aux_norm() ** 2:
+    if np.count_nonzero(xx >= -NULL_TOL * x.aux_norm() ** 2):
         raise NonTimelikeOrientation("orientation vector X is not timelike")
     aux = v.aux_norm()
-    if aux <= 1e-14:
-        return CausalClass.ZERO
     q = m.inner(v.components, v.components)
-    s = m.inner(v.components, x.components)
-    if abs(q) <= NULL_TOL * aux * aux:
-        return CausalClass.NULL_FUTURE if s < 0 else CausalClass.NULL_PAST
-    if q < 0:
-        return CausalClass.TIMELIKE_FUTURE if s < 0 else CausalClass.TIMELIKE_PAST
-    return CausalClass.SPACELIKE
+    future = m.inner(v.components, x.components) < 0
+    classes = np.select(
+        [aux <= 1e-14, abs(q) <= NULL_TOL * aux * aux, q < 0],
+        [CausalClass.ZERO,
+         np.where(future, CausalClass.NULL_FUTURE, CausalClass.NULL_PAST),
+         np.where(future, CausalClass.TIMELIKE_FUTURE, CausalClass.TIMELIKE_PAST)],
+        CausalClass.SPACELIKE,
+    )
+    return classes[()]
 
 
-def riem_quadform(r: CurvatureTensor, m: MetricJet2, w: TangentVector, v: TangentVector) -> float:
-    """The scalar R(w, v, v, w).
+def riem_quadform(r: CurvatureTensor, m: MetricJet2, w: TangentVector, v: TangentVector):
+    """The scalar R(w, v, v, w), or its value for each pair of a stack.
 
     Rejects collinear pairs: the quadratic form vanishes identically on them
     by the curvature symmetries, so a collinear ``w`` carries no information.
     """
     if not np.array_equal(w.base, v.base):
         raise ValueError("w and v must share a base point")
-    nv = v.aux_norm()
-    nw = w.aux_norm()
-    if nv <= 1e-14 or nw <= 1e-14:
+    nv, nw = v.aux_norm(), w.aux_norm()
+    if np.count_nonzero((nv <= 1e-14) | (nw <= 1e-14)):
         raise ZeroVector("quadratic form needs nonzero vectors")
     # residual of w after removing its component along v, in the aux norm
-    proj = np.dot(w.components, v.components) / (nv * nv)
-    residual = np.linalg.norm(w.components - proj * v.components)
-    if residual <= 1e-8 * nw:
+    proj = np.vecdot(w.components, v.components) / (nv * nv)
+    residual = norm(w.components - proj[..., None] * v.components)
+    if np.count_nonzero(residual <= 1e-8 * nw):
         raise CollinearPair("w is collinear with v within tolerance")
-    return float(
-        np.einsum("ijkl,i,j,k,l->", r.R, w.components, v.components, v.components, w.components)
-    )
+    a, b = w.components, v.components
+    value = np.einsum("...ijkl,...i,...j,...k,...l->...", r.R, a, b, b, a)
+    return float(value) if value.ndim == 0 else value
+
+
+def gram_schmidt(inner, start, n: int, want: int, accept):
+    """Gram-Schmidt of the chart vectors e_0, ..., e_{n-1} at each seed of a
+    stack, as a loop over the seeds would run it: ``start(e)`` projects the
+    seed's fixed vectors off e, the vectors a seed took are subtracted with
+    ``inner``, and ``accept(nrm2)`` decides per seed until it holds ``want``.
+    Returns the taken unit vectors ``(..., want, n)`` in order, and their count.
+    """
+    basis, taken, total = [], [], 0
+    for e in np.eye(n):
+        cand = start(e)
+        for b, t in zip(basis, taken):
+            if t.all():
+                cand = cand - inner(cand, b)[..., None] * b
+            elif t.any():
+                cand = np.where(t[..., None], cand - inner(cand, b)[..., None] * b, cand)
+        nrm2 = inner(cand, cand)
+        ok = accept(nrm2) & (total < want)
+        basis.append(cand / np.sqrt(np.where(ok, nrm2, 1.0))[..., None])
+        taken.append(ok)
+        total = total + ok
+        if np.all(total == want):
+            break
+    order = np.argsort(~np.stack(taken, axis=-1), axis=-1, kind="stable")[..., :want]
+    return np.take_along_axis(np.stack(basis, axis=-2), order[..., None], axis=-2), total
 
 
 def lorentz_frame(m: MetricJet2, x: TangentVector) -> np.ndarray:
-    """g-orthonormal frame ``E[:, a]`` with E[:, 0] future timelike along x.
+    """g-orthonormal frame ``E[..., :, a]`` with E[..., :, 0] future timelike
+    along x, for one seed vector or each vector of a stack.
 
     The remaining columns are spacelike and g-orthonormal; the Gram matrix of
     the returned frame is diag(-1, 1, ..., 1).
     """
     if m.signature is not Signature.LORENTZIAN:
         raise ValueError("lorentz_frame needs a Lorentzian metric")
-    g = m.g
     xx = m.inner(x.components, x.components)
-    if xx >= 0:
+    if np.count_nonzero(xx >= 0):
         raise NonTimelikeOrientation("frame seed vector must be timelike")
-    n = m.dim
-    e0 = x.components / np.sqrt(-xx)
-    frame = [e0]
+    e0 = x.components / np.sqrt(-xx)[..., None]
     # project candidates off e0 (note g(e0,e0) = -1) and Gram-Schmidt the rest
-    for k in range(n):
-        cand = np.eye(n)[k].astype(float)
-        cand = cand + float(cand @ g @ e0) * e0
-        for e in frame[1:]:
-            cand = cand - float(cand @ g @ e) * e
-        nrm2 = float(cand @ g @ cand)
-        if nrm2 > 1e-10:
-            frame.append(cand / np.sqrt(nrm2))
-        if len(frame) == n:
-            break
-    if len(frame) != n:
+    spatial, taken = gram_schmidt(m.inner, lambda e: e + m.inner(e, e0)[..., None] * e0,
+                                  m.dim, m.dim - 1, lambda nrm2: nrm2 > 1e-10)
+    if np.count_nonzero(taken != m.dim - 1):
         raise SingularMetric("failed to complete an orthonormal frame")
-    return np.stack(frame, axis=1)
+    return np.concatenate([e0[..., None], spatial.swapaxes(-1, -2)], axis=-1)

@@ -4,7 +4,9 @@ Nothing here reuses the package's jet or curvature code paths: derivatives
 come from plain finite differences or sympy, curvature of the reference
 spaces comes from closed forms, and ranks come from a hand-rolled
 Gram-Schmidt.  Agreement between these and the package is therefore a real
-cross-check, not a tautology.
+cross-check, not a tautology.  The one exception is
+``reference_condition_suite``, which takes the package's jets and curvature
+and checks only how the energy layer samples and contracts them.
 """
 
 import numpy as np
@@ -125,3 +127,133 @@ def column_space_union_full(a, b, tol=1e-10):
     """Whether Im(a) + Im(b) is the full target space, by Gram-Schmidt."""
     h = a.shape[0]
     return gram_schmidt_rank(np.hstack([a, b]), tol) == h
+
+
+def reference_condition_suite(m_field, points, x_field, seed=0, count=64):
+    """The energy condition reports by one loop over the points, the directions
+    and the complement vectors, each value computed for one vector at a time.
+
+    This is the per-direction form of ``energy.condition_suite``, kept to
+    check the stacked one bit for bit.  It takes the jets and curvature from
+    the package and redoes the sampling, frames, bases and contractions with
+    ``@``, ``np.dot``, ``np.linalg.norm`` and one einsum per matrix entry.
+    """
+    from traplab.energy import (
+        RAPIDITY_LEVELS, STRICT_MARGIN, TIDAL_TOL, Condition, ConditionReport, Verdict,
+        Witness,
+    )
+    from traplab.geometry import ricci_from_riemann, riemann
+
+    def frame_along(m, x):
+        g = m.g
+        e0 = x / np.sqrt(-float(x @ g @ x))
+        frame = [e0]
+        for k in range(m.dim):
+            cand = np.eye(m.dim)[k]
+            cand = cand + float(cand @ g @ e0) * e0
+            for e in frame[1:]:
+                cand = cand - float(cand @ g @ e) * e
+            nrm2 = float(cand @ g @ cand)
+            if nrm2 > 1e-10:
+                frame.append(cand / np.sqrt(nrm2))
+            if len(frame) == m.dim:
+                break
+        assert len(frame) == m.dim
+        return np.stack(frame, axis=1)
+
+    def cone(m, x):
+        frame = frame_along(m, x)
+        e0, spatial = frame[:, 0], frame[:, 1:]
+        rng = np.random.default_rng(seed)
+        for k in range(count):
+            direction = rng.normal(size=m.dim - 1)
+            direction /= np.linalg.norm(direction)
+            u = spatial @ direction
+            slot = k % 8
+            if slot < 4:
+                v = np.cosh(RAPIDITY_LEVELS[slot]) * e0 + np.sinh(RAPIDITY_LEVELS[slot]) * u
+            elif slot == 4:
+                v = e0 + u
+            elif slot == 5:
+                v = -(e0 + u)
+            elif slot == 6:
+                v = -(np.cosh(1.0) * e0 + np.sinh(1.0) * u)
+            else:
+                v = e0 - u
+            yield v / np.linalg.norm(v)
+
+    def complement(v):
+        n = v.shape[0]
+        basis = [v / np.linalg.norm(v)]
+        for k in range(n):
+            cand = np.eye(n)[k]
+            for b in basis:
+                cand = cand - np.dot(cand, b) * b
+            nrm = np.linalg.norm(cand)
+            if nrm > 1e-10:
+                basis.append(cand / nrm)
+            if len(basis) == n:
+                break
+        return basis[1:]
+
+    def tidal_basis(m, v):
+        g = m.g
+        q = float(v @ g @ v)
+        aux2 = np.linalg.norm(v) ** 2
+        if q < -1e-10 * aux2:
+            return list(frame_along(m, v).T[1:])
+        assert abs(q) <= 1e-10 * aux2
+        seed_vec = next(e for e in np.eye(m.dim) if abs(float(e @ g @ v)) > 1e-8)
+        a = float(seed_vec @ g @ seed_vec)
+        b = float(seed_vec @ g @ v)
+        n_vec = seed_vec - (a / (2.0 * b)) * v
+        n_vec = n_vec * (-2.0 / float(n_vec @ g @ v))
+        pairing = float(v @ g @ n_vec)
+        basis = []
+        for k in range(m.dim):
+            cand = np.eye(m.dim)[k]
+            cand = cand - (float(cand @ g @ n_vec) / pairing) * v
+            cand = cand - (float(cand @ g @ v) / pairing) * n_vec
+            for bb in basis:
+                cand = cand - float(cand @ g @ bb) * bb
+            nrm2 = float(cand @ g @ cand)
+            if nrm2 > 1e-10:
+                basis.append(cand / np.sqrt(nrm2))
+            if len(basis) == m.dim - 2:
+                break
+        return basis
+
+    samples = {"ricci": [], "plane": [], "tidal": []}
+    for p in points:
+        p = np.asarray(p, dtype=float)
+        m = m_field(p)
+        r = riemann(m)
+        ric = ricci_from_riemann(r, m)
+        for v in cone(m, x_field(p).components):
+            samples["ricci"].append(Witness(p, v, float(v @ ric @ v)))
+            for w in complement(v):
+                val = float(np.einsum("ijkl,i,j,k,l->", r.R, w, v, v, w))
+                samples["plane"].append(Witness(p, v, val, partner=w))
+            basis = tidal_basis(m, v)
+            mat = np.empty((len(basis), len(basis)))
+            for i, bi in enumerate(basis):
+                for j, bj in enumerate(basis):
+                    mat[i, j] = np.einsum("ijkl,i,j,k,l->", r.R, bj, v, v, bi)
+            if basis:
+                least = np.linalg.eigvalsh(0.5 * (mat + mat.T)).min()
+                samples["tidal"].append(Witness(p, v, float(least)))
+
+    def report(condition, kind, violated):
+        found = samples[kind]
+        witness = next((s for s in found if violated(s.value)), None)
+        verdict = Verdict.SATISFIED_ON_SAMPLES if witness is None else Verdict.VIOLATED
+        return ConditionReport(condition, verdict, min(s.value for s in found), len(found),
+                               witness)
+
+    return {
+        Condition.RICCI_STRICT: report(Condition.RICCI_STRICT, "ricci", lambda x: x <= STRICT_MARGIN),
+        Condition.RICCI_WEAK: report(Condition.RICCI_WEAK, "ricci", lambda x: x < -STRICT_MARGIN),
+        Condition.PLANE_STRICT: report(Condition.PLANE_STRICT, "plane", lambda x: x <= STRICT_MARGIN),
+        Condition.PLANE_WEAK: report(Condition.PLANE_WEAK, "plane", lambda x: x < -STRICT_MARGIN),
+        Condition.TIDAL_PSD: report(Condition.TIDAL_PSD, "tidal", lambda x: x < -TIDAL_TOL),
+    }

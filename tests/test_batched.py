@@ -4,7 +4,8 @@ Every scenario field, conformal field and embedding is called once with a
 (B, dim) stack and once per point; the arrays must be equal bit for bit, and
 a stack with one bad point must raise what the call at that point raises.
 The same holds for the initial-data expansions and the trapping
-classification, which evaluate whole sample sets.
+classification, which evaluate whole sample sets, and for the frames,
+classes, tidal operators and curvature forms of a stack of cone directions.
 """
 
 import dataclasses
@@ -23,15 +24,27 @@ from traplab.conformal import (
     scaled_field,
     trapping_perturbation,
 )
+from traplab.energy import sample_cone, tidal_operator
 from traplab.errors import (
+    CollinearPair,
     ImmersionFailure,
     NonTimelikeOrientation,
     NotSpacelike,
     NotUnitNormal,
     OrientationFailure,
     SingularMetric,
+    ZeroVector,
 )
-from traplab.geometry import MetricJet2, Signature, TangentVector, christoffel, riemann
+from traplab.geometry import (
+    MetricJet2,
+    Signature,
+    TangentVector,
+    causal_classify,
+    christoffel,
+    lorentz_frame,
+    riem_quadform,
+    riemann,
+)
 from traplab.initial_data import initial_data_expansions
 from traplab.scenarios import build_scenario
 from traplab.stability import _nodal_curve_embedding, circle_grid
@@ -336,3 +349,90 @@ def test_degenerate_outward_samples():
                 null_frame(odd, sc.metric, sc.time_orientation, u)
     with pytest.raises(OrientationFailure):
         null_frame(odd, sc.metric, sc.time_orientation, emb.sample_set)
+
+
+# --- cone directions at one point against per-direction calls -----------------
+
+def _cones():
+    """(label, jet, cone sample, orientation) at two energy points of every
+    scenario, in 2-d Minkowski space and at a random polynomial jet."""
+    from traplab.verify import random_polynomial_metric_jet
+
+    out = []
+    cases = [(build_scenario(name, params), label) for (name, params), label in zip(SCENARIOS, IDS)]
+    cases.append((build_scenario("minkowski", {"dim": 2}), "minkowski2"))
+    for sc, label in cases:
+        for k, p in enumerate(sc.energy_points[:2]):
+            m, x = sc.metric(p), sc.time_orientation(p)
+            out.append((f"{label}-{k}", m, sample_cone(m, p, x, count=24, seed=k), x))
+    jet = random_polynomial_metric_jet(np.random.default_rng(3), 4)
+    x = TangentVector(np.zeros(4), np.array([1.0, 0.05, -0.1, 0.02]))
+    out.append(("polynomial", jet, sample_cone(jet, np.zeros(4), x, count=24, seed=3), x))
+    return out
+
+
+CONES = _cones()
+
+
+def _single(cone, i):
+    return TangentVector(cone.base[i], cone.components[i])
+
+
+@pytest.mark.parametrize("label,m,cone,x", CONES, ids=[c[0] for c in CONES])
+def test_cone_stack(label, m, cone, x):
+    r = riemann(m)
+    count = len(cone.components)
+    classes = causal_classify(m, cone, x)
+    assert np.array_equal(classes, [causal_classify(m, _single(cone, i), x) for i in range(count)])
+    mats = tidal_operator(m, r, cone)
+    assert len(mats) == count
+    for i, mat in enumerate(mats):
+        single = tidal_operator(m, r, _single(cone, i))
+        assert mat.shape == single.shape and np.array_equal(mat, single)
+    q = m.inner(cone.components, cone.components)
+    timelike = TangentVector(cone.base[q < -1e-9], cone.components[q < -1e-9])
+    _assert_stacked(lorentz_frame(m, timelike),
+                    [lorentz_frame(m, _single(timelike, i)) for i in range(len(timelike.base))])
+    w = TangentVector(cone.base, np.random.default_rng(7).normal(size=cone.components.shape))
+    _assert_stacked(riem_quadform(r, m, w, cone),
+                    [riem_quadform(r, m, _single(w, i), _single(cone, i)) for i in range(count)])
+
+
+def test_bad_direction_in_cone_stack():
+    m = build_scenario("einstein_cylinder", {"n": 3}).metric(np.array([0.0, 1.1, 0.4, 0.3]))
+    r = riemann(m)
+    at = np.zeros((4, 4))
+    e = np.eye(4)
+    causal = np.array([e[0], e[0] + e[1], 2.0 * e[0] - e[2], e[0] - e[3]])
+
+    def quadform(stack):
+        base = np.zeros(stack.shape[:-2] + (4,))
+        return riem_quadform(r, m, TangentVector(base, stack[..., 0, :]),
+                             TangentVector(base, stack[..., 1, :]))
+
+    collinear = np.stack([causal[[1, 2, 3, 0]], causal], axis=-2)
+    collinear[2, 0] = 3.0 * causal[2]
+    _raises_like_the_point(quadform, collinear, 2)
+    with pytest.raises(CollinearPair):
+        quadform(collinear)
+    zero = np.stack([causal[[1, 2, 3, 0]], causal], axis=-2)
+    zero[1, 0] = 0.0
+    _raises_like_the_point(quadform, zero, 1)
+
+    def tidal(stack):
+        return tidal_operator(m, r, TangentVector(np.zeros_like(stack), stack))
+
+    spacelike = causal.copy()
+    spacelike[3] = e[3]
+    _raises_like_the_point(tidal, spacelike, 3)
+    with pytest.raises(ZeroVector):
+        tidal(spacelike)
+
+    def frame(stack):
+        return lorentz_frame(m, TangentVector(np.zeros_like(stack), stack))
+
+    seeds = np.array([e[0], 2.0 * e[0] + 0.1 * e[1], e[0] - 0.2 * e[3]])
+    seeds[1] = e[1]
+    _raises_like_the_point(frame, seeds, 1)
+    with pytest.raises(NonTimelikeOrientation):
+        frame(seeds)

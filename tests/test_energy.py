@@ -4,8 +4,6 @@ import pytest
 from traplab.energy import (
     Condition,
     Verdict,
-    check_ricci_condition,
-    check_riem_condition,
     condition_suite,
     inclusion_chain_holds,
     sample_cone,
@@ -23,6 +21,8 @@ from traplab.geometry import (
 )
 from traplab.scenarios import build_scenario
 
+from _oracles import reference_condition_suite
+
 MINK = build_scenario("minkowski", {})
 TORUS = build_scenario("minkowski_torus_quotient", {"m": 3})
 CYL = build_scenario("einstein_cylinder", {"n": 2})
@@ -30,14 +30,19 @@ FLRW = build_scenario("flrw_dust", {})
 SCHW = build_scenario("schwarzschild_slice_isotropic", {})
 
 
+def _vectors(cone):
+    # the directions of a cone sample, one TangentVector each
+    return [TangentVector(p, v) for p, v in zip(cone.base, cone.components)]
+
+
 class TestSampleCone:
     def test_count_and_null_content(self):
         m = MetricJet2.flat(4)
         x = TangentVector(np.zeros(4), np.eye(4)[0])
         cone = sample_cone(m, np.zeros(4), x, count=8, seed=0)
-        assert len(cone.vectors) == 8
+        assert cone.components.shape == (8, 4)
         nulls = sum(
-            1 for v in cone.vectors if abs(m.inner(v.components, v.components)) < 1e-12
+            1 for v in _vectors(cone) if abs(m.inner(v.components, v.components)) < 1e-12
         )
         assert nulls >= 2
 
@@ -46,7 +51,7 @@ class TestSampleCone:
         x = TangentVector(np.zeros(4), np.eye(4)[0])
         a = sample_cone(m, np.zeros(4), x, count=16, seed=3)
         b = sample_cone(m, np.zeros(4), x, count=16, seed=3)
-        for va, vb in zip(a.vectors, b.vectors):
+        for va, vb in zip(_vectors(a), _vectors(b)):
             assert np.array_equal(va.components, vb.components)
 
     def test_all_causal_and_unit_aux(self):
@@ -54,7 +59,7 @@ class TestSampleCone:
         p = np.array([0.0, 1.2, 0.4])
         x = CYL.time_orientation(p)
         cone = sample_cone(m, p, x, count=32, seed=5)
-        for v in cone.vectors:
+        for v in _vectors(cone):
             assert m.inner(v.components, v.components) <= 1e-10
             assert v.aux_norm() == pytest.approx(1.0, rel=1e-12)
             assert causal_classify(m, v, x) in (
@@ -72,53 +77,53 @@ class TestSampleCone:
 
 class TestRicciCondition:
     def test_flat_quotient(self):
-        weak = check_ricci_condition(
-            TORUS.metric, TORUS.energy_points, False, TORUS.time_orientation, seed=1
-        )
-        strict = check_ricci_condition(
-            TORUS.metric, TORUS.energy_points, True, TORUS.time_orientation, seed=1
-        )
+        weak = condition_suite(
+            TORUS.metric, TORUS.energy_points, TORUS.time_orientation, seed=1
+        )[Condition.RICCI_WEAK]
+        strict = condition_suite(
+            TORUS.metric, TORUS.energy_points, TORUS.time_orientation, seed=1
+        )[Condition.RICCI_STRICT]
         assert weak.verdict is Verdict.SATISFIED_ON_SAMPLES
         assert weak.min_value == 0.0
         assert strict.verdict is Verdict.VIOLATED
         assert strict.witness is not None and strict.witness.value == 0.0
 
     def test_einstein_cylinder(self):
-        weak = check_ricci_condition(
-            CYL.metric, CYL.energy_points, False, CYL.time_orientation, seed=1
-        )
-        strict = check_ricci_condition(
-            CYL.metric, CYL.energy_points, True, CYL.time_orientation, seed=1
-        )
+        weak = condition_suite(
+            CYL.metric, CYL.energy_points, CYL.time_orientation, seed=1
+        )[Condition.RICCI_WEAK]
+        strict = condition_suite(
+            CYL.metric, CYL.energy_points, CYL.time_orientation, seed=1
+        )[Condition.RICCI_STRICT]
         assert weak.satisfied
         assert not strict.satisfied
         # pure time direction annihilates the product Ricci form
         assert abs(strict.witness.value) < 1e-9
 
     def test_positive_ricci_scenario(self):
-        strict = check_ricci_condition(
-            FLRW.metric, FLRW.energy_points, True, FLRW.time_orientation, seed=1
-        )
+        strict = condition_suite(
+            FLRW.metric, FLRW.energy_points, FLRW.time_orientation, seed=1
+        )[Condition.RICCI_STRICT]
         assert strict.satisfied
         assert strict.min_value > 0.1
 
 
 class TestRiemCondition:
     def test_flat(self):
-        weak = check_riem_condition(
-            TORUS.metric, TORUS.energy_points, False, TORUS.time_orientation, seed=2
-        )
-        strict = check_riem_condition(
-            TORUS.metric, TORUS.energy_points, True, TORUS.time_orientation, seed=2
-        )
+        weak = condition_suite(
+            TORUS.metric, TORUS.energy_points, TORUS.time_orientation, seed=2
+        )[Condition.PLANE_WEAK]
+        strict = condition_suite(
+            TORUS.metric, TORUS.energy_points, TORUS.time_orientation, seed=2
+        )[Condition.PLANE_STRICT]
         assert weak.satisfied
         assert not strict.satisfied
         assert strict.witness.value == 0.0
 
     def test_cylinder(self):
-        weak = check_riem_condition(
-            CYL.metric, CYL.energy_points, False, CYL.time_orientation, seed=2
-        )
+        weak = condition_suite(
+            CYL.metric, CYL.energy_points, CYL.time_orientation, seed=2
+        )[Condition.PLANE_WEAK]
         assert weak.satisfied
 
     def test_perturbed_flat_violates_weak_form(self):
@@ -165,6 +170,14 @@ class TestTidalOperator:
         assert np.trace(mat) == pytest.approx(float(v @ ric @ v), abs=1e-10)
         assert np.trace(mat) >= 0.0
 
+    def test_empty_screen_is_psd(self):
+        # a null v in dimension 2 has no screen space: the operator is 0x0,
+        # and positive semidefinite vacuously
+        m = MetricJet2.flat(2)
+        mat = tidal_operator(m, riemann(m), TangentVector(np.zeros(2), np.array([1.0, 1.0])))
+        assert mat.shape == (0, 0)
+        assert tidal_psd(mat)
+
     def test_rejects_spacelike(self):
         m = MetricJet2.flat(4)
         r = riemann(m)
@@ -200,24 +213,32 @@ class TestConditionSuite:
         assert not reports[Condition.TIDAL_PSD].satisfied
 
     def test_one_curvature_and_cone_sample_per_point(self, monkeypatch):
-        from traplab import energy
+        import sys
 
-        counts = {"riemann": 0, "sample_cone": 0}
+        from traplab import energy, geometry
 
-        def counted(name):
-            original = getattr(energy, name)
+        counts = {"riemann": 0, "sample_cone": 0, "tidal_operator": 0, "lorentz_frame": 0}
 
+        def counted(name, original):
             def wrapper(*args, **kwargs):
                 counts[name] += 1
                 return original(*args, **kwargs)
 
             return wrapper
 
-        for name in counts:
-            monkeypatch.setattr(energy, name, counted(name))
+        for name in ("riemann", "sample_cone", "tidal_operator"):
+            monkeypatch.setattr(energy, name, counted(name, getattr(energy, name)))
+        # lorentz_frame under every name a traplab module binds it to
+        frame = counted("lorentz_frame", geometry.lorentz_frame)
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("traplab") and getattr(
+                module, "lorentz_frame", None
+            ) is geometry.lorentz_frame:
+                monkeypatch.setattr(module, "lorentz_frame", frame)
         assert len(SCHW.energy_points) == 3
         condition_suite(SCHW.metric, SCHW.energy_points, SCHW.time_orientation, seed=7, count=8)
-        assert counts == {"riemann": 3, "sample_cone": 3}
+        assert counts.pop("lorentz_frame") <= 6
+        assert counts == {"riemann": 3, "sample_cone": 3, "tidal_operator": 3}
 
     @pytest.mark.parametrize("points, count", [([], 8), (None, 0)], ids=["no-points", "count-0"])
     def test_empty_sample_is_rejected(self, points, count):
@@ -236,6 +257,32 @@ class TestConditionSuite:
         assert reports[Condition.RICCI_WEAK].samples_used == 16
         assert 0 < reports[Condition.TIDAL_PSD].samples_used < 16
         assert reports[Condition.TIDAL_PSD].satisfied
+
+    @pytest.mark.parametrize(
+        "sc, seed, count",
+        [(sc, seed, count) for sc in (MINK, TORUS, CYL, FLRW, SCHW)
+         for seed, count in ((0, 64), (17, 24), (5, 9))]
+        + [pytest.param(build_scenario("minkowski", {"dim": 2}), 0, 8, id="minkowski2-0-8")],
+        ids=lambda v: getattr(v, "name", v),
+    )
+    def test_equals_per_direction_loop(self, sc, seed, count):
+        # stacking the directions of a point changes no bit of any report
+        stacked = condition_suite(
+            sc.metric, sc.energy_points, sc.time_orientation, seed=seed, count=count
+        )
+        looped = reference_condition_suite(
+            sc.metric, sc.energy_points, sc.time_orientation, seed=seed, count=count
+        )
+
+        def bits(rep):
+            w = rep.witness
+            fields = () if w is None else (w.point, w.vector, w.value, w.partner)
+            return (rep.verdict, np.float64(rep.min_value).tobytes(), rep.samples_used,
+                    tuple(None if f is None else np.asarray(f).tobytes() for f in fields))
+
+        assert stacked.keys() == looped.keys()
+        for cond in stacked:
+            assert bits(stacked[cond]) == bits(looped[cond]), cond
 
     def test_tidal_verdict_implies_weak_plane_on_same_samples(self):
         for sc in (MINK, CYL, FLRW):
