@@ -10,6 +10,12 @@ formula
 
 and the projection of the kernel of the sum operator onto the first factor
 has kernel dimension dim ker S and the same index as S.
+
+Every function takes stacks: matrices may carry leading axes (one instance
+is a stack with none); ranks, verdicts and report fields hold one entry per
+instance, each rank from one stacked SVD.  A kernel basis is each instance's
+full V with the columns below its rank masked to zero; zero columns change no
+span, rank or principal angle, so zero-padding the maps' domains is harmless.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ RANK_RTOL = 1e-10
 
 @dataclass
 class OperatorTriple:
-    """Two linear maps into a common inner-product space (the identity one)."""
+    """Two linear maps (or stacks of them) into a common inner-product space."""
 
     T: np.ndarray
     S: np.ndarray
@@ -33,110 +39,114 @@ class OperatorTriple:
     def __post_init__(self):
         self.T = np.atleast_2d(np.asarray(self.T, dtype=float))
         self.S = np.atleast_2d(np.asarray(self.S, dtype=float))
-        if self.T.shape[0] != self.S.shape[0]:
-            raise ValueError("T and S must map into the same space")
+        if self.T.shape[:-1] != self.S.shape[:-1]:
+            raise ValueError("T and S must map into the same space, with the same stack axes")
+        for name, a in (("T", self.T), ("S", self.S)):
+            bad = ~np.isfinite(a).all(axis=(-2, -1))
+            if bad.any():
+                index = tuple(int(i) for i in np.argwhere(bad)[0])
+                raise ValueError(f"{name} has a non-finite entry at stack index {index}")
 
     @property
     def h(self) -> int:
-        return self.T.shape[0]
+        return self.T.shape[-2]
 
 
-def _rank(a: np.ndarray, scale: float | None = None) -> int:
-    """Rank with singular values cut at RANK_RTOL times the top one.
+def _rank(a: np.ndarray, scale: float | None = None) -> np.ndarray:
+    """Rank of each matrix in a stack: singular values above RANK_RTOL times the top one.
 
     ``scale`` overrides the reference: submatrices of orthonormal bases have
     unit-size columns, so their rank must be judged against 1, not against
-    their own (possibly tiny) leading singular value.
+    their own (possibly tiny) leading singular value.  An empty or zero
+    matrix has rank 0.
     """
-    if a.size == 0:
-        return 0
     sv = np.linalg.svd(a, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    reference = sv[0] if scale is None else scale
-    return int(np.sum(sv > RANK_RTOL * reference))
+    reference = sv[..., :1] if scale is None else scale
+    return np.count_nonzero(sv > RANK_RTOL * reference, axis=-1)
 
 
-def _null_space(a: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the kernel, columns; (n, 0) when trivial."""
-    a = np.atleast_2d(a)
-    n = a.shape[1]
-    if a.size == 0 or np.abs(a).max() == 0.0:
-        return np.eye(n)
-    u, sv, vt = np.linalg.svd(a)
-    r = int(np.sum(sv > RANK_RTOL * sv[0]))
-    return vt[r:].T
+def _null_space(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel bases and ranks of a stack of (m, n) matrices, from one SVD.
+
+    The basis is (..., n, n): each instance's full V with its first ``rank``
+    columns zeroed, so the nonzero columns are an orthonormal basis of that
+    instance's kernel (all of V for a zero or row-less matrix).
+    """
+    _, sv, vt = np.linalg.svd(a)
+    rank = np.count_nonzero(sv > RANK_RTOL * sv[..., :1], axis=-1)
+    kernel_columns = np.arange(a.shape[-1]) >= rank[..., None]
+    return vt.mT * kernel_columns[..., None, :], rank
 
 
-def _image_complement(a: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the orthogonal complement of the column space."""
-    return _null_space(a.T)
+def _image_complement(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal-column basis of the complement of the column space, and the rank."""
+    return _null_space(a.mT)
 
 
-def sum_surjective(tr: OperatorTriple) -> bool:
+def sum_surjective(tr: OperatorTriple) -> np.ndarray:
     """Whether (x, y) -> Tx + Sy covers the whole target space."""
-    return _rank(np.hstack([tr.T, tr.S])) == tr.h
+    return _rank(np.concatenate([tr.T, tr.S], axis=-1)) == tr.h
 
 
-def perp_intersection_trivial(tr: OperatorTriple) -> bool:
+def perp_intersection_trivial(tr: OperatorTriple) -> np.ndarray:
     """Triviality of (Im T)^perp intersect (Im S)^perp via principal angles.
 
     The intersection is nontrivial exactly when some pair of directions from
     the two complements has cosine 1; with orthonormal bases A, B this is a
-    unit singular value of A^T B.  An empty complement on either side makes
-    the intersection trivial outright.
+    unit singular value of A^T B.  The zeroed columns of the masked bases
+    only add zero singular values, so an empty complement on either side
+    makes the intersection trivial outright.
     """
-    a = _image_complement(tr.T)
-    b = _image_complement(tr.S)
-    if a.shape[1] == 0 or b.shape[1] == 0:
-        return True
-    cosines = np.linalg.svd(a.T @ b, compute_uv=False)
-    return bool(cosines.max() < 1.0 - RANK_RTOL)
+    a, _ = _image_complement(tr.T)
+    b, _ = _image_complement(tr.S)
+    cosines = np.linalg.svd(a.mT @ b, compute_uv=False)
+    return cosines.max(axis=-1, initial=0.0) < 1.0 - RANK_RTOL
 
 
-def adjoint_kernels_trivial(tr: OperatorTriple) -> bool:
+def adjoint_kernels_trivial(tr: OperatorTriple) -> np.ndarray:
     """Triviality of ker T^t intersect ker S^t (the adjoint formulation).
 
     Uses the rank of the stacked kernel bases: the sum of two subspaces has
     dimension ka + kb exactly when they intersect trivially.
     """
-    ker_t = _null_space(tr.T.T)
-    ker_s = _null_space(tr.S.T)
-    if ker_t.shape[1] == 0 or ker_s.shape[1] == 0:
-        return True
-    return _rank(np.hstack([ker_t, ker_s])) == ker_t.shape[1] + ker_s.shape[1]
+    ker_t, rank_t = _image_complement(tr.T)
+    ker_s, rank_s = _image_complement(tr.S)
+    return _rank(np.concatenate([ker_t, ker_s], axis=-1)) == 2 * tr.h - rank_t - rank_s
 
 
-def codim_formula_check(l: np.ndarray, s_basis: np.ndarray) -> tuple[int, int]:
+def codim_formula_check(l: np.ndarray, s_basis: np.ndarray,
+                        s=None) -> tuple[np.ndarray, np.ndarray]:
     """Both sides of the preimage codimension formula, as exact integers.
 
     Left side: codimension in the domain of the preimage of span(s_basis)
     under l.  Right side: codim span(s_basis) minus codim (span + Im l).
+    ``s`` is each instance's subspace dimension when s_basis carries zero
+    padding columns past it; by default every column counts.
     """
     l = np.atleast_2d(np.asarray(l, dtype=float))
     s_basis = np.atleast_2d(np.asarray(s_basis, dtype=float))
-    v, u = l.shape
-    s = s_basis.shape[1]
-    if _rank(s_basis) != s:
+    v = l.shape[-2]
+    s = s_basis.shape[-1] if s is None else np.asarray(s)
+    if np.any(_rank(s_basis) != s):
         raise DependentBasis("columns of the subspace basis are dependent")
     # preimage kernel: x with P_{S^perp} L x = 0
-    perp = _image_complement(s_basis)
-    lhs = _rank(perp.T @ l) if perp.shape[1] else 0
-    dim_sum = _rank(np.hstack([s_basis, l]))
+    perp, _ = _image_complement(s_basis)
+    lhs = _rank(perp.mT @ l)
+    dim_sum = _rank(np.concatenate([s_basis, l], axis=-1))
     rhs = (v - s) - (v - dim_sum)
     return lhs, rhs
 
 
 @dataclass
 class ProjectionReport:
-    dim_ker_projection: int
-    dim_ker_S: int
-    kernel_dims_match: bool
-    projection_full_rank: bool
-    index_projection: int
-    index_S: int
-    indices_match: bool
-    sum_is_surjective: bool
+    dim_ker_projection: np.ndarray
+    dim_ker_S: np.ndarray
+    kernel_dims_match: np.ndarray
+    projection_full_rank: np.ndarray
+    index_projection: np.ndarray
+    index_S: np.ndarray
+    indices_match: np.ndarray
+    sum_is_surjective: np.ndarray
 
 
 def projection_regularity(tr: OperatorTriple) -> ProjectionReport:
@@ -147,19 +157,15 @@ def projection_regularity(tr: OperatorTriple) -> ProjectionReport:
     the sum operator is surjective its index (dim kernel minus codimension
     of the image in the first factor) equals the index of S.
     """
-    e = tr.T.shape[1]
-    f = tr.S.shape[1]
-    h = tr.h
-    m_basis = _null_space(np.hstack([tr.T, tr.S]))
-    proj = m_basis[:e, :]
-    dim_m = m_basis.shape[1]
-    rank_proj = _rank(proj, scale=1.0)
+    h, e, f = tr.h, tr.T.shape[-1], tr.S.shape[-1]
+    m_basis, rank_sum = _null_space(np.concatenate([tr.T, tr.S], axis=-1))
+    dim_m = e + f - rank_sum
+    rank_proj = _rank(m_basis[..., :e, :], scale=1.0)
+    rank_s = _rank(tr.S)
     dim_ker_proj = dim_m - rank_proj
-    dim_ker_s = f - _rank(tr.S)
-    surj = sum_surjective(tr)
-    codim_proj_image = e - rank_proj
-    index_proj = dim_ker_proj - codim_proj_image
-    index_s = dim_ker_s - (h - _rank(tr.S))
+    dim_ker_s = f - rank_s
+    index_proj = dim_ker_proj - (e - rank_proj)  # minus the codimension of the image
+    index_s = dim_ker_s - (h - rank_s)
     return ProjectionReport(
         dim_ker_projection=dim_ker_proj,
         dim_ker_S=dim_ker_s,
@@ -168,7 +174,7 @@ def projection_regularity(tr: OperatorTriple) -> ProjectionReport:
         index_projection=index_proj,
         index_S=index_s,
         indices_match=index_proj == index_s,
-        sum_is_surjective=surj,
+        sum_is_surjective=rank_sum == h,
     )
 
 

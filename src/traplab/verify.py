@@ -454,70 +454,89 @@ def verify_deformation() -> list[CheckRecord]:
     return records
 
 
+def linear_lemma_instances(seed: int = 2024):
+    """The linear-lemmas suite's seeded draws in its fixed order: 1000 surjectivity
+    pairs (T, S), 500 codimension pairs (l, basis), 200 projection pairs (T, S)."""
+    rng = np.random.default_rng(seed)
+
+    def maps():
+        h, e, f = (int(rng.integers(1, 9)) for _ in range(3))
+        return rng.normal(size=(h, e)), rng.normal(size=(h, f))
+
+    def codim_pair():
+        v, u = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+        s = int(rng.integers(0, v + 1))
+        l = rng.normal(size=(v, u))
+        return l, rng.normal(size=(v, s)) if s else np.zeros((v, 0))
+
+    triples = [maps() for _ in range(1000)]
+    return triples, [codim_pair() for _ in range(500)], [maps() for _ in range(200)]
+
+
+def _stacks(pairs, key):
+    """(indices, A, B) per group of pairs with equal key(a, b), in first-seen order; A and
+    B stack the group's matrices zero-padded to the widest (no span or rank changes)."""
+    groups: dict = {}
+    for i, pair in enumerate(pairs):
+        groups.setdefault(key(*pair), []).append(i)
+    for idx in groups.values():
+        stacks = []
+        for arrays in zip(*(pairs[i] for i in idx)):
+            stack = np.zeros((len(idx), arrays[0].shape[0], max(a.shape[1] for a in arrays)))
+            for slot, a in zip(stack, arrays):
+                slot[:, : a.shape[1]] = a
+            stacks.append(stack)
+        yield idx, *stacks
+
+
+def linear_lemma_results(seed: int = 2024):
+    """Per-instance results for the suite's seeded draws, evaluated in stacks.
+
+    Returns the (1000, 3) surjectivity verdicts (stacked by h), the (2, 500)
+    codimension sides lhs and rhs (stacked by v; -1 where a basis is dependent
+    and skipped) and one ProjectionReport indexed like the 200 projection pairs
+    (stacked by exact (h, e, f), as padding would change e, f and ker S).
+    """
+    la = linear_analysis
+    triples, pairs, projection_pairs = linear_lemma_instances(seed)
+    tests = (la.sum_surjective, la.perp_intersection_trivial, la.adjoint_kernels_trivial)
+    verdicts = np.empty((len(triples), len(tests)), dtype=bool)
+    for idx, t, s in _stacks(triples, lambda t, s: t.shape[0]):
+        tr = la.OperatorTriple(t, s)
+        verdicts[idx] = np.stack([test(tr) for test in tests], axis=-1)
+    sides = np.full((2, len(pairs)), -1)
+    for idx, l, basis in _stacks(pairs, lambda l, basis: l.shape[0]):
+        s = np.array([pairs[i][1].shape[1] for i in idx])
+        keep = la._rank(basis) == s  # the rank rule codim_formula_check enforces
+        sides[:, np.asarray(idx)[keep]] = la.codim_formula_check(l[keep], basis[keep], s[keep])
+    fields: dict = {}
+    for idx, t, s in _stacks(projection_pairs, lambda t, s: t.shape + s.shape):
+        for name, value in vars(la.projection_regularity(la.OperatorTriple(t, s))).items():
+            fields.setdefault(name, np.empty(len(projection_pairs), value.dtype))[idx] = value
+    return verdicts, sides, la.ProjectionReport(**fields)
+
+
 def verify_linear_lemmas(seed: int = 2024) -> list[CheckRecord]:
     """Surjectivity equivalences, codimension formula, projection bookkeeping."""
-    records = []
+    def count_record(name: str, anchor: str, bad: np.ndarray, detail: str) -> CheckRecord:
+        bad = int(np.count_nonzero(bad))
+        return CheckRecord(name=name, anchor=anchor, measured=bad, expected=0, tolerance=None,
+                           passed=bad == 0, detail=detail)
+
     with Stopwatch() as sw:
-        rng = np.random.default_rng(seed)
-        mismatches = 0
-        for _ in range(1000):
-            h, e, f = (int(rng.integers(1, 9)) for _ in range(3))
-            tr = linear_analysis.random_triple(rng, h, e, f)
-            a = linear_analysis.sum_surjective(tr)
-            b = linear_analysis.perp_intersection_trivial(tr)
-            c = linear_analysis.adjoint_kernels_trivial(tr)
-            if not (a == b == c):
-                mismatches += 1
-        records.append(
-            CheckRecord(
-                name="surjectivity-equivalences",
-                anchor="sum-operator-surjectivity",
-                measured=mismatches, expected=0, tolerance=None,
-                passed=mismatches == 0,
-                detail="1000 seeded random operator pairs, three formulations",
-            )
-        )
-        codim_bad = 0
-        for _ in range(500):
-            v, u = int(rng.integers(1, 9)), int(rng.integers(1, 9))
-            s = int(rng.integers(0, v + 1))
-            l = rng.normal(size=(v, u))
-            if s == 0:
-                basis = np.zeros((v, 0))
-            else:
-                basis = rng.normal(size=(v, s))
-                if np.linalg.matrix_rank(basis) < s:
-                    continue
-            lhs, rhs = linear_analysis.codim_formula_check(l, basis)
-            if lhs != rhs:
-                codim_bad += 1
-        records.append(
-            CheckRecord(
-                name="codimension-formula",
-                anchor="preimage-codimension-formula",
-                measured=codim_bad, expected=0, tolerance=None,
-                passed=codim_bad == 0,
-                detail="500 seeded random instances, exact integer equality",
-            )
-        )
-        proj_bad = 0
-        for _ in range(200):
-            h, e, f = (int(rng.integers(1, 9)) for _ in range(3))
-            tr = linear_analysis.random_triple(rng, h, e, f)
-            rep = linear_analysis.projection_regularity(tr)
-            if not rep.kernel_dims_match:
-                proj_bad += 1
-            if rep.sum_is_surjective and not rep.indices_match:
-                proj_bad += 1
-        records.append(
-            CheckRecord(
-                name="projection-kernel-identity",
-                anchor="kernel-projection-bookkeeping",
-                measured=proj_bad, expected=0, tolerance=None,
-                passed=proj_bad == 0,
-                detail="200 seeded random triples; kernel dimension and index identities",
-            )
-        )
+        verdicts, (lhs, rhs), rep = linear_lemma_results(seed)
+        records = [
+            count_record("surjectivity-equivalences", "sum-operator-surjectivity",
+                         verdicts.any(axis=1) != verdicts.all(axis=1),
+                         "1000 seeded random operator pairs, three formulations"),
+            count_record("codimension-formula", "preimage-codimension-formula", lhs != rhs,
+                         f"{np.count_nonzero(lhs >= 0)} seeded random instances, "
+                         "exact integer equality"),
+            count_record("projection-kernel-identity", "kernel-projection-bookkeeping",
+                         np.concatenate([~rep.kernel_dims_match,
+                                         rep.sum_is_surjective & ~rep.indices_match]),
+                         "200 seeded random triples; kernel dimension and index identities"),
+        ]
     records.append(_runtime_record("linear-lemmas", sw.elapsed, 5.0))
     return records
 

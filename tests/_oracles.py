@@ -4,9 +4,12 @@ Nothing here reuses the package's jet or curvature code paths: derivatives
 come from plain finite differences or sympy, curvature of the reference
 spaces comes from closed forms, and ranks come from a hand-rolled
 Gram-Schmidt.  Agreement between these and the package is therefore a real
-cross-check, not a tautology.  The one exception is
+cross-check, not a tautology.  The exceptions are
 ``reference_condition_suite``, which takes the package's jets and curvature
-and checks only how the energy layer samples and contracts them.
+and checks only how the energy layer samples and contracts them, and the
+``reference_*`` linear-analysis functions, which keep the one-instance,
+one-SVD-per-question form that the stacked ``traplab.linear_analysis``
+must reproduce integer for integer.
 """
 
 import numpy as np
@@ -256,4 +259,76 @@ def reference_condition_suite(m_field, points, x_field, seed=0, count=64):
         Condition.PLANE_STRICT: report(Condition.PLANE_STRICT, "plane", lambda x: x <= STRICT_MARGIN),
         Condition.PLANE_WEAK: report(Condition.PLANE_WEAK, "plane", lambda x: x < -STRICT_MARGIN),
         Condition.TIDAL_PSD: report(Condition.TIDAL_PSD, "tidal", lambda x: x < -TIDAL_TOL),
+    }
+
+
+# --- linear analysis, one instance at a time --------------------------------
+
+LINEAR_RANK_RTOL = 1e-10
+
+
+def reference_rank(a, scale=None):
+    """Rank with singular values cut at LINEAR_RANK_RTOL times the top one (or ``scale``)."""
+    if a.size == 0:
+        return 0
+    sv = np.linalg.svd(a, compute_uv=False)
+    if sv.size == 0 or sv[0] == 0.0:
+        return 0
+    reference = sv[0] if scale is None else scale
+    return int(np.sum(sv > LINEAR_RANK_RTOL * reference))
+
+
+def reference_null_space(a):
+    """Orthonormal kernel basis as columns; (n, 0) when trivial."""
+    a = np.atleast_2d(a)
+    n = a.shape[1]
+    if a.size == 0 or np.abs(a).max() == 0.0:
+        return np.eye(n)
+    _, sv, vt = np.linalg.svd(a)
+    r = int(np.sum(sv > LINEAR_RANK_RTOL * sv[0]))
+    return vt[r:].T
+
+
+def reference_surjectivity(t, s):
+    """The three verdicts (rank of [T S], principal angles, adjoint kernels)."""
+    h = t.shape[0]
+    by_rank = reference_rank(np.hstack([t, s])) == h
+    a, b = reference_null_space(t.T), reference_null_space(s.T)
+    if a.shape[1] == 0 or b.shape[1] == 0:
+        return by_rank, True, True
+    cosines = np.linalg.svd(a.T @ b, compute_uv=False)
+    by_angles = bool(cosines.max() < 1.0 - LINEAR_RANK_RTOL)
+    by_kernels = reference_rank(np.hstack([a, b])) == a.shape[1] + b.shape[1]
+    return by_rank, by_angles, by_kernels
+
+
+def reference_codim(l, s_basis):
+    """(lhs, rhs) of the preimage codimension formula."""
+    v = l.shape[0]
+    s = s_basis.shape[1]
+    assert reference_rank(s_basis) == s, "dependent basis"
+    perp = reference_null_space(s_basis.T)
+    lhs = reference_rank(perp.T @ l) if perp.shape[1] else 0
+    dim_sum = reference_rank(np.hstack([s_basis, l]))
+    return lhs, (v - s) - (v - dim_sum)
+
+
+def reference_projection(t, s):
+    """ProjectionReport fields of the first-factor projection of ker(T (+) S)."""
+    (h, e), f = t.shape, s.shape[1]
+    m_basis = reference_null_space(np.hstack([t, s]))
+    rank_proj = reference_rank(m_basis[:e, :], scale=1.0)
+    dim_ker_proj = m_basis.shape[1] - rank_proj
+    dim_ker_s = f - reference_rank(s)
+    index_proj = dim_ker_proj - (e - rank_proj)
+    index_s = dim_ker_s - (h - reference_rank(s))
+    return {
+        "dim_ker_projection": dim_ker_proj,
+        "dim_ker_S": dim_ker_s,
+        "kernel_dims_match": dim_ker_proj == dim_ker_s,
+        "projection_full_rank": rank_proj == e,
+        "index_projection": index_proj,
+        "index_S": index_s,
+        "indices_match": index_proj == index_s,
+        "sum_is_surjective": reference_rank(np.hstack([t, s])) == h,
     }

@@ -12,7 +12,29 @@ from traplab.linear_analysis import (
     sum_surjective,
 )
 
-from _oracles import column_space_union_full
+from traplab.verify import linear_lemma_instances, linear_lemma_results
+
+from _oracles import (
+    column_space_union_full,
+    reference_codim,
+    reference_projection,
+    reference_surjectivity,
+)
+
+SURJECTIVITY_TESTS = (sum_surjective, perp_intersection_trivial, adjoint_kernels_trivial)
+
+
+def pad_columns(a, width=8):
+    return np.pad(a, [(0, 0)] * (a.ndim - 1) + [(0, width - a.shape[-1])])
+
+
+def map_of_rank(rng, h, k, rank):
+    return rng.normal(size=(h, rank)) @ rng.normal(size=(rank, k))
+
+
+def planted_maps(rng, h, k, count):
+    """Maps (count, h, k) cycling through every rank 0..min(h, k)."""
+    return np.stack([map_of_rank(rng, h, k, i % (min(h, k) + 1)) for i in range(count)])
 
 
 class TestSumSurjective:
@@ -125,3 +147,82 @@ class TestProjectionRegularity:
             rep = projection_regularity(tr)
             ker_s_trivial = np.linalg.matrix_rank(tr.S) == h
             assert rep.projection_full_rank == ker_s_trivial
+
+
+class TestStacks:
+    def test_suite_draws_match_per_instance_path(self):
+        # every seed-2024 instance of the linear-lemmas suite, stacked as the
+        # suite stacks it, against the one-instance-at-a-time functions
+        triples, pairs, projection_pairs = linear_lemma_instances(2024)
+        verdicts, sides, rep = linear_lemma_results(2024)
+        assert verdicts.tolist() == [list(reference_surjectivity(t, s)) for t, s in triples]
+        assert sides.T.tolist() == [list(reference_codim(l, b)) for l, b in pairs]
+        for i, (t, s) in enumerate(projection_pairs):
+            assert {name: value[i] for name, value in vars(rep).items()} == reference_projection(t, s)
+
+    @pytest.mark.parametrize("h, e, f", [(5, 2, 2), (4, 3, 5), (3, 1, 1), (6, 6, 6)])
+    def test_mixed_ranks_in_one_stack(self, h, e, f):
+        rng = np.random.default_rng(h * 100 + e * 10 + f)
+        t = planted_maps(rng, h, e, 12)
+        s = planted_maps(rng, h, f, 12)[::-1].copy()
+        s[0] = s[-1]  # S repeats a map of the stack
+        t[3] = 0.0    # zero maps sit beside full-rank ones
+        stack = OperatorTriple(T=t, S=s)
+        verdicts = np.stack([test(stack) for test in SURJECTIVITY_TESTS], axis=-1)
+        rep = projection_regularity(stack)
+        for i in range(len(t)):
+            single = OperatorTriple(T=t[i], S=s[i])
+            assert verdicts[i].tolist() == [test(single) for test in SURJECTIVITY_TESTS]
+            assert verdicts[i].tolist() == list(reference_surjectivity(t[i], s[i]))
+            single_rep = projection_regularity(single)
+            assert {k: v[i] for k, v in vars(rep).items()} == vars(single_rep)
+            assert vars(single_rep) == reference_projection(t[i], s[i])
+        if h > e + f:
+            assert not verdicts.any()
+
+    def test_codimension_stack_with_empty_subspaces(self):
+        rng = np.random.default_rng(12)
+        v, u = 5, 4
+        dims = np.array([0, 2, 5, 0, 3, 1])
+        l = planted_maps(rng, v, u, len(dims))
+        basis = np.zeros((len(dims), v, 8))
+        for i, k in enumerate(dims):
+            basis[i, :, :k] = rng.normal(size=(v, k))
+        lhs, rhs = codim_formula_check(pad_columns(l), basis, dims)
+        for i, k in enumerate(dims):
+            single = codim_formula_check(l[i], basis[i, :, :k])
+            assert (lhs[i], rhs[i]) == single == reference_codim(l[i], basis[i, :, :k])
+
+    def test_zero_column_padding_keeps_answers(self):
+        rng = np.random.default_rng(2718)
+        for i in range(200):
+            h, e, f, u = (int(rng.integers(1, 9)) for _ in range(4))
+            # T of full rank or one below it, so that both verdicts occur
+            tr = OperatorTriple(T=map_of_rank(rng, h, e, min(h, e) - i % 2), S=rng.normal(size=(h, f)))
+            padded = OperatorTriple(T=pad_columns(tr.T), S=pad_columns(tr.S))
+            for test in SURJECTIVITY_TESTS:
+                assert test(padded) == test(tr)
+            s = int(rng.integers(0, h + 1))
+            basis = rng.normal(size=(h, s))
+            l = rng.normal(size=(h, u))
+            assert codim_formula_check(pad_columns(l), pad_columns(basis), s) == codim_formula_check(l, basis)
+
+    def test_one_dependent_basis_fails_the_stack(self):
+        rng = np.random.default_rng(3)
+        basis = rng.normal(size=(4, 5, 3))
+        basis[2, :, 2] = basis[2, :, 0] - basis[2, :, 1]
+        with pytest.raises(DependentBasis):
+            codim_formula_check(rng.normal(size=(4, 5, 2)), basis)
+        codim_formula_check(rng.normal(size=(3, 5, 2)), basis[[0, 1, 3]])
+
+
+class TestNonFiniteInput:
+    def test_single_instance(self):
+        with pytest.raises(ValueError, match="T has a non-finite entry"):
+            OperatorTriple(T=[[np.nan, 1.0], [0.0, 1.0]], S=np.eye(2))
+
+    def test_names_the_stack_index(self):
+        s = np.ones((2, 3, 3, 2))
+        s[1, 2, 0, 1] = np.inf
+        with pytest.raises(ValueError, match=r"S has a non-finite entry at stack index \(1, 2\)"):
+            OperatorTriple(T=np.ones((2, 3, 3, 4)), S=s)
