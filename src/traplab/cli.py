@@ -274,8 +274,8 @@ def _cmd_spectrum(cfg: dict):
     """stability operator spectrum"""
     resolution, tols = cfg["resolution"], cfg["tolerances"]
     case = stability.equator_deformation_case(resolution)
-    matrix = stability.assemble_stability_operator(case.grid, case.coefficients)
-    eig = stability.principal_eigenvalue(matrix, case.grid, k=SPECTRUM_HEAD)
+    operator = stability.assemble_stability_operator(case.grid, case.coefficients)
+    eig = stability.principal_eigenvalue(operator, case.grid, k=SPECTRUM_HEAD)
     q_vals = case.coefficients.Q
     worst_q = float(q_vals[np.argmax(np.abs(q_vals + 1.0))])
     anchor = "stability-principal-eigenvalue"
@@ -292,8 +292,8 @@ def _cmd_spectrum(cfg: dict):
     for n in (max(8, resolution // 4), max(8, resolution // 2), resolution):
         if n not in lams:
             c = stability.equator_deformation_case(n)
-            m = stability.assemble_stability_operator(c.grid, c.coefficients)
-            lams[n] = stability.principal_eigenvalue(m, c.grid).lambda1_real
+            op = stability.assemble_stability_operator(c.grid, c.coefficients)
+            lams[n] = stability.principal_eigenvalue(op, c.grid).lambda1_real
         table.append({"resolution": n, "lambda1": lams[n]})
     payload = {
         "lambda1": {"re": eig.lambda1_real, "im": float(eig.lambda1.imag)},

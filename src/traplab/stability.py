@@ -10,7 +10,7 @@ fundamental form of the surface and X the surface-tangential dual of
 K(nu, .).  The discretization is a second-order conservative finite
 difference scheme on closed grids (periodic tensor grids for circles and
 flat tori, latitude-longitude grids with staggered rows for spheres), so the
-time-symmetric case produces a matrix that is exactly self-adjoint in the
+time-symmetric case produces an operator that is exactly self-adjoint in the
 quadrature inner product.
 
 The principal eigenvalue lambda_1 is real and has minimal real part
@@ -18,14 +18,17 @@ The principal eigenvalue lambda_1 is real and has minimal real part
 shift sigma below all discs has Re(lambda) - sigma >= lambda_1 - sigma > 0
 for every eigenvalue: lambda_1 is the eigenvalue nearest sigma, hence the
 dominant eigenvalue of (A - sigma I)^-1.  The operators are block tridiagonal
-in grid rows (block-cyclic on periodic grids), so ``principal_eigenvalue``
-factors the shifted matrix once by blocks of grid rows, without pivoting since
-it is strictly diagonally dominant, and runs orthogonal iteration with
+in grid rows (block-cyclic on periodic grids), so assembly writes only their
+three block diagonals (``BlockOperator``), and ``principal_eigenvalue``
+factors the shifted operator once by those blocks, without pivoting since it
+is strictly diagonally dominant, and runs orthogonal iteration with
 Rayleigh-Ritz extraction on the factors (``lowest_eigenpairs``).  An operator
 whose blocks would have fewer than ``MIN_BLOCK_NODES`` nodes is one block,
-factored by one dense inverse.  The solve uses numpy only and a fixed
-starting block, so replays are bytewise identical.  The full dense spectrum
-is computed only on request.
+its whole N x N matrix, factored by one dense inverse: so is every circle
+whose N has no divisor in [MIN_BLOCK_NODES, sqrt(N)], a prime N among them.
+The solve uses numpy only and a fixed starting block, so replays are bytewise
+identical.  The N x N matrix (``BlockOperator.dense``) and the full spectrum
+are formed only on request.
 The deformation check moves the surface along its unit normal with the
 principal eigenfunction as velocity and verifies the derivative identity for
 the outward null expansion.
@@ -263,18 +266,22 @@ def _divergence_on_grid(grid: SurfaceGrid, x: np.ndarray) -> np.ndarray:
     return div
 
 
-def assemble_stability_operator(grid: SurfaceGrid, coeffs: StabilityCoefficients) -> np.ndarray:
-    """Dense matrix of -Lap + 2 X.grad + (Q + div X - |X|^2) on the grid."""
+def assemble_stability_operator(grid: SurfaceGrid, coeffs: StabilityCoefficients) -> BlockOperator:
+    """-Lap + 2 X.grad + (Q + div X - |X|^2) on the grid, written straight into
+    the three block diagonals of its grid-row blocks (``BlockOperator``)."""
     _check_resolution(grid.shape)
+    b = _block_size(grid, grid.num_nodes)
+    m = grid.num_nodes // b
+    op = BlockOperator(np.zeros((3 if m > 1 else 1, m, b, b)))
     if grid.kind is GridKind.PERIODIC_TENSOR:
-        mat = _laplacian_periodic(grid)
+        _laplacian_periodic(grid, op)
     else:
-        mat = _laplacian_latlong(grid)
-    mat = -mat
-    mat += _drift_matrix(grid, coeffs.X)
-    zeroth = coeffs.Q + coeffs.divX - coeffs.normX_sq
-    mat[np.diag_indices_from(mat)] += zeroth
-    return mat
+        _laplacian_latlong(grid, op)
+    np.negative(op.bands, out=op.bands)
+    _add_drift(grid, coeffs.X, op)
+    rows = np.arange(grid.num_nodes)
+    op.bands[op.at(rows, rows)] += coeffs.Q + coeffs.divX - coeffs.normX_sq
+    return op
 
 
 def _axis_neighbors(shape, axis):
@@ -286,34 +293,31 @@ def _axis_neighbors(shape, axis):
     return plus, minus
 
 
-def _laplacian_periodic(grid: SurfaceGrid) -> np.ndarray:
-    """Conservative Laplace-Beltrami for a diagonal metric on a periodic grid."""
-    num = grid.num_nodes
+def _laplacian_periodic(grid: SurfaceGrid, op: BlockOperator) -> None:
+    """Conservative Laplace-Beltrami for a diagonal metric on a periodic grid, into ``op``."""
     shape = grid.shape
     sqrt_h = np.sqrt(np.prod(grid.metric_diag, axis=1))
-    mat = np.zeros((num, num))
-    rows = np.arange(num)
+    rows = np.arange(grid.num_nodes)
+    diag = op.at(rows, rows)
     for axis, h in enumerate(grid.spacing):
         coeff = sqrt_h / grid.metric_diag[:, axis]
         plus, minus = _axis_neighbors(shape, axis)
         c_plus = 0.5 * (coeff + coeff[plus])
         c_minus = 0.5 * (coeff + coeff[minus])
         scale = 1.0 / (sqrt_h * h * h)
-        mat[rows, plus] += scale * c_plus
-        mat[rows, minus] += scale * c_minus
-        mat[rows, rows] -= scale * (c_plus + c_minus)
-    return mat
+        op.bands[op.at(rows, plus)] += scale * c_plus
+        op.bands[op.at(rows, minus)] += scale * c_minus
+        op.bands[diag] -= scale * (c_plus + c_minus)
 
 
-def _laplacian_latlong(grid: SurfaceGrid) -> np.ndarray:
-    """Sphere Laplacian; the flux through the pole faces vanishes with sin(theta)."""
+def _laplacian_latlong(grid: SurfaceGrid, op: BlockOperator) -> None:
+    """Sphere Laplacian into ``op``; the flux through the pole faces vanishes with sin(theta)."""
     n_theta, n_phi = grid.shape
     dtheta, dphi = grid.spacing
-    num = grid.num_nodes
     radius_sq = grid.metric_diag[0, 0]
     theta = grid.nodes[:, 0].reshape(n_theta, n_phi)
     sin_t = np.sin(theta)
-    idx = np.arange(num).reshape(n_theta, n_phi)
+    idx = np.arange(grid.num_nodes).reshape(n_theta, n_phi)
     # theta direction: conservative flux with face values sin(theta +- dtheta/2);
     # the first and last rows have no neighbour across the pole
     denom = radius_sq * sin_t * dtheta * dtheta
@@ -323,30 +327,25 @@ def _laplacian_latlong(grid: SurfaceGrid) -> np.ndarray:
     c_dn[0] = 0.0
     # phi direction: periodic second difference
     scale = np.broadcast_to(1.0 / (radius_sq * sin_t[:, :1] ** 2 * dphi * dphi), idx.shape)
-    mat = np.zeros((num, num))
-    mat[idx[:-1], idx[1:]] = c_up[:-1]
-    mat[idx[1:], idx[:-1]] = c_dn[1:]
-    mat[idx, np.roll(idx, -1, axis=1)] = scale
-    mat[idx, np.roll(idx, 1, axis=1)] = scale
-    mat[idx, idx] = -c_up - c_dn - 2.0 * scale
-    return mat
+    op.bands[op.at(idx[:-1], idx[1:])] = c_up[:-1]
+    op.bands[op.at(idx[1:], idx[:-1])] = c_dn[1:]
+    op.bands[op.at(idx, np.roll(idx, -1, axis=1))] = scale
+    op.bands[op.at(idx, np.roll(idx, 1, axis=1))] = scale
+    op.bands[op.at(idx, idx)] = -c_up - c_dn - 2.0 * scale
 
 
-def _drift_matrix(grid: SurfaceGrid, x: np.ndarray) -> np.ndarray:
-    """2 <X, grad psi> = 2 X^a d_a psi, central differences."""
-    num = grid.num_nodes
-    mat = np.zeros((num, num))
+def _add_drift(grid: SurfaceGrid, x: np.ndarray, op: BlockOperator) -> None:
+    """2 <X, grad psi> = 2 X^a d_a psi, central differences, added into ``op``."""
     if np.abs(x).max() == 0.0:
-        return mat
+        return
     if grid.kind is not GridKind.PERIODIC_TENSOR:
         raise NotImplementedError("drift fields are supported on periodic grids only")
-    rows = np.arange(num)
+    rows = np.arange(grid.num_nodes)
     for axis, h in enumerate(grid.spacing):
         plus, minus = _axis_neighbors(grid.shape, axis)
         c = x[:, axis] / h
-        mat[rows, plus] += c
-        mat[rows, minus] -= c
-    return mat
+        op.bands[op.at(rows, plus)] += c
+        op.bands[op.at(rows, minus)] -= c
 
 
 def _block_size(grid: Optional[SurfaceGrid], num: int) -> int:
@@ -363,34 +362,60 @@ def _block_size(grid: Optional[SurfaceGrid], num: int) -> int:
     return size if size >= MIN_BLOCK_NODES and num >= 3 * size else num
 
 
-class _BlockOperator:
-    """An N x N grid operator as m x m blocks of b nodes.
+def _band_blocks(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Block rows (m,) and block columns (3, m) of the three block diagonals."""
+    rows = np.arange(m)
+    return rows, (rows + np.array([0, -1, 1])[:, None]) % m
+
+
+class BlockOperator:
+    """An N x N grid operator as the block diagonals of m x m blocks of b nodes.
 
     Every nonzero of block row i lies in block columns i - 1, i, i + 1 (mod
     m): block-cyclic on periodic grids, block-tridiagonal with zero corners
-    on lat-long grids.  These three block diagonals are copied out as
-    ``bands``; when m = 1 the one band is a view of the whole matrix.
+    on lat-long grids.  ``bands`` has shape (3, m, b, b); bands 0, 1, 2 hold
+    blocks (i, i), (i, i - 1) and (i, i + 1).  An operator of one block
+    (m = 1) keeps its whole matrix as its one band, of shape (1, 1, N, N).
     """
 
-    def __init__(self, matrix: np.ndarray, grid: Optional[SurfaceGrid] = None):
+    def __init__(self, bands: np.ndarray):
+        self.bands = bands
+        self.m, self.b = bands.shape[1:3]
+        self.shape = (self.m * self.b,) * 2
+
+    @classmethod
+    def from_dense(cls, matrix: np.ndarray, grid: Optional[SurfaceGrid] = None) -> BlockOperator:
+        """A hand-built N x N matrix in blocks chosen by ``grid`` (one block
+        without); a nonzero outside the bands raises ``EigensolverFailure``."""
         num = matrix.shape[0]
-        self.b = _block_size(grid, num)
-        self.m = num // self.b
-        self.blocks = matrix.reshape(self.m, self.b, self.m, self.b)
-        if self.m == 1:
-            self.bands = matrix.reshape(1, 1, num, num)
-        else:
-            # bands 0, 1, 2 hold blocks (i, i), (i, i - 1) and (i, i + 1)
-            rows = np.arange(self.m)
-            cols = (rows + np.array([0, -1, 1])[:, None]) % self.m
-            self.bands = self.blocks[rows, :, cols, :]
-        if not np.isfinite(self.bands).all():
-            raise EigensolverFailure("operator has non-finite entries")
-        if self.m > 1 and np.count_nonzero(matrix) != np.count_nonzero(self.bands):
+        b = _block_size(grid, num)
+        m = num // b
+        if m == 1:
+            return cls(matrix.reshape(1, 1, num, num))
+        rows, cols = _band_blocks(m)
+        op = cls(matrix.reshape(m, b, m, b)[rows, :, cols, :])
+        if np.count_nonzero(matrix) != np.count_nonzero(op.bands):
             raise EigensolverFailure(
                 f"operator has nonzeros outside the block-tridiagonal stencil of "
-                f"{self.m} blocks of {self.b} nodes"
+                f"{m} blocks of {b} nodes"
             )
+        return op
+
+    def at(self, rows: np.ndarray, cols: np.ndarray) -> tuple:
+        """Index into ``bands`` of the matrix entries (rows, cols), which must
+        lie on the three block diagonals."""
+        if self.m == 1:
+            return 0, 0, rows, cols
+        i, r = np.divmod(rows, self.b)
+        j, c = np.divmod(cols, self.b)
+        return np.select([j == i, j == (i + 1) % self.m], [0, 2], 1), i, r, c
+
+    def dense(self) -> np.ndarray:
+        """The N x N matrix, a new array."""
+        rows, cols = _band_blocks(self.m)
+        out = np.zeros((self.m, self.b, self.m, self.b))
+        out[rows, :, cols[: len(self.bands)], :] = self.bands
+        return out.reshape(self.shape)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """A x for x of shape (N,) or (N, c)."""
@@ -412,13 +437,18 @@ class _BlockOperator:
         elimination.  Each pivot block is inverted once; for m = 1 this is
         one dense inverse of the whole matrix, applied by one product.
         """
-        a, m, last = self.blocks, self.m, self.m - 1
+        m, last = self.m, self.m - 1
         d = self.bands[0] - sigma * np.eye(self.b)
+        if m == 1:
+            inverse = np.linalg.inv(d[0])
+            return lambda y: inverse @ y
+        lo, up = self.bands[1], self.bands[2]  # blocks (i, i - 1) and (i, i + 1)
+        zero = np.zeros((self.b, self.b))
         # step i keeps the pivot inverse P_i = S_i^-1, the fill column F_i
         # (block (i, m-1) of U), the fill-row multiplier V_i = G_i P_i and,
         # below the last block row, the lower multiplier W_{i+1} = A_{i+1,i} P_i
         pivots, fill_col, fill_row, lower = [], [], [], []
-        s, t, f, g = d[0], d[last], a[0, :, last], a[last, :, 0]
+        s, t, f, g = d[0], d[last], lo[0], up[last]
         for i in range(last):
             p = np.linalg.inv(s)
             v = g @ p
@@ -427,15 +457,14 @@ class _BlockOperator:
             fill_col.append(f)
             fill_row.append(v)
             if i + 1 < last:
-                w = a[i + 1, :, i] @ p
-                s = d[i + 1] - w @ a[i, :, i + 1]
-                f = a[i + 1, :, last] - w @ f
-                g = a[last, :, i + 1] - v @ a[i, :, i + 1]
+                w = lo[i + 1] @ p
+                s = d[i + 1] - w @ up[i]
+                # blocks (i+1, m-1) and (m-1, i+1) are nonzero only when adjacent
+                adjacent = i + 2 == last
+                f = (up[i + 1] if adjacent else zero) - w @ f
+                g = (lo[last] if adjacent else zero) - v @ up[i]
                 lower.append(w)
         pivots.append(np.linalg.inv(t))
-        if last == 0:
-            inverse = pivots[0]
-            return lambda y: inverse @ y
         spans = [slice(i * self.b, (i + 1) * self.b) for i in range(m)]
 
         def solve(y: np.ndarray) -> np.ndarray:
@@ -450,7 +479,7 @@ class _BlockOperator:
             for i in reversed(range(last)):
                 r = z[i] - fill_col[i] @ x_last
                 if i + 1 < last:
-                    r = r - a[i, :, i + 1] @ x[spans[i + 1]]
+                    r = r - up[i] @ x[spans[i + 1]]
                 np.matmul(pivots[i], r, out=x[spans[i]])
             return x
 
@@ -473,23 +502,26 @@ def lowest_eigenpairs(matrix: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarra
     fixed-seed columns, so the result is a pure function of the matrix.
 
     A - sigma I is factored once by blocks of grid nodes
-    (``_BlockOperator.shifted_solver``) and the factors are applied at each
-    iteration.  ``principal_eigenvalue`` takes the blocks from its grid: one
-    latitude row on a lat-long grid, one line of the last axis on a periodic
-    2-d grid, and on an N-node circle the largest divisor of N not above
-    sqrt(N).  When a block would have fewer than ``MIN_BLOCK_NODES`` nodes,
-    and always here, where no grid is given, the operator is one block and
-    the factorisation is one dense inverse.  The finiteness check, the
-    Gershgorin sums and A Q read only the three block diagonals, and an
-    operator with a nonzero outside them raises ``EigensolverFailure``.
+    (``BlockOperator.shifted_solver``) and the factors are applied at each
+    iteration.  An assembled operator brings its blocks from its grid
+    (``assemble_stability_operator``): one latitude row on a lat-long grid,
+    one line of the last axis on a periodic 2-d grid, and on an N-node circle
+    the largest divisor of N not above sqrt(N).  When a block would have
+    fewer than ``MIN_BLOCK_NODES`` nodes, and always here, where a matrix is
+    given without a grid, the operator is one block and the factorisation is
+    one dense inverse.  The finiteness check, the Gershgorin sums and A Q
+    read only the three block diagonals; a non-finite entry raises
+    ``EigensolverFailure``.
 
     Returns the eigenvalues and unit eigenvectors (columns).
     """
-    return _orthogonal_iteration(_BlockOperator(matrix), k)
+    return _orthogonal_iteration(BlockOperator.from_dense(matrix), k)
 
 
-def _orthogonal_iteration(op: _BlockOperator, k: int) -> tuple[np.ndarray, np.ndarray]:
-    num = op.m * op.b
+def _orthogonal_iteration(op: BlockOperator, k: int) -> tuple[np.ndarray, np.ndarray]:
+    if not np.isfinite(op.bands).all():
+        raise EigensolverFailure("operator has non-finite entries")
+    num = op.shape[0]
     diag = np.diagonal(op.bands[0], axis1=1, axis2=2).ravel()
     row_sums = np.abs(op.bands).sum(axis=3).sum(axis=0).ravel()
     sigma = float((diag - (row_sums - np.abs(diag))).min()) - 1.0
@@ -532,7 +564,7 @@ class PrincipalEigen:
     residual: float
     # the eigenvalues found by the solve, lambda1 first
     spectrum_head: np.ndarray
-    matrix: np.ndarray = field(repr=False)
+    operator: BlockOperator = field(repr=False)
 
     @property
     def lambda1_real(self) -> float:
@@ -540,19 +572,21 @@ class PrincipalEigen:
 
     @cached_property
     def spectrum(self) -> np.ndarray:
-        """Every eigenvalue of the operator, by a dense solve on first use."""
-        return np.linalg.eigvals(self.matrix)
+        """Every eigenvalue of the operator, from its dense matrix on first use."""
+        return np.linalg.eigvals(self.operator.dense())
 
 
-def principal_eigenvalue(matrix: np.ndarray, grid: SurfaceGrid, k: int = 1) -> PrincipalEigen:
+def principal_eigenvalue(operator, grid: SurfaceGrid, k: int = 1) -> PrincipalEigen:
     """Eigenvalue of minimal real part with its one-signed eigenfunction.
 
-    ``k`` eigenvalues are solved for (see ``lowest_eigenpairs``; ``grid``
-    chooses the blocks of the solve) and kept as ``spectrum_head``.  The
-    eigenfunction is rescaled to be real with positive mean; the positivity
-    flag records whether it is strictly one-signed.
+    ``k`` eigenvalues are solved for (see ``lowest_eigenpairs``) and kept as
+    ``spectrum_head``.  An assembled ``operator`` is solved by its own blocks;
+    a hand-built N x N matrix is split into blocks chosen by ``grid``
+    (``BlockOperator.from_dense``).  The eigenfunction is rescaled to be real
+    with positive mean; the positivity flag records whether it is strictly
+    one-signed.
     """
-    op = _BlockOperator(matrix, grid)
+    op = BlockOperator.from_dense(operator, grid) if isinstance(operator, np.ndarray) else operator
     vals, vecs = _orthogonal_iteration(op, k)
     vec = vecs[:, 0]
     pivot = vec[np.argmax(np.abs(vec))]
@@ -571,14 +605,19 @@ def principal_eigenvalue(matrix: np.ndarray, grid: SurfaceGrid, k: int = 1) -> P
     head[0] = lam
     return PrincipalEigen(
         lambda1=complex(lam), eigenfunction=vec, positivity=positivity,
-        residual=residual, spectrum_head=head, matrix=matrix,
+        residual=residual, spectrum_head=head, operator=op,
     )
 
 
-def quadrature_symmetry_residual(matrix: np.ndarray, grid: SurfaceGrid) -> float:
-    """Max asymmetry of the operator in the quadrature inner product."""
-    wa = grid.weights[:, None] * matrix
-    return float(np.abs(wa - wa.T).max() / max(1.0, np.abs(wa).max()))
+def quadrature_symmetry_residual(operator: BlockOperator, grid: SurfaceGrid) -> float:
+    """Max asymmetry of the operator in the quadrature inner product: blocks
+    (i, i) and (i, i - 1) of W A against the transposes of (i, i) and (i - 1, i)."""
+    wa = grid.weights.reshape(operator.m, operator.b, 1) * operator.bands
+    asymmetry = np.abs(wa[0] - np.swapaxes(wa[0], 1, 2)).max()
+    if operator.m > 1:
+        below = np.abs(wa[1] - np.swapaxes(np.roll(wa[2], 1, axis=0), 1, 2)).max()
+        asymmetry = max(asymmetry, below)
+    return float(asymmetry / max(1.0, np.abs(wa).max()))
 
 
 # --- deformation of a MOTS along its normal --------------------------------
@@ -617,8 +656,8 @@ def deformation_check(case: DeformationCase, fd_step: float = 1e-4) -> Deformati
     scale; the report records whether the displaced surface is outer trapped
     at every node.
     """
-    matrix = assemble_stability_operator(case.grid, case.coefficients)
-    eigen = principal_eigenvalue(matrix, case.grid)
+    operator = assemble_stability_operator(case.grid, case.coefficients)
+    eigen = principal_eigenvalue(operator, case.grid)
     lam = eigen.lambda1_real
     if abs(lam) <= DEGENERACY_TOL:
         raise DegenerateMOTS(f"principal eigenvalue {lam:.3e} below degeneracy threshold")

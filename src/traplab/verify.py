@@ -352,8 +352,8 @@ def verify_spectral_suite() -> list[CheckRecord]:
         worst_lam = -1.0
         for n in (32, 64, 128):
             c = stability.equator_deformation_case(n)
-            mat = stability.assemble_stability_operator(c.grid, c.coefficients)
-            eig = stability.principal_eigenvalue(mat, c.grid)
+            op = stability.assemble_stability_operator(c.grid, c.coefficients)
+            eig = stability.principal_eigenvalue(op, c.grid)
             if abs(eig.lambda1_real + 1.0) > abs(worst_lam + 1.0):
                 worst_lam = eig.lambda1_real
             if n == 64:
@@ -389,8 +389,8 @@ def verify_spectral_suite() -> list[CheckRecord]:
         lams = {}
         for n in (32, 64, 128):
             grid, coeffs = _reference_circle_operator(n)
-            mat = stability.assemble_stability_operator(grid, coeffs)
-            lams[n] = stability.principal_eigenvalue(mat, grid).lambda1_real
+            op = stability.assemble_stability_operator(grid, coeffs)
+            lams[n] = stability.principal_eigenvalue(op, grid).lambda1_real
         ratio = abs(lams[32] - lams[64]) / abs(lams[64] - lams[128])
         records.append(
             CheckRecord(
@@ -544,7 +544,7 @@ def verify_linear_lemmas(seed: int = 2024) -> list[CheckRecord]:
 def random_circle_operators(count: int = 50, seed: int = 99, n: int = 48):
     """Seeded random circle operators; every second one is drift-free.
 
-    Yields (grid, assembled matrix, time_symmetric).
+    Yields (grid, assembled operator, time_symmetric).
     """
     rng = np.random.default_rng(seed)
     for k in range(count):
@@ -577,8 +577,8 @@ def verify_spectral_properties(count: int = 50, seed: int = 99) -> list[CheckRec
     bad_minimal = 0
     bad_sign = 0
     worst_sym = 0.0
-    for grid, mat, time_symmetric in random_circle_operators(count, seed):
-        eig = stability.principal_eigenvalue(mat, grid)
+    for grid, op, time_symmetric in random_circle_operators(count, seed):
+        eig = stability.principal_eigenvalue(op, grid)
         if abs(eig.lambda1.imag) > 1e-8 * (1.0 + abs(eig.lambda1.real)):
             bad_real += 1
         if eig.lambda1_real > float(eig.spectrum.real.min()) + 1e-10:
@@ -586,7 +586,7 @@ def verify_spectral_properties(count: int = 50, seed: int = 99) -> list[CheckRec
         if not eig.positivity:
             bad_sign += 1
         if time_symmetric:
-            worst_sym = max(worst_sym, stability.quadrature_symmetry_residual(mat, grid))
+            worst_sym = max(worst_sym, stability.quadrature_symmetry_residual(op, grid))
     records = [
         CheckRecord(
             name="random-operators-principal-structure",

@@ -6,10 +6,13 @@ spaces comes from closed forms, and ranks come from a hand-rolled
 Gram-Schmidt.  Agreement between these and the package is therefore a real
 cross-check, not a tautology.  The exceptions are
 ``reference_condition_suite``, which takes the package's jets and curvature
-and checks only how the energy layer samples and contracts them, and the
+and checks only how the energy layer samples and contracts them; the
 ``reference_*`` linear-analysis functions, which keep the one-instance,
 one-SVD-per-question form that the stacked ``traplab.linear_analysis``
-must reproduce integer for integer.
+must reproduce integer for integer; and ``reference_dense_operator``, which
+takes the package's grids and coefficients and keeps the dense N x N
+assembly that the banded ``assemble_stability_operator`` must reproduce bit
+for bit.
 """
 
 import numpy as np
@@ -332,3 +335,79 @@ def reference_projection(t, s):
         "indices_match": index_proj == index_s,
         "sum_is_surjective": reference_rank(np.hstack([t, s])) == h,
     }
+
+
+def _reference_axis_neighbors(shape, axis):
+    num = int(np.prod(shape))
+    idx = np.arange(num).reshape(shape)
+    return np.roll(idx, -1, axis=axis).ravel(), np.roll(idx, 1, axis=axis).ravel()
+
+
+def _reference_laplacian_periodic(grid):
+    num = grid.num_nodes
+    sqrt_h = np.sqrt(np.prod(grid.metric_diag, axis=1))
+    mat = np.zeros((num, num))
+    rows = np.arange(num)
+    for axis, h in enumerate(grid.spacing):
+        coeff = sqrt_h / grid.metric_diag[:, axis]
+        plus, minus = _reference_axis_neighbors(grid.shape, axis)
+        c_plus = 0.5 * (coeff + coeff[plus])
+        c_minus = 0.5 * (coeff + coeff[minus])
+        scale = 1.0 / (sqrt_h * h * h)
+        mat[rows, plus] += scale * c_plus
+        mat[rows, minus] += scale * c_minus
+        mat[rows, rows] -= scale * (c_plus + c_minus)
+    return mat
+
+
+def _reference_laplacian_latlong(grid):
+    n_theta, n_phi = grid.shape
+    dtheta, dphi = grid.spacing
+    num = grid.num_nodes
+    radius_sq = grid.metric_diag[0, 0]
+    theta = grid.nodes[:, 0].reshape(n_theta, n_phi)
+    sin_t = np.sin(theta)
+    idx = np.arange(num).reshape(n_theta, n_phi)
+    denom = radius_sq * sin_t * dtheta * dtheta
+    c_up = np.sin(theta + 0.5 * dtheta) / denom
+    c_dn = np.sin(theta - 0.5 * dtheta) / denom
+    c_up[-1] = 0.0
+    c_dn[0] = 0.0
+    scale = np.broadcast_to(1.0 / (radius_sq * sin_t[:, :1] ** 2 * dphi * dphi), idx.shape)
+    mat = np.zeros((num, num))
+    mat[idx[:-1], idx[1:]] = c_up[:-1]
+    mat[idx[1:], idx[:-1]] = c_dn[1:]
+    mat[idx, np.roll(idx, -1, axis=1)] = scale
+    mat[idx, np.roll(idx, 1, axis=1)] = scale
+    mat[idx, idx] = -c_up - c_dn - 2.0 * scale
+    return mat
+
+
+def _reference_drift_matrix(grid, x):
+    num = grid.num_nodes
+    mat = np.zeros((num, num))
+    if np.abs(x).max() == 0.0:
+        return mat
+    rows = np.arange(num)
+    for axis, h in enumerate(grid.spacing):
+        plus, minus = _reference_axis_neighbors(grid.shape, axis)
+        c = x[:, axis] / h
+        mat[rows, plus] += c
+        mat[rows, minus] -= c
+    return mat
+
+
+def reference_dense_operator(grid, coeffs):
+    """The stability operator as one dense N x N matrix, assembled entry by
+    entry in the order of floating-point operations that the banded
+    ``assemble_stability_operator`` must reproduce bit for bit: Laplacian,
+    negation, drift, zeroth-order diagonal."""
+    if grid.kind.value == "latlong_sphere":
+        mat = _reference_laplacian_latlong(grid)
+    else:
+        mat = _reference_laplacian_periodic(grid)
+    mat = -mat
+    mat += _reference_drift_matrix(grid, coeffs.X)
+    zeroth = coeffs.Q + coeffs.divX - coeffs.normX_sq
+    mat[np.diag_indices_from(mat)] += zeroth
+    return mat

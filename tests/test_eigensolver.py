@@ -23,6 +23,8 @@ from traplab.stability import (
 )
 from traplab.verify import random_circle_operators
 
+from _oracles import reference_dense_operator
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -40,7 +42,7 @@ def _dense_principal(mat):
 class TestAgainstDenseOracle:
     def test_seeded_random_drift_operators(self):
         for grid, mat, _ in random_circle_operators():
-            lam, vec = _dense_principal(mat)
+            lam, vec = _dense_principal(mat.dense())
             eig = principal_eigenvalue(mat, grid)
             assert abs(eig.lambda1 - lam) < 1e-10
             assert np.abs(eig.eigenfunction - vec).max() < 1e-10
@@ -71,7 +73,8 @@ class TestAgainstDenseOracle:
         assert abs(principal_eigenvalue(mat, grid).lambda1_real + 1.0) < 1e-15
 
     def test_whole_space_block_returns_every_eigenvalue(self):
-        grid, mat, _ = next(random_circle_operators(count=1, n=8))
+        grid, op, _ = next(random_circle_operators(count=1, n=8))
+        mat = op.dense()
         vals, vecs = lowest_eigenpairs(mat, 8)
         dense = np.linalg.eigvals(mat)
         assert np.abs(np.sort_complex(vals) - np.sort_complex(dense)).max() < 1e-12
@@ -102,30 +105,41 @@ class TestGuards:
     def test_repeat_solves_are_bitwise_identical(self):
         grid, mat, _ = next(random_circle_operators(count=1))
         a = principal_eigenvalue(mat, grid)
-        b = principal_eigenvalue(mat.copy(), grid)
+        b = principal_eigenvalue(mat.dense(), grid)
         assert repr(a.lambda1) == repr(b.lambda1)
         assert a.eigenfunction.tobytes() == b.eigenfunction.tobytes()
         assert repr(a.residual) == repr(b.residual)
 
 
-def _drift_torus_operator():
+def _drift_torus_case():
     """16 x 32 flat torus, non-constant Q and a divergence-free 2-d drift."""
     grid = periodic_tensor_grid((16, 32), (2.0 * math.pi, 2.0 * math.pi))
     u, v = grid.nodes[:, 0], grid.nodes[:, 1]
     q = -0.5 + 0.3 * np.sin(u) + 0.2 * np.cos(2.0 * v) + 0.1 * np.sin(u + v)
     x = np.stack([0.2 * np.cos(v), 0.15 * np.sin(u)], axis=1)
-    coeffs = StabilityCoefficients(Q=q, X=x, divX=np.zeros(len(q)), normX_sq=(x**2).sum(axis=1))
-    return grid, assemble_stability_operator(grid, coeffs)
+    return grid, StabilityCoefficients(Q=q, X=x, divX=np.zeros(len(q)), normX_sq=(x**2).sum(axis=1))
 
 
-def _sphere_operator(n_theta, n_phi):
-    """Lat-long unit sphere with a potential varying in latitude and longitude."""
-    grid = latlong_sphere_grid(n_theta, n_phi)
+def _sphere_case(n_theta, n_phi, radius=1.0):
+    """Lat-long sphere with a potential varying in latitude and longitude."""
+    grid = latlong_sphere_grid(n_theta, n_phi, radius=radius)
     theta, phi = grid.nodes[:, 0], grid.nodes[:, 1]
     q = -2.0 + 0.5 * np.cos(theta) + 0.3 * np.sin(theta) * np.cos(phi)
     coeffs = StabilityCoefficients.zero(grid)
     coeffs.Q = q
+    return grid, coeffs
+
+
+def _assembled(grid, coeffs):
     return grid, assemble_stability_operator(grid, coeffs)
+
+
+def _drift_torus_operator():
+    return _assembled(*_drift_torus_case())
+
+
+def _sphere_operator(n_theta, n_phi):
+    return _assembled(*_sphere_case(n_theta, n_phi))
 
 
 def _circle_operator(n, index=0):
@@ -149,18 +163,18 @@ class TestBlockPath:
                                       "torus-16x32", "sphere-16x32"])
     def test_matches_dense_oracle(self, name):
         grid, mat = BLOCK_OPERATORS[name]()
-        assert stability._BlockOperator(mat, grid).m > 1
+        assert mat.m > 1
         eig = principal_eigenvalue(mat, grid, k=cli.SPECTRUM_HEAD)
-        assert abs(eig.lambda1 - _dense_principal(mat)[0]) < 1e-10
-        vals = np.linalg.eigvals(mat)
+        assert abs(eig.lambda1 - _dense_principal(mat.dense())[0]) < 1e-10
+        vals = np.linalg.eigvals(mat.dense())
         dense = vals[np.lexsort((np.abs(vals.imag), vals.real))][: cli.SPECTRUM_HEAD]
         head = eig.spectrum_head
         assert np.abs(head.real - dense.real).max() < 1e-9
         assert np.abs(np.abs(head.imag) - np.abs(dense.imag)).max() < 1e-9
 
     def test_factored_solve_matches_linalg_solve(self):
-        grid, mat = BLOCK_OPERATORS["sphere-24x48"]()
-        op = stability._BlockOperator(mat, grid)
+        grid, op = BLOCK_OPERATORS["sphere-24x48"]()
+        mat = op.dense()
         assert (op.m, op.b) == (24, 48)
         diag = np.diag(mat)
         sigma = (diag - (np.abs(mat).sum(axis=1) - np.abs(diag))).min() - 1.0
@@ -172,7 +186,8 @@ class TestBlockPath:
             assert np.linalg.norm(solve(y) - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_nonzero_outside_block_stencil_rejected(self):
-        grid, mat = BLOCK_OPERATORS["circle-256-0"]()
+        grid, op = BLOCK_OPERATORS["circle-256-0"]()
+        mat = op.dense()
         mat[0, 128] = 0.1
         with pytest.raises(EigensolverFailure, match="stencil"):
             principal_eigenvalue(mat, grid)
@@ -182,8 +197,7 @@ class TestBlockPath:
         # the factorisation inverts one b x b block at a time; only the
         # N x (k + OVERSAMPLING) iterate and its residuals, never an N x N
         # array, reach np.linalg with more than b rows
-        grid, mat = BLOCK_OPERATORS[name]()
-        op = stability._BlockOperator(mat, grid)
+        grid, op = BLOCK_OPERATORS[name]()
         calls = []
 
         def counted(fname, func):
@@ -197,7 +211,7 @@ class TestBlockPath:
             func = getattr(np.linalg, fname)
             if callable(func) and not isinstance(func, type):
                 monkeypatch.setattr(np.linalg, fname, counted(fname, func))
-        principal_eigenvalue(mat, grid)
+        principal_eigenvalue(op, grid)
         inverses = [shapes[0] for fname, shapes in calls if fname == "inv"]
         assert inverses == [(op.b, op.b)] * op.m
         for fname, shapes in calls:
@@ -207,7 +221,7 @@ class TestBlockPath:
     def test_repeat_solves_are_bitwise_identical(self, name):
         grid, mat = BLOCK_OPERATORS[name]()
         a = principal_eigenvalue(mat, grid, k=cli.SPECTRUM_HEAD)
-        b = principal_eigenvalue(mat.copy(), grid, k=cli.SPECTRUM_HEAD)
+        b = principal_eigenvalue(mat.dense(), grid, k=cli.SPECTRUM_HEAD)
         assert repr(a.lambda1) == repr(b.lambda1)
         assert a.eigenfunction.tobytes() == b.eigenfunction.tobytes()
         assert a.spectrum_head.tobytes() == b.spectrum_head.tobytes()
@@ -332,6 +346,90 @@ def _latlong_loop_oracle(grid):
 @pytest.mark.parametrize("shape", [(12, 24), (24, 48)])
 def test_latlong_laplacian_matches_loop_oracle(shape):
     grid = latlong_sphere_grid(*shape, radius=1.3)
-    mat = -assemble_stability_operator(grid, StabilityCoefficients.zero(grid))
+    mat = -assemble_stability_operator(grid, StabilityCoefficients.zero(grid)).dense()
     oracle = _latlong_loop_oracle(grid)
     assert np.abs(mat - oracle).max() <= 1e-14 * np.abs(oracle).max()
+
+
+def _random_circle_cases(n, monkeypatch):
+    """(grid, coefficients, assembled operator) of ``random_circle_operators``."""
+    coefficients = []
+    assemble = stability.assemble_stability_operator
+
+    def capturing(grid, coeffs):
+        coefficients.append(coeffs)
+        return assemble(grid, coeffs)
+
+    monkeypatch.setattr(stability, "assemble_stability_operator", capturing)
+    cases = [(grid, coefficients[-1], op) for grid, op, _ in random_circle_operators(n=n)]
+    monkeypatch.undo()
+    return cases
+
+
+def _equator_case(n, q_offset):
+    case = stability.equator_deformation_case(n, q_offset=q_offset)
+    return case.grid, case.coefficients
+
+
+GRID_CASES = {
+    **{f"equator-{n}-{q}": lambda n=n, q=q: _equator_case(n, q)
+       for n in (8, 48, 255, 256, 1024) for q in (0.0, 2.0)},
+    "torus-16x32": _drift_torus_case,
+    **{f"sphere-{a}x{2 * a}-r{r}": lambda a=a, r=r: _sphere_case(a, 2 * a, r)
+       for a in (12, 24) for r in (0.5, 1.3, 2.0)},
+}
+
+
+def _assert_same_solve(a, b):
+    assert repr(a.lambda1) == repr(b.lambda1)
+    assert a.eigenfunction.tobytes() == b.eigenfunction.tobytes()
+    assert repr(a.residual) == repr(b.residual)
+    assert a.spectrum_head.tobytes() == b.spectrum_head.tobytes()
+
+
+class TestBandedAssembly:
+    """The block diagonals written by assembly against the former dense
+    assembly (``reference_dense_operator``), entry for entry and solve for
+    solve."""
+
+    @pytest.mark.parametrize("name", GRID_CASES)
+    def test_dense_and_solves_bitwise_equal_to_dense_assembly(self, name):
+        grid, coeffs = GRID_CASES[name]()
+        op = assemble_stability_operator(grid, coeffs)
+        reference = reference_dense_operator(grid, coeffs)
+        assert np.array_equal(op.dense(), reference)
+        eig = principal_eigenvalue(op, grid, k=cli.SPECTRUM_HEAD)
+        _assert_same_solve(eig, principal_eigenvalue(op.dense(), grid, k=cli.SPECTRUM_HEAD))
+        _assert_same_solve(eig, principal_eigenvalue(reference, grid, k=cli.SPECTRUM_HEAD))
+
+    @pytest.mark.parametrize("n", [48, 1024])
+    def test_random_circle_operators_bitwise_equal(self, n, monkeypatch):
+        cases = _random_circle_cases(n, monkeypatch)
+        assert len(cases) == 50
+        for grid, coeffs, op in cases:
+            assert np.array_equal(op.dense(), reference_dense_operator(grid, coeffs))
+            _assert_same_solve(principal_eigenvalue(op, grid), principal_eigenvalue(op.dense(), grid))
+
+    def test_large_sphere_never_allocates_a_dense_operator(self):
+        # N = 4608: one dense operator is 170 MB, and dense assembly held two
+        import tracemalloc
+
+        grid = latlong_sphere_grid(48, 96)
+        coeffs = StabilityCoefficients.zero(grid).shifted(-2.0)
+        tracemalloc.start()
+        try:
+            eig = principal_eigenvalue(assemble_stability_operator(grid, coeffs), grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20, peak
+        assert abs(eig.lambda1_real + 2.0) < 1e-9
+        assert eig.positivity
+
+    @pytest.mark.parametrize("name", ["equator-256-0.0", "sphere-24x48-r1.3", "equator-48-0.0"])
+    def test_nan_coefficient_rejected(self, name):
+        grid, coeffs = GRID_CASES[name]()
+        coeffs.Q = coeffs.Q.copy()
+        coeffs.Q[len(coeffs.Q) // 3] = np.nan
+        with pytest.raises(EigensolverFailure, match="non-finite"):
+            principal_eigenvalue(assemble_stability_operator(grid, coeffs), grid)

@@ -65,7 +65,7 @@ class TestAssembly:
         # X = 0, Q = 0 on the unit circle: the matrix is the periodic
         # second-difference stencil with smallest eigenvalue 0
         grid, coeffs = _circle_operator(16, lambda s: np.zeros_like(s))
-        mat = assemble_stability_operator(grid, coeffs)
+        mat = assemble_stability_operator(grid, coeffs).dense()
         h = grid.spacing[0]
         assert mat[0, 0] == pytest.approx(2.0 / h**2)
         assert mat[0, 1] == pytest.approx(-1.0 / h**2)
@@ -76,9 +76,9 @@ class TestAssembly:
 
     def test_constant_potential_shifts_spectrum(self):
         grid, coeffs0 = _circle_operator(32, lambda s: np.zeros_like(s))
-        mat0 = assemble_stability_operator(grid, coeffs0)
+        mat0 = assemble_stability_operator(grid, coeffs0).dense()
         _, coeffs_q = _circle_operator(32, lambda s: np.full_like(s, -1.0))
-        mat_q = assemble_stability_operator(grid, coeffs_q)
+        mat_q = assemble_stability_operator(grid, coeffs_q).dense()
         assert np.abs((mat_q - mat0) - (-1.0) * np.eye(32)).max() < 1e-14
         e0 = np.sort(np.linalg.eigvals(mat0).real)
         eq = np.sort(np.linalg.eigvals(mat_q).real)
@@ -88,7 +88,7 @@ class TestAssembly:
         # full spectrum of the periodic second difference plus shift
         n = 32
         grid, coeffs = _circle_operator(n, lambda s: np.full_like(s, -1.0))
-        mat = assemble_stability_operator(grid, coeffs)
+        mat = assemble_stability_operator(grid, coeffs).dense()
         h = grid.spacing[0]
         expected = np.sort([4.0 / h**2 * math.sin(math.pi * k / n) ** 2 - 1.0 for k in range(n)])
         measured = np.sort(np.linalg.eigvals(mat).real)
@@ -102,7 +102,7 @@ class TestAssembly:
             lambda s: np.full_like(s, 0.4), lambda s: np.zeros_like(s),
         )
         zeroth = float((coeffs.Q + coeffs.divX - coeffs.normX_sq)[0])
-        mat = assemble_stability_operator(grid, coeffs)
+        mat = assemble_stability_operator(grid, coeffs).dense()
         ones = np.ones(32)
         assert np.abs(mat @ ones - zeroth * ones).max() < 1e-12
         eig = principal_eigenvalue(mat, grid)
@@ -181,11 +181,11 @@ class TestPrincipalEigenvalue:
         psi = 2.0 + np.sin(s)
         target = 0.5 + 0.3 * np.cos(s)
         base = StabilityCoefficients.zero(grid)
-        lap = assemble_stability_operator(grid, base)  # pure -Laplacian
+        lap = assemble_stability_operator(grid, base).dense()  # pure -Laplacian
         c = (target - lap @ psi) / psi
         coeffs = StabilityCoefficients(Q=c, X=np.zeros((n, 1)), divX=np.zeros(n),
                                        normX_sq=np.zeros(n))
-        mat = assemble_stability_operator(grid, coeffs)
+        mat = assemble_stability_operator(grid, coeffs).dense()
         assert np.abs(mat @ psi - target).max() < 1e-9
         eig = principal_eigenvalue(mat, grid)
         assert eig.lambda1_real > 0.0
