@@ -8,11 +8,11 @@ states satisfaction *on the sampled directions only*.  Sampling is seeded and
 deterministic: causal directions are drawn from an orthonormal frame adapted
 to the time orientation, boosted at fixed rapidity levels, together with
 exactly null combinations.  ``condition_suite`` yields all five verdicts from
-one pass: each point's metric jet, curvature tensor, Ricci form and cone
-sample are computed once.  The cone sample is one ``(count, dim)`` stack, and
-its complements, plane values, Ricci values and tidal operators are each
-computed over the whole stack, in the order a loop over the directions would
-visit them.
+one pass: the points are one stack, so their metric jets, curvature tensors,
+Ricci forms and cone samples come from one call each.  The cone sample is one
+``(P, count, dim)`` stack, and its complements, plane values, Ricci values and
+tidal operators are each computed over the whole stack, in the order a loop
+over the points and then their directions would visit them.
 """
 
 from __future__ import annotations
@@ -92,29 +92,25 @@ _SLOTS = np.array(
 )
 
 
-def sample_cone(
-    m: MetricJet2,
-    p: np.ndarray,
-    x: TangentVector,
-    count: int = DEFAULT_DIRECTIONS,
-    seed: int = 0,
-) -> TangentVector:
-    """Deterministic causal directions at a point, aux-normalized, as one
-    ``(count, dim)`` stack.
+def sample_cone(m: MetricJet2, p: np.ndarray, x: TangentVector, count: int = DEFAULT_DIRECTIONS,
+                seed: int = 0) -> TangentVector:
+    """Deterministic causal directions, aux-normalized: ``count`` at a point
+    as one ``(count, dim)`` stack, or at each of P points given as ``(P, 1,
+    dim)`` (the jet and orientation too) as one ``(P, count, dim)`` stack.
 
     The sample mixes boosted unit timelike vectors at the fixed rapidity
     levels with exactly null frame combinations, in both time orientations;
     every eighth slot pattern contains at least three exact null vectors.
-    Direction k is slot k mod 8 of the spatial direction drawn k-th.
+    Direction k is slot k mod 8 of the spatial direction drawn k-th; one
+    seeded draw gives every point the same spatial directions in its frame.
     """
-    p = np.asarray(p, dtype=float)
     frame = lorentz_frame(m, x)
     directions = np.random.default_rng(seed).normal(size=(count, m.dim - 1))
     directions /= norm(directions)[:, None]
-    u = np.matvec(frame[:, 1:], directions)
+    u = np.matvec(frame[..., 1:], directions)
     a, b, sign = _SLOTS[np.arange(count) % 8, :, None].transpose(1, 0, 2)
-    v = sign * (a * frame[:, 0] + b * u)
-    cone = TangentVector(np.broadcast_to(p, v.shape), v / norm(v)[:, None])
+    v = sign * (a * frame[..., 0] + b * u)
+    cone = TangentVector(np.broadcast_to(p, v.shape), v / norm(v)[..., None])
     causal_classify(m, cone, x)
     return cone
 
@@ -137,47 +133,52 @@ def tidal_operator(m: MetricJet2, r: CurvatureTensor, v: TangentVector):
     ``lorentz_frame(m, v)``, a g-orthonormal basis of the complement; for
     null v in a basis of the screen space orthogonal to v and a companion
     null vector with g(v, n) = -2 (the quotient by the v direction).  Both
-    are symmetric in the induced inner product.  A ``(count, dim)`` stack
-    gives a list of the ``count`` matrices (a null v's is one row smaller),
-    with one ``lorentz_frame`` call for all timelike v, one Gram-Schmidt for
-    all null v and one contraction for each kind.
+    are symmetric in the induced inner product.  A stack of v, with ``m``
+    and ``r`` at points that broadcast to it, gives a list of the matrices in
+    C order (a null v's is one row smaller), from one ``lorentz_frame`` call
+    for all timelike v, one Gram-Schmidt for all null v and one contraction
+    for each kind, each v with the jet and curvature rows of its point.
     """
+    shape = v.components.shape[:-1]
+    point = np.broadcast_to(np.arange(np.size(m.cond)).reshape(np.shape(m.cond)), shape).ravel()
     comps = v.components.reshape(-1, m.dim)
     aux = norm(comps)
     if np.count_nonzero(aux <= 1e-14):
         raise ZeroVector("tidal operator needs a nonzero causal vector")
-    q, aux2 = m.inner(comps, comps), aux**2
+    q, aux2 = m.inner(v.components, v.components).reshape(-1), aux**2
     timelike = q < -1e-10 * aux2
     null = abs(q) <= 1e-10 * aux2
     if np.count_nonzero(~(timelike | null)):
         raise ZeroVector("tidal operator is defined for causal vectors only")
     # timelike: the spacelike legs of the Lorentz frame along v
-    legs = lorentz_frame(m, TangentVector(v.base.reshape(-1, m.dim)[timelike], comps[timelike]))
+    base = v.base.reshape(-1, m.dim)
+    legs = lorentz_frame(m.take(point[timelike]), TangentVector(base[timelike], comps[timelike]))
     # null: companion null vector with g(v, n) = -2, then screen basis
-    vn = comps[null]
-    along = m.inner(np.eye(m.dim)[:, None], vn).T
+    vn, mn = comps[null], m.take(point[null])
+    along = mn.inner(np.eye(m.dim)[:, None], vn).T
     found = abs(along) > 1e-8
     if np.count_nonzero(~found.any(axis=-1)):
         raise ZeroVector("null vector is metric-orthogonal to the whole chart frame")
     first = np.argmax(found, axis=-1)
     seed_vec = np.eye(m.dim)[first]
-    a = m.inner(seed_vec, seed_vec)
+    a = mn.inner(seed_vec, seed_vec)
     n_vec = seed_vec - (a / (2.0 * along[np.arange(len(vn)), first]))[:, None] * vn
-    n_vec = n_vec * (-2.0 / m.inner(n_vec, vn))[:, None]
-    pairing = m.inner(vn, n_vec)[:, None]  # equals -2 by construction
+    n_vec = n_vec * (-2.0 / mn.inner(n_vec, vn))[:, None]
+    pairing = mn.inner(vn, n_vec)[:, None]  # equals -2 by construction
 
     def off_v_and_n(e):
-        cand = e - (m.inner(e, n_vec)[:, None] / pairing) * vn
-        return cand - (m.inner(cand, vn)[:, None] / pairing) * n_vec
+        cand = e - (mn.inner(e, n_vec)[:, None] / pairing) * vn
+        return cand - (mn.inner(cand, vn)[:, None] / pairing) * n_vec
 
-    screen, _ = gram_schmidt(m.inner, off_v_and_n, m.dim, m.dim - 2, lambda nrm2: nrm2 > 1e-10)
+    screen, _ = gram_schmidt(mn.inner, off_v_and_n, m.dim, m.dim - 2, lambda nrm2: nrm2 > 1e-10)
+    curvature = r.R.reshape((-1,) + r.R.shape[-4:])
     mats = [None] * len(comps)
     for mask, basis in ((timelike, legs.swapaxes(-1, -2)[:, 1:]), (null, screen)):
-        vecs = comps[mask]
-        mat = np.einsum("...ijkl,...ai,...j,...k,...bl->...ba", r.R, basis, vecs, vecs, basis)
+        vecs, rows = comps[mask], curvature[point[mask]]
+        mat = np.einsum("...ijkl,...ai,...j,...k,...bl->...ba", rows, basis, vecs, vecs, basis)
         for i, sym in zip(np.flatnonzero(mask), 0.5 * (mat + mat.swapaxes(-1, -2))):
             mats[i] = sym
-    return mats[0] if v.components.ndim == 1 else mats
+    return mats[0] if not shape else mats
 
 
 def _tidal_violation(least):
@@ -201,14 +202,10 @@ def _least_eigenvalues(mats: list[np.ndarray]) -> np.ndarray:
     return least
 
 
-def _condition_report(
-    condition: Condition, parts: list[tuple], violated: Callable[[np.ndarray], np.ndarray]
-) -> ConditionReport:
-    """Minimum, sample count and first violating witness of one condition.
-
-    Each part holds one point's values with their points, vectors and, for
-    plane values, partners, one row per sample in sampling order."""
-    values, points, vectors, *partners = map(np.concatenate, zip(*parts))
+def _condition_report(condition: Condition, samples: tuple, violated) -> ConditionReport:
+    """Minimum, sample count and first violating witness of one condition, from
+    its values, points, vectors and (plane values) partners in sampling order."""
+    values, points, vectors, *partners = samples
     bad = np.flatnonzero(violated(values))
     witness = None
     if bad.size:
@@ -220,14 +217,6 @@ def _condition_report(
     return ConditionReport(condition, verdict, min_value, len(values), witness)
 
 
-def _strict(val: np.ndarray) -> np.ndarray:
-    return val <= STRICT_MARGIN
-
-
-def _weak(val: np.ndarray) -> np.ndarray:
-    return val < -STRICT_MARGIN
-
-
 def condition_suite(
     m_field: MetricField,
     points: Sequence[np.ndarray],
@@ -235,46 +224,45 @@ def condition_suite(
     seed: int = 0,
     count: int = DEFAULT_DIRECTIONS,
 ) -> dict[Condition, ConditionReport]:
-    """All five condition reports from one pass over the points.
+    """All five condition reports from one pass over every point and direction.
 
-    Each point gets one metric jet, one curvature tensor, one Ricci form, one
-    cone sample and one ``tidal_operator`` call.  Every causal sample v yields
+    The points are one ``(P, 1, dim)`` stack: ``m_field`` and ``x_field`` must
+    accept ``(..., dim)`` stacks, and each runs once, as do ``riemann``,
+    ``sample_cone`` and ``tidal_operator``.  Every causal sample v yields
     Ric(v, v), the plane values R(w, v, v, w) for w over a deterministic
-    auxiliary-orthonormal complement of v (so w is never collinear with v),
-    and the least eigenvalue of the tidal operator; each is computed for all
-    of a point's samples at once.  Strict and weak variants read the same
-    values.  Raises ValueError when nothing is sampled (no points, or
-    ``count`` below 1): an empty sample would make every condition pass.
+    auxiliary-orthonormal complement of v (never collinear with v), and the
+    least tidal eigenvalue, each for all samples at once in sampling order.
+    Raises ValueError when nothing is sampled (no points, or ``count`` below
+    1): an empty sample would make every condition pass.
     """
     if count < 1 or not len(points):
         raise ValueError(f"no causal directions sampled ({len(points)} points, count={count})")
-    ricci, plane, tidal = [], [], []
-    for p in points:
-        p = np.asarray(p, dtype=float)
-        m = m_field(p)
-        r = riemann(m)
-        ric = ricci_from_riemann(r, m)
-        cone = sample_cone(m, p, x_field(p), count=count, seed=seed)
-        v = cone.components
-        w = _aux_complement(v)
-        at = np.broadcast_to(p, w.shape)
-        planes = riem_quadform(
-            r, m, TangentVector(at, w), TangentVector(at, np.broadcast_to(v[:, None], w.shape))
-        )
-        least = _least_eigenvalues(tidal_operator(m, r, cone))
-        screen = ~np.isnan(least)  # a null v in dimension 2 has no tidal sample
-        ricci.append((np.vecdot(np.vecmat(v, ric), v), cone.base, v))
-        plane.append((planes.ravel(), at.reshape(-1, m.dim), np.repeat(v, m.dim - 1, axis=0),
-                      w.reshape(-1, m.dim)))
-        tidal.append((least[screen], cone.base[screen], v[screen]))
+    p = np.asarray(points, dtype=float)[:, None]
+    m = m_field(p)
+    r = riemann(m)
+    ric = ricci_from_riemann(r, m)
+    cone = sample_cone(m, p, x_field(p), count=count, seed=seed)
+    v = cone.components
+    w = _aux_complement(v)
+    at = np.broadcast_to(p[..., None, :], w.shape)
+    planes = riem_quadform(CurvatureTensor(r.R[:, :, None]), m, TangentVector(at, w),
+                           TangentVector(at, np.broadcast_to(v[..., None, :], w.shape)))
+    least = _least_eigenvalues(tidal_operator(m, r, cone))
+    screen = ~np.isnan(least)  # a null v in dimension 2 has no tidal sample
+    base, flat = cone.base.reshape(-1, m.dim), v.reshape(-1, m.dim)
+    ricci = (np.vecdot(np.vecmat(v, ric), v).ravel(), base, flat)
+    plane = (planes.ravel(), at.reshape(-1, m.dim), np.repeat(flat, m.dim - 1, axis=0),
+             w.reshape(-1, m.dim))
+    tidal = (least[screen], base[screen], flat[screen])
+    strict, weak = (lambda val: val <= STRICT_MARGIN), (lambda val: val < -STRICT_MARGIN)
     conditions = (
-        (Condition.RICCI_STRICT, ricci, _strict),
-        (Condition.RICCI_WEAK, ricci, _weak),
-        (Condition.PLANE_STRICT, plane, _strict),
-        (Condition.PLANE_WEAK, plane, _weak),
+        (Condition.RICCI_STRICT, ricci, strict),
+        (Condition.RICCI_WEAK, ricci, weak),
+        (Condition.PLANE_STRICT, plane, strict),
+        (Condition.PLANE_WEAK, plane, weak),
         (Condition.TIDAL_PSD, tidal, _tidal_violation),
     )
-    return {c: _condition_report(c, parts, violated) for c, parts, violated in conditions}
+    return {c: _condition_report(c, samples, violated) for c, samples, violated in conditions}
 
 
 def inclusion_chain_holds(reports: dict[Condition, ConditionReport]) -> bool:

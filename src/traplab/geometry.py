@@ -22,6 +22,7 @@ Signature is (-, +, ..., +) for Lorentzian metrics.
 
 from __future__ import annotations
 
+import copy
 import enum
 from dataclasses import dataclass, field
 from typing import Optional
@@ -156,6 +157,16 @@ class MetricJet2:
         g = np.asarray(g, dtype=float)
         n = g.shape[-1]
         return cls(n, g, np.zeros(g.shape + (n,)), np.zeros(g.shape + (n, n)), signature)
+
+    def take(self, index) -> "MetricJet2":
+        """The jet at the points ``index`` selects in C order, unchecked: each
+        point passed the checks when this jet was made."""
+        jet, lead = copy.copy(self), np.ndim(self.cond)
+        jet.g, jet.dg, jet.ddg, jet.cond = (
+            a.reshape((-1,) + a.shape[lead:])[index] for a in (self.g, self.dg, self.ddg, self.cond)
+        )
+        jet._inverse = jet._connection = None
+        return jet
 
     def inverse(self) -> np.ndarray:
         """Inverse metric, computed on the first call and returned read-only.

@@ -4,8 +4,9 @@ Every scenario field, conformal field and embedding is called once with a
 (B, dim) stack and once per point; the arrays must be equal bit for bit, and
 a stack with one bad point must raise what the call at that point raises.
 The same holds for the initial-data expansions and the trapping
-classification, which evaluate whole sample sets, and for the frames,
-classes, tidal operators and curvature forms of a stack of cone directions.
+classification, which evaluate whole sample sets, for the frames, classes,
+tidal operators and curvature forms of a stack of cone directions, and for
+the cone directions and tidal operators of a stack of energy points.
 """
 
 import dataclasses
@@ -396,6 +397,37 @@ def test_cone_stack(label, m, cone, x):
     w = TangentVector(cone.base, np.random.default_rng(7).normal(size=cone.components.shape))
     _assert_stacked(riem_quadform(r, m, w, cone),
                     [riem_quadform(r, m, _single(w, i), _single(cone, i)) for i in range(count)])
+
+
+@pytest.mark.parametrize("name,params", SCENARIOS, ids=IDS)
+def test_cone_over_energy_points(name, params):
+    # the (P, count) cone and tidal stack over a scenario's energy points
+    # against one sample_cone and tidal_operator call per point
+    sc = build_scenario(name, params)
+    p = np.array(sc.energy_points)[:, None]
+    m = sc.metric(p)
+    cone = sample_cone(m, p, sc.time_orientation(p), count=24, seed=5)
+    mats = tidal_operator(m, riemann(m), cone)
+    singles, expected = [], []
+    for q in sc.energy_points:
+        mq = sc.metric(q)
+        singles.append(sample_cone(mq, q, sc.time_orientation(q), count=24, seed=5))
+        expected += tidal_operator(mq, riemann(mq), singles[-1])
+    _assert_stacked(cone.components, [c.components for c in singles])
+    _assert_stacked(cone.base, [c.base for c in singles])
+    assert len(mats) == len(expected)
+    for mat, single in zip(mats, expected):
+        assert mat.shape == single.shape and np.array_equal(mat, single)
+
+
+def test_take_selects_points():
+    sc = build_scenario("schwarzschild_slice_isotropic", {})
+    points = np.array(sc.energy_points)
+    index = [2, 0, 2]
+    taken, direct = sc.metric(points[:, None]).take(index), sc.metric(points[index])
+    for attr in ("g", "dg", "ddg", "cond"):
+        assert np.array_equal(getattr(taken, attr), getattr(direct, attr))
+    assert np.array_equal(taken.inverse(), direct.inverse())
 
 
 def test_bad_direction_in_cone_stack():

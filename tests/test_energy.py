@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,11 @@ TORUS = build_scenario("minkowski_torus_quotient", {"m": 3})
 CYL = build_scenario("einstein_cylinder", {"n": 2})
 FLRW = build_scenario("flrw_dust", {})
 SCHW = build_scenario("schwarzschild_slice_isotropic", {})
+
+
+def _with_points(sc, points):
+    # the scenario with its energy points replaced
+    return dataclasses.replace(sc, energy_points=list(points))
 
 
 def _vectors(cone):
@@ -217,28 +224,55 @@ class TestConditionSuite:
 
         from traplab import energy, geometry
 
-        counts = {"riemann": 0, "sample_cone": 0, "tidal_operator": 0, "lorentz_frame": 0}
+        # (calls, evaluated points or directions) of each stage
+        counts = {}
 
-        def counted(name, original):
+        def counted(name, original, units=lambda *args: 0):
             def wrapper(*args, **kwargs):
-                counts[name] += 1
+                calls, total = counts.get(name, (0, 0))
+                counts[name] = (calls + 1, total + units(*args))
                 return original(*args, **kwargs)
 
             return wrapper
 
-        for name in ("riemann", "sample_cone", "tidal_operator"):
-            monkeypatch.setattr(energy, name, counted(name, getattr(energy, name)))
+        def points(m, *args):
+            return np.size(m.cond)
+
+        def directions(m, r, v):
+            return v.components.size // v.dim
+
+        for name, units in (("riemann", points), ("sample_cone", points),
+                            ("tidal_operator", directions)):
+            monkeypatch.setattr(energy, name, counted(name, getattr(energy, name), units))
         # lorentz_frame under every name a traplab module binds it to
-        frame = counted("lorentz_frame", geometry.lorentz_frame)
+        original = geometry.lorentz_frame
+        frame = counted("lorentz_frame", original)
         for module in list(sys.modules.values()):
             if module.__name__.startswith("traplab") and getattr(
                 module, "lorentz_frame", None
-            ) is geometry.lorentz_frame:
+            ) is original:
                 monkeypatch.setattr(module, "lorentz_frame", frame)
         assert len(SCHW.energy_points) == 3
         condition_suite(SCHW.metric, SCHW.energy_points, SCHW.time_orientation, seed=7, count=8)
-        assert counts.pop("lorentz_frame") <= 6
-        assert counts == {"riemann": 3, "sample_cone": 3, "tidal_operator": 3}
+        assert counts.pop("lorentz_frame")[0] == 2
+        assert counts == {"riemann": (1, 3), "sample_cone": (1, 3), "tidal_operator": (1, 24)}
+
+    def test_non_timelike_orientation_at_last_point(self):
+        # the stacked pass raises what a loop over the points raises at the last one
+        points = SCHW.energy_points
+
+        def x_field(p):
+            x = SCHW.time_orientation(p)
+            last = (np.asarray(p) == points[-1]).all(axis=-1)[..., None]
+            return TangentVector(x.base, np.where(last, np.eye(x.dim)[1], x.components))
+
+        for p in points[:-1]:
+            condition_suite(SCHW.metric, [p], x_field, count=8)
+        with pytest.raises(Exception) as single:
+            condition_suite(SCHW.metric, [points[-1]], x_field, count=8)
+        assert single.type is NonTimelikeOrientation
+        with pytest.raises(single.type):
+            condition_suite(SCHW.metric, points, x_field, count=8)
 
     @pytest.mark.parametrize("points, count", [([], 8), (None, 0)], ids=["no-points", "count-0"])
     def test_empty_sample_is_rejected(self, points, count):
@@ -262,11 +296,18 @@ class TestConditionSuite:
         "sc, seed, count",
         [(sc, seed, count) for sc in (MINK, TORUS, CYL, FLRW, SCHW)
          for seed, count in ((0, 64), (17, 24), (5, 9))]
-        + [pytest.param(build_scenario("minkowski", {"dim": 2}), 0, 8, id="minkowski2-0-8")],
+        + [pytest.param(build_scenario("minkowski", {"dim": 2}), 0, 8, id="minkowski2-0-8"),
+           pytest.param(_with_points(SCHW, SCHW.energy_points[::-1]), 17, 24,
+                        id="schwarzschild-reversed-17-24"),
+           pytest.param(_with_points(FLRW, FLRW.energy_points[-1:]), 5, 9,
+                        id="flrw-single-point-5-9"),
+           pytest.param(_with_points(CYL, [CYL.energy_points[0], CYL.energy_points[1],
+                                           CYL.energy_points[0]]), 0, 64,
+                        id="cylinder-repeated-point-0-64")],
         ids=lambda v: getattr(v, "name", v),
     )
     def test_equals_per_direction_loop(self, sc, seed, count):
-        # stacking the directions of a point changes no bit of any report
+        # stacking the points and their directions changes no bit of any report
         stacked = condition_suite(
             sc.metric, sc.energy_points, sc.time_orientation, seed=seed, count=count
         )
