@@ -38,6 +38,9 @@ from .jets import Jet1, elementwise, radial_hessian, smoothstep_down
 
 ScalarField = Callable[[np.ndarray], "ScalarJet2"]
 MetricField = Callable[[np.ndarray], MetricJet2]
+# (n, sample) points per stacked call of ``trapping_sequence``: each carries a
+# rescaled jet with dim**4 second derivatives, so peak memory grows with a stack
+STACK_POINTS = 256
 
 
 @dataclass
@@ -71,7 +74,8 @@ class ScalarJet2:
                 + self.grad[..., :, None] * other.grad[..., None, :]
                 + other.grad[..., :, None] * self.grad[..., None, :],
             )
-        return ScalarJet2(self.value * other, self.grad * other, self.hess * other)
+        c = np.asarray(other)[..., None]  # one factor, or one per point of a stack
+        return ScalarJet2(self.value * other, self.grad * c, self.hess * c[..., None])
 
     __rmul__ = __mul__
 
@@ -275,21 +279,27 @@ class TrappingPerturbationResult:
 
 
 def trapping_perturbation(
-    m_field: MetricField,
-    sigma: "submanifold.EmbeddingJet2",
-    x_field: Callable[[np.ndarray], TangentVector],
-    tau_field: ScalarField,
-    profile: BumpProfile,
-    n: int,
+    m_field: MetricField, sigma: "submanifold.EmbeddingJet2", x_field: submanifold.VectorField,
+    tau_field: ScalarField, profile: BumpProfile, n: int,
 ) -> TrappingPerturbationResult:
-    """Rescale by e^{2 (phi tau) / n} and recompute trapping data on Sigma.
+    """The one-element ``trapping_sequence`` of n."""
+    return trapping_sequence(m_field, sigma, x_field, tau_field, profile, [n])[0]
+
+
+def trapping_sequence(
+    m_field: MetricField, sigma: "submanifold.EmbeddingJet2", x_field: submanifold.VectorField,
+    tau_field: ScalarField, profile: BumpProfile, ns,
+) -> list[TrappingPerturbationResult]:
+    """Rescale by e^{2 (phi tau) / n} and recompute trapping data on Sigma, for each n of ``ns``.
 
     ``tau_field`` must have future-directed timelike gradient where the bump
     is active, and the input surface must already satisfy the closed trapping
     inequalities; the output metric then satisfies the strict ones at every
-    sample, with values shrinking like 1/n.
+    sample, with values shrinking like 1/n.  The input is checked once; each
+    ``extrinsic_data`` call takes a ``(k, samples, dim)`` stack of at most
+    ``STACK_POINTS`` points, the exponent's jet scaled by a 1/n column.
     """
-    if n < 1:
+    if any(n < 1 for n in ns):
         raise ValueError("n must be a positive integer")
     weak_tol = 1e-9
     samples = sigma.sample_set
@@ -309,14 +319,22 @@ def trapping_perturbation(
     if not_future[first]:
         raise ValueError("tau gradient must be future-directed timelike on the surface")
 
-    f_field = scaled_field(product_field(bump_field(profile), tau_field), 1.0 / n)
-    gn_field = rescaled_metric_field(m_field, f_field)
-    _, _, hh, hx = submanifold._trapping_data(sigma, gn_field, x_field)
-    records = [
-        TrappingPerturbationRecord(u=u, gn_H_H=float(a), gn_H_X=float(b))
-        for u, a, b in zip(samples, hh, hx)
+    exponent = product_field(bump_field(profile), tau_field)
+    ns, rows = list(ns), []
+    step = max(1, STACK_POINTS // len(samples))
+    for i in range(0, len(ns), step):
+        scale = 1.0 / np.asarray(ns[i : i + step], dtype=float)[:, None]
+        rows += zip(*submanifold._trapping_data(
+            sigma, rescaled_metric_field(m_field, scaled_field(exponent, scale)), x_field,
+            np.broadcast_to(samples, scale.shape[:1] + samples.shape),
+        )[2:])
+    return [
+        TrappingPerturbationResult(n, rescaled_metric_field(m_field, scaled_field(exponent, 1.0 / n)), [
+            TrappingPerturbationRecord(u=u, gn_H_H=float(a), gn_H_X=float(b))
+            for u, a, b in zip(samples, row_hh, row_hx)
+        ])
+        for n, (row_hh, row_hx) in zip(ns, rows)
     ]
-    return TrappingPerturbationResult(n=n, metric_field=gn_field, records=records)
 
 
 class CurvatureCase(enum.Enum):

@@ -28,7 +28,7 @@ from .geometry import (
     CurvatureTensor,
     MetricJet2,
     TangentVector,
-    causal_classify,
+    check_time_orientation,
     gram_schmidt,
     lorentz_frame,
     norm,
@@ -110,9 +110,8 @@ def sample_cone(m: MetricJet2, p: np.ndarray, x: TangentVector, count: int = DEF
     u = np.matvec(frame[..., 1:], directions)
     a, b, sign = _SLOTS[np.arange(count) % 8, :, None].transpose(1, 0, 2)
     v = sign * (a * frame[..., 0] + b * u)
-    cone = TangentVector(np.broadcast_to(p, v.shape), v / norm(v)[..., None])
-    causal_classify(m, cone, x)
-    return cone
+    check_time_orientation(m, x)
+    return TangentVector(np.broadcast_to(p, v.shape), v / norm(v)[..., None])
 
 
 def _aux_complement(v: np.ndarray) -> np.ndarray:

@@ -310,6 +310,12 @@ def scalar_curvature(m: MetricJet2):
     return np.einsum("...jk,...jk->...", m.inverse(), ricci(m))
 
 
+def check_time_orientation(m: MetricJet2, x: TangentVector) -> None:
+    """Raise ``NonTimelikeOrientation`` unless x is timelike beyond the null band."""
+    if np.count_nonzero(m.inner(x.components, x.components) >= -NULL_TOL * x.aux_norm() ** 2):
+        raise NonTimelikeOrientation("orientation vector X is not timelike")
+
+
 def causal_classify(m: MetricJet2, v: TangentVector, x: TangentVector):
     """Classify ``v`` against the time orientation defined by timelike ``x``.
 
@@ -320,9 +326,7 @@ def causal_classify(m: MetricJet2, v: TangentVector, x: TangentVector):
     """
     if m.signature is not Signature.LORENTZIAN:
         raise ValueError("causal classification needs a Lorentzian metric")
-    xx = m.inner(x.components, x.components)
-    if np.count_nonzero(xx >= -NULL_TOL * x.aux_norm() ** 2):
-        raise NonTimelikeOrientation("orientation vector X is not timelike")
+    check_time_orientation(m, x)
     aux = v.aux_norm()
     q = m.inner(v.components, v.components)
     future = m.inner(v.components, x.components) < 0

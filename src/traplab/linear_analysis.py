@@ -149,18 +149,21 @@ class ProjectionReport:
     sum_is_surjective: np.ndarray
 
 
-def projection_regularity(tr: OperatorTriple) -> ProjectionReport:
+def projection_regularity(tr: OperatorTriple, e=None, f=None) -> ProjectionReport:
     """Bookkeeping for the first-factor projection of ker(T (+) S).
 
     With M = ker of the sum operator inside the product space, the
     projection to the first factor has kernel of dimension dim ker S; when
     the sum operator is surjective its index (dim kernel minus codimension
-    of the image in the first factor) equals the index of S.
+    of the image in the first factor) equals the index of S.  ``e`` and
+    ``f`` are the domain dimensions when T and S carry zero padding past them.
     """
-    h, e, f = tr.h, tr.T.shape[-1], tr.S.shape[-1]
+    h, pad = tr.h, tr.T.shape[-1]
+    e, f = (pad, tr.S.shape[-1]) if e is None else (e, f)
     m_basis, rank_sum = _null_space(np.concatenate([tr.T, tr.S], axis=-1))
     dim_m = e + f - rank_sum
-    rank_proj = _rank(m_basis[..., :e, :], scale=1.0)
+    # each padding column of T adds a kernel direction that projects onto itself
+    rank_proj = _rank(m_basis[..., :pad, :], scale=1.0) - (pad - e)
     rank_s = _rank(tr.S)
     dim_ker_proj = dim_m - rank_proj
     dim_ker_s = f - rank_s

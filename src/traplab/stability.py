@@ -22,7 +22,9 @@ in grid rows (block-cyclic on periodic grids), so assembly writes only their
 three block diagonals (``BlockOperator``), and ``principal_eigenvalue``
 factors the shifted operator once by those blocks, without pivoting since it
 is strictly diagonally dominant, and runs orthogonal iteration with
-Rayleigh-Ritz extraction on the factors (``lowest_eigenpairs``).  An operator
+Rayleigh-Ritz extraction on the factors (``_orthogonal_iteration``).
+``principal_eigenvalues`` solves same-shape operators as one stack whose
+members each stop on their own rule, bitwise as one at a time.  An operator
 whose blocks would have fewer than ``MIN_BLOCK_NODES`` nodes is one block,
 its whole N x N matrix, factored by one dense inverse: so is every circle
 whose N has no divisor in [MIN_BLOCK_NODES, sqrt(N)], a prime N among them.
@@ -349,8 +351,10 @@ def _add_drift(grid: SurfaceGrid, x: np.ndarray, op: BlockOperator) -> None:
 
 
 def _block_size(grid: Optional[SurfaceGrid], num: int) -> int:
-    """Nodes per block of an N-node operator on ``grid`` (see
-    ``lowest_eigenpairs``); N itself when there are fewer than three blocks."""
+    """Nodes per block of an N-node operator on ``grid``: a latitude row on a
+    lat-long grid, a line of the last axis on a periodic 2-d grid, on a circle
+    the largest divisor of N not above sqrt(N).  N itself (one block, one dense
+    inverse) without a grid, for fewer than three blocks or under ``MIN_BLOCK_NODES``."""
     if grid is None:
         return num
     if len(grid.nodes) != num:
@@ -369,18 +373,21 @@ def _band_blocks(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class BlockOperator:
-    """An N x N grid operator as the block diagonals of m x m blocks of b nodes.
+    """An N x N grid operator as the block diagonals of m x m blocks of b nodes,
+    or a stack of same-shape operators.
 
     Every nonzero of block row i lies in block columns i - 1, i, i + 1 (mod
     m): block-cyclic on periodic grids, block-tridiagonal with zero corners
     on lat-long grids.  ``bands`` has shape (3, m, b, b); bands 0, 1, 2 hold
     blocks (i, i), (i, i - 1) and (i, i + 1).  An operator of one block
-    (m = 1) keeps its whole matrix as its one band, of shape (1, 1, N, N).
+    (m = 1) keeps its whole matrix as its one band, of shape (1, 1, N, N).  A
+    stack of S has bands (S, 3, m, b, b), over which ``apply`` and
+    ``shifted_solver`` broadcast; ``at`` and ``dense`` take one operator.
     """
 
     def __init__(self, bands: np.ndarray):
         self.bands = bands
-        self.m, self.b = bands.shape[1:3]
+        self.m, self.b = bands.shape[-3:-1]
         self.shape = (self.m * self.b,) * 2
 
     @classmethod
@@ -418,16 +425,16 @@ class BlockOperator:
         return out.reshape(self.shape)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """A x for x of shape (N,) or (N, c)."""
+        """A x for x of shape (N,) or (N, c), or (S, N, c) for a stack of S."""
         if self.m == 1:
-            return self.bands[0, 0] @ x
-        xb = x.reshape(self.m, self.b, -1)
-        out = self.bands[0] @ xb
-        out += self.bands[1] @ np.roll(xb, 1, axis=0)
-        out += self.bands[2] @ np.roll(xb, -1, axis=0)
+            return self.bands[..., 0, 0, :, :] @ x
+        xb = x.reshape(x.shape[:-2] + (self.m, self.b, -1))
+        out = self.bands[..., 0, :, :, :] @ xb
+        out += self.bands[..., 1, :, :, :] @ np.roll(xb, 1, axis=-3)
+        out += self.bands[..., 2, :, :, :] @ np.roll(xb, -1, axis=-3)
         return out.reshape(x.shape)
 
-    def shifted_solver(self, sigma: float) -> Callable[[np.ndarray], np.ndarray]:
+    def shifted_solver(self, sigma) -> Callable[..., np.ndarray]:
         """x -> (A - sigma I)^-1 x by a block LU factorisation made once.
 
         Blocks 0 .. m-2 are eliminated in order without pivoting, which is
@@ -435,59 +442,67 @@ class BlockOperator:
         Gershgorin shift.  The cyclic corner blocks are carried as a fill
         column (block column m-1) and a fill row (block row m-1): block-arrow
         elimination.  Each pivot block is inverted once; for m = 1 this is
-        one dense inverse of the whole matrix, applied by one product.
+        one dense inverse of the whole matrix, applied by one product.  A stack
+        takes a shift per member, x of shape (S, N, c) and a ``keep`` mask that
+        drops the other members' factors for good.
         """
-        m, last = self.m, self.m - 1
-        d = self.bands[0] - sigma * np.eye(self.b)
-        if m == 1:
-            inverse = np.linalg.inv(d[0])
-            return lambda y: inverse @ y
-        lo, up = self.bands[1], self.bands[2]  # blocks (i, i - 1) and (i, i + 1)
-        zero = np.zeros((self.b, self.b))
+        m, b, last = self.m, self.b, self.m - 1
+        # the block axis first: blocks[i, ..., j] is block i of band j of every member
+        blocks = np.moveaxis(self.bands, -3, 0)
+        d = blocks[..., 0, :, :] - np.asarray(sigma)[..., None, None] * np.eye(b)
         # step i keeps the pivot inverse P_i = S_i^-1, the fill column F_i
         # (block (i, m-1) of U), the fill-row multiplier V_i = G_i P_i and,
         # below the last block row, the lower multiplier W_{i+1} = A_{i+1,i} P_i
-        pivots, fill_col, fill_row, lower = [], [], [], []
-        s, t, f, g = d[0], d[last], lo[0], up[last]
-        for i in range(last):
-            p = np.linalg.inv(s)
-            v = g @ p
-            t = t - v @ f
-            pivots.append(p)
-            fill_col.append(f)
-            fill_row.append(v)
-            if i + 1 < last:
-                w = lo[i + 1] @ p
-                s = d[i + 1] - w @ up[i]
-                # blocks (i+1, m-1) and (m-1, i+1) are nonzero only when adjacent
-                adjacent = i + 2 == last
-                f = (up[i + 1] if adjacent else zero) - w @ f
-                g = (lo[last] if adjacent else zero) - v @ up[i]
-                lower.append(w)
-        pivots.append(np.linalg.inv(t))
-        spans = [slice(i * self.b, (i + 1) * self.b) for i in range(m)]
+        pivots, fill_col, fill_row, lower, up = [], [], [], [], []
+        if m > 1:
+            lo, up = blocks[..., 1, :, :], list(blocks[..., 2, :, :])  # blocks (i, i - 1), (i, i + 1)
+            zero = np.zeros((b, b))
+            s, t, f, g = d[0], d[last], lo[0], up[last]
+            for i in range(last):
+                p = np.linalg.inv(s)
+                v = g @ p
+                t = t - v @ f
+                pivots.append(p)
+                fill_col.append(f)
+                fill_row.append(v)
+                if i + 1 < last:
+                    w = lo[i + 1] @ p
+                    s = d[i + 1] - w @ up[i]
+                    # blocks (i+1, m-1) and (m-1, i+1) are nonzero only when adjacent
+                    adjacent = i + 2 == last
+                    f = (up[i + 1] if adjacent else zero) - w @ f
+                    g = (lo[last] if adjacent else zero) - v @ up[i]
+                    lower.append(w)
+        pivots.append(np.linalg.inv(d[last] if m == 1 else t))
 
-        def solve(y: np.ndarray) -> np.ndarray:
-            z = [y[spans[0]]]
+        def solve(y: np.ndarray, keep=None) -> np.ndarray:
+            if keep is not None:
+                for factors in (pivots, fill_col, fill_row, lower, up):
+                    factors[:] = [a[keep] for a in factors]
+            if m == 1:
+                return pivots[0] @ y
+            yb = np.moveaxis(y.reshape(y.shape[:-2] + (m, b, -1)), -3, 0)
+            z = [yb[0]]
             for i in range(1, last):
-                z.append(y[spans[i]] - lower[i - 1] @ z[-1])
-            acc = y[spans[last]]
+                z.append(yb[i] - lower[i - 1] @ z[-1])
+            acc = yb[last]
             for i in range(last):
                 acc = acc - fill_row[i] @ z[i]
-            x = np.empty(y.shape)
-            x_last = np.matmul(pivots[last], acc, out=x[spans[last]])
+            x = np.empty(yb.shape)
+            x_last = np.matmul(pivots[last], acc, out=x[last])
             for i in reversed(range(last)):
                 r = z[i] - fill_col[i] @ x_last
                 if i + 1 < last:
-                    r = r - up[i] @ x[spans[i + 1]]
-                np.matmul(pivots[i], r, out=x[spans[i]])
-            return x
+                    r = r - up[i] @ x[i + 1]
+                np.matmul(pivots[i], r, out=x[i])
+            return np.moveaxis(x, 0, -3).reshape(y.shape)
 
         return solve
 
 
-def lowest_eigenpairs(matrix: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The k eigenvalues of minimal real part nearest a Gershgorin shift.
+def _orthogonal_iteration(op: BlockOperator, k: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The k eigenvalues of minimal real part with unit eigenvectors (columns),
+    of one operator or of each of a stack: one pair per member.
 
     The shift sigma sits one unit below the Gershgorin lower bound
     min(diag - off-diagonal row sum), so the principal eigenvalue is the
@@ -500,59 +515,61 @@ def lowest_eigenpairs(matrix: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarra
     once every residual ||A phi - lambda phi|| of a unit eigenvector is below
     N eps ||A||_inf.  The starting block is the constant vector followed by
     fixed-seed columns, so the result is a pure function of the matrix.
+    A - sigma I is factored once by the operator's blocks (``_block_size``,
+    ``BlockOperator.shifted_solver``).  The finiteness check, the Gershgorin
+    sums and A Q read only the three block diagonals; a non-finite entry
+    raises ``EigensolverFailure``.
 
-    A - sigma I is factored once by blocks of grid nodes
-    (``BlockOperator.shifted_solver``) and the factors are applied at each
-    iteration.  An assembled operator brings its blocks from its grid
-    (``assemble_stability_operator``): one latitude row on a lat-long grid,
-    one line of the last axis on a periodic 2-d grid, and on an N-node circle
-    the largest divisor of N not above sqrt(N).  When a block would have
-    fewer than ``MIN_BLOCK_NODES`` nodes, and always here, where a matrix is
-    given without a grid, the operator is one block and the factorisation is
-    one dense inverse.  The finiteness check, the Gershgorin sums and A Q
-    read only the three block diagonals; a non-finite entry raises
-    ``EigensolverFailure``.
-
-    Returns the eigenvalues and unit eigenvectors (columns).
+    Members of a stack iterate together, each leaving on the iteration its own
+    stop rule is met, so each runs exactly the iterates of its own solve; a
+    stacked ``eig`` is complex when any member's is, so a member whose values
+    are all real is taken real, as ``eig`` does for one matrix.
     """
-    return _orthogonal_iteration(BlockOperator.from_dense(matrix), k)
-
-
-def _orthogonal_iteration(op: BlockOperator, k: int) -> tuple[np.ndarray, np.ndarray]:
     if not np.isfinite(op.bands).all():
         raise EigensolverFailure("operator has non-finite entries")
-    num = op.shape[0]
-    diag = np.diagonal(op.bands[0], axis1=1, axis2=2).ravel()
-    row_sums = np.abs(op.bands).sum(axis=3).sum(axis=0).ravel()
-    sigma = float((diag - (row_sums - np.abs(diag))).min()) - 1.0
-    tol = num * np.finfo(float).eps * float(row_sums.max())
-    q = np.random.default_rng(0).standard_normal((num, min(num, k + OVERSAMPLING)))
-    q[:, 0] = 1.0
+    lead, num = op.bands.shape[:-4], op.shape[0]
+    diag = np.diagonal(op.bands[..., 0, :, :, :], axis1=-2, axis2=-1).reshape(lead + (num,))
+    row_sums = np.abs(op.bands).sum(axis=-1).sum(axis=-3).reshape(lead + (num,))
+    sigma = (diag - (row_sums - np.abs(diag))).min(axis=-1) - 1.0
+    tol = (num * np.finfo(float).eps * row_sums.max(axis=-1)).reshape(-1)
+    start = np.random.default_rng(0).standard_normal((num, min(num, k + OVERSAMPLING)))
+    start[:, 0] = 1.0
+    q = np.broadcast_to(start, lead + start.shape)
+    active = np.arange(len(tol))  # the stack index of each member still iterating
+    keep = None  # the members the last shrink of the stack kept, for the solver
+    found = [None] * len(tol)
     try:
         solve = op.shifted_solver(sigma)
         for _ in range(MAX_ITERATIONS):
-            q, _ = np.linalg.qr(solve(q))
+            q, _ = np.linalg.qr(solve(q, keep))
             aq = op.apply(q)
-            vals, coeffs = np.linalg.eig(q.T @ aq)
-            lead = np.lexsort((np.abs(vals.imag), vals.real))[:k]
-            vals, coeffs = vals[lead], coeffs[:, lead]
-            vecs = q @ coeffs
-            residuals = np.linalg.norm(aq @ coeffs - vecs * vals, axis=0)
-            if residuals.max() <= tol:
+            vals, coeffs = np.linalg.eig(q.mT @ aq)
+            keep, residuals = None, []
+            members = zip(q, aq, vals, coeffs) if lead else [(q, aq, vals, coeffs)]
+            for j, (qj, aqj, v, c) in enumerate(members):
+                if np.iscomplexobj(v) and not v.imag.any():
+                    v, c = v.real, c.real
+                order = np.lexsort((np.abs(v.imag), v.real))[:k]
+                v, c = v[order], c[:, order]
+                vecs = qj @ c
+                residuals.append(np.linalg.norm(aqj @ c - vecs * v, axis=0).max())
+                found[active[j]] = v, vecs  # kept from the iteration the member leaves on
+            going = [not r <= t for r, t in zip(residuals, tol)]
+            if not any(going):
                 break
+            if not all(going):
+                keep, active, tol, q = going, active[going], tol[going], q[going]
+                op = BlockOperator(op.bands[going])
         else:
-            raise EigensolverFailure(
-                f"no convergence in {MAX_ITERATIONS} iterations: residual "
-                f"{residuals.max():.3e} above {tol:.3e}"
-            )
+            i = going.index(True)
+            raise EigensolverFailure(f"no convergence in {MAX_ITERATIONS} iterations: residual "
+                                     f"{residuals[i]:.3e} above {tol[i]:.3e}")
     except np.linalg.LinAlgError as exc:
         raise EigensolverFailure(str(exc)) from exc
-    lam = vals[0]
-    if abs(lam.imag) > 1e-8 * (1.0 + abs(lam.real)):
-        raise EigensolverFailure(
-            f"principal eigenvalue has non-negligible imaginary part {lam.imag:.3e}"
-        )
-    return vals, vecs
+    for lam in (vals[0] for vals, _ in found):
+        if abs(lam.imag) > 1e-8 * (1.0 + abs(lam.real)):
+            raise EigensolverFailure(f"principal eigenvalue has non-negligible imaginary part {lam.imag:.3e}")
+    return found
 
 
 @dataclass
@@ -579,34 +596,36 @@ class PrincipalEigen:
 def principal_eigenvalue(operator, grid: SurfaceGrid, k: int = 1) -> PrincipalEigen:
     """Eigenvalue of minimal real part with its one-signed eigenfunction.
 
-    ``k`` eigenvalues are solved for (see ``lowest_eigenpairs``) and kept as
-    ``spectrum_head``.  An assembled ``operator`` is solved by its own blocks;
-    a hand-built N x N matrix is split into blocks chosen by ``grid``
+    ``k`` eigenvalues are solved for (see ``_orthogonal_iteration``) and kept
+    as ``spectrum_head``.  An assembled ``operator`` is solved by its own
+    blocks; a hand-built N x N matrix is split into blocks chosen by ``grid``
     (``BlockOperator.from_dense``).  The eigenfunction is rescaled to be real
     with positive mean; the positivity flag records whether it is strictly
     one-signed.
     """
-    op = BlockOperator.from_dense(operator, grid) if isinstance(operator, np.ndarray) else operator
-    vals, vecs = _orthogonal_iteration(op, k)
-    vec = vecs[:, 0]
-    pivot = vec[np.argmax(np.abs(vec))]
-    vec = (vec / pivot).real
-    if vec.mean() < 0:
-        vec = -vec
-    scale = np.abs(vec).max()
-    vec = vec / scale
-    positivity = bool(vec.min() > 0.0) or bool(vec.max() < 0.0)
-    # the Rayleigh quotient of the real eigenfunction, accumulated in extended
-    # precision, is accurate to the rounding level of the matrix itself
-    wide = vec.astype(np.longdouble)
-    lam = float(wide @ op.apply(wide) / (wide @ wide))
-    residual = float(np.linalg.norm(op.apply(vec) - lam * vec) / np.linalg.norm(vec))
-    head = vals.copy()
-    head[0] = lam
-    return PrincipalEigen(
-        lambda1=complex(lam), eigenfunction=vec, positivity=positivity,
-        residual=residual, spectrum_head=head, operator=op,
-    )
+    return principal_eigenvalues([operator], grid, k)[0]
+
+
+def principal_eigenvalues(operators, grid: SurfaceGrid, k: int = 1) -> list[PrincipalEigen]:
+    """``principal_eigenvalue`` of each of a list of same-shape operators on
+    ``grid``, solved as one stack; each result is bitwise its own solve's."""
+    ops = [BlockOperator.from_dense(o, grid) if isinstance(o, np.ndarray) else o for o in operators]
+    stack = ops[0] if len(ops) == 1 else BlockOperator(np.stack([op.bands for op in ops]))
+    results = []
+    for op, (vals, vecs) in zip(ops, _orthogonal_iteration(stack, k)):
+        vec = (vecs[:, 0] / vecs[np.argmax(np.abs(vecs[:, 0])), 0]).real
+        vec = -vec if vec.mean() < 0 else vec
+        vec = vec / np.abs(vec).max()
+        positivity = bool(vec.min() > 0.0) or bool(vec.max() < 0.0)
+        # the Rayleigh quotient of the real eigenfunction, accumulated in extended
+        # precision, is accurate to the rounding level of the matrix itself
+        wide = vec.astype(np.longdouble)
+        lam = float(wide @ op.apply(wide) / (wide @ wide))
+        residual = float(np.linalg.norm(op.apply(vec) - lam * vec) / np.linalg.norm(vec))
+        head = vals.copy()
+        head[0] = lam
+        results.append(PrincipalEigen(complex(lam), vec, positivity, residual, head, op))
+    return results
 
 
 def quadrature_symmetry_residual(operator: BlockOperator, grid: SurfaceGrid) -> float:

@@ -218,10 +218,11 @@ def null_expansions(
     return float(theta_p), float(theta_m)
 
 
-def _trapping_data(e: EmbeddingJet2, m_field: MetricField, x_field: VectorField):
+def _trapping_data(e: EmbeddingJet2, m_field: MetricField, x_field: VectorField, u=None):
     """Extrinsic data, the time orientation X, g(H, H) and g(H, X) at every
-    sample of ``e``, from one ``extrinsic_data`` and one ``x_field`` call."""
-    data = extrinsic_data(e, m_field, e.sample_set)
+    sample of ``e`` (or at the parameters u of any stack shape), from one
+    ``extrinsic_data`` and one ``x_field`` call."""
+    data = extrinsic_data(e, m_field, e.sample_set if u is None else u)
     xv = x_field(data.H.base)
     h = data.H.components
     return data, xv, data.metric.inner(h, h), data.metric.inner(h, xv.components)

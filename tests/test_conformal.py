@@ -19,6 +19,7 @@ from traplab.conformal import (
     rescale_metric,
     rescaled_metric_field,
     trapping_perturbation,
+    trapping_sequence,
 )
 from traplab.errors import NotWeaklyTrapped
 from traplab.geometry import MetricJet2, TangentVector
@@ -262,6 +263,60 @@ class TestTrappingPerturbation:
                 coordinate_scalar_field(0, 4, scale=-1.0),
                 BumpProfile(2.0, 3.0, np.zeros(4)), 2,
             )
+
+
+def _same_records(a, b):
+    assert a.n == b.n
+    assert [(r.u.tobytes(), repr(r.gn_H_H), repr(r.gn_H_X)) for r in a.records] == [
+        (r.u.tobytes(), repr(r.gn_H_H), repr(r.gn_H_X)) for r in b.records
+    ]
+
+
+class TestTrappingSequence:
+    """``trapping_sequence`` against one ``trapping_perturbation`` per n."""
+
+    def _setup(self):
+        sc = build_scenario("minkowski_torus_quotient", {"m": 3, "samples_per_axis": 8})
+        tau = coordinate_scalar_field(0, sc.dim, scale=-1.0)
+        profile = BumpProfile(0.2, 0.45, np.zeros(sc.dim), axes=(0, 1), periods=(None, 1.0))
+        return sc, sc.embeddings["Sigma"], tau, profile
+
+    def test_every_n_bitwise(self):
+        sc, sigma, tau, profile = self._setup()
+        sequence = trapping_sequence(sc.metric, sigma, sc.time_orientation, tau, profile, range(1, 33))
+        assert [r.n for r in sequence] == list(range(1, 33))
+        for result in sequence:
+            single = trapping_perturbation(
+                sc.metric, sigma, sc.time_orientation, tau, profile, result.n
+            )
+            _same_records(result, single)
+            p = np.array([0.1, 0.2, 0.3, 0.6])
+            assert np.array_equal(result.metric_field(p).g, single.metric_field(p).g)
+
+    def test_chained_metric_field_bitwise(self):
+        sc, sigma, tau, profile = self._setup()
+        first = trapping_sequence(sc.metric, sigma, sc.time_orientation, tau, profile, [2])[0]
+        ns = [1, 3, 7, 3]
+        again = trapping_sequence(first.metric_field, sigma, sc.time_orientation, tau, profile, ns)
+        for n, result in zip(ns, again):
+            _same_records(result, trapping_perturbation(
+                first.metric_field, sigma, sc.time_orientation, tau, profile, n
+            ))
+            assert result.strictly_trapped()
+
+    def test_rejects_non_weakly_trapped_input(self):
+        mink = build_scenario("minkowski", {})
+        with pytest.raises(NotWeaklyTrapped):
+            trapping_sequence(
+                mink.metric, mink.embeddings["sphere"], mink.time_orientation,
+                coordinate_scalar_field(0, 4, scale=-1.0),
+                BumpProfile(2.0, 3.0, np.zeros(4)), [1, 2, 3],
+            )
+
+    def test_rejects_non_positive_n(self):
+        sc, sigma, tau, profile = self._setup()
+        with pytest.raises(ValueError, match="positive integer"):
+            trapping_sequence(sc.metric, sigma, sc.time_orientation, tau, profile, [3, 0])
 
 
 class TestCurvaturePerturbation:

@@ -13,11 +13,12 @@ import pytest
 from traplab import cli, reporting, stability
 from traplab.errors import EigensolverFailure
 from traplab.stability import (
+    BlockOperator,
     StabilityCoefficients,
+    _orthogonal_iteration,
     assemble_stability_operator,
     circle_grid,
     latlong_sphere_grid,
-    lowest_eigenpairs,
     periodic_tensor_grid,
     principal_eigenvalue,
 )
@@ -75,7 +76,7 @@ class TestAgainstDenseOracle:
     def test_whole_space_block_returns_every_eigenvalue(self):
         grid, op, _ = next(random_circle_operators(count=1, n=8))
         mat = op.dense()
-        vals, vecs = lowest_eigenpairs(mat, 8)
+        [(vals, vecs)] = _orthogonal_iteration(BlockOperator.from_dense(mat), 8)
         dense = np.linalg.eigvals(mat)
         assert np.abs(np.sort_complex(vals) - np.sort_complex(dense)).max() < 1e-12
         assert np.linalg.norm(mat @ vecs - vecs * vals, axis=0).max() < 1e-12
@@ -433,3 +434,73 @@ class TestBandedAssembly:
         coeffs.Q[len(coeffs.Q) // 3] = np.nan
         with pytest.raises(EigensolverFailure, match="non-finite"):
             principal_eigenvalue(assemble_stability_operator(grid, coeffs), grid)
+
+
+def _assert_same_member(a, b):
+    _assert_same_solve(a, b)
+    assert a.spectrum_head.dtype == b.spectrum_head.dtype
+    assert a.eigenfunction.ndim == 1
+    assert a.positivity == b.positivity
+
+
+class TestStackedSolve:
+    """``principal_eigenvalues`` on a stack against one solve per operator."""
+
+    @pytest.mark.parametrize("k", [1, cli.SPECTRUM_HEAD])
+    def test_seeded_operators_bitwise(self, k):
+        cases = list(random_circle_operators())
+        ops = [op for _, op, _ in cases]
+        stacked = stability.principal_eigenvalues(ops, cases[0][0], k)
+        assert len(stacked) == 50
+        for (grid, op, _), eig in zip(cases, stacked):
+            _assert_same_member(eig, principal_eigenvalue(op, grid, k))
+            assert eig.operator is op
+
+    def test_batch_mixing_real_and_complex_ritz_values(self, monkeypatch):
+        # a drift operator (complex Ritz values) beside drift-free ones (real)
+        cases = list(random_circle_operators(count=4))
+        grid, ops = cases[0][0], [op for _, op, _ in cases]
+        singles = [principal_eigenvalue(op, grid) for op in ops]
+        realness = []
+        eig = np.linalg.eig
+
+        def recording(a):
+            vals, vecs = eig(a)
+            realness.append((vals.imag == 0).all(axis=-1).tolist())
+            return vals, vecs
+
+        monkeypatch.setattr(np.linalg, "eig", recording)
+        stacked = stability.principal_eigenvalues(ops, grid)
+        assert any(True in r and False in r for r in realness)
+        for a, b in zip(stacked, singles):
+            _assert_same_member(a, b)
+
+    @pytest.mark.parametrize("n", [256, 1024])
+    def test_multi_block_circle_operators(self, n):
+        cases = list(random_circle_operators(count=6, n=n, seed=7))
+        ops = [op for _, op, _ in cases]
+        assert ops[0].m > 1
+        stacked = stability.principal_eigenvalues(ops, cases[0][0], cli.SPECTRUM_HEAD)
+        for (grid, op, _), eig in zip(cases, stacked):
+            _assert_same_member(eig, principal_eigenvalue(op, grid, cli.SPECTRUM_HEAD))
+
+    def test_dense_matrices_in_a_stack(self):
+        grid, op = BLOCK_OPERATORS["sphere-16x32"]()
+        shifted = assemble_stability_operator(grid, _sphere_case(16, 32)[1].shifted(1.5))
+        stacked = stability.principal_eigenvalues([op.dense(), shifted], grid, 3)
+        _assert_same_member(stacked[0], principal_eigenvalue(op, grid, 3))
+        _assert_same_member(stacked[1], principal_eigenvalue(shifted, grid, 3))
+
+    @pytest.mark.parametrize("n", [48, 256])
+    def test_one_non_finite_member_fails_the_stack(self, n):
+        cases = list(random_circle_operators(count=3, n=n))
+        ops = [op for _, op, _ in cases]
+        ops[1].bands[..., 0, 0, 0] = np.nan
+        with pytest.raises(EigensolverFailure, match="non-finite"):
+            stability.principal_eigenvalues(ops, cases[0][0])
+
+    def test_iteration_cap_names_a_member(self, monkeypatch):
+        cases = list(random_circle_operators(count=3))
+        monkeypatch.setattr(stability, "MAX_ITERATIONS", 2)
+        with pytest.raises(EigensolverFailure, match="no convergence in 2 iterations"):
+            stability.principal_eigenvalues([op for _, op, _ in cases], cases[0][0])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from traplab import linear_analysis
 from traplab.errors import DependentBasis
 from traplab.linear_analysis import (
     OperatorTriple,
@@ -158,7 +159,24 @@ class TestStacks:
         assert verdicts.tolist() == [list(reference_surjectivity(t, s)) for t, s in triples]
         assert sides.T.tolist() == [list(reference_codim(l, b)) for l, b in pairs]
         for i, (t, s) in enumerate(projection_pairs):
-            assert {name: value[i] for name, value in vars(rep).items()} == reference_projection(t, s)
+            stacked = {name: value[i] for name, value in vars(rep).items()}
+            assert stacked == reference_projection(t, s)
+            assert stacked == vars(projection_regularity(OperatorTriple(T=t, S=s)))
+
+    def test_projection_section_stacks_by_h(self, monkeypatch):
+        # one projection_regularity stack per distinct h (three SVDs each)
+        _, _, projection_pairs = linear_lemma_instances(2024)
+        stacks = []
+        original = linear_analysis.projection_regularity
+
+        def recording(tr, *args):
+            stacks.append(tr.T.shape[:2])
+            return original(tr, *args)
+
+        monkeypatch.setattr(linear_analysis, "projection_regularity", recording)
+        linear_lemma_results(2024)
+        assert sorted(h for _, h in stacks) == sorted({t.shape[0] for t, _ in projection_pairs})
+        assert sum(count for count, _ in stacks) == len(projection_pairs)
 
     @pytest.mark.parametrize("h, e, f", [(5, 2, 2), (4, 3, 5), (3, 1, 1), (6, 6, 6)])
     def test_mixed_ranks_in_one_stack(self, h, e, f):
@@ -206,6 +224,23 @@ class TestStacks:
             basis = rng.normal(size=(h, s))
             l = rng.normal(size=(h, u))
             assert codim_formula_check(pad_columns(l), pad_columns(basis), s) == codim_formula_check(l, basis)
+
+    @pytest.mark.parametrize("h", [1, 3, 6])
+    def test_projection_stack_padded_past_each_e_and_f(self, h):
+        # one stack per h, as the suite stacks its projection pairs: maps of
+        # every shape and rank at that h, zero-padded to 8 columns and carrying
+        # their own e and f, against the one-instance functions and the oracle
+        rng = np.random.default_rng(31 + h)
+        pairs = [(map_of_rank(rng, h, e, r % (min(h, e) + 1)), map_of_rank(rng, h, f, r % (min(h, f) + 1)))
+                 for r, (e, f) in enumerate((e, f) for e in range(1, 9) for f in range(1, 9))]
+        e, f = np.array([[t.shape[1], s.shape[1]] for t, s in pairs]).T
+        stack = OperatorTriple(T=np.stack([pad_columns(t) for t, _ in pairs]),
+                               S=np.stack([pad_columns(s) for _, s in pairs]))
+        rep = projection_regularity(stack, e, f)
+        for i, (t, s) in enumerate(pairs):
+            single = vars(projection_regularity(OperatorTriple(T=t, S=s)))
+            assert {name: value[i] for name, value in vars(rep).items()} == single
+            assert single == reference_projection(t, s)
 
     def test_one_dependent_basis_fails_the_stack(self):
         rng = np.random.default_rng(3)
