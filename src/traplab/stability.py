@@ -19,18 +19,17 @@ shift sigma below all discs has Re(lambda) - sigma >= lambda_1 - sigma > 0
 for every eigenvalue: lambda_1 is the eigenvalue nearest sigma, hence the
 dominant eigenvalue of (A - sigma I)^-1.  The operators are block tridiagonal
 in grid rows (block-cyclic on periodic grids), so assembly writes only their
-three block diagonals (``BlockOperator``), and ``principal_eigenvalue``
-factors the shifted operator once by those blocks, without pivoting since it
-is strictly diagonally dominant, and runs orthogonal iteration with
-Rayleigh-Ritz extraction on the factors (``_orthogonal_iteration``).
-``principal_eigenvalues`` solves same-shape operators as one stack whose
-members each stop on their own rule, bitwise as one at a time.  An operator
-whose blocks would have fewer than ``MIN_BLOCK_NODES`` nodes is one block,
-its whole N x N matrix, factored by one dense inverse: so is every circle
-whose N has no divisor in [MIN_BLOCK_NODES, sqrt(N)], a prime N among them.
-The solve uses numpy only and a fixed starting block, so replays are bytewise
-identical.  The N x N matrix (``BlockOperator.dense``) and the full spectrum
-are formed only on request.
+block diagonals (``BlockOperator``).  ``principal_eigenvalue`` factors the
+shifted operator once by one block-arrow elimination over those blocks, the
+same code for every block count m, without pivoting since it is strictly
+diagonally dominant, and runs orthogonal iteration with Rayleigh-Ritz
+extraction on the factors (``_orthogonal_iteration``); ``principal_eigenvalues``
+solves same-shape operators as one stack, bitwise as one at a time.  Blocks
+under ``MIN_BLOCK_NODES`` nodes give m = 1, one block whose elimination is one
+dense inverse: so on every circle whose N has no divisor in
+[MIN_BLOCK_NODES, sqrt(N)], a prime N among them.  The solve uses numpy only
+and a fixed starting block, so replays are bytewise identical.  The N x N
+matrix (``BlockOperator.dense``) and the full spectrum are formed only on request.
 The deformation check moves the surface along its unit normal with the
 principal eigenfunction as velocity and verifies the derivative identity for
 the outward null expansion.
@@ -40,6 +39,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
@@ -270,19 +270,20 @@ def _divergence_on_grid(grid: SurfaceGrid, x: np.ndarray) -> np.ndarray:
 
 def assemble_stability_operator(grid: SurfaceGrid, coeffs: StabilityCoefficients) -> BlockOperator:
     """-Lap + 2 X.grad + (Q + div X - |X|^2) on the grid, written straight into
-    the three block diagonals of its grid-row blocks (``BlockOperator``)."""
+    the block diagonals of its grid-row blocks (``BlockOperator``)."""
     _check_resolution(grid.shape)
     b = _block_size(grid, grid.num_nodes)
-    m = grid.num_nodes // b
-    op = BlockOperator(np.zeros((3 if m > 1 else 1, m, b, b)))
-    if grid.kind is GridKind.PERIODIC_TENSOR:
-        _laplacian_periodic(grid, op)
-    else:
-        _laplacian_latlong(grid, op)
-    np.negative(op.bands, out=op.bands)
-    _add_drift(grid, coeffs.X, op)
+    _, cols = _band_blocks(grid.num_nodes // b)
+    op = BlockOperator(np.zeros(cols.shape + (b, b)))
     rows = np.arange(grid.num_nodes)
-    op.bands[op.at(rows, rows)] += coeffs.Q + coeffs.divX - coeffs.normX_sq
+    diag = op.at(rows, rows)
+    if grid.kind is GridKind.PERIODIC_TENSOR:
+        _periodic_stencil(grid, coeffs.X, op, diag)
+    elif np.abs(coeffs.X).max() != 0.0:
+        raise NotImplementedError("drift fields are supported on periodic grids only")
+    else:
+        _latlong_stencil(grid, op, diag)
+    op.bands[diag] += coeffs.Q + coeffs.divX - coeffs.normX_sq
     return op
 
 
@@ -295,25 +296,27 @@ def _axis_neighbors(shape, axis):
     return plus, minus
 
 
-def _laplacian_periodic(grid: SurfaceGrid, op: BlockOperator) -> None:
-    """Conservative Laplace-Beltrami for a diagonal metric on a periodic grid, into ``op``."""
-    shape = grid.shape
+def _periodic_stencil(grid: SurfaceGrid, x: np.ndarray, op: BlockOperator, diag: tuple) -> None:
+    """-Lap + 2 X.grad on a periodic grid, into ``op``: the conservative
+    Laplace-Beltrami operator of a diagonal metric and 2 X^a d_a by central
+    differences.  Both write the same neighbour entries, so each is located
+    by ``BlockOperator.at`` once."""
     sqrt_h = np.sqrt(np.prod(grid.metric_diag, axis=1))
     rows = np.arange(grid.num_nodes)
-    diag = op.at(rows, rows)
     for axis, h in enumerate(grid.spacing):
         coeff = sqrt_h / grid.metric_diag[:, axis]
-        plus, minus = _axis_neighbors(shape, axis)
+        plus, minus = _axis_neighbors(grid.shape, axis)
         c_plus = 0.5 * (coeff + coeff[plus])
         c_minus = 0.5 * (coeff + coeff[minus])
         scale = 1.0 / (sqrt_h * h * h)
-        op.bands[op.at(rows, plus)] += scale * c_plus
-        op.bands[op.at(rows, minus)] += scale * c_minus
-        op.bands[diag] -= scale * (c_plus + c_minus)
+        drift = x[:, axis] / h
+        op.bands[op.at(rows, plus)] += drift - scale * c_plus
+        op.bands[op.at(rows, minus)] += -drift - scale * c_minus
+        op.bands[diag] += scale * (c_plus + c_minus)
 
 
-def _laplacian_latlong(grid: SurfaceGrid, op: BlockOperator) -> None:
-    """Sphere Laplacian into ``op``; the flux through the pole faces vanishes with sin(theta)."""
+def _latlong_stencil(grid: SurfaceGrid, op: BlockOperator, diag: tuple) -> None:
+    """-Lap on a sphere into ``op``; the flux through the pole faces vanishes with sin(theta)."""
     n_theta, n_phi = grid.shape
     dtheta, dphi = grid.spacing
     radius_sq = grid.metric_diag[0, 0]
@@ -329,32 +332,18 @@ def _laplacian_latlong(grid: SurfaceGrid, op: BlockOperator) -> None:
     c_dn[0] = 0.0
     # phi direction: periodic second difference
     scale = np.broadcast_to(1.0 / (radius_sq * sin_t[:, :1] ** 2 * dphi * dphi), idx.shape)
-    op.bands[op.at(idx[:-1], idx[1:])] = c_up[:-1]
-    op.bands[op.at(idx[1:], idx[:-1])] = c_dn[1:]
-    op.bands[op.at(idx, np.roll(idx, -1, axis=1))] = scale
-    op.bands[op.at(idx, np.roll(idx, 1, axis=1))] = scale
-    op.bands[op.at(idx, idx)] = -c_up - c_dn - 2.0 * scale
-
-
-def _add_drift(grid: SurfaceGrid, x: np.ndarray, op: BlockOperator) -> None:
-    """2 <X, grad psi> = 2 X^a d_a psi, central differences, added into ``op``."""
-    if np.abs(x).max() == 0.0:
-        return
-    if grid.kind is not GridKind.PERIODIC_TENSOR:
-        raise NotImplementedError("drift fields are supported on periodic grids only")
-    rows = np.arange(grid.num_nodes)
-    for axis, h in enumerate(grid.spacing):
-        plus, minus = _axis_neighbors(grid.shape, axis)
-        c = x[:, axis] / h
-        op.bands[op.at(rows, plus)] += c
-        op.bands[op.at(rows, minus)] -= c
+    op.bands[op.at(idx[:-1], idx[1:])] = -c_up[:-1]
+    op.bands[op.at(idx[1:], idx[:-1])] = -c_dn[1:]
+    op.bands[op.at(idx, np.roll(idx, -1, axis=1))] = -scale
+    op.bands[op.at(idx, np.roll(idx, 1, axis=1))] = -scale
+    op.bands[diag] = (c_up + c_dn + 2.0 * scale).ravel()
 
 
 def _block_size(grid: Optional[SurfaceGrid], num: int) -> int:
     """Nodes per block of an N-node operator on ``grid``: a latitude row on a
     lat-long grid, a line of the last axis on a periodic 2-d grid, on a circle
-    the largest divisor of N not above sqrt(N).  N itself (one block, one dense
-    inverse) without a grid, for fewer than three blocks or under ``MIN_BLOCK_NODES``."""
+    the largest divisor of N not above sqrt(N).  N itself (m = 1, the same
+    elimination) without a grid, for fewer than three blocks or under ``MIN_BLOCK_NODES``."""
     if grid is None:
         return num
     if len(grid.nodes) != num:
@@ -367,9 +356,10 @@ def _block_size(grid: Optional[SurfaceGrid], num: int) -> int:
 
 
 def _band_blocks(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Block rows (m,) and block columns (3, m) of the three block diagonals."""
+    """Block rows (m,) and block columns (bands, m) of the block diagonals:
+    i, i - 1 and i + 1 (mod m), or the one diagonal of a single block."""
     rows = np.arange(m)
-    return rows, (rows + np.array([0, -1, 1])[:, None]) % m
+    return rows, (rows + np.array([0, -1, 1])[: min(m, 3), None]) % m
 
 
 class BlockOperator:
@@ -379,9 +369,9 @@ class BlockOperator:
     Every nonzero of block row i lies in block columns i - 1, i, i + 1 (mod
     m): block-cyclic on periodic grids, block-tridiagonal with zero corners
     on lat-long grids.  ``bands`` has shape (3, m, b, b); bands 0, 1, 2 hold
-    blocks (i, i), (i, i - 1) and (i, i + 1).  An operator of one block
-    (m = 1) keeps its whole matrix as its one band, of shape (1, 1, N, N).  A
-    stack of S has bands (S, 3, m, b, b), over which ``apply`` and
+    blocks (i, i), (i, i - 1) and (i, i + 1).  One block (m = 1), its own
+    neighbour, has the one band (1, 1, N, N) and runs the same code.  A stack
+    of S has bands (S, bands, m, b, b), over which ``apply`` and
     ``shifted_solver`` broadcast; ``at`` and ``dense`` take one operator.
     """
 
@@ -397,8 +387,6 @@ class BlockOperator:
         num = matrix.shape[0]
         b = _block_size(grid, num)
         m = num // b
-        if m == 1:
-            return cls(matrix.reshape(1, 1, num, num))
         rows, cols = _band_blocks(m)
         op = cls(matrix.reshape(m, b, m, b)[rows, :, cols, :])
         if np.count_nonzero(matrix) != np.count_nonzero(op.bands):
@@ -410,28 +398,26 @@ class BlockOperator:
 
     def at(self, rows: np.ndarray, cols: np.ndarray) -> tuple:
         """Index into ``bands`` of the matrix entries (rows, cols), which must
-        lie on the three block diagonals."""
-        if self.m == 1:
-            return 0, 0, rows, cols
+        lie on the block diagonals."""
         i, r = np.divmod(rows, self.b)
         j, c = np.divmod(cols, self.b)
-        return np.select([j == i, j == (i + 1) % self.m], [0, 2], 1), i, r, c
+        return np.where(j == i, 0, np.where(j == (i + 1) % self.m, 2, 1)), i, r, c
 
     def dense(self) -> np.ndarray:
         """The N x N matrix, a new array."""
         rows, cols = _band_blocks(self.m)
         out = np.zeros((self.m, self.b, self.m, self.b))
-        out[rows, :, cols[: len(self.bands)], :] = self.bands
+        out[rows, :, cols, :] = self.bands
         return out.reshape(self.shape)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """A x for x of shape (N,) or (N, c), or (S, N, c) for a stack of S."""
-        if self.m == 1:
-            return self.bands[..., 0, 0, :, :] @ x
+        # block row i of x is the view xb[..., i, :, :], as in ``shifted_solver``
         xb = x.reshape(x.shape[:-2] + (self.m, self.b, -1))
         out = self.bands[..., 0, :, :, :] @ xb
-        out += self.bands[..., 1, :, :, :] @ np.roll(xb, 1, axis=-3)
-        out += self.bands[..., 2, :, :, :] @ np.roll(xb, -1, axis=-3)
+        # bands 1 and 2, which one block has not, meet block rows i - 1 and i + 1
+        for band, shift in zip(range(1, self.bands.shape[-4]), (1, -1)):
+            out += self.bands[..., band, :, :, :] @ np.roll(xb, shift, axis=-3)
         return out.reshape(x.shape)
 
     def shifted_solver(self, sigma) -> Callable[..., np.ndarray]:
@@ -441,61 +427,62 @@ class BlockOperator:
         stable because A - sigma I is strictly row diagonally dominant for the
         Gershgorin shift.  The cyclic corner blocks are carried as a fill
         column (block column m-1) and a fill row (block row m-1): block-arrow
-        elimination.  Each pivot block is inverted once; for m = 1 this is
-        one dense inverse of the whole matrix, applied by one product.  A stack
-        takes a shift per member, x of shape (S, N, c) and a ``keep`` mask that
-        drops the other members' factors for good.
+        elimination.  Each pivot block is inverted once.  One block (m = 1) is
+        the case of no elimination step: its one pivot is the whole shifted
+        matrix, inverted once and applied by one product.  A stack takes a
+        shift per member, x of shape (S, N, c) and a ``keep`` mask that drops
+        the other members' factors for good.
         """
         m, b, last = self.m, self.b, self.m - 1
-        # the block axis first: blocks[i, ..., j] is block i of band j of every member
-        blocks = np.moveaxis(self.bands, -3, 0)
-        d = blocks[..., 0, :, :] - np.asarray(sigma)[..., None, None] * np.eye(b)
+        # the band and block axes first: blocks[k, i] is block i of band k of every member
+        blocks = np.moveaxis(self.bands, (-4, -3), (0, 1))
+        zero = np.broadcast_to(0.0, (b, b))  # no memory: one block (b = N) never reads it
+        # block[i, j] is block (i, j) of every member, zero off the block diagonals
+        block = defaultdict(lambda: zero, {(i, j): blocks[k, i]
+                                           for k, js in enumerate(_band_blocks(m)[1].tolist())
+                                           for i, j in enumerate(js)})
+        d = blocks[0] - np.asarray(sigma)[..., None, None] * np.eye(b)
         # step i keeps the pivot inverse P_i = S_i^-1, the fill column F_i
         # (block (i, m-1) of U), the fill-row multiplier V_i = G_i P_i and,
         # below the last block row, the lower multiplier W_{i+1} = A_{i+1,i} P_i
-        pivots, fill_col, fill_row, lower, up = [], [], [], [], []
-        if m > 1:
-            lo, up = blocks[..., 1, :, :], list(blocks[..., 2, :, :])  # blocks (i, i - 1), (i, i + 1)
-            zero = np.zeros((b, b))
-            s, t, f, g = d[0], d[last], lo[0], up[last]
-            for i in range(last):
-                p = np.linalg.inv(s)
-                v = g @ p
-                t = t - v @ f
-                pivots.append(p)
-                fill_col.append(f)
-                fill_row.append(v)
-                if i + 1 < last:
-                    w = lo[i + 1] @ p
-                    s = d[i + 1] - w @ up[i]
-                    # blocks (i+1, m-1) and (m-1, i+1) are nonzero only when adjacent
-                    adjacent = i + 2 == last
-                    f = (up[i + 1] if adjacent else zero) - w @ f
-                    g = (lo[last] if adjacent else zero) - v @ up[i]
-                    lower.append(w)
-        pivots.append(np.linalg.inv(d[last] if m == 1 else t))
+        pivots, fill_col, fill_row, lower = [], [], [], []
+        up = [block[i, i + 1] for i in range(last - 1)]
+        s, t, f, g = d[0], d[last], block[0, last], block[last, 0]
+        for i in range(last):
+            p = np.linalg.inv(s)
+            v = g @ p
+            t = t - v @ f
+            pivots.append(p)
+            fill_col.append(f)
+            fill_row.append(v)
+            if i + 1 < last:
+                w = block[i + 1, i] @ p
+                s = d[i + 1] - w @ up[i]
+                # blocks (i+1, m-1) and (m-1, i+1) are nonzero only when adjacent
+                f = block[i + 1, last] - w @ f
+                g = block[last, i + 1] - v @ up[i]
+                lower.append(w)
+        pivots.append(np.linalg.inv(t))
 
         def solve(y: np.ndarray, keep=None) -> np.ndarray:
             if keep is not None:
                 for factors in (pivots, fill_col, fill_row, lower, up):
                     factors[:] = [a[keep] for a in factors]
-            if m == 1:
-                return pivots[0] @ y
-            yb = np.moveaxis(y.reshape(y.shape[:-2] + (m, b, -1)), -3, 0)
-            z = [yb[0]]
+            yb = y.reshape(y.shape[:-2] + (m, b, -1))
+            z = [yb[..., 0, :, :]]
             for i in range(1, last):
-                z.append(yb[i] - lower[i - 1] @ z[-1])
-            acc = yb[last]
+                z.append(yb[..., i, :, :] - lower[i - 1] @ z[-1])
+            acc = yb[..., last, :, :]
             for i in range(last):
                 acc = acc - fill_row[i] @ z[i]
             x = np.empty(yb.shape)
-            x_last = np.matmul(pivots[last], acc, out=x[last])
+            x_last = np.matmul(pivots[last], acc, out=x[..., last, :, :])
             for i in reversed(range(last)):
                 r = z[i] - fill_col[i] @ x_last
                 if i + 1 < last:
-                    r = r - up[i] @ x[i + 1]
-                np.matmul(pivots[i], r, out=x[i])
-            return np.moveaxis(x, 0, -3).reshape(y.shape)
+                    r = r - up[i] @ x[..., i + 1, :, :]
+                np.matmul(pivots[i], r, out=x[..., i, :, :])
+            return x.reshape(y.shape)
 
         return solve
 
@@ -538,8 +525,10 @@ def _orthogonal_iteration(op: BlockOperator, k: int) -> list[tuple[np.ndarray, n
     active = np.arange(len(tol))  # the stack index of each member still iterating
     keep = None  # the members the last shrink of the stack kept, for the solver
     found = [None] * len(tol)
+    step = "factorising A - sigma I"
     try:
         solve = op.shifted_solver(sigma)
+        step = "orthogonal iteration on (A - sigma I)^-1"
         for _ in range(MAX_ITERATIONS):
             q, _ = np.linalg.qr(solve(q, keep))
             aq = op.apply(q)
@@ -565,7 +554,7 @@ def _orthogonal_iteration(op: BlockOperator, k: int) -> list[tuple[np.ndarray, n
             raise EigensolverFailure(f"no convergence in {MAX_ITERATIONS} iterations: residual "
                                      f"{residuals[i]:.3e} above {tol[i]:.3e}")
     except np.linalg.LinAlgError as exc:
-        raise EigensolverFailure(str(exc)) from exc
+        raise EigensolverFailure(f"{step} at sigma={sigma} failed: {exc}") from exc
     for lam in (vals[0] for vals, _ in found):
         if abs(lam.imag) > 1e-8 * (1.0 + abs(lam.real)):
             raise EigensolverFailure(f"principal eigenvalue has non-negligible imaginary part {lam.imag:.3e}")
@@ -629,13 +618,13 @@ def principal_eigenvalues(operators, grid: SurfaceGrid, k: int = 1) -> list[Prin
 
 
 def quadrature_symmetry_residual(operator: BlockOperator, grid: SurfaceGrid) -> float:
-    """Max asymmetry of the operator in the quadrature inner product: blocks
-    (i, i) and (i, i - 1) of W A against the transposes of (i, i) and (i - 1, i)."""
+    """Max asymmetry of the operator in the quadrature inner product: each
+    block (i, j) of W A against the transpose of its block (j, i)."""
+    _, cols = _band_blocks(operator.m)
     wa = grid.weights.reshape(operator.m, operator.b, 1) * operator.bands
-    asymmetry = np.abs(wa[0] - np.swapaxes(wa[0], 1, 2)).max()
-    if operator.m > 1:
-        below = np.abs(wa[1] - np.swapaxes(np.roll(wa[2], 1, axis=0), 1, 2)).max()
-        asymmetry = max(asymmetry, below)
+    # block (i, j) of band 0, 1, 2 is mirrored by block (j, i) of band 0, 2, 1
+    mirror = wa[np.array([0, 2, 1])[: len(cols), None], cols]
+    asymmetry = np.abs(wa - np.swapaxes(mirror, -1, -2)).max()
     return float(asymmetry / max(1.0, np.abs(wa).max()))
 
 

@@ -216,6 +216,14 @@ class TestCommandLine:
         proc = run_cli("classify", "--scenario", "kerr", "--surface", "Sigma")
         assert proc.returncode == 3
 
+    def test_singular_shifted_operator_exit_three(self):
+        # q_offset 1e200 absorbs the unit gap of the Gershgorin shift
+        proc = run_cli("deform", "--q-offset", "1e200")
+        assert proc.returncode == 3
+        assert proc.stderr.splitlines() == [
+            "scenario error: factorising A - sigma I at sigma=1e+200 failed: Singular matrix"
+        ]
+
     def test_bad_tolerance_exit_two(self):
         proc = run_cli("curvature", "--case", "timelike", "--n", "1", "--tol", "curvature=x")
         assert proc.returncode == 2

@@ -154,6 +154,7 @@ BLOCK_OPERATORS = {
     "sphere-16x32": lambda: _sphere_operator(16, 32),
     "sphere-24x48": lambda: _sphere_operator(24, 48),
     "circle-1024": lambda: _circle_operator(1024),
+    "circle-48": lambda: _circle_operator(48),
 }
 
 
@@ -173,10 +174,13 @@ class TestBlockPath:
         assert np.abs(head.real - dense.real).max() < 1e-9
         assert np.abs(np.abs(head.imag) - np.abs(dense.imag)).max() < 1e-9
 
-    def test_factored_solve_matches_linalg_solve(self):
-        grid, op = BLOCK_OPERATORS["sphere-24x48"]()
+    @pytest.mark.parametrize("name, blocks", [("sphere-24x48", (24, 48)), ("circle-48", (1, 48)),
+                                              ("circle-1024", (32, 32))],
+                             ids=["sphere-24x48", "circle-48", "circle-1024"])
+    def test_factored_solve_matches_linalg_solve(self, name, blocks):
+        grid, op = BLOCK_OPERATORS[name]()
         mat = op.dense()
-        assert (op.m, op.b) == (24, 48)
+        assert (op.m, op.b) == blocks
         diag = np.diag(mat)
         sigma = (diag - (np.abs(mat).sum(axis=1) - np.abs(diag))).min() - 1.0
         shifted = mat - sigma * np.eye(grid.num_nodes)
@@ -193,11 +197,12 @@ class TestBlockPath:
         with pytest.raises(EigensolverFailure, match="stencil"):
             principal_eigenvalue(mat, grid)
 
-    @pytest.mark.parametrize("name", ["sphere-24x48", "circle-1024"])
+    @pytest.mark.parametrize("name", ["sphere-24x48", "circle-1024", "circle-48"])
     def test_no_linalg_call_sees_more_than_one_block(self, name, monkeypatch):
         # the factorisation inverts one b x b block at a time; only the
         # N x (k + OVERSAMPLING) iterate and its residuals, never an N x N
-        # array, reach np.linalg with more than b rows
+        # array, reach np.linalg with more than b rows.  One block (b = N)
+        # is one N x N inverse
         grid, op = BLOCK_OPERATORS[name]()
         calls = []
 

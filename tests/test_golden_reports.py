@@ -58,6 +58,8 @@ CONFIGS = {
         "points": 50, "seed": 2,
     },
     "spectrum-64": {"command": "spectrum", "resolution": 64},
+    # 32 blocks of 32 nodes: the one multi-block solve of the corpus
+    "spectrum-1024": {"command": "spectrum", "resolution": 1024},
     "deform-32-q0": {"command": "deform", "resolution": 32, "q_offset": 0.0},
     "deform-32-q2": {"command": "deform", "resolution": 32, "q_offset": 2.0},
     "linear-2024": {"command": "linear", "seed": 2024},
