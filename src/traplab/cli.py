@@ -53,7 +53,7 @@ from .reporting import (
     write_spectrum_csv,
 )
 from .scenarios import build_scenario
-from .submanifold import trapping_classify
+from .submanifold import TrappingLabel, trapping_classify
 
 _CASE_NAMES = {c.value: c for c in CurvatureCase}
 # eigenvalues reported as the spectrum head of the spectrum command
@@ -160,7 +160,7 @@ def _cmd_perturb(cfg: dict):
     # chart directions, centered where the surface actually sits
     profile = BumpProfile(
         inner_radius=cfg["bump_inner"], outer_radius=cfg["bump_outer"],
-        center=np.asarray(emb.chart(emb.sample_set[0]), dtype=float), axes=(0, 1),
+        center=np.asarray(emb.jet(emb.sample_set[0])[0], dtype=float), axes=(0, 1),
         periods=(None, sc.periods[1] if sc.periods else None),
     )
     result = trapping_perturbation(sc.metric, emb, sc.time_orientation, tau, profile, n)
@@ -392,7 +392,8 @@ COMMANDS = {
     "classify": _command(_cmd_classify, {
         **_SCENARIO,
         "surface": Opt(str),
-        "expect": Opt(str, help="expected class label (optional)"),
+        "expect": Opt(str, choices=tuple(label.value for label in TrappingLabel),
+                      help="expected class label (optional)"),
     }),
     "perturb": _command(_cmd_perturb, {
         **_SCENARIO,
@@ -510,8 +511,11 @@ def _build_parser() -> argparse.ArgumentParser:
             if opt.source == ARG:
                 p.add_argument(key, nargs="*", help=opt.help)
             elif opt.source == FLAG:
+                # allowed values are checked by resolve, so a wrong one is a
+                # one-line configuration error, not an argparse usage error
+                metavar = "{" + ",".join(map(str, opt.choices)) + "}" if opt.choices else None
                 p.add_argument("--" + key.replace("_", "-"), dest=key, type=opt.type,
-                               choices=opt.choices or None, help=opt.help)
+                               metavar=metavar, help=opt.help)
         p.add_argument("--config", help="flat key = value configuration file")
         p.add_argument("--tol", action="append", default=[], metavar="NAME=VALUE",
                        help="tolerance override (repeatable)")

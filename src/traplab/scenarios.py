@@ -21,7 +21,6 @@ for the verification suites:
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -99,64 +98,51 @@ def _grid_samples(count_per_axis: int, dims: int, period: float = 1.0) -> np.nda
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-# factors of the sphere chart entries: sin t, sin p, cos t, cos p and 1
-_ST, _SP, _CT, _CP, _ONE = range(5)
+def _sphere_trig(u: np.ndarray):
+    """sin theta, sin phi, cos theta and cos phi of (..., 2) sphere parameters."""
+    u = np.asarray(u, dtype=float)
+    s, c = np.sin(u), np.cos(u)
+    return s[..., 0], s[..., 1], c[..., 0], c[..., 1]
 
 
-def _sphere_map(entries, ambient_dim: int, offset: int = 0):
-    """Map of (..., 2) sphere parameters to arrays (..., ambient_dim, 2, ...).
-
-    Each entry (index, coefficient, f, h) sets the component at ``index``, its
-    Euclidean row shifted by ``offset``, to coefficient * f * h; every other
-    component is zero.
-    """
-    index, coef, first, second = (np.array(column) for column in zip(*entries))
-    shape = (ambient_dim,) + (2,) * (index.shape[1] - 1)
-    flat = np.ravel_multi_index((index[:, 0] + offset, *index[:, 1:].T), shape)
-
-    def f(u):
-        u = np.asarray(u, dtype=float)
-        factors = np.concatenate((np.sin(u), np.cos(u), np.ones(u.shape[:-1] + (1,))), axis=-1)
-        out = np.zeros(u.shape[:-1] + (math.prod(shape),))
-        out[..., flat] = coef * factors.take(first, axis=-1) * factors.take(second, axis=-1)
-        return out.reshape(u.shape[:-1] + shape)
-
-    return f
-
-
-def _radial_entries(r: float):
-    return [((0,), r, _ST, _CP), ((1,), r, _ST, _SP), ((2,), r, _CT, _ONE)]
-
-
-_unit_radial = _sphere_map(_radial_entries(1.0), 3)
+def _unit_radial(u: np.ndarray, ambient_dim: int = 3, offset: int = 0) -> np.ndarray:
+    """Outward unit radial vector of the round 2-sphere at (..., 2) parameters,
+    in the three Euclidean components from ``offset`` on."""
+    st, sp, ct, cp = _sphere_trig(u)
+    out = np.zeros(np.shape(st) + (ambient_dim,))
+    out[..., offset], out[..., offset + 1], out[..., offset + 2] = st * cp, st * sp, ct
+    return out
 
 
 def sphere_embedding(radius: float, ambient_dim: int, spatial_only: bool = False) -> EmbeddingJet2:
     """Round 2-sphere embedding, either into the {t = 0} slice of a
     4-dimensional spacetime or directly into 3-space (``spatial_only``)."""
     offset = 0 if spatial_only else 1
-    r = radius
-    d_entries = [
-        ((0, 0), r, _CT, _CP), ((0, 1), -r, _ST, _SP), ((1, 0), r, _CT, _SP),
-        ((1, 1), r, _ST, _CP), ((2, 0), -r, _ST, _ONE),
-    ]
-    dd_entries = [
-        ((0, 0, 0), -r, _ST, _CP), ((0, 0, 1), -r, _CT, _SP), ((0, 1, 0), -r, _CT, _SP),
-        ((0, 1, 1), -r, _ST, _CP), ((1, 0, 0), -r, _ST, _SP), ((1, 0, 1), r, _CT, _CP),
-        ((1, 1, 0), r, _CT, _CP), ((1, 1, 1), -r, _ST, _SP), ((2, 0, 0), -r, _CT, _ONE),
-    ]
-    point, d_point, dd_point, outward = (
-        _sphere_map(entries, ambient_dim, offset)
-        for entries in (_radial_entries(r), d_entries, dd_entries, _radial_entries(1.0))
-    )
+    ex, ey, ez = range(offset, offset + 3)
+
+    def jet(u):
+        # each entry is r sin theta or r cos theta times the phi factor, in
+        # that order, which fixes its last bit
+        st, sp, ct, cp = _sphere_trig(u)
+        rs, rc = radius * st, radius * ct
+        x, d, dd = (np.zeros(np.shape(rs) + (ambient_dim,) + (2,) * k) for k in range(3))
+        x[..., ex], x[..., ey], x[..., ez] = rs * cp, rs * sp, rc
+        d[..., ex, 0], d[..., ex, 1] = rc * cp, -rs * sp
+        d[..., ey, 0], d[..., ey, 1] = rc * sp, rs * cp
+        d[..., ez, 0] = -rs
+        dd[..., ex, 0, 0] = dd[..., ex, 1, 1] = -rs * cp
+        dd[..., ex, 0, 1] = dd[..., ex, 1, 0] = -rc * sp
+        dd[..., ey, 0, 0] = dd[..., ey, 1, 1] = -rs * sp
+        dd[..., ey, 0, 1] = dd[..., ey, 1, 0] = rc * cp
+        dd[..., ez, 0, 0] = -rc
+        return x, d, dd
+
     return EmbeddingJet2(
         sigma_dim=2,
         ambient_dim=ambient_dim,
-        chart=point,
-        d_chart=d_point,
-        dd_chart=dd_point,
+        jet=jet,
         sample_set=_latlong_samples(6, 8),
-        outward=outward,
+        outward=lambda u: _unit_radial(u, ambient_dim, offset),
         name=f"sphere_r{radius:g}",
     )
 
@@ -172,45 +158,28 @@ def coordinate_plane_embedding(
     free = [a for a in range(ambient_dim) if a not in fixed_axes]
     sigma_dim = len(free)
     values = fixed_values if fixed_values is not None else (0.0,) * len(fixed_axes)
-    d = np.zeros((ambient_dim, sigma_dim))
-    for col, a in enumerate(free):
-        d[a, col] = 1.0
+    d = np.eye(ambient_dim)[:, free]
     dd = np.zeros((ambient_dim, sigma_dim, sigma_dim))
     e_out = np.eye(ambient_dim)[outward_axis]
 
-    def point(u):
+    def jet(u):
         u = np.asarray(u, dtype=float)
         x = np.zeros(u.shape[:-1] + (ambient_dim,))
         x[..., list(fixed_axes)] = values
         x[..., free] = u
-        return x
-
-    def constant(a):
-        return lambda u: stacked(a, np.shape(u)[:-1])
+        return x, stacked(d, u.shape[:-1]), stacked(dd, u.shape[:-1])
 
     return EmbeddingJet2(
         sigma_dim=sigma_dim,
         ambient_dim=ambient_dim,
-        chart=point,
-        d_chart=constant(d),
-        dd_chart=constant(dd),
+        jet=jet,
         sample_set=samples,
-        outward=constant(e_out),
+        outward=lambda u: stacked(e_out, np.shape(u)[:-1]),
         name=f"plane_fixed{fixed_axes}",
     )
 
 
 # --- round sphere jets -----------------------------------------------------
-
-@functools.lru_cache(maxsize=None)
-def _below(n: int):
-    """For the pairs k < i and the triples l, k < i: their index arrays, the
-    flat positions of dg[k, i, i] and ddg[l, k, i, i], and where l == k."""
-    idx = np.arange(n)
-    k, i = np.nonzero(idx[:, None] < idx)
-    l, k2, i2 = np.nonzero((idx[:, None, None] < idx) & (idx[:, None] < idx))
-    return k, i, (k * n + i) * n + i, l, k2, i2, ((l * n + k2) * n + i2) * n + i2, l == k2
-
 
 def round_sphere_jet(n: int, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Metric 2-jet of the unit round n-sphere in nested polar coordinates,
@@ -224,24 +193,23 @@ def round_sphere_jet(n: int, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray
     # derivatives only ever involve the first n-1 angles (k < i), so the
     # last angle may sit at a coordinate zero without harm
     cot = np.cos(angles[..., : n - 1]) / np.sin(angles[..., : n - 1])
+    cot2 = elementwise(lambda c: c**2, cot)
     csc2 = 1.0 / sin2[..., : n - 1]
     a = np.ones(shape + (n,))
     np.multiply.accumulate(sin2[..., :-1], axis=-1, out=a[..., 1:])
-    k, i, at_dg, l, k2, i2, at_ddg, same = _below(n)
-    g = np.zeros(shape + (n * n,))
-    dg = np.zeros(shape + (n**3,))
-    ddg = np.zeros(shape + (n**4,))
-    g[..., :: n + 1] = a
-    # d_k a_i = 2 cot_k a_i and the second derivatives, for k, l < i
-    dg[..., at_dg] = a.take(i, axis=-1) * 2.0 * cot.take(k, axis=-1)
-    a2 = a.take(i2, axis=-1)
-    cot_k = cot.take(k2, axis=-1)
-    ddg[..., at_ddg] = np.where(
-        same,
-        a2 * (4.0 * elementwise(lambda c: c**2, cot_k) - 2.0 * csc2.take(k2, axis=-1)),
-        a2 * 4.0 * cot_k * cot.take(l, axis=-1),
-    )
-    return g.reshape(shape + (n, n)), dg.reshape(shape + (n,) * 3), ddg.reshape(shape + (n,) * 4)
+    g = np.zeros(shape + (n, n))
+    dg = np.zeros(shape + (n,) * 3)
+    ddg = np.zeros(shape + (n,) * 4)
+    for i in range(n):
+        a_i = a[..., i]
+        g[..., i, i] = a_i
+        # d_k a_i = 2 cot_k a_i and the second derivatives, for k, l < i
+        for k in range(i):
+            dg[..., k, i, i] = a_i * 2.0 * cot[..., k]
+            for l in range(i):
+                ddg[..., l, k, i, i] = (a_i * (4.0 * cot2[..., k] - 2.0 * csc2[..., k]) if l == k
+                                        else a_i * 4.0 * cot[..., k] * cot[..., l])
+    return g, dg, ddg
 
 
 def _cylinder_metric_field(n: int) -> MetricField:

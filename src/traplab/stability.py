@@ -711,16 +711,17 @@ def _nodal_curve_embedding(
             raise ValueError("nodal embedding evaluated off the grid")
         return steps.astype(int) % n
 
-    def rows(u: np.ndarray, nodal: np.ndarray, second) -> np.ndarray:
-        """The (..., 2) pairs (nodal value at the node of u, second)."""
-        return np.stack(np.broadcast_arrays(nodal[node_index(u)], second), axis=-1)
+    def jet(u: np.ndarray):
+        """The (..., 2) pairs (theta, u) at the node of u and their derivatives."""
+        i = node_index(u)
+        pairs = ((theta_vals, np.asarray(u, dtype=float)[..., 0]), (d_theta, 1.0), (dd_theta, 0.0))
+        x, d, dd = (np.stack(np.broadcast_arrays(v[i], w), axis=-1) for v, w in pairs)
+        return x, d[..., None], dd[..., None, None]
 
     emb = EmbeddingJet2(
         sigma_dim=1,
         ambient_dim=2,
-        chart=lambda u: rows(u, theta_vals, np.asarray(u, dtype=float)[..., 0]),
-        d_chart=lambda u: rows(u, d_theta, 1.0)[..., None],
-        dd_chart=lambda u: rows(u, dd_theta, 0.0)[..., None, None],
+        jet=jet,
         sample_set=grid.nodes,
         name="displaced_equator",
     )

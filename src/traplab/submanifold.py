@@ -1,11 +1,12 @@
 """Extrinsic geometry of embedded spacelike submanifolds.
 
-Embeddings are supplied as 2-jets of the parametrization: the chart map plus
-its first and second parameter derivatives.  From those and the ambient
-metric jet we build the induced metric, the shape tensor (normal projection
-of ambient accelerations of the coordinate frame), the mean curvature vector
-as its induced-metric trace, null normal frames in codimension two, the null
-expansion scalars, and the pointwise/aggregate trapping classification.
+Embeddings are supplied as 2-jets of the parametrization: one callable
+returns the chart point with its first and second parameter derivatives.
+From those and the ambient metric jet we build the induced metric, the shape
+tensor (normal projection of ambient accelerations of the coordinate frame),
+the mean curvature vector as its induced-metric trace, null normal frames in
+codimension two, the null expansion scalars, and the pointwise/aggregate
+trapping classification.
 """
 
 from __future__ import annotations
@@ -35,18 +36,16 @@ CLASSIFY_TOL = 1e-9
 class EmbeddingJet2:
     """Parametrized submanifold with first and second parameter derivatives.
 
-    ``chart(u)`` maps a parameter tuple to ambient chart coordinates,
-    ``d_chart(u)`` returns the (ambient, sigma) Jacobian and ``dd_chart(u)``
-    the (ambient, sigma, sigma) second derivatives.  Given parameters of shape
-    (..., sigma) they return the same leading axes.  ``outward`` optionally
-    declares a reference ambient vector used to orient normal frames.
+    ``jet(u)`` returns the ambient chart coordinates of a parameter tuple,
+    the (ambient, sigma) Jacobian and the (ambient, sigma, sigma) second
+    derivatives.  Given parameters of shape (..., sigma) the three arrays have
+    the same leading axes.  ``outward`` optionally declares a reference
+    ambient vector used to orient normal frames.
     """
 
     sigma_dim: int
     ambient_dim: int
-    chart: Callable[[np.ndarray], np.ndarray]
-    d_chart: Callable[[np.ndarray], np.ndarray]
-    dd_chart: Callable[[np.ndarray], np.ndarray]
+    jet: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
     sample_set: np.ndarray
     outward: Optional[Callable[[np.ndarray], np.ndarray]] = None
     name: str = ""
@@ -64,9 +63,7 @@ class EmbeddingJet2:
         """Chart point, Jacobian and second derivatives at parameter u, or at
         each parameter of a (..., sigma) stack."""
         u = np.asarray(u, dtype=float)
-        x = np.asarray(self.chart(u), dtype=float)
-        d = np.asarray(self.d_chart(u), dtype=float)
-        dd = np.asarray(self.dd_chart(u), dtype=float)
+        x, d, dd = (np.asarray(a, dtype=float) for a in self.jet(u))
         sv = np.linalg.svd(d, compute_uv=False)
         bad = sv[..., -1] <= 1e-10 * np.maximum(sv[..., 0], 1.0)
         if np.count_nonzero(bad):

@@ -73,10 +73,10 @@ def _fields(sc):
     out = []
     if sc.metric is not None:
         points = list(sc.energy_points)
-        points += [emb.chart(u) for emb in sc.embeddings.values() for u in emb.sample_set[:5]]
+        points += [emb.jet(u)[0] for emb in sc.embeddings.values() for u in emb.sample_set[:5]]
         out.append(("metric", sc.metric, np.array(points)))
     if sc.initial_data is not None and sc.slice_surfaces:
-        points = [s.embedding.chart(u) for s in sc.slice_surfaces.values()
+        points = [s.embedding.jet(u)[0] for s in sc.slice_surfaces.values()
                   for u in s.embedding.sample_set[:7]]
         out.append(("h_field", sc.initial_data.h_field, np.array(points)))
     return out
@@ -127,8 +127,9 @@ def test_extrinsic_data(name, params):
         _assert_stacked(batch.H.aux_norm(), [e.H.aux_norm() for e in singles])
         for stacked_vectors, *vectors in zip(batch.normal_basis, *(e.normal_basis for e in singles)):
             _assert_stacked(stacked_vectors, vectors)
-        for f in (emb.chart, emb.d_chart, emb.dd_chart, emb.outward):
-            _assert_stacked(f(samples), [f(u) for u in samples])
+        for i, array in enumerate(emb.jet(samples)):
+            _assert_stacked(array, [emb.jet(u)[i] for u in samples])
+        _assert_stacked(emb.outward(samples), [emb.outward(u) for u in samples])
 
 
 def test_conformal_fields():
@@ -196,13 +197,12 @@ def test_signature_point():
 
 def _curve(chart, d_chart):
     """A curve in 4-d Minkowski space from vectorised chart maps of u[..., 0]."""
+    def jet(u):
+        s = np.asarray(u)[..., 0]
+        return chart(s), d_chart(s)[..., None], np.zeros(np.shape(u)[:-1] + (4, 1, 1))
+
     return EmbeddingJet2(
-        sigma_dim=1,
-        ambient_dim=4,
-        chart=lambda u: chart(np.asarray(u)[..., 0]),
-        d_chart=lambda u: d_chart(np.asarray(u)[..., 0])[..., None],
-        dd_chart=lambda u: np.zeros(np.shape(u)[:-1] + (4, 1, 1)),
-        sample_set=np.array([[0.0], [0.25], [1.0]]),
+        sigma_dim=1, ambient_dim=4, jet=jet, sample_set=np.array([[0.0], [0.25], [1.0]])
     )
 
 
@@ -252,7 +252,7 @@ def test_non_timelike_orientation_point():
     sc = build_scenario("minkowski_torus_quotient", {"m": 3, "samples_per_axis": 4})
     emb = sc.embeddings["Sigma"]
     bad = 6
-    bad_point = emb.chart(emb.sample_set[bad])
+    bad_point = emb.jet(emb.sample_set[bad])[0]
 
     def x_field(p):
         # the outward direction e1 instead of e0 at one sample

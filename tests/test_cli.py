@@ -380,6 +380,20 @@ class TestCommandLine:
                        "--surface", "Sigma", "--expect", "trapped")
         assert proc.returncode == 1
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_classify_unknown_expect_label_exit_two(self, source, tmp_path):
+        # a misspelt label is a one-line configuration error, from a flag or a config file
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("expect = not_weakly_trapd\n")
+        label = (["--expect", "not_weakly_trapd"] if source == "flag"
+                 else ["--config", str(cfg)])
+        proc = run_cli("classify", "--scenario", "minkowski", "--surface", "sphere", *label)
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            "configuration error: expect must be one of ['trapped', 'weakly_trapped', 'mots', "
+            "'extremal', 'not_weakly_trapped'], got 'not_weakly_trapd'"
+        ]
+
     def test_deform_with_q_offset(self):
         proc = run_cli("deform", "--resolution", "32", "--q-offset", "2.0")
         assert proc.returncode == 0

@@ -297,9 +297,7 @@ class TestJetValidation:
         emb = EmbeddingJet2(
             sigma_dim=1,
             ambient_dim=3,
-            chart=lambda u: np.zeros(3),
-            d_chart=lambda u: np.zeros((3, 1)),
-            dd_chart=lambda u: np.zeros((3, 1, 1)),
+            jet=lambda u: (np.zeros(3), np.zeros((3, 1)), np.zeros((3, 1, 1))),
             sample_set=np.zeros((1, 1)),
         )
         with pytest.raises(ImmersionFailure):

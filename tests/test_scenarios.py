@@ -82,11 +82,14 @@ def test_quotient_periodicity():
 def test_cylinder_metric_jets_match_fd_oracle():
     from _oracles import fd_metric_derivatives
 
-    sc = build_scenario("einstein_cylinder", {"n": 3})
-    p = np.array([0.2, 1.1, 0.8, 2.0])
-    m = sc.metric(p)
-    dg_fd = fd_metric_derivatives(lambda x: sc.metric(x).g, p)
-    assert np.abs(m.dg - dg_fd).max() < 1e-8
+    for n in (2, 3):
+        sc = build_scenario("einstein_cylinder", {"n": n})
+        p = np.array([0.2, 1.1, 0.8, 2.0])[: n + 1]
+        m = sc.metric(p)
+        dg_fd = fd_metric_derivatives(lambda x: sc.metric(x).g, p)
+        assert np.abs(m.dg - dg_fd).max() < 1e-8
+        ddg_fd = fd_metric_derivatives(lambda x: sc.metric(x).dg, p, h=1e-5)
+        assert np.abs(m.ddg - ddg_fd).max() < 1e-8
 
 
 def test_schwarzschild_spacetime_static_and_vacuum():
@@ -122,12 +125,15 @@ def test_flrw_requires_positive_time():
 
 
 def test_sphere_embedding_jets_match_fd():
-    from _oracles import fd_grad
+    from _oracles import fd_metric_derivatives
 
     sc = build_scenario("minkowski", {})
-    emb = sc.embeddings["sphere"]
     u = np.array([0.9, 1.7])
-    _, d, dd = emb.at(u)
-    for a in range(4):
-        grad = fd_grad(lambda uu: emb.chart(uu)[a], u)
-        assert np.abs(d[a] - grad).max() < 1e-7
+    # the 4-d sphere and the spatial-only sphere of the slice
+    for emb in (sc.embeddings["sphere"], sc.slice_surfaces["sphere"].embedding):
+        _, d, dd = emb.at(u)
+        # fd_metric_derivatives puts the parameter derivative first
+        d_fd = np.moveaxis(fd_metric_derivatives(lambda uu: emb.jet(uu)[0], u), 0, -1)
+        assert np.abs(d - d_fd).max() < 1e-7
+        dd_fd = np.moveaxis(fd_metric_derivatives(lambda uu: emb.jet(uu)[1], u), 0, -1)
+        assert np.abs(dd - dd_fd).max() < 1e-8

@@ -75,17 +75,11 @@ class TestExtrinsicData:
         emb = sphere_embedding(1.0, 4)
         a = np.array([[1.3, 0.4], [-0.2, 0.9]])
 
-        def chart(u):
-            return emb.chart(a @ u)
+        def jet(u):
+            x, d, dd = emb.jet(a @ u)
+            return x, d @ a, np.einsum("aij,ik,jl->akl", dd, a, a)
 
-        def d_chart(u):
-            return emb.d_chart(a @ u) @ a
-
-        def dd_chart(u):
-            dd = emb.dd_chart(a @ u)
-            return np.einsum("aij,ik,jl->akl", dd, a, a)
-
-        reparam = EmbeddingJet2(2, 4, chart, d_chart, dd_chart, emb.sample_set)
+        reparam = EmbeddingJet2(2, 4, jet, emb.sample_set)
         for _ in range(5):
             u = np.array([0.9, 0.8]) + 0.1 * rng.normal(size=2)
             direct = extrinsic_data(emb, MINK.metric, a @ u)
