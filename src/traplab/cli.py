@@ -19,6 +19,7 @@ Exit codes: 0 all checks pass, 1 check failures, 2 configuration errors,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import numbers
@@ -511,11 +512,11 @@ def _build_parser() -> argparse.ArgumentParser:
             if opt.source == ARG:
                 p.add_argument(key, nargs="*", help=opt.help)
             elif opt.source == FLAG:
-                # allowed values are checked by resolve, so a wrong one is a
-                # one-line configuration error, not an argparse usage error
+                # values are strings, converted by _merge_config and checked by resolve,
+                # so a wrong type or value is a one-line configuration error
                 metavar = "{" + ",".join(map(str, opt.choices)) + "}" if opt.choices else None
-                p.add_argument("--" + key.replace("_", "-"), dest=key, type=opt.type,
-                               metavar=metavar, help=opt.help)
+                p.add_argument("--" + key.replace("_", "-"), dest=key, metavar=metavar,
+                               help=opt.help)
         p.add_argument("--config", help="flat key = value configuration file")
         p.add_argument("--tol", action="append", default=[], metavar="NAME=VALUE",
                        help="tolerance override (repeatable)")
@@ -523,10 +524,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
-    """Config-file values overridden by the flags given, plus the echo defaults."""
+    """Config-file values overridden by the flags given, each converted with its
+    option's type (a string it cannot convert stays a string, which ``resolve``
+    rejects), plus the echo defaults."""
     cfg = parse_config_file(args.config) if args.config else {}
     options = COMMANDS[args.command].options
-    cfg.update({k: v for k, v in vars(args).items() if k in options and v not in (None, [])})
+    for key, value in vars(args).items():
+        if key in options and value not in (None, []):
+            cfg[key] = value
+            with contextlib.suppress(ValueError):
+                cfg[key] = options[key].type(value)
     cfg["command"] = args.command
     cfg.update({k: o.default for k, o in options.items() if o.echo and k not in cfg})
     tolerances = cfg.get("tolerances", {})

@@ -10,9 +10,10 @@ to the time orientation, boosted at fixed rapidity levels, together with
 exactly null combinations.  ``condition_suite`` yields all five verdicts from
 one pass: the points are one stack, so their metric jets, curvature tensors,
 Ricci forms and cone samples come from one call each.  The cone sample is one
-``(P, count, dim)`` stack, and its complements, plane values, Ricci values and
-tidal operators are each computed over the whole stack, in the order a loop
-over the points and then their directions would visit them.
+``(P, count, dim)`` stack, and its complements, forms R(., v, v, .), plane
+values, Ricci values and tidal operators are each computed over the whole
+stack, in the order a loop over the points and then their directions would
+visit them.
 """
 
 from __future__ import annotations
@@ -28,13 +29,13 @@ from .geometry import (
     CurvatureTensor,
     MetricJet2,
     TangentVector,
+    check_plane_pairs,
     check_time_orientation,
     gram_schmidt,
     lorentz_frame,
     norm,
     ricci_from_riemann,
     riemann,
-    riem_quadform,
 )
 
 MetricField = Callable[[np.ndarray], MetricJet2]
@@ -118,25 +119,23 @@ def _aux_complement(v: np.ndarray) -> np.ndarray:
     """Euclidean-orthonormal basis of the complement of each v of a stack,
     ``(count, dim - 1, dim)`` (deterministic)."""
     unit = v / norm(v)[..., None]
-    basis, _ = gram_schmidt(
-        np.vecdot, lambda e: e - np.vecdot(e, unit)[..., None] * unit, v.shape[-1],
-        v.shape[-1] - 1, lambda nrm2: np.sqrt(nrm2) > 1e-10,
-    )
-    return basis
+    return gram_schmidt(np.vecdot, lambda e: e - np.vecdot(e, unit)[..., None] * unit,
+                        v.shape[-1], v.shape[-1] - 1, lambda nrm2: np.sqrt(nrm2) > 1e-10)[0]
 
 
 def tidal_operator(m: MetricJet2, r: CurvatureTensor, v: TangentVector):
-    """Matrix of w -> R(w, v)v on the orthogonal complement of causal v.
+    """Matrices of w -> R(w, v)v on the orthogonal complement of causal v, and
+    the form A_v[i, l] = R_ijkl v^j v^k of each v they are read from: one BLAS
+    matrix-vector product of R, with rows (i, l) and columns (j, k), and v (x) v.
 
     For timelike v the matrix is taken in the spacelike legs of
     ``lorentz_frame(m, v)``, a g-orthonormal basis of the complement; for
     null v in a basis of the screen space orthogonal to v and a companion
     null vector with g(v, n) = -2 (the quotient by the v direction).  Both
-    are symmetric in the induced inner product.  A stack of v, with ``m``
-    and ``r`` at points that broadcast to it, gives a list of the matrices in
-    C order (a null v's is one row smaller), from one ``lorentz_frame`` call
-    for all timelike v, one Gram-Schmidt for all null v and one contraction
-    for each kind, each v with the jet and curvature rows of its point.
+    are symmetric in the induced inner product.  One v, or a stack with ``m``
+    and ``r`` at points that broadcast to it, gives ``(A_v, ((timelike, mats),
+    (null, mats)))``: each kind's mask over the stack and its ``(n, dim - 1,
+    dim - 1)`` or ``(n, dim - 2, dim - 2)`` matrices in C order.
     """
     shape = v.components.shape[:-1]
     point = np.broadcast_to(np.arange(np.size(m.cond)).reshape(np.shape(m.cond)), shape).ravel()
@@ -160,8 +159,8 @@ def tidal_operator(m: MetricJet2, r: CurvatureTensor, v: TangentVector):
         raise ZeroVector("null vector is metric-orthogonal to the whole chart frame")
     first = np.argmax(found, axis=-1)
     seed_vec = np.eye(m.dim)[first]
-    a = mn.inner(seed_vec, seed_vec)
-    n_vec = seed_vec - (a / (2.0 * along[np.arange(len(vn)), first]))[:, None] * vn
+    b = mn.inner(seed_vec, seed_vec)
+    n_vec = seed_vec - (b / (2.0 * along[np.arange(len(vn)), first]))[:, None] * vn
     n_vec = n_vec * (-2.0 / mn.inner(n_vec, vn))[:, None]
     pairing = mn.inner(vn, n_vec)[:, None]  # equals -2 by construction
 
@@ -170,35 +169,20 @@ def tidal_operator(m: MetricJet2, r: CurvatureTensor, v: TangentVector):
         return cand - (mn.inner(cand, vn)[:, None] / pairing) * n_vec
 
     screen, _ = gram_schmidt(mn.inner, off_v_and_n, m.dim, m.dim - 2, lambda nrm2: nrm2 > 1e-10)
-    curvature = r.R.reshape((-1,) + r.R.shape[-4:])
-    mats = [None] * len(comps)
-    for mask, basis in ((timelike, legs.swapaxes(-1, -2)[:, 1:]), (null, screen)):
-        vecs, rows = comps[mask], curvature[point[mask]]
-        mat = np.einsum("...ijkl,...ai,...j,...k,...bl->...ba", rows, basis, vecs, vecs, basis)
-        for i, sym in zip(np.flatnonzero(mask), 0.5 * (mat + mat.swapaxes(-1, -2))):
-            mats[i] = sym
-    return mats[0] if not shape else mats
-
-
-def _tidal_violation(least):
-    return least < -TIDAL_TOL
+    rows = np.moveaxis(r.R, -1, -3).reshape(r.R.shape[:-4] + (m.dim**2, m.dim**2))
+    vv = (comps[:, :, None] * comps[:, None, :]).reshape(shape + (m.dim**2, 1))
+    a = (rows @ vv).reshape(shape + (m.dim, m.dim))
+    stacks = []
+    for mask, basis in ((timelike, legs.mT[:, 1:]), (null, screen)):
+        mat = basis @ a.reshape(-1, m.dim, m.dim)[mask].mT @ basis.mT
+        stacks.append((mask.reshape(shape), 0.5 * (mat + mat.mT)))
+    return a, tuple(stacks)
 
 
 def tidal_psd(mat: np.ndarray) -> bool:
     """Whether the tidal matrix is positive semidefinite within ``TIDAL_TOL``;
     an empty one (a null v in dimension 2 has no screen space) is, vacuously."""
-    return mat.size == 0 or not _tidal_violation(np.linalg.eigvalsh(mat).min())
-
-
-def _least_eigenvalues(mats: list[np.ndarray]) -> np.ndarray:
-    """Least eigenvalue of each matrix, NaN for an empty one, by one stacked
-    ``eigvalsh`` per matrix size."""
-    sizes = np.array([len(mat) for mat in mats])
-    least = np.full(len(mats), np.nan)
-    for size in set(sizes) - {0}:
-        group = np.flatnonzero(sizes == size)
-        least[group] = np.linalg.eigvalsh(np.stack([mats[i] for i in group])).min(axis=-1)
-    return least
+    return mat.size == 0 or np.linalg.eigvalsh(mat).min() >= -TIDAL_TOL
 
 
 def _condition_report(condition: Condition, samples: tuple, violated) -> ConditionReport:
@@ -228,9 +212,11 @@ def condition_suite(
     The points are one ``(P, 1, dim)`` stack: ``m_field`` and ``x_field`` must
     accept ``(..., dim)`` stacks, and each runs once, as do ``riemann``,
     ``sample_cone`` and ``tidal_operator``.  Every causal sample v yields
-    Ric(v, v), the plane values R(w, v, v, w) for w over a deterministic
-    auxiliary-orthonormal complement of v (never collinear with v), and the
-    least tidal eigenvalue, each for all samples at once in sampling order.
+    Ric(v, v), the least tidal eigenvalue (one ``eigvalsh`` per causal kind)
+    and, from the form A_v that ``tidal_operator`` returns, the plane values
+    w A_v w = R(w, v, v, w) for w over a deterministic auxiliary-orthonormal
+    complement of v (never collinear with v), each for all samples at once in
+    sampling order.
     Raises ValueError when nothing is sampled (no points, or ``count`` below
     1): an empty sample would make every condition pass.
     """
@@ -244,22 +230,27 @@ def condition_suite(
     v = cone.components
     w = _aux_complement(v)
     at = np.broadcast_to(p[..., None, :], w.shape)
-    planes = riem_quadform(CurvatureTensor(r.R[:, :, None]), m, TangentVector(at, w),
-                           TangentVector(at, np.broadcast_to(v[..., None, :], w.shape)))
-    least = _least_eigenvalues(tidal_operator(m, r, cone))
-    screen = ~np.isnan(least)  # a null v in dimension 2 has no tidal sample
+    check_plane_pairs(TangentVector(at, w), TangentVector(at, np.broadcast_to(v[..., None, :],
+                                                                              w.shape)))
+    a, kinds = tidal_operator(m, r, cone)
+    planes = np.vecdot(w @ a, w)
+    least = np.full(v.shape[:-1], np.nan)
+    for kind, mats in kinds:
+        if mats.size:
+            least[kind] = np.linalg.eigvalsh(mats).min(axis=-1)
+    screen = ~np.isnan(least).ravel()  # a null v in dimension 2 has no tidal sample
     base, flat = cone.base.reshape(-1, m.dim), v.reshape(-1, m.dim)
     ricci = (np.vecdot(np.vecmat(v, ric), v).ravel(), base, flat)
     plane = (planes.ravel(), at.reshape(-1, m.dim), np.repeat(flat, m.dim - 1, axis=0),
              w.reshape(-1, m.dim))
-    tidal = (least[screen], base[screen], flat[screen])
+    tidal = (least.ravel()[screen], base[screen], flat[screen])
     strict, weak = (lambda val: val <= STRICT_MARGIN), (lambda val: val < -STRICT_MARGIN)
     conditions = (
         (Condition.RICCI_STRICT, ricci, strict),
         (Condition.RICCI_WEAK, ricci, weak),
         (Condition.PLANE_STRICT, plane, strict),
         (Condition.PLANE_WEAK, plane, weak),
-        (Condition.TIDAL_PSD, tidal, _tidal_violation),
+        (Condition.TIDAL_PSD, tidal, lambda val: val < -TIDAL_TOL),
     )
     return {c: _condition_report(c, samples, violated) for c, samples, violated in conditions}
 

@@ -340,12 +340,9 @@ def causal_classify(m: MetricJet2, v: TangentVector, x: TangentVector):
     return classes[()]
 
 
-def riem_quadform(r: CurvatureTensor, m: MetricJet2, w: TangentVector, v: TangentVector):
-    """The scalar R(w, v, v, w), or its value for each pair of a stack.
-
-    Rejects collinear pairs: the quadratic form vanishes identically on them
-    by the curvature symmetries, so a collinear ``w`` carries no information.
-    """
+def check_plane_pairs(w: TangentVector, v: TangentVector) -> None:
+    """Raise unless each pair shares its base point and w, v are nonzero and not
+    collinear: R(w, v, v, w) vanishes on collinear pairs, which carry no information."""
     if not np.array_equal(w.base, v.base):
         raise ValueError("w and v must share a base point")
     nv, nw = v.aux_norm(), w.aux_norm()
@@ -356,6 +353,11 @@ def riem_quadform(r: CurvatureTensor, m: MetricJet2, w: TangentVector, v: Tangen
     residual = norm(w.components - proj[..., None] * v.components)
     if np.count_nonzero(residual <= 1e-8 * nw):
         raise CollinearPair("w is collinear with v within tolerance")
+
+
+def riem_quadform(r: CurvatureTensor, m: MetricJet2, w: TangentVector, v: TangentVector):
+    """The scalar R(w, v, v, w), or its value for each pair of a stack, of checked pairs."""
+    check_plane_pairs(w, v)
     a, b = w.components, v.components
     value = np.einsum("...ijkl,...i,...j,...k,...l->...", r.R, a, b, b, a)
     return float(value) if value.ndim == 0 else value

@@ -5,8 +5,9 @@ come from plain finite differences or sympy, curvature of the reference
 spaces comes from closed forms, and ranks come from a hand-rolled
 Gram-Schmidt.  Agreement between these and the package is therefore a real
 cross-check, not a tautology.  The exceptions are
-``reference_condition_suite``, which takes the package's jets and curvature
-and checks only how the energy layer samples and contracts them; the
+``reference_condition_suite`` and ``reference_tidal_basis``, which take the
+package's jets and curvature and check only how the energy layer samples and
+contracts them; the
 ``reference_*`` linear-analysis functions, which keep the one-instance,
 one-SVD-per-question form that the stacked ``traplab.linear_analysis``
 must reproduce integer for integer; and ``reference_dense_operator``, which
@@ -135,6 +136,56 @@ def column_space_union_full(a, b, tol=1e-10):
     return gram_schmidt_rank(np.hstack([a, b]), tol) == h
 
 
+def _frame_along(m, x):
+    """Columns e0 = x / |x|_g and a g-orthonormal completion, one chart vector at a time."""
+    g = m.g
+    e0 = x / np.sqrt(-float(x @ g @ x))
+    frame = [e0]
+    for k in range(m.dim):
+        cand = np.eye(m.dim)[k]
+        cand = cand + float(cand @ g @ e0) * e0
+        for e in frame[1:]:
+            cand = cand - float(cand @ g @ e) * e
+        nrm2 = float(cand @ g @ cand)
+        if nrm2 > 1e-10:
+            frame.append(cand / np.sqrt(nrm2))
+        if len(frame) == m.dim:
+            break
+    assert len(frame) == m.dim
+    return np.stack(frame, axis=1)
+
+
+def reference_tidal_basis(m, v):
+    """Rows spanning the complement of causal v in which its tidal matrix is
+    taken: the spacelike legs of the frame along timelike v, or a screen basis
+    of null v against the companion null vector n with g(v, n) = -2."""
+    g = m.g
+    q = float(v @ g @ v)
+    aux2 = np.linalg.norm(v) ** 2
+    if q < -1e-10 * aux2:
+        return np.array(_frame_along(m, v).T[1:])
+    assert abs(q) <= 1e-10 * aux2
+    seed_vec = next(e for e in np.eye(m.dim) if abs(float(e @ g @ v)) > 1e-8)
+    a = float(seed_vec @ g @ seed_vec)
+    b = float(seed_vec @ g @ v)
+    n_vec = seed_vec - (a / (2.0 * b)) * v
+    n_vec = n_vec * (-2.0 / float(n_vec @ g @ v))
+    pairing = float(v @ g @ n_vec)
+    basis = []
+    for k in range(m.dim):
+        cand = np.eye(m.dim)[k]
+        cand = cand - (float(cand @ g @ n_vec) / pairing) * v
+        cand = cand - (float(cand @ g @ v) / pairing) * n_vec
+        for bb in basis:
+            cand = cand - float(cand @ g @ bb) * bb
+        nrm2 = float(cand @ g @ cand)
+        if nrm2 > 1e-10:
+            basis.append(cand / np.sqrt(nrm2))
+        if len(basis) == m.dim - 2:
+            break
+    return np.array(basis).reshape(len(basis), m.dim)
+
+
 def reference_condition_suite(m_field, points, x_field, seed=0, count=64):
     """The energy condition reports by one loop over the points, the directions
     and the complement vectors, each value computed for one vector at a time.
@@ -142,7 +193,10 @@ def reference_condition_suite(m_field, points, x_field, seed=0, count=64):
     This is the per-direction form of ``energy.condition_suite``, kept to
     check the stacked one bit for bit.  It takes the jets and curvature from
     the package and redoes the sampling, frames, bases and contractions with
-    ``@``, ``np.dot``, ``np.linalg.norm`` and one einsum per matrix entry.
+    ``@``, ``np.dot`` and ``np.linalg.norm``.  Each direction's form
+    A_v[i, l] = R_ijkl v^j v^k is one matrix-vector product of R, with its
+    (i, l) and (j, k) index pairs as rows and columns, and v (x) v; every plane
+    value w A_v w and tidal entry is read from it.
     """
     from traplab.energy import (
         RAPIDITY_LEVELS, STRICT_MARGIN, TIDAL_TOL, Condition, ConditionReport, Verdict,
@@ -150,25 +204,8 @@ def reference_condition_suite(m_field, points, x_field, seed=0, count=64):
     )
     from traplab.geometry import ricci_from_riemann, riemann
 
-    def frame_along(m, x):
-        g = m.g
-        e0 = x / np.sqrt(-float(x @ g @ x))
-        frame = [e0]
-        for k in range(m.dim):
-            cand = np.eye(m.dim)[k]
-            cand = cand + float(cand @ g @ e0) * e0
-            for e in frame[1:]:
-                cand = cand - float(cand @ g @ e) * e
-            nrm2 = float(cand @ g @ cand)
-            if nrm2 > 1e-10:
-                frame.append(cand / np.sqrt(nrm2))
-            if len(frame) == m.dim:
-                break
-        assert len(frame) == m.dim
-        return np.stack(frame, axis=1)
-
     def cone(m, x):
-        frame = frame_along(m, x)
+        frame = _frame_along(m, x)
         e0, spatial = frame[:, 0], frame[:, 1:]
         rng = np.random.default_rng(seed)
         for k in range(count):
@@ -202,50 +239,23 @@ def reference_condition_suite(m_field, points, x_field, seed=0, count=64):
                 break
         return basis[1:]
 
-    def tidal_basis(m, v):
-        g = m.g
-        q = float(v @ g @ v)
-        aux2 = np.linalg.norm(v) ** 2
-        if q < -1e-10 * aux2:
-            return list(frame_along(m, v).T[1:])
-        assert abs(q) <= 1e-10 * aux2
-        seed_vec = next(e for e in np.eye(m.dim) if abs(float(e @ g @ v)) > 1e-8)
-        a = float(seed_vec @ g @ seed_vec)
-        b = float(seed_vec @ g @ v)
-        n_vec = seed_vec - (a / (2.0 * b)) * v
-        n_vec = n_vec * (-2.0 / float(n_vec @ g @ v))
-        pairing = float(v @ g @ n_vec)
-        basis = []
-        for k in range(m.dim):
-            cand = np.eye(m.dim)[k]
-            cand = cand - (float(cand @ g @ n_vec) / pairing) * v
-            cand = cand - (float(cand @ g @ v) / pairing) * n_vec
-            for bb in basis:
-                cand = cand - float(cand @ g @ bb) * bb
-            nrm2 = float(cand @ g @ cand)
-            if nrm2 > 1e-10:
-                basis.append(cand / np.sqrt(nrm2))
-            if len(basis) == m.dim - 2:
-                break
-        return basis
-
     samples = {"ricci": [], "plane": [], "tidal": []}
     for p in points:
         p = np.asarray(p, dtype=float)
         m = m_field(p)
         r = riemann(m)
         ric = ricci_from_riemann(r, m)
+        d = m.dim
+        rows = np.moveaxis(r.R, -1, -3).reshape(d * d, d * d)
         for v in cone(m, x_field(p).components):
             samples["ricci"].append(Witness(p, v, float(v @ ric @ v)))
-            for w in complement(v):
-                val = float(np.einsum("ijkl,i,j,k,l->", r.R, w, v, v, w))
-                samples["plane"].append(Witness(p, v, val, partner=w))
-            basis = tidal_basis(m, v)
-            mat = np.empty((len(basis), len(basis)))
-            for i, bi in enumerate(basis):
-                for j, bj in enumerate(basis):
-                    mat[i, j] = np.einsum("ijkl,i,j,k,l->", r.R, bj, v, v, bi)
-            if basis:
+            a = (rows @ np.outer(v, v).reshape(d * d, 1)).reshape(d, d)
+            w = np.array(complement(v))
+            for partner, val in zip(w, np.vecdot(w @ a, w)):
+                samples["plane"].append(Witness(p, v, float(val), partner=partner))
+            basis = reference_tidal_basis(m, v)
+            if len(basis):
+                mat = basis @ a.T @ basis.T
                 least = np.linalg.eigvalsh(0.5 * (mat + mat.T)).min()
                 samples["tidal"].append(Witness(p, v, float(least)))
 

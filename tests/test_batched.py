@@ -379,17 +379,32 @@ def _single(cone, i):
     return TangentVector(cone.base[i], cone.components[i])
 
 
+def _assert_tidal_stacks(stacked, singles):
+    # every form A_v equals its single-vector call's; each kind's mask puts
+    # every v where its single call puts it, and the kind's stack holds those
+    # calls' one matrix each, bitwise and in order
+    forms, kinds = stacked
+    _assert_stacked(forms.reshape((-1,) + forms.shape[-2:]), [a for a, _ in singles])
+    for _, ((t, _), (n, _)) in singles:
+        assert t.shape == n.shape == () and t != n
+    for kind, (mask, mats) in enumerate(kinds):
+        placed = [single_kinds[kind] for _, single_kinds in singles]
+        assert mask.reshape(-1).tolist() == [bool(one_mask) for one_mask, _ in placed]
+        assert [len(one) for _, one in placed] == [int(one_mask) for one_mask, _ in placed]
+        expected = [one[0] for one_mask, one in placed if one_mask]
+        assert len(mats) == len(expected)
+        for mat, one in zip(mats, expected):
+            assert mat.shape == one.shape and np.array_equal(mat, one)
+
+
 @pytest.mark.parametrize("label,m,cone,x", CONES, ids=[c[0] for c in CONES])
 def test_cone_stack(label, m, cone, x):
     r = riemann(m)
     count = len(cone.components)
     classes = causal_classify(m, cone, x)
     assert np.array_equal(classes, [causal_classify(m, _single(cone, i), x) for i in range(count)])
-    mats = tidal_operator(m, r, cone)
-    assert len(mats) == count
-    for i, mat in enumerate(mats):
-        single = tidal_operator(m, r, _single(cone, i))
-        assert mat.shape == single.shape and np.array_equal(mat, single)
+    _assert_tidal_stacks(tidal_operator(m, r, cone),
+                         [tidal_operator(m, r, _single(cone, i)) for i in range(count)])
     q = m.inner(cone.components, cone.components)
     timelike = TangentVector(cone.base[q < -1e-9], cone.components[q < -1e-9])
     _assert_stacked(lorentz_frame(m, timelike),
@@ -401,23 +416,22 @@ def test_cone_stack(label, m, cone, x):
 
 @pytest.mark.parametrize("name,params", SCENARIOS, ids=IDS)
 def test_cone_over_energy_points(name, params):
-    # the (P, count) cone and tidal stack over a scenario's energy points
-    # against one sample_cone and tidal_operator call per point
+    # the (P, count) cone and tidal stacks over a scenario's energy points
+    # against one sample_cone call per point and one tidal_operator call per
+    # direction, with the jet and curvature of its point
     sc = build_scenario(name, params)
     p = np.array(sc.energy_points)[:, None]
     m = sc.metric(p)
     cone = sample_cone(m, p, sc.time_orientation(p), count=24, seed=5)
-    mats = tidal_operator(m, riemann(m), cone)
+    stacked = tidal_operator(m, riemann(m), cone)
     singles, expected = [], []
     for q in sc.energy_points:
         mq = sc.metric(q)
         singles.append(sample_cone(mq, q, sc.time_orientation(q), count=24, seed=5))
-        expected += tidal_operator(mq, riemann(mq), singles[-1])
+        expected += [tidal_operator(mq, riemann(mq), _single(singles[-1], i)) for i in range(24)]
     _assert_stacked(cone.components, [c.components for c in singles])
     _assert_stacked(cone.base, [c.base for c in singles])
-    assert len(mats) == len(expected)
-    for mat, single in zip(mats, expected):
-        assert mat.shape == single.shape and np.array_equal(mat, single)
+    _assert_tidal_stacks(stacked, expected)
 
 
 def test_take_selects_points():

@@ -293,6 +293,23 @@ class TestCommandLine:
         assert len(lines) == 1 and lines[0].startswith("configuration error")
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("argv, message", [
+        (["spectrum", "--resolution", "abc"], "resolution must be of type int, got 'abc'"),
+        (["energy-check", "--count", "2.5"], "count must be of type int, got '2.5'"),
+        (["deform", "--fd-step", "abc"], "fd_step must be of type float, got 'abc'"),
+    ])
+    def test_flag_of_wrong_type_is_one_line(self, argv, message, capsys):
+        # flag values reach the option table as strings, so a value its type
+        # cannot convert gets the same message as a config-file value
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [f"configuration error: {message}"]
+
+    def test_numeric_flag_value_stays_a_string(self, tmp_path, monkeypatch, capsys):
+        # --out 2024 names a file; flag values are converted by type, not parsed
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["linear", "--out", "2024"]) == 0
+        assert json.loads((tmp_path / "2024").read_text())["command"] == "linear"
+
     def test_deform_takes_no_scenario_or_n(self):
         proc = run_cli("deform", "--scenario", "minkowski", "--n", "7")
         assert proc.returncode == 2

@@ -107,7 +107,7 @@ def _exit_code(argv: list[str]) -> tuple[int, str]:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
         try:
             code = cli.main(argv)
-        except SystemExit as exc:  # argparse rejects unknown flags and bad types
+        except SystemExit as exc:  # argparse rejects unknown flags
             code = exc.code
     return code, stderr.getvalue()
 

@@ -21,9 +21,9 @@ from traplab.geometry import (
     ricci_from_riemann,
     riemann,
 )
-from traplab.scenarios import build_scenario
+from traplab.scenarios import build_scenario, scenario_names
 
-from _oracles import reference_condition_suite
+from _oracles import reference_condition_suite, reference_tidal_basis
 
 MINK = build_scenario("minkowski", {})
 TORUS = build_scenario("minkowski_torus_quotient", {"m": 3})
@@ -142,28 +142,38 @@ class TestRiemCondition:
         assert value == pytest.approx(-np.exp(1.0) / 2.0, rel=1e-9)
 
 
+def _tidal(m, r, v):
+    """The tidal matrix of one v, from the stack of its kind."""
+    _, ((timelike, t_mats), (null, n_mats)) = tidal_operator(m, r, v)
+    assert timelike.shape == null.shape == () and timelike != null
+    mats = t_mats if timelike else n_mats
+    assert len(mats) == 1 and len(t_mats if null else n_mats) == 0
+    return mats[0]
+
+
 class TestTidalOperator:
     def test_flat_zero(self):
         m = MetricJet2.flat(4)
         r = riemann(m)
         for comps in ([1.0, 0, 0, 0], [1.0, 1.0, 0, 0]):
-            mat = tidal_operator(m, r, TangentVector(np.zeros(4), np.array(comps)))
+            mat = _tidal(m, r, TangentVector(np.zeros(4), np.array(comps)))
             assert np.abs(mat).max() == 0.0
             assert tidal_psd(mat)
 
     def test_dimensions(self):
         m = MetricJet2.flat(4)
         r = riemann(m)
-        timelike = tidal_operator(m, r, TangentVector(np.zeros(4), np.eye(4)[0]))
-        assert timelike.shape == (3, 3)
-        null = tidal_operator(m, r, TangentVector(np.zeros(4), np.array([1.0, 1, 0, 0])))
-        assert null.shape == (2, 2)
+        v = TangentVector(np.zeros((2, 4)), np.array([[1.0, 0, 0, 0], [1.0, 1, 0, 0]]))
+        forms, ((timelike, t_mats), (null, n_mats)) = tidal_operator(m, r, v)
+        assert forms.shape == (2, 4, 4)
+        assert timelike.tolist() == [True, False] and null.tolist() == [False, True]
+        assert t_mats.shape == (1, 3, 3) and n_mats.shape == (1, 2, 2)
 
     def test_cylinder_time_direction(self):
         p = np.array([0.0, 1.0, 0.7])
         m = CYL.metric(p)
         r = riemann(m)
-        mat = tidal_operator(m, r, TangentVector(p, np.array([1.0, 0, 0])))
+        mat = _tidal(m, r, TangentVector(p, np.array([1.0, 0, 0])))
         assert np.abs(mat).max() < 1e-12
 
     def test_cylinder_null_trace_nonnegative(self):
@@ -171,7 +181,7 @@ class TestTidalOperator:
         m = CYL.metric(p)
         r = riemann(m)
         v = np.array([1.0, 1.0, 0.0])  # dt + unit theta direction
-        mat = tidal_operator(m, r, TangentVector(p, v))
+        mat = _tidal(m, r, TangentVector(p, v))
         ric = ricci_from_riemann(r, m)
         # screen trace of the tidal operator equals the Ricci form on v
         assert np.trace(mat) == pytest.approx(float(v @ ric @ v), abs=1e-10)
@@ -181,7 +191,7 @@ class TestTidalOperator:
         # a null v in dimension 2 has no screen space: the operator is 0x0,
         # and positive semidefinite vacuously
         m = MetricJet2.flat(2)
-        mat = tidal_operator(m, riemann(m), TangentVector(np.zeros(2), np.array([1.0, 1.0])))
+        mat = _tidal(m, riemann(m), TangentVector(np.zeros(2), np.array([1.0, 1.0])))
         assert mat.shape == (0, 0)
         assert tidal_psd(mat)
 
@@ -189,7 +199,7 @@ class TestTidalOperator:
         m = MetricJet2.flat(4)
         r = riemann(m)
         with pytest.raises(ZeroVector):
-            tidal_operator(m, r, TangentVector(np.zeros(4), np.eye(4)[1]))
+            _tidal(m, r, TangentVector(np.zeros(4), np.eye(4)[1]))
 
     def test_symmetric_in_induced_inner_product(self, rng):
         from traplab.verify import random_polynomial_metric_jet
@@ -198,8 +208,39 @@ class TestTidalOperator:
             jet = random_polynomial_metric_jet(rng, 4)
             r = riemann(jet)
             x = TangentVector(np.zeros(4), np.array([1.0, 0.05, -0.1, 0.02]))
-            mat = tidal_operator(jet, r, x)
+            mat = _tidal(jet, r, x)
             assert np.abs(mat - mat.T).max() < 1e-9
+
+    @pytest.mark.parametrize("name", scenario_names())
+    def test_contractions_match_five_operand_einsum(self, name):
+        # the forms A_v of tidal_operator against the five-operand einsum
+        # R(w, v, v, u), for the plane values and every tidal matrix entry over
+        # the scenario's energy points; v and w are unit vectors, and each tidal
+        # entry is compared in units of its two basis norms (the frame legs of a
+        # boosted v reach cosh 4 = 27)
+        sc = build_scenario(name, {})
+        p = np.array(sc.energy_points)[:, None]
+        m = sc.metric(p)
+        r = riemann(m)
+        cone = sample_cone(m, p, sc.time_orientation(p), count=24, seed=3)
+        v = cone.components
+        a, kinds = tidal_operator(m, r, cone)
+        tol = 1e-14 * max(1.0, np.abs(r.R).max())
+        w = np.random.default_rng(4).normal(size=v.shape)
+        w /= np.linalg.norm(w, axis=-1, keepdims=True)
+        einsum = np.einsum("...ijkl,...i,...j,...k,...l->...", r.R, w, v, v, w)
+        assert np.abs(np.vecdot(np.vecmat(w, a), w) - einsum).max() <= tol
+        point = np.repeat(np.arange(len(p)), v.shape[1])
+        for kind, mats in kinds:
+            assert len(mats) == np.count_nonzero(kind)
+            for i, mat in zip(np.flatnonzero(kind), mats):
+                vi, rows = v.reshape(-1, m.dim)[i], r.R[point[i], 0]
+                basis = reference_tidal_basis(m.take(point[i]), vi)
+                expected = np.array([[np.einsum("ijkl,i,j,k,l->", rows, bi, vi, vi, bj)
+                                      for bi in basis] for bj in basis])
+                scale = np.outer(*2 * [np.linalg.norm(basis, axis=-1)])
+                assert mat.shape == expected.shape
+                assert (np.abs(mat - expected) <= tol * scale).all(), (name, i)
 
 
 class TestConditionSuite:
