@@ -550,7 +550,17 @@ def _merge_config(args: argparse.Namespace) -> dict:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    # a value flag is joined to a next token that starts with - (--q-offset=-1e-3):
+    # argparse alone reads -1e-3 or -inf as an option, and only -1 or -.5 as a value
+    flags = {"--config", "--tol"} | {"--" + k.replace("_", "-") for c in COMMANDS.values()
+                                     for k, o in c.options.items() if o.source == FLAG}
+    tokens: list[str] = []
+    for token in sys.argv[1:] if argv is None else argv:
+        if tokens and tokens[-1] in flags and token.startswith("-"):
+            tokens[-1] += "=" + token
+        else:
+            tokens.append(token)
+    args = _build_parser().parse_args(tokens)
     try:
         cfg = _merge_config(args)
         report, extra = _execute(cfg)

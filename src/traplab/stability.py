@@ -29,7 +29,8 @@ under ``MIN_BLOCK_NODES`` nodes give m = 1, one block whose elimination is one
 dense inverse: so on every circle whose N has no divisor in
 [MIN_BLOCK_NODES, sqrt(N)], a prime N among them.  The solve uses numpy only
 and a fixed starting block, so replays are bytewise identical.  The N x N
-matrix (``BlockOperator.dense``) and the full spectrum are formed only on request.
+matrix (``BlockOperator.dense``) and the full spectrum are formed only on request,
+the spectrum by ``eigvalsh`` if that matrix is bitwise symmetric, else ``eigvals``.
 The deformation check moves the surface along its unit normal with the
 principal eigenfunction as velocity and verifies the derivative identity for
 the outward null expansion.
@@ -578,8 +579,10 @@ class PrincipalEigen:
 
     @cached_property
     def spectrum(self) -> np.ndarray:
-        """Every eigenvalue of the operator, from its dense matrix on first use."""
-        return np.linalg.eigvals(self.operator.dense())
+        """Every eigenvalue, from the dense matrix on first use: by ``eigvalsh`` (real,
+        ascending) if it is bitwise symmetric (drift-free circles), else by ``eigvals``."""
+        a = self.operator.dense()
+        return np.linalg.eigvalsh(a) if np.array_equal(a, a.T) else np.linalg.eigvals(a)
 
 
 def principal_eigenvalue(operator, grid: SurfaceGrid, k: int = 1) -> PrincipalEigen:

@@ -248,6 +248,11 @@ class TestCommandLine:
         assert spectrum_lines[0] == "re,im"
         assert len(spectrum_lines) == 33
         assert float(spectrum_lines[1].split(",")[0]) == pytest.approx(-1.0, abs=1e-10)
+        # the drift-free equator is bitwise symmetric: a real spectrum in ascending order
+        re_im = [line.split(",") for line in spectrum_lines[1:]]
+        assert all(im == "0.0" for _, im in re_im)
+        re = [float(r) for r, _ in re_im]
+        assert re == sorted(re)
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -278,6 +283,8 @@ class TestCommandLine:
             ("spectrum", "--resolution", "0"),
             ("deform", "--fd-step", "0"),
             ("deform", "--q-offset", "nan"),
+            ("deform", "--q-offset", "-inf"),
+            ("deform", "--fd-step", "-1e-4"),
             ("curvature", "--case", "null-spacelike", "--n", "1", "--tol", "curvature=inf"),
             ("curvature", "--case", "timelike", "--n", "1", "--tol", "x=nan"),
             ("spectrum", "--config", "TYPO_CONFIG"),
@@ -410,6 +417,14 @@ class TestCommandLine:
             "configuration error: expect must be one of ['trapped', 'weakly_trapped', 'mots', "
             "'extremal', 'not_weakly_trapped'], got 'not_weakly_trapd'"
         ]
+
+    @pytest.mark.parametrize("value, echoed", [("-1e-3", -0.001), ("-1E2", -100.0)])
+    def test_negative_flag_value_in_exponent_form(self, value, echoed, tmp_path):
+        # argparse alone reads -1e-3 as an unknown option, not as the flag's value
+        out = tmp_path / "report.json"
+        proc = run_cli("deform", "--q-offset", value, "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(out.read_text())["config"]["q_offset"] == echoed
 
     def test_deform_with_q_offset(self):
         proc = run_cli("deform", "--resolution", "32", "--q-offset", "2.0")

@@ -21,6 +21,7 @@ from traplab.stability import (
     quadrature_symmetry_residual,
     stability_coefficients,
 )
+from traplab.verify import random_circle_operators
 
 
 def _circle_operator(n, q_func, x_func=None, dx_func=None):
@@ -229,6 +230,80 @@ class TestPrincipalEigenvalue:
         assert eig.lambda1_real == pytest.approx(-2.0, abs=1e-9)
         assert eig.positivity
         assert quadrature_symmetry_residual(mat, grid) < 1e-9
+
+
+def _assembled(grid, coeffs):
+    return grid, assemble_stability_operator(grid, coeffs)
+
+
+def _equator_operator(n):
+    case = equator_deformation_case(n)
+    return _assembled(case.grid, case.coefficients)
+
+
+def _seeded_operator(index):
+    """Member ``index`` of the seeded circles: drift on even, drift-free on odd."""
+    grid, op, time_symmetric = list(random_circle_operators(count=index + 1))[index]
+    assert time_symmetric == (index % 2 == 1)
+    return grid, op
+
+
+def _drift_circle_operator():
+    return _assembled(*_circle_operator(
+        32, lambda s: -1.0 + 0.4 * np.sin(s), lambda s: 0.3 * np.cos(s), lambda s: -0.3 * np.sin(s)))
+
+
+def _sphere_operator():
+    grid = latlong_sphere_grid(24, 48)
+    return _assembled(grid, StabilityCoefficients.zero(grid).shifted(-2.0))
+
+
+class TestSpectrum:
+    """The full spectrum: ``eigvalsh`` for a bitwise-symmetric dense matrix,
+    ``eigvals`` for any other."""
+
+    SYMMETRIC = {"equator-32": lambda: _equator_operator(32),
+                 "equator-256": lambda: _equator_operator(256),
+                 "seeded-drift-free": lambda: _seeded_operator(1)}
+    GENERAL = {"seeded-drift": lambda: _seeded_operator(0),
+               "circle-drift": _drift_circle_operator,
+               "sphere-24x48": _sphere_operator}
+
+    @pytest.mark.parametrize("name", SYMMETRIC)
+    def test_symmetric_matrix_takes_eigvalsh(self, name):
+        grid, op = self.SYMMETRIC[name]()
+        spectrum = principal_eigenvalue(op, grid).spectrum
+        a = op.dense()
+        assert spectrum.dtype == np.float64
+        assert spectrum.tobytes() == np.linalg.eigvalsh(a).tobytes()
+        general = np.sort(np.linalg.eigvals(a).real)
+        assert np.abs(spectrum - general).max() <= 1e-13 * np.linalg.norm(a, np.inf)
+
+    @pytest.mark.parametrize("n", [32, 256])
+    def test_equator_spectrum_matches_dispersion_relation(self, n):
+        # Q = -1 on the equator: -1 + (2 / h^2)(1 - cos 2 pi j / N), j = 0 .. N - 1
+        grid, op = _equator_operator(n)
+        h = grid.spacing[0]
+        expected = np.sort(-1.0 + 2.0 / h**2 * (1.0 - np.cos(2.0 * math.pi * np.arange(n) / n)))
+        spectrum = principal_eigenvalue(op, grid).spectrum
+        assert np.abs(spectrum - expected).max() <= 1e-13 * np.linalg.norm(op.dense(), np.inf)
+
+    @pytest.mark.parametrize("name", GENERAL)
+    def test_other_matrix_takes_eigvals(self, name):
+        grid, op = self.GENERAL[name]()
+        a = op.dense()
+        assert not np.array_equal(a, a.T)
+        assert principal_eigenvalue(op, grid).spectrum.tobytes() == np.linalg.eigvals(a).tobytes()
+
+    def test_one_ulp_from_symmetric_takes_eigvals(self):
+        grid, op = _equator_operator(32)
+        a = op.dense()
+        a[0, 1] = np.nextafter(a[0, 1], np.inf)
+        eig = principal_eigenvalue(a, grid)
+        assert np.array_equal(eig.operator.dense(), a)
+        # eigvals returns a real array when every eigenvalue is real, but unsorted
+        assert eig.spectrum.tobytes() == np.linalg.eigvals(a).tobytes()
+        assert eig.spectrum.tobytes() != np.linalg.eigvalsh(a).tobytes()
 
 
 class TestDeformation:
