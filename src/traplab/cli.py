@@ -503,11 +503,12 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="traplab",
         description="Verification runs for trapped-surface geometry scenarios.",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
-        p = sub.add_parser(name, help=command.run.__doc__)
+        p = sub.add_parser(name, help=command.run.__doc__, allow_abbrev=False)
         for key, opt in command.options.items():
             if opt.source == ARG:
                 p.add_argument(key, nargs="*", help=opt.help)
@@ -551,7 +552,8 @@ def _merge_config(args: argparse.Namespace) -> dict:
 
 def main(argv: Optional[list[str]] = None) -> int:
     # a value flag is joined to a next token that starts with - (--q-offset=-1e-3):
-    # argparse alone reads -1e-3 or -inf as an option, and only -1 or -.5 as a value
+    # argparse alone reads -1e-3 or -inf as an option, and only -1 or -.5 as a value;
+    # the parsers take no abbreviations, so the exact flag strings are every spelling
     flags = {"--config", "--tol"} | {"--" + k.replace("_", "-") for c in COMMANDS.values()
                                      for k, o in c.options.items() if o.source == FLAG}
     tokens: list[str] = []

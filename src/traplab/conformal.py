@@ -38,8 +38,8 @@ from .jets import Jet1, elementwise, radial_hessian, smoothstep_down
 
 ScalarField = Callable[[np.ndarray], "ScalarJet2"]
 MetricField = Callable[[np.ndarray], MetricJet2]
-# (n, sample) points per stacked call of ``trapping_sequence``: each carries a
-# rescaled jet with dim**4 second derivatives, so peak memory grows with a stack
+# (n, sample) points per stacked call of ``trapping_sequence``: the dim**4 second
+# derivatives ``ddg`` of their rescaled jets bound the peak memory of a stack
 STACK_POINTS = 256
 
 
@@ -295,9 +295,11 @@ def trapping_sequence(
     ``tau_field`` must have future-directed timelike gradient where the bump
     is active, and the input surface must already satisfy the closed trapping
     inequalities; the output metric then satisfies the strict ones at every
-    sample, with values shrinking like 1/n.  The input is checked once; each
-    ``extrinsic_data`` call takes a ``(k, samples, dim)`` stack of at most
-    ``STACK_POINTS`` points, the exponent's jet scaled by a 1/n column.
+    sample, with values shrinking like 1/n.  The input is checked once, and
+    its metric jets at the samples and the exponent phi tau, evaluated there
+    once, serve every n: each stack of at most ``STACK_POINTS`` (n, sample)
+    points rescales those jets by the exponent times a 1/n column, for one
+    ``extrinsic_data`` call.
     """
     if any(n < 1 for n in ns):
         raise ValueError("n must be a positive integer")
@@ -320,14 +322,14 @@ def trapping_sequence(
         raise ValueError("tau gradient must be future-directed timelike on the surface")
 
     exponent = product_field(bump_field(profile), tau_field)
+    f = exponent(p)
     ns, rows = list(ns), []
     step = max(1, STACK_POINTS // len(samples))
     for i in range(0, len(ns), step):
         scale = 1.0 / np.asarray(ns[i : i + step], dtype=float)[:, None]
+        # extrinsic_data evaluates its field exactly at the samples' chart points
         rows += zip(*submanifold._trapping_data(
-            sigma, rescaled_metric_field(m_field, scaled_field(exponent, scale)), x_field,
-            np.broadcast_to(samples, scale.shape[:1] + samples.shape),
-        )[2:])
+            sigma, lambda _: rescale_metric(m, f * scale), x_field)[2:])
     return [
         TrappingPerturbationResult(n, rescaled_metric_field(m_field, scaled_field(exponent, 1.0 / n)), [
             TrappingPerturbationRecord(u=u, gn_H_H=float(a), gn_H_X=float(b))

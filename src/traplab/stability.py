@@ -431,8 +431,7 @@ class BlockOperator:
         elimination.  Each pivot block is inverted once.  One block (m = 1) is
         the case of no elimination step: its one pivot is the whole shifted
         matrix, inverted once and applied by one product.  A stack takes a
-        shift per member, x of shape (S, N, c) and a ``keep`` mask that drops
-        the other members' factors for good.
+        shift per member and x of shape (S, N, c).
         """
         m, b, last = self.m, self.b, self.m - 1
         # the band and block axes first: blocks[k, i] is block i of band k of every member
@@ -465,10 +464,7 @@ class BlockOperator:
                 lower.append(w)
         pivots.append(np.linalg.inv(t))
 
-        def solve(y: np.ndarray, keep=None) -> np.ndarray:
-            if keep is not None:
-                for factors in (pivots, fill_col, fill_row, lower, up):
-                    factors[:] = [a[keep] for a in factors]
+        def solve(y: np.ndarray) -> np.ndarray:
             yb = y.reshape(y.shape[:-2] + (m, b, -1))
             z = [yb[..., 0, :, :]]
             for i in range(1, last):
@@ -508,10 +504,11 @@ def _orthogonal_iteration(op: BlockOperator, k: int) -> list[tuple[np.ndarray, n
     sums and A Q read only the three block diagonals; a non-finite entry
     raises ``EigensolverFailure``.
 
-    Members of a stack iterate together, each leaving on the iteration its own
-    stop rule is met, so each runs exactly the iterates of its own solve; a
-    stacked ``eig`` is complex when any member's is, so a member whose values
-    are all real is taken real, as ``eig`` does for one matrix.
+    Members of a stack iterate together until the last one converges; each
+    member's result comes from the iteration where its own stop rule is first
+    met, so it is exactly its own solve's.  A stacked ``eig`` is complex when
+    any member's is, so a member whose values are all real is taken real, as
+    ``eig`` does for one matrix.
     """
     if not np.isfinite(op.bands).all():
         raise EigensolverFailure("operator has non-finite entries")
@@ -523,33 +520,28 @@ def _orthogonal_iteration(op: BlockOperator, k: int) -> list[tuple[np.ndarray, n
     start = np.random.default_rng(0).standard_normal((num, min(num, k + OVERSAMPLING)))
     start[:, 0] = 1.0
     q = np.broadcast_to(start, lead + start.shape)
-    active = np.arange(len(tol))  # the stack index of each member still iterating
-    keep = None  # the members the last shrink of the stack kept, for the solver
-    found = [None] * len(tol)
+    found, going, residuals = [None] * len(tol), [True] * len(tol), [None] * len(tol)
     step = "factorising A - sigma I"
     try:
         solve = op.shifted_solver(sigma)
         step = "orthogonal iteration on (A - sigma I)^-1"
         for _ in range(MAX_ITERATIONS):
-            q, _ = np.linalg.qr(solve(q, keep))
+            q, _ = np.linalg.qr(solve(q))
             aq = op.apply(q)
             vals, coeffs = np.linalg.eig(q.mT @ aq)
-            keep, residuals = None, []
             members = zip(q, aq, vals, coeffs) if lead else [(q, aq, vals, coeffs)]
             for j, (qj, aqj, v, c) in enumerate(members):
+                if not going[j]:
+                    continue  # converged: its result stays that of its first converged iteration
                 if np.iscomplexobj(v) and not v.imag.any():
                     v, c = v.real, c.real
                 order = np.lexsort((np.abs(v.imag), v.real))[:k]
                 v, c = v[order], c[:, order]
                 vecs = qj @ c
-                residuals.append(np.linalg.norm(aqj @ c - vecs * v, axis=0).max())
-                found[active[j]] = v, vecs  # kept from the iteration the member leaves on
-            going = [not r <= t for r, t in zip(residuals, tol)]
+                residuals[j] = np.linalg.norm(aqj @ c - vecs * v, axis=0).max()
+                found[j], going[j] = (v, vecs), not residuals[j] <= tol[j]
             if not any(going):
                 break
-            if not all(going):
-                keep, active, tol, q = going, active[going], tol[going], q[going]
-                op = BlockOperator(op.bands[going])
         else:
             i = going.index(True)
             raise EigensolverFailure(f"no convergence in {MAX_ITERATIONS} iterations: residual "

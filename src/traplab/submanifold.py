@@ -128,7 +128,9 @@ def extrinsic_data(e: EmbeddingJet2, m_field: MetricField, u: np.ndarray) -> Ext
     The shape tensor is the normal projection of the ambient covariant
     acceleration of the coordinate frame; the mean curvature vector is its
     trace against the inverse induced metric, so it is independent of the
-    parametrization.
+    parametrization.  A field may return jets stacked over the points (one
+    per n of ``trapping_sequence``); the data then carry that leading axis,
+    ``H.base`` broadcast to it.
     """
     u = np.asarray(u, dtype=float)
     x, d, dd = e.at(u)
@@ -152,7 +154,7 @@ def extrinsic_data(e: EmbeddingJet2, m_field: MetricField, u: np.ndarray) -> Ext
         induced_inv=induced_inv,
         tangent=d,
         II=ii,
-        H=TangentVector(x, h_comps),
+        H=TangentVector(np.broadcast_to(x, h_comps.shape), h_comps),
         normal_projector=p_norm,
         metric=m,
     )
@@ -215,11 +217,11 @@ def null_expansions(
     return float(theta_p), float(theta_m)
 
 
-def _trapping_data(e: EmbeddingJet2, m_field: MetricField, x_field: VectorField, u=None):
+def _trapping_data(e: EmbeddingJet2, m_field: MetricField, x_field: VectorField):
     """Extrinsic data, the time orientation X, g(H, H) and g(H, X) at every
-    sample of ``e`` (or at the parameters u of any stack shape), from one
-    ``extrinsic_data`` and one ``x_field`` call."""
-    data = extrinsic_data(e, m_field, e.sample_set if u is None else u)
+    sample of ``e`` (for each jet of a field that stacks jets over the
+    samples), from one ``extrinsic_data`` and one ``x_field`` call."""
+    data = extrinsic_data(e, m_field, e.sample_set)
     xv = x_field(data.H.base)
     h = data.H.components
     return data, xv, data.metric.inner(h, h), data.metric.inner(h, xv.components)

@@ -568,7 +568,7 @@ def verify_spectral_properties(count: int = 50, seed: int = 99) -> list[CheckRec
     bad_sign = 0
     worst_sym = 0.0
     cases = list(random_circle_operators(count, seed))
-    # two stacks: one stack of all 50 raised the peak memory of `verify all` by 4 MB
+    # two stacks: one stack of all 50 is no faster and doubles the traced peak (2.9 against 1.5 MB)
     eigs = [eig for half in (cases[: count // 2], cases[count // 2 :])
             for eig in stability.principal_eigenvalues([op for _, op, _ in half], cases[0][0])]
     for (grid, op, time_symmetric), eig in zip(cases, eigs):

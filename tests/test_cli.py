@@ -426,6 +426,18 @@ class TestCommandLine:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(out.read_text())["config"]["q_offset"] == echoed
 
+    @pytest.mark.parametrize("value", ["-1e-3", "2"])
+    def test_abbreviated_flag_is_unrecognized(self, value, capsys):
+        # every flag has one spelling, so the join of a negative value sees them all
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["deform", "--q-off", value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: --q-off {value}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--q-offset", "-1e-3"], ["--q-offset=-1e-3"]])
+    def test_full_flag_with_negative_value_runs(self, argv):
+        assert cli.main(["deform", *argv]) == 0
+
     def test_deform_with_q_offset(self):
         proc = run_cli("deform", "--resolution", "32", "--q-offset", "2.0")
         assert proc.returncode == 0

@@ -24,7 +24,7 @@ from traplab.conformal import (
 from traplab.errors import NotWeaklyTrapped
 from traplab.geometry import MetricJet2, TangentVector
 from traplab.scenarios import build_scenario
-from traplab.submanifold import extrinsic_data
+from traplab.submanifold import TrappingLabel, extrinsic_data, trapping_classify
 from traplab.verify import random_polynomial_metric_jet
 
 from _oracles import fd_metric_derivatives, sympy_conformal_quadform
@@ -303,6 +303,30 @@ class TestTrappingSequence:
                 first.metric_field, sigma, sc.time_orientation, tau, profile, n
             ))
             assert result.strictly_trapped()
+
+    @pytest.mark.parametrize("name, params, surface", [
+        ("minkowski_torus_quotient", {"m": 3, "samples_per_axis": 8}, "Sigma"),
+        ("einstein_cylinder", {"n": 2}, "equator"),
+        ("einstein_cylinder", {"n": 3}, "equator"),
+    ])
+    def test_records_match_the_metric_field_path(self, name, params, surface):
+        sc = build_scenario(name, params)
+        sigma = sc.embeddings[surface]
+        tau = coordinate_scalar_field(0, sc.dim, scale=-1.0)
+        # the tube profile of ``traplab perturb`` at its default radii
+        profile = BumpProfile(
+            0.2, 0.45, np.asarray(sigma.jet(sigma.sample_set[0])[0], dtype=float), axes=(0, 1),
+            periods=(None, sc.periods[1] if sc.periods else None),
+        )
+        sequence = trapping_sequence(sc.metric, sigma, sc.time_orientation, tau, profile, range(1, 33))
+        for result in sequence:
+            direct = trapping_classify(sigma, result.metric_field, sc.time_orientation)
+            assert [(repr(r.gn_H_H), repr(r.gn_H_X)) for r in result.records] == [
+                (repr(float(r.g_H_H)), repr(float(r.g_H_X))) for r in direct.per_point
+            ]
+            if result.n == 1:
+                assert result.strictly_trapped()
+                assert direct.label is TrappingLabel.TRAPPED
 
     def test_rejects_non_weakly_trapped_input(self):
         mink = build_scenario("minkowski", {})

@@ -509,3 +509,24 @@ class TestStackedSolve:
         monkeypatch.setattr(stability, "MAX_ITERATIONS", 2)
         with pytest.raises(EigensolverFailure, match="no convergence in 2 iterations"):
             stability.principal_eigenvalues([op for _, op, _ in cases], cases[0][0])
+
+    @pytest.mark.parametrize("cap", [10, 11, 12, 13])
+    def test_iteration_cap_on_a_partly_converged_stack(self, monkeypatch, cap):
+        # the 50 seeded operators converge in 10 to 13 iterations, so at these
+        # caps some members have converged when the others hit the cap
+        cases = list(random_circle_operators())
+        grid, ops = cases[0][0], [op for _, op, _ in cases]
+        monkeypatch.setattr(stability, "MAX_ITERATIONS", cap)
+
+        def first_failure(stacks):
+            try:
+                for stack in stacks:
+                    stability.principal_eigenvalues(stack, grid)
+            except EigensolverFailure as exc:
+                return str(exc)
+            return None
+
+        alone = first_failure([[op] for op in ops])
+        assert (alone is None) == (cap == 13)
+        assert first_failure([ops]) == alone
+        assert first_failure([ops[:25], ops[25:]]) == alone
