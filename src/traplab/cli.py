@@ -1,36 +1,32 @@
 """Batch command-line front end: scenarios in, machine-readable reports out.
 
-Subcommands: classify, perturb, curvature, energy-check, constraints,
-spectrum, deform, linear, verify.  ``COMMANDS`` holds one table per
-subcommand: every key it reads, with type, default, lower bound or allowed
-values, and whether the key is a flag, a positional argument or comes only
-from a config file.  The argparse parser is generated from that table, and
-``resolve`` checks every run configuration against it (from flags, a
-``--config`` file or an ``execute_config`` call) and fills in the defaults;
-a key or tolerance name the command does not read is an error.  Global
-flags: --config PATH (flat ``key = value`` file; flags override it),
---seed INT, --tol NAME=VALUE (repeatable tolerance overrides), --out PATH,
---format json|csv.
+``COMMANDS`` holds one table per subcommand: every key it reads, with type,
+default, lower bound or allowed values, help text, and whether the key is a
+flag, a positional argument or comes only from a config file.  ``parse_argv``
+reads a command line, ``--help`` included, by that table alone; ``resolve``
+checks every run configuration against it (from flags, a ``--config`` file or
+an ``execute_config`` call) and fills in the defaults.
 
-Exit codes: 0 all checks pass, 1 check failures, 2 configuration errors,
-3 scenario errors, 4 internal errors (a bug, never a check outcome).
+Exit codes: 0 all checks pass, 1 check failures, 2 configuration errors (every
+command-line error and an unwritable ``--out`` included), 3 scenario errors,
+4 internal errors (a bug, never a check outcome).
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import json
 import math
 import numbers
 import re
 import sys
+import textwrap
 from dataclasses import asdict, dataclass, replace
 from typing import Any, Callable, NamedTuple, Optional
 
 import numpy as np
 
-from . import energy, stability, verify
+from . import __version__, energy, stability, verify
 from .conformal import (
     BumpProfile,
     CurvatureCase,
@@ -458,7 +454,7 @@ def resolve(cfg: dict) -> dict:
     """
     command = cfg.get("command")
     if command not in COMMANDS:
-        raise ConfigError(f"unknown command {command!r}; available: {sorted(COMMANDS)}")
+        raise ConfigError(f"command must be one of {sorted(COMMANDS)}, got {command!r}")
     spec = COMMANDS[command]
     tols = cfg.get("tolerances", {})
     if not isinstance(tols, dict):
@@ -497,92 +493,95 @@ def execute_config(cfg: dict) -> dict:
     return _execute(cfg)[0]
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    from . import __version__
-
-    parser = argparse.ArgumentParser(
-        prog="traplab",
-        description="Verification runs for trapped-surface geometry scenarios.",
-        allow_abbrev=False,
-    )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, command in COMMANDS.items():
-        p = sub.add_parser(name, help=command.run.__doc__, allow_abbrev=False)
-        for key, opt in command.options.items():
-            if opt.source == ARG:
-                p.add_argument(key, nargs="*", help=opt.help)
-            elif opt.source == FLAG:
-                # values are strings, converted by _merge_config and checked by resolve,
-                # so a wrong type or value is a one-line configuration error
-                metavar = "{" + ",".join(map(str, opt.choices)) + "}" if opt.choices else None
-                p.add_argument("--" + key.replace("_", "-"), dest=key, metavar=metavar,
-                               help=opt.help)
-        p.add_argument("--config", help="flat key = value configuration file")
-        p.add_argument("--tol", action="append", default=[], metavar="NAME=VALUE",
-                       help="tolerance override (repeatable)")
-    return parser
+def _help(command: Optional[str]) -> str:
+    """The ``--help`` text: the command list, or the flags of one command."""
+    if command is None:
+        usage, about = "COMMAND", "Verification runs for trapped-surface geometry scenarios."
+        rows = [(name, c.run.__doc__) for name, c in COMMANDS.items()]
+        rows += [("COMMAND --help", "the flags of COMMAND"), ("--version", "print the version")]
+    else:
+        spec = COMMANDS[command]
+        usage, about = command, spec.run.__doc__
+        rows = [(f"[{k} ...]" if o.source == ARG else f"--{k.replace('_', '-')} " + (
+                    "{" + ",".join(map(str, o.choices)) + "}" if o.choices else k.upper()),
+                 o.help) for k, o in spec.options.items() if o.source in (FLAG, ARG)]
+        rows += [("--config PATH", "flat key = value file; flags override it"), (
+            "--tol NAME=VALUE", f"tolerance, repeatable: {', '.join(spec.tolerances) or 'none'}")]
+    return f"usage: traplab {usage} [FLAG VALUE ...]\n\n{about}\n\n" + "\n".join(
+        textwrap.fill(f"  {left:<24} {text or ''}", 79, subsequent_indent=" " * 27,
+                      break_on_hyphens=False) for left, text in rows)
 
 
-def _merge_config(args: argparse.Namespace) -> dict:
-    """Config-file values overridden by the flags given, each converted with its
-    option's type (a string it cannot convert stays a string, which ``resolve``
-    rejects), plus the echo defaults."""
-    cfg = parse_config_file(args.config) if args.config else {}
-    options = COMMANDS[args.command].options
-    for key, value in vars(args).items():
-        if key in options and value not in (None, []):
-            cfg[key] = value
+def parse_argv(argv: list[str]) -> dict | str:
+    """The run configuration of a command line, or the ``--help`` or ``--version`` text.
+
+    A flag's value is the text after ``=``, else the next token whatever it
+    starts with.  Flags override the last ``--config`` file.  A value its type
+    cannot read and an unknown command are left for ``resolve`` to reject; an
+    unknown flag, a flag without a value and a stray positional raise ConfigError.
+    """
+    if argv[:1] in (["-h"], ["--help"], ["--version"]):
+        return f"traplab {__version__}" if argv[0] == "--version" else _help(None)
+    command, *rest = argv or [None]
+    if command not in COMMANDS:
+        return {"command": command}
+    options = COMMANDS[command].options
+    flags = {"--" + k.replace("_", "-"): k for k, o in options.items() if o.source == FLAG}
+    flags.update({"--config": None, "--tol": None})
+    arg = next((k for k, o in options.items() if o.source == ARG), None)
+    given, tols, config_path, tokens = {}, {}, None, iter(rest)
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        if token in ("-h", "--help"):
+            return _help(command)
+        if arg and not token.startswith("-"):
+            given.setdefault(arg, []).append(token)
+        elif flag not in flags:
+            raise ConfigError(f"{command} reads no {token!r}; flags: {', '.join(sorted(flags))}")
+        elif not eq and (value := next(tokens, None)) is None:
+            raise ConfigError(f"{flag} expects a value")
+        elif flag == "--config":
+            config_path = value
+        else:  # a flag value, or the VALUE of --tol NAME=VALUE, read by its type if it can be
+            key, _, value = value.partition("=") if flag == "--tol" else (flags[flag], "", value)
+            table, kind = (tols, float) if flag == "--tol" else (given, options[key].type)
+            table[key.strip()] = value
             with contextlib.suppress(ValueError):
-                cfg[key] = options[key].type(value)
-    cfg["command"] = args.command
+                table[key.strip()] = kind(value)
+    cfg = parse_config_file(config_path) if config_path else {}
+    cfg.update(given, command=command)
     cfg.update({k: o.default for k, o in options.items() if o.echo and k not in cfg})
-    tolerances = cfg.get("tolerances", {})
-    if args.tol and isinstance(tolerances, dict):  # resolve rejects a non-table
-        tolerances = dict(tolerances)
-        for item in args.tol:
-            name, _, value = item.partition("=")
-            try:
-                tolerances[name.strip()] = float(value)
-            except ValueError:
-                raise ConfigError(f"--tol expects NAME=VALUE, got {item!r}") from None
-        cfg["tolerances"] = tolerances
+    if tols and isinstance(cfg.get("tolerances", {}), dict):  # resolve rejects a non-table
+        cfg["tolerances"] = {**cfg.get("tolerances", {}), **tols}
     return cfg
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    # a value flag is joined to a next token that starts with - (--q-offset=-1e-3):
-    # argparse alone reads -1e-3 or -inf as an option, and only -1 or -.5 as a value;
-    # the parsers take no abbreviations, so the exact flag strings are every spelling
-    flags = {"--config", "--tol"} | {"--" + k.replace("_", "-") for c in COMMANDS.values()
-                                     for k, o in c.options.items() if o.source == FLAG}
-    tokens: list[str] = []
-    for token in sys.argv[1:] if argv is None else argv:
-        if tokens and tokens[-1] in flags and token.startswith("-"):
-            tokens[-1] += "=" + token
-        else:
-            tokens.append(token)
-    args = _build_parser().parse_args(tokens)
     try:
-        cfg = _merge_config(args)
+        cfg = parse_argv(sys.argv[1:] if argv is None else argv)
+        if isinstance(cfg, str):
+            print(cfg)
+            return 0
         report, extra = _execute(cfg)
         for check in report["checks"]:
-            status = "PASS" if check["passed"] else "FAIL"
-            print(f"[{status}] {check['name']}: measured={check['measured']} "
-                  f"expected={check['expected']}")
+            print(f"[{'PASS' if check['passed'] else 'FAIL'}] {check['name']}: "
+                  f"measured={check['measured']} expected={check['expected']}")
             if check["detail"]:
                 print(f"       {check['detail']}")
         good = sum(1 for c in report["checks"] if c["passed"])
         print(f"{good}/{len(report['checks'])} checks passed in {report['wall_time_s']:.2f}s")
         out = cfg.get("out")
-        if out and cfg["format"] == "csv" and cfg["command"] == "spectrum":
-            grid, eig = extra
-            write_eigenfunction_csv(out, grid.nodes, eig.eigenfunction)
-            write_spectrum_csv(out + ".spectrum.csv", eig.spectrum)
-            print(f"spectrum written to {out}.spectrum.csv")
-        elif out:
-            write_report_json(report, out)
-        if out:
+        try:
+            if out is not None and cfg["format"] == "csv" and cfg["command"] == "spectrum":
+                grid, eig = extra
+                write_eigenfunction_csv(out, grid.nodes, eig.eigenfunction)
+                write_spectrum_csv(out + ".spectrum.csv", eig.spectrum)
+                print(f"spectrum written to {out}.spectrum.csv")
+            elif out is not None:
+                write_report_json(report, out)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out!r}: {exc.strerror}") from exc
+        if out is not None:
             print(f"report written to {out}")
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

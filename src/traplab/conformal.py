@@ -308,7 +308,8 @@ def trapping_sequence(
     data, x, hh, hx = submanifold._trapping_data(sigma, m_field, x_field)
     p = data.H.base
     m = data.metric
-    grad_tau = metric_gradient(m, tau_field(p))
+    tau = tau_field(p)
+    grad_tau = metric_gradient(m, tau)
     not_weak = (hh > weak_tol) | (hx < -weak_tol)
     not_future = (m.inner(grad_tau, grad_tau) >= 0) | (m.inner(grad_tau, x.components) >= 0)
     # report the first failing sample, the closed inequalities before tau
@@ -321,8 +322,8 @@ def trapping_sequence(
     if not_future[first]:
         raise ValueError("tau gradient must be future-directed timelike on the surface")
 
+    f = bump(profile, p) * tau
     exponent = product_field(bump_field(profile), tau_field)
-    f = exponent(p)
     ns, rows = list(ns), []
     step = max(1, STACK_POINTS // len(samples))
     for i in range(0, len(ns), step):

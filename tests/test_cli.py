@@ -11,6 +11,9 @@ from traplab.errors import ConfigError
 from traplab.reporting import CheckRecord, build_report, report_bytes, sanitize
 
 
+DEFORM_FLAGS = "--config, --fd-step, --format, --out, --q-offset, --resolution, --seed, --tol"
+
+
 def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "traplab.cli", *args],
@@ -320,8 +323,9 @@ class TestCommandLine:
     def test_deform_takes_no_scenario_or_n(self):
         proc = run_cli("deform", "--scenario", "minkowski", "--n", "7")
         assert proc.returncode == 2
-        assert "unrecognized arguments: --scenario minkowski --n 7" in proc.stderr
-        assert proc.stderr.startswith("usage:") and "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines() == [
+            f"configuration error: deform reads no '--scenario'; flags: {DEFORM_FLAGS}"
+        ]
 
     def test_perturb_n_is_the_conformal_index(self):
         proc = run_cli("perturb", "--scenario", "einstein_cylinder", "--surface", "equator",
@@ -420,7 +424,7 @@ class TestCommandLine:
 
     @pytest.mark.parametrize("value, echoed", [("-1e-3", -0.001), ("-1E2", -100.0)])
     def test_negative_flag_value_in_exponent_form(self, value, echoed, tmp_path):
-        # argparse alone reads -1e-3 as an unknown option, not as the flag's value
+        # a value flag takes the next token, whatever it starts with
         out = tmp_path / "report.json"
         proc = run_cli("deform", "--q-offset", value, "--out", str(out))
         assert proc.returncode == 0, proc.stderr
@@ -428,11 +432,11 @@ class TestCommandLine:
 
     @pytest.mark.parametrize("value", ["-1e-3", "2"])
     def test_abbreviated_flag_is_unrecognized(self, value, capsys):
-        # every flag has one spelling, so the join of a negative value sees them all
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["deform", "--q-off", value])
-        assert exc.value.code == 2
-        assert f"unrecognized arguments: --q-off {value}" in capsys.readouterr().err
+        # every flag has one spelling: --q-off is an unknown flag, whatever follows it
+        assert cli.main(["deform", "--q-off", value]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"configuration error: deform reads no '--q-off'; flags: {DEFORM_FLAGS}"
+        ]
 
     @pytest.mark.parametrize("argv", [["--q-offset", "-1e-3"], ["--q-offset=-1e-3"]])
     def test_full_flag_with_negative_value_runs(self, argv):
@@ -442,3 +446,118 @@ class TestCommandLine:
         proc = run_cli("deform", "--resolution", "32", "--q-offset", "2.0")
         assert proc.returncode == 0
         assert "displacement -" in proc.stdout
+
+
+class TestArgvParser:
+    """The command line is read by ``cli.COMMANDS`` alone: every error is one line."""
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], f"command must be one of {sorted(cli.COMMANDS)}, got None"),
+        (["frobnicate"], f"command must be one of {sorted(cli.COMMANDS)}, got 'frobnicate'"),
+        (["deform", "--bogus", "1"], f"deform reads no '--bogus'; flags: {DEFORM_FLAGS}"),
+        (["spectrum", "--resolution"], "--resolution expects a value"),
+        (["deform", "stray"], f"deform reads no 'stray'; flags: {DEFORM_FLAGS}"),
+    ])
+    def test_command_line_error_is_one_line(self, argv, message, capsys):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"configuration error: {message}"]
+        assert captured.out == ""
+
+    def test_no_command_from_sys_argv(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["traplab"])
+        assert cli.main() == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
+    @pytest.mark.parametrize("name", sorted(cli.COMMANDS))
+    def test_command_help_lists_its_table(self, name, capsys):
+        assert cli.main([name, "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        command = cli.COMMANDS[name]
+        assert text.startswith(f"usage: traplab {name} ")
+        assert " ".join(command.run.__doc__.split()) in text
+        for key, opt in command.options.items():
+            if opt.source == cli.FLAG:
+                assert f"--{key.replace('_', '-')} " in text
+            elif opt.source == cli.ARG:
+                assert f"{key} ..." in text
+            else:
+                assert f"--{key.replace('_', '-')} " not in text
+                continue
+            if opt.help:
+                assert " ".join(opt.help.split()) in text
+            if opt.choices:
+                assert "{" + ",".join(map(str, opt.choices)) + "}" in text
+        for tolerance in command.tolerances:
+            assert tolerance in text.split("--tol NAME=VALUE", 1)[1]
+
+    @pytest.mark.parametrize("flag", ["--help", "-h"])
+    def test_top_level_help_lists_every_command(self, flag, capsys):
+        assert cli.main([flag]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "usage: traplab COMMAND [FLAG VALUE ...]"
+        for name, command in cli.COMMANDS.items():
+            assert any(line.split() == [name, *command.run.__doc__.split()] for line in lines)
+
+    def test_version(self, capsys):
+        from traplab import __version__
+
+        assert cli.main(["--version"]) == 0
+        assert capsys.readouterr().out == f"traplab {__version__}\n"
+
+    def test_suites_around_flags(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert cli.main(["verify", "determinism", "--out", str(out), "linear-lemmas"]) == 0
+        report = json.loads(out.read_text())
+        assert list(report["payload"]) == ["determinism", "linear-lemmas"]
+        assert report["config"]["suites"] == ["determinism", "linear-lemmas"]
+
+    def test_value_flag_takes_a_help_token(self, tmp_path, monkeypatch):
+        # a value flag takes the next token whatever it starts with: --help names the file
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["linear", "--out", "--help"]) == 0
+        assert json.loads((tmp_path / "--help").read_text())["command"] == "linear"
+
+    def test_flag_equals_value(self, tmp_path):
+        out = tmp_path / "report.json"
+        argv = ["curvature", "--n=2", "--tol=curvature=1e-3", f"--out={out}"]
+        assert cli.main(argv) == 0
+        assert json.loads(out.read_text())["config"] == {
+            "command": "curvature", "n": 2, "out": str(out), "format": "json",
+            "tolerances": {"curvature": 1e-3},
+        }
+
+    def test_flags_override_the_last_config_file(self, tmp_path):
+        first, last = tmp_path / "first.cfg", tmp_path / "last.cfg"
+        first.write_text("n = 5\ncase = null-null\n")
+        last.write_text("n = 3\ntolerances = {\"curvature\": 0.5}\n")
+        out = tmp_path / "report.json"
+        argv = ["curvature", "--config", str(first), "--n", "2", "--config", str(last),
+                "--tol", "curvature=1e-3", "--out", str(out)]
+        assert cli.main(argv) == 0
+        assert json.loads(out.read_text())["config"] == {
+            "command": "curvature", "n": 2, "out": str(out), "format": "json",
+            "tolerances": {"curvature": 1e-3},
+        }
+
+    def test_unwritable_out_is_one_line(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "report.json"
+        assert cli.main(["linear", "--out", str(path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"configuration error: cannot write {str(path)!r}: No such file or directory"
+        ]
+        assert not (tmp_path / "missing").exists()
+
+    def test_unwritable_csv_out_names_its_path(self, tmp_path, capsys):
+        path = str(tmp_path / "missing" / "eig.csv")
+        argv = ["spectrum", "--resolution", "16", "--format", "csv", "--out", path]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"configuration error: cannot write {path!r}: No such file or directory"
+        ]
+
+    def test_empty_out_is_not_skipped(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["linear", "--out", ""]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("configuration error: cannot write '': ")

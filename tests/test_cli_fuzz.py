@@ -6,8 +6,8 @@ string), plus tolerance overrides, unknown flags and an optional config file
 holding config-only keys or an unknown key.  Sizes stay small so the whole
 test runs in a few seconds.  Whatever is drawn, ``cli.main`` must end with a
 defined exit code (never 4, never a traceback), every report written must be
-strict JSON, and no check may pass on zero samples.  Only the unknown flag ends
-in argparse's usage block; every other error is one line.
+strict JSON, and no check may pass on zero samples.  Every error is one line,
+and an unknown flag is a configuration error that names it.
 """
 
 from __future__ import annotations
@@ -106,10 +106,7 @@ def invocations(draw, out_path: str, cfg_path: str) -> list[str]:
 def _exit_code(argv: list[str]) -> tuple[int, str]:
     stderr = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:  # argparse rejects unknown flags
-            code = exc.code
+        code = cli.main(argv)
     return code, stderr.getvalue()
 
 
@@ -132,9 +129,10 @@ def test_any_drawn_argv_ends_cleanly(tmp_path):
             for entry in report.get("payload", {}).values():
                 if isinstance(entry, dict) and entry.get("samples_used") == 0:
                     raise AssertionError(f"{argv}: a verdict drawn from zero samples")
-        elif "--bogus" in argv:  # the one drawn fault argparse itself rejects
-            assert code == 2 and "usage:" in stderr, stderr
         else:
             assert len(stderr.splitlines()) == 1, (argv, stderr)
+        if "--bogus" in argv:  # the parser rejects it before anything else is read
+            assert code == 2, (argv, code)
+            assert stderr.startswith(f"configuration error: {argv[0]} reads no '--bogus'; "), stderr
 
     check()

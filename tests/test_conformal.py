@@ -293,6 +293,18 @@ class TestTrappingSequence:
             p = np.array([0.1, 0.2, 0.3, 0.6])
             assert np.array_equal(result.metric_field(p).g, single.metric_field(p).g)
 
+    def test_tau_evaluated_once(self):
+        # the input check and the exponent phi tau share one tau jet at the samples
+        sc, sigma, tau, profile = self._setup()
+        shapes = []
+
+        def counted(p):
+            shapes.append(np.shape(p))
+            return tau(p)
+
+        trapping_sequence(sc.metric, sigma, sc.time_orientation, counted, profile, range(1, 33))
+        assert shapes == [(len(sigma.sample_set), sc.dim)]
+
     def test_chained_metric_field_bitwise(self):
         sc, sigma, tau, profile = self._setup()
         first = trapping_sequence(sc.metric, sigma, sc.time_orientation, tau, profile, [2])[0]
