@@ -43,6 +43,7 @@ from .reporting import (
     Stopwatch,
     approx_record,
     build_report,
+    check_writable,
     flag_record,
     relative_error,
     write_eigenfunction_csv,
@@ -55,6 +56,9 @@ from .submanifold import TrappingLabel, trapping_classify
 _CASE_NAMES = {c.value: c for c in CurvatureCase}
 # eigenvalues reported as the spectrum head of the spectrum command
 SPECTRUM_HEAD = 8
+# the surface whose stability operator the spectrum command solves, by its
+# (scenario, n): the equator of the unit round 2-sphere slice
+_SPECTRUM_CASES = {("einstein_cylinder", 2): stability.equator_deformation_case}
 # a config-file line up to its comment; a '#' inside a JSON string is kept
 _BEFORE_COMMENT = re.compile(r'(?:"(?:[^"\\]|\\.)*"|[^#])*')
 
@@ -110,7 +114,7 @@ def parse_config_file(path: str) -> dict:
                 except json.JSONDecodeError:
                     config[key] = value
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
     return config
 
 
@@ -270,7 +274,8 @@ def _cmd_constraints(cfg: dict):
 def _cmd_spectrum(cfg: dict):
     """stability operator spectrum"""
     resolution, tols = cfg["resolution"], cfg["tolerances"]
-    case = stability.equator_deformation_case(resolution)
+    build = _SPECTRUM_CASES[cfg["scenario"], cfg["n"]]
+    case = build(resolution)
     operator = stability.assemble_stability_operator(case.grid, case.coefficients)
     eig = stability.principal_eigenvalue(operator, case.grid, k=SPECTRUM_HEAD)
     q_vals = case.coefficients.Q
@@ -288,7 +293,7 @@ def _cmd_spectrum(cfg: dict):
     table = []
     for n in (max(8, resolution // 4), max(8, resolution // 2), resolution):
         if n not in lams:
-            c = stability.equator_deformation_case(n)
+            c = build(n)
             op = stability.assemble_stability_operator(c.grid, c.coefficients)
             lams[n] = stability.principal_eigenvalue(op, c.grid).lambda1_real
         table.append({"resolution": n, "lambda1": lams[n]})
@@ -337,9 +342,6 @@ def _cmd_linear(cfg: dict):
 
 def _cmd_verify(cfg: dict):
     """run verification suites"""
-    if cfg["suites"] == ["curvature-perturbation"] and cfg["case"] is not None:
-        # single-case form: verify curvature-perturbation --case ... --n ...
-        return _cmd_curvature(cfg)
     try:
         results = verify.run_suites(cfg["suites"])
     except KeyError as exc:
@@ -355,11 +357,6 @@ def _cmd_verify(cfg: dict):
 
 
 _SEED = Opt(int, 0, low=0, help="random seed")
-_COMMON = {
-    "seed": _SEED,
-    "out": Opt(str, help="report output path"),
-    "format": Opt(str, "json", choices=("json", "csv"), echo=True),
-}
 _SCENARIO = {
     "scenario": Opt(str),
     "n": Opt(int, low=1, source=SCENARIO),
@@ -372,17 +369,12 @@ _SCENARIO = {
     "spacetime_sphere_radius": Opt(float, low=0.0, source=SCENARIO),
 }
 _INDEX = Opt(int, 1, low=1)  # n of the conformal factor e^{2f/n}
-_CURVATURE = {
-    "case": Opt(str, "timelike", choices=tuple(sorted(_CASE_NAMES))),
-    "n": _INDEX,
-    "dim": Opt(int, 4, low=2, source=CONFIG),
-}
 _RESOLUTION = Opt(int, 64, low=stability.MIN_NODES_PER_AXIS)
 _TOLERANCE = Opt(float, low=0.0)
 
 
 def _command(run: Callable, options: dict, tolerances: Optional[dict] = None) -> Command:
-    return Command(run, {**_COMMON, **options}, tolerances or {})
+    return Command(run, {"out": Opt(str, help="report output path"), **options}, tolerances or {})
 
 
 COMMANDS = {
@@ -400,12 +392,21 @@ COMMANDS = {
         "bump_inner": Opt(float, 0.2, low=0.0, source=CONFIG),
         "bump_outer": Opt(float, 0.45, low=0.0, source=CONFIG),
     }, {"trapping": 1e-6}),
-    "curvature": _command(_cmd_curvature, _CURVATURE, {"curvature": 1e-6}),
-    "energy-check": _command(_cmd_energy, {**_SCENARIO, "count": Opt(int, 32, low=1)}),
+    "curvature": _command(_cmd_curvature, {
+        "case": Opt(str, "timelike", choices=tuple(sorted(_CASE_NAMES))),
+        "n": _INDEX,
+        "dim": Opt(int, 4, low=2, source=CONFIG),
+    }, {"curvature": 1e-6}),
+    "energy-check": _command(_cmd_energy, {
+        **_SCENARIO, "seed": _SEED, "count": Opt(int, 32, low=1),
+    }),
     # None: the vacuum tolerance depends on the scenario
-    "constraints": _command(_cmd_constraints, {**_SCENARIO, "points": Opt(int, 50, low=1)},
-                            {"energy-density": 1e-9, "vacuum": None}),
+    "constraints": _command(_cmd_constraints, {
+        **_SCENARIO, "seed": _SEED, "points": Opt(int, 50, low=1),
+    }, {"energy-density": 1e-9, "vacuum": None}),
     "spectrum": _command(_cmd_spectrum, {
+        # main reads format: csv writes the eigenfunction and the full spectrum
+        "format": Opt(str, "json", choices=("json", "csv"), echo=True),
         "scenario": Opt(str, "einstein_cylinder", choices=("einstein_cylinder",)),
         "n": Opt(int, 2, choices=(2,)),
         "resolution": _RESOLUTION,
@@ -419,10 +420,7 @@ COMMANDS = {
     "verify": _command(_cmd_verify, {
         "suites": Opt(list, ["all"], source=ARG, echo=True,
                       help="suites to run: all, " + ", ".join(sorted(verify.SUITES))),
-        **_CURVATURE,
-        "case": replace(_CURVATURE["case"], default=None,
-                        help="single-case form of the curvature-perturbation suite"),
-    }, {"curvature": 1e-6}),
+    }),
 }
 
 
@@ -479,9 +477,8 @@ def resolve(cfg: dict) -> dict:
     return out
 
 
-def _execute(cfg: dict) -> tuple[dict, Any]:
+def _execute(cfg: dict, resolved: dict) -> tuple[dict, Any]:
     """The report dict plus the command's extra output (None for most commands)."""
-    resolved = resolve(cfg)
     with Stopwatch() as sw:
         checks, payload, *extra = COMMANDS[resolved["command"]].run(resolved)
     report = build_report(resolved["command"], cfg, checks, sw.elapsed, payload)
@@ -490,7 +487,7 @@ def _execute(cfg: dict) -> tuple[dict, Any]:
 
 def execute_config(cfg: dict) -> dict:
     """Run one configured command and return the full report dict."""
-    return _execute(cfg)[0]
+    return _execute(cfg, resolve(cfg))[0]
 
 
 def _help(command: Optional[str]) -> str:
@@ -548,12 +545,21 @@ def parse_argv(argv: list[str]) -> dict | str:
             table[key.strip()] = value
             with contextlib.suppress(ValueError):
                 table[key.strip()] = kind(value)
-    cfg = parse_config_file(config_path) if config_path else {}
+    cfg = {} if config_path is None else parse_config_file(config_path)
     cfg.update(given, command=command)
     cfg.update({k: o.default for k, o in options.items() if o.echo and k not in cfg})
     if tols and isinstance(cfg.get("tolerances", {}), dict):  # resolve rejects a non-table
         cfg["tolerances"] = {**cfg.get("tolerances", {}), **tols}
     return cfg
+
+
+@contextlib.contextmanager
+def _writing(path: str):
+    """An OSError inside the block as the one-line configuration error naming ``path``."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc.strerror}") from exc
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -562,7 +568,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         if isinstance(cfg, str):
             print(cfg)
             return 0
-        report, extra = _execute(cfg)
+        resolved = resolve(cfg)
+        out = resolved["out"]
+        if out is not None:  # before the run: a bad path costs no run and prints no check
+            with _writing(out):
+                check_writable(out)
+        report, extra = _execute(cfg, resolved)
         for check in report["checks"]:
             print(f"[{'PASS' if check['passed'] else 'FAIL'}] {check['name']}: "
                   f"measured={check['measured']} expected={check['expected']}")
@@ -570,18 +581,15 @@ def main(argv: Optional[list[str]] = None) -> int:
                 print(f"       {check['detail']}")
         good = sum(1 for c in report["checks"] if c["passed"])
         print(f"{good}/{len(report['checks'])} checks passed in {report['wall_time_s']:.2f}s")
-        out = cfg.get("out")
-        try:
-            if out is not None and cfg["format"] == "csv" and cfg["command"] == "spectrum":
-                grid, eig = extra
-                write_eigenfunction_csv(out, grid.nodes, eig.eigenfunction)
-                write_spectrum_csv(out + ".spectrum.csv", eig.spectrum)
-                print(f"spectrum written to {out}.spectrum.csv")
-            elif out is not None:
-                write_report_json(report, out)
-        except OSError as exc:
-            raise ConfigError(f"cannot write {out!r}: {exc.strerror}") from exc
         if out is not None:
+            with _writing(out):
+                if resolved.get("format") == "csv":
+                    grid, eig = extra
+                    write_eigenfunction_csv(out, grid.nodes, eig.eigenfunction)
+                    write_spectrum_csv(out + ".spectrum.csv", eig.spectrum)
+                    print(f"spectrum written to {out}.spectrum.csv")
+                else:
+                    write_report_json(report, out)
             print(f"report written to {out}")
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -8,6 +8,7 @@ identical output except for the wall-time field.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import tempfile
@@ -133,11 +134,27 @@ def report_bytes(report: dict, drop_wall_time: bool = False) -> bytes:
     return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False).encode()
 
 
+def _directory(path: str) -> str:
+    """The directory a file ``path`` goes into; the empty path names no file."""
+    if not path:
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    return os.path.dirname(os.path.abspath(path))
+
+
+def check_writable(path: str) -> None:
+    """Raise the OSError a write of ``path`` would meet before any byte is
+    written: the empty path, a directory at ``path``, or a directory to put it
+    in that is missing or takes no new file."""
+    with tempfile.TemporaryFile(dir=_directory(path)):
+        pass
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+
+
 def _write_atomic(path: str, data: bytes) -> None:
     """Write the whole file beside ``path``, then move it into place, so a
     failure mid-write never leaves a truncated file."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    fd, tmp = tempfile.mkstemp(dir=_directory(path), suffix=".tmp")
     try:
         os.fchmod(fd, 0o666 & ~_UMASK)
         with os.fdopen(fd, "wb") as fh:

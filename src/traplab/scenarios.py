@@ -246,7 +246,7 @@ def _circle_samples(n_samples: int) -> np.ndarray:
 # --- scenario builders -----------------------------------------------------
 
 def _build_minkowski(params: dict) -> Scenario:
-    dim = int(params.get("dim", 4))
+    dim = int(params.pop("dim", 4))
     if dim < 2:
         raise BadParams("minkowski needs dim >= 2")
     sc = Scenario(
@@ -263,7 +263,7 @@ def _build_minkowski(params: dict) -> Scenario:
             K_field=zero_K_field(slice_dim),
         )
     if dim == 4:
-        radius = float(params.get("radius", 1.0))
+        radius = float(params.pop("radius", 1.0))
         if radius <= 0:
             raise BadParams("radius must be positive")
         sc.embeddings["sphere"] = sphere_embedding(radius, dim)
@@ -283,7 +283,7 @@ def _build_minkowski(params: dict) -> Scenario:
 
 
 def _build_torus_quotient(params: dict) -> Scenario:
-    m = int(params.get("m", 3))
+    m = int(params.pop("m", 3))
     if m < 2:
         raise BadParams("torus quotient needs at least 2 spatial dimensions")
     dim = m + 1
@@ -295,7 +295,7 @@ def _build_torus_quotient(params: dict) -> Scenario:
         time_orientation=_coordinate_time_field(dim),
         periods=periods,
     )
-    per_axis = int(params.get("samples_per_axis", 8))
+    per_axis = int(params.pop("samples_per_axis", 8))
     sigma_samples = _grid_samples(per_axis, m - 1) if m > 1 else np.zeros((1, 0))
     sc.embeddings["Sigma"] = coordinate_plane_embedding(dim, (0, 1), sigma_samples, outward_axis=1)
     sc.initial_data = InitialData(
@@ -319,7 +319,7 @@ def _build_torus_quotient(params: dict) -> Scenario:
 
 
 def _build_einstein_cylinder(params: dict) -> Scenario:
-    n = int(params.get("n", 2))
+    n = int(params.pop("n", 2))
     if n not in (2, 3):
         raise BadParams("einstein_cylinder supports sphere dimension n in {2, 3}")
     dim = n + 1
@@ -331,7 +331,7 @@ def _build_einstein_cylinder(params: dict) -> Scenario:
         periods=(None,) * n + (2.0 * math.pi,),
     )
     sc.initial_data = InitialData(dim=n, h_field=_sphere_slice_field(n), K_field=zero_K_field(n))
-    n_samples = int(params.get("equator_samples", 16))
+    n_samples = int(params.pop("equator_samples", 16))
     if n == 2:
         # equator circle {t = 0, theta = pi/2} of the sphere slice
         sc.embeddings["equator"] = coordinate_plane_embedding(
@@ -394,7 +394,7 @@ def _schwarzschild_lapse_sq(mass: float, r: float) -> Jet1:
 
 
 def _build_schwarzschild(params: dict) -> Scenario:
-    mass = float(params.get("mass", 1.0))
+    mass = float(params.pop("mass", 1.0))
     if mass <= 0:
         raise BadParams("mass must be positive")
     slice_dim = 3
@@ -452,12 +452,15 @@ def _build_schwarzschild(params: dict) -> Scenario:
             measure=4.0 * math.pi * area_radius**2,
         )
 
+    radius = float(params.pop("radius", 1.0))
+    if radius <= 0:
+        raise BadParams("radius must be positive")
     add_sphere("horizon_sphere", mass / 2.0, True)
-    add_sphere("sphere", float(params.get("radius", 1.0)), False)
+    add_sphere("sphere", radius, False)
     # the static chart degenerates at r = mass/2 (vanishing lapse), so the
     # horizon surface is only carried on the slice; spacetime spheres must
     # stay outside it
-    exterior_r = float(params.get("spacetime_sphere_radius", 1.0))
+    exterior_r = float(params.pop("spacetime_sphere_radius", 1.0))
     if exterior_r <= mass / 2.0:
         raise BadParams("spacetime sphere radius must exceed mass/2")
     sc.embeddings["sphere"] = sphere_embedding(exterior_r, dim)
@@ -470,7 +473,7 @@ def _build_schwarzschild(params: dict) -> Scenario:
 
 
 def _build_flrw_dust(params: dict) -> Scenario:
-    dim = int(params.get("dim", 4))
+    dim = int(params.pop("dim", 4))
     if dim < 3:
         raise BadParams("flrw_dust needs dim >= 3")
     ns = dim - 1
@@ -505,6 +508,7 @@ def _build_flrw_dust(params: dict) -> Scenario:
     return sc
 
 
+# each builder pops the parameters it reads from its own copy of the dict
 _BUILDERS = {
     "minkowski": _build_minkowski,
     "minkowski_torus_quotient": _build_torus_quotient,
@@ -519,7 +523,12 @@ def scenario_names() -> list[str]:
 
 
 def build_scenario(name: str, params: Optional[dict] = None) -> Scenario:
-    """Construct a named scenario; raises UnknownScenario / BadParams."""
+    """Construct a named scenario; raises UnknownScenario / BadParams, the
+    latter also for a parameter the scenario does not read."""
     if name not in _BUILDERS:
         raise UnknownScenario(f"unknown scenario {name!r}; available: {scenario_names()}")
-    return _BUILDERS[name](dict(params or {}))
+    unread = dict(params or {})
+    sc = _BUILDERS[name](unread)
+    if unread:
+        raise BadParams(f"{name} reads no parameter {', '.join(sorted(map(str, unread)))}")
+    return sc

@@ -11,7 +11,7 @@ from traplab.errors import ConfigError
 from traplab.reporting import CheckRecord, build_report, report_bytes, sanitize
 
 
-DEFORM_FLAGS = "--config, --fd-step, --format, --out, --q-offset, --resolution, --seed, --tol"
+DEFORM_FLAGS = "--config, --fd-step, --out, --q-offset, --resolution, --tol"
 
 
 def run_cli(*args):
@@ -158,7 +158,7 @@ class TestExecuteConfig:
     def test_resolve_fills_defaults_without_touching_the_echo(self):
         cfg = {"command": "constraints", "scenario": "minkowski", "points": 3}
         resolved = resolve(cfg)
-        assert resolved["seed"] == 0 and resolved["format"] == "json"
+        assert resolved["seed"] == 0 and "format" not in resolved  # format is spectrum's
         assert resolved["tolerances"] == {"energy-density": 1e-9, "vacuum": None}
         assert resolved["mass"] is None  # scenario parameters keep the scenario's default
         assert execute_config(cfg)["config"] == cfg
@@ -333,15 +333,15 @@ class TestCommandLine:
         assert proc.returncode == 0, proc.stderr
         assert "[PASS] class-after-rescale" in proc.stdout
 
-    def test_config_file_format_and_suites_are_read(self, tmp_path):
+    def test_config_file_suites_are_read(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text('suites = "linear-lemmas"\nformat = "csv"\n')
+        cfg.write_text('suites = "linear-lemmas"\n')
         out = tmp_path / "report.json"
         proc = run_cli("verify", "--config", str(cfg), "--out", str(out))
         assert proc.returncode == 0
         doc = json.loads(out.read_text())
         assert set(doc["payload"]) == {"linear-lemmas"}
-        assert doc["config"]["format"] == "csv"  # csv applies to spectrum only
+        assert doc["config"] == {"command": "verify", "suites": "linear-lemmas", "out": str(out)}
 
     def test_crash_is_internal_error_exit_four(self, monkeypatch, capsys):
         def boom(cfg):
@@ -393,9 +393,13 @@ class TestCommandLine:
         }
 
     def test_verify_single_case_form(self):
+        # one case of the suite is traplab curvature; verify reads no --case
         proc = run_cli("verify", "curvature-perturbation", "--case", "timelike", "--n", "1")
-        assert proc.returncode == 0
-        assert "-7.389056" in proc.stdout
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            "configuration error: verify reads no '--case'; flags: --config, --out, --tol"
+        ]
+        assert proc.stdout == ""
 
     def test_tolerance_override_changes_outcome(self):
         # an absurdly tight curvature tolerance turns rounding into failure
@@ -446,6 +450,128 @@ class TestCommandLine:
         proc = run_cli("deform", "--resolution", "32", "--q-offset", "2.0")
         assert proc.returncode == 0
         assert "displacement -" in proc.stdout
+
+
+class ReadKeys(dict):
+    """A dict that records the keys read from it."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+# one or two cheap configs per command that together take every branch reading a key
+KEY_READ_CONFIGS = {
+    "classify": [{"scenario": "minkowski_torus_quotient", "surface": "Sigma"}],
+    "perturb": [{"samples_per_axis": 4}],
+    "curvature": [{}],
+    "energy-check": [{"scenario": "minkowski", "count": 2}],
+    "constraints": [{"scenario": "einstein_cylinder", "points": 2},
+                    {"scenario": "minkowski", "points": 2}],
+    "spectrum": [{"resolution": 16}],
+    "deform": [{"resolution": 16}],
+    "linear": [{}],
+    "verify": [{"suites": ["curvature-perturbation"]}],
+}
+
+
+class TestEveryKeyActs:
+    """Each command's table holds the keys its run reads, and no other."""
+
+    @pytest.mark.parametrize("name", sorted(cli.COMMANDS))
+    def test_every_key_and_tolerance_is_read(self, name):
+        command = cli.COMMANDS[name]
+        keys, tolerances = set(), set()
+        for cfg in KEY_READ_CONFIGS[name]:
+            resolved = ReadKeys(resolve({"command": name, **cfg}))
+            resolved["tolerances"] = ReadKeys(resolved["tolerances"])
+            command.run(resolved)
+            keys |= resolved.read
+            tolerances |= resolved["tolerances"].read
+        # main reads out, and the format of spectrum
+        main_reads = {"out", "format"} if name == "spectrum" else {"out"}
+        assert set(command.options) - main_reads <= keys
+        assert set(command.tolerances) <= tolerances
+
+    @pytest.mark.parametrize("argv, message", [
+        (["curvature", "--seed", "1"], "curvature reads no '--seed'; "
+         "flags: --case, --config, --n, --out, --tol"),
+        (["classify", "--scenario", "minkowski", "--surface", "sphere", "--seed", "5"],
+         "classify reads no '--seed'; flags: --config, --expect, --out, --scenario, --surface, "
+         "--tol"),
+        (["deform", "--format", "csv"], f"deform reads no '--format'; flags: {DEFORM_FLAGS}"),
+        (["curvature", "--case", "timelike", "--format", "csv", "--out", "x.csv"],
+         "curvature reads no '--format'; flags: --case, --config, --n, --out, --tol"),
+        (["verify", "curvature-perturbation", "--tol", "curvature=1e-3"],
+         "verify reads no tolerance curvature; it reads: none"),
+        (["verify", "--config", "FORMAT_CONFIG"],
+         "verify reads no key format; it reads: out, suites"),
+    ])
+    def test_removed_key_is_one_line(self, argv, message, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "format.cfg").write_text('format = "csv"\n')
+        argv = [str(tmp_path / "format.cfg") if a == "FORMAT_CONFIG" else a for a in argv]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"configuration error: {message}"]
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == [tmp_path / "format.cfg"]
+
+    def test_empty_config_path_is_one_line(self, capsys):
+        assert cli.main(["curvature", "--config", ""]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "configuration error: cannot read config file '': "
+            "[Errno 2] No such file or directory: ''"
+        ]
+
+    @pytest.mark.parametrize("path, reason", [
+        ("", "No such file or directory"),
+        ("missing/r.json", "No such file or directory"),
+        ("reports", "Is a directory"),
+    ])
+    def test_unwritable_out_is_refused_before_the_run(self, path, reason, tmp_path,
+                                                       monkeypatch, capsys):
+        def never(cfg):
+            raise AssertionError("the run started")
+
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "reports").mkdir()
+        monkeypatch.setitem(cli.COMMANDS, "verify", cli.COMMANDS["verify"]._replace(run=never))
+        assert cli.main(["verify", "all", "--out", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"configuration error: cannot write {path!r}: {reason}"]
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == [tmp_path / "reports"]
+        assert list((tmp_path / "reports").iterdir()) == []
+
+    def test_atomic_write_of_the_empty_path_makes_no_file(self, tmp_path, monkeypatch):
+        # the empty path names no directory: it must not fall back on the
+        # parent of the working directory, even for a temporary file
+        from traplab import reporting
+
+        def mkstemp(*args, **kwargs):
+            raise AssertionError(f"temporary file made in {kwargs.get('dir')}")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(reporting.tempfile, "mkstemp", mkstemp)
+        with pytest.raises(FileNotFoundError):
+            reporting._write_atomic("", b"{}\n")
+
+    def test_unread_scenario_parameter_exit_three(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("mass = 5\n")
+        proc = run_cli("classify", "--scenario", "minkowski", "--surface", "sphere",
+                       "--config", str(cfg))
+        assert proc.returncode == 3
+        assert proc.stderr.splitlines() == ["scenario error: minkowski reads no parameter mass"]
 
 
 class TestArgvParser:
@@ -523,8 +649,7 @@ class TestArgvParser:
         argv = ["curvature", "--n=2", "--tol=curvature=1e-3", f"--out={out}"]
         assert cli.main(argv) == 0
         assert json.loads(out.read_text())["config"] == {
-            "command": "curvature", "n": 2, "out": str(out), "format": "json",
-            "tolerances": {"curvature": 1e-3},
+            "command": "curvature", "n": 2, "out": str(out), "tolerances": {"curvature": 1e-3},
         }
 
     def test_flags_override_the_last_config_file(self, tmp_path):
@@ -536,8 +661,7 @@ class TestArgvParser:
                 "--tol", "curvature=1e-3", "--out", str(out)]
         assert cli.main(argv) == 0
         assert json.loads(out.read_text())["config"] == {
-            "command": "curvature", "n": 2, "out": str(out), "format": "json",
-            "tolerances": {"curvature": 1e-3},
+            "command": "curvature", "n": 2, "out": str(out), "tolerances": {"curvature": 1e-3},
         }
 
     def test_unwritable_out_is_one_line(self, tmp_path, capsys):

@@ -18,6 +18,32 @@ def test_scenario_names_and_errors():
         build_scenario("einstein_cylinder", {"n": 5})
 
 
+@pytest.mark.parametrize("name, params, unread", [
+    ("minkowski", {"mass": 5, "bogus": 1}, "bogus, mass"),
+    ("minkowski", {"dim": 3, "radius": 2.0}, "radius"),  # only the dim-4 spheres take a radius
+    ("einstein_cylinder", {"m": 3}, "m"),
+    ("flrw_dust", {"radius": 1.0}, "radius"),
+])
+def test_unread_parameter_is_refused(name, params, unread):
+    with pytest.raises(BadParams, match=f"^{name} reads no parameter {unread}$"):
+        build_scenario(name, params)
+
+
+def test_every_read_parameter_is_taken():
+    build_scenario("schwarzschild_slice_isotropic",
+                   {"mass": 2.0, "radius": 0.5, "spacetime_sphere_radius": 1.5})
+    build_scenario("minkowski_torus_quotient", {"m": 2, "samples_per_axis": 3})
+    build_scenario("einstein_cylinder", {"n": 3, "equator_samples": 4})
+    build_scenario("minkowski", {"dim": 4, "radius": 2.0})
+
+
+@pytest.mark.parametrize("name", ["minkowski", "schwarzschild_slice_isotropic"])
+@pytest.mark.parametrize("radius", [0.0, -1.0])
+def test_nonpositive_sphere_radius_is_refused(name, radius):
+    with pytest.raises(BadParams, match="radius must be positive"):
+        build_scenario(name, {"radius": radius})
+
+
 def test_minkowski_flat_everywhere():
     sc = build_scenario("minkowski", {"dim": 4})
     for p in (np.zeros(4), np.array([1.0, -2.0, 0.5, 3.0])):
