@@ -21,7 +21,7 @@ import numbers
 import re
 import sys
 import textwrap
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import Any, Callable, NamedTuple, Optional
 
 import numpy as np
@@ -181,7 +181,7 @@ def _cmd_perturb(cfg: dict):
         name="class-after-rescale", anchor="trapping-set-membership", measured=after,
         expected="trapped", tolerance=None, passed=after == "trapped",
     ))
-    return checks, {"n": n, "records": [asdict(r) for r in result.records]}
+    return checks, {"n": n, "records": result.records}
 
 
 def _cmd_curvature(cfg: dict):
@@ -217,7 +217,7 @@ def _cmd_energy(cfg: dict):
         payload[cond.value] = {
             "verdict": rep.verdict.value, "min_value": rep.min_value,
             "samples_used": rep.samples_used,
-            "witness": None if rep.witness is None else asdict(rep.witness),
+            "witness": rep.witness,
         }
         checks.append(CheckRecord(
             name=f"condition-{cond.value}", anchor="condition-set-inclusions",

@@ -21,6 +21,7 @@ span, rank or principal angle, so zero-padding the maps' domains is harmless.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,6 +51,11 @@ class OperatorTriple:
     @property
     def h(self) -> int:
         return self.T.shape[-2]
+
+    @cached_property
+    def complements(self) -> tuple:
+        """``_image_complement`` of T and of S, computed on first use."""
+        return _image_complement(self.T), _image_complement(self.S)
 
 
 def _rank(a: np.ndarray, scale: float | None = None) -> np.ndarray:
@@ -97,8 +103,7 @@ def perp_intersection_trivial(tr: OperatorTriple) -> np.ndarray:
     only add zero singular values, so an empty complement on either side
     makes the intersection trivial outright.
     """
-    a, _ = _image_complement(tr.T)
-    b, _ = _image_complement(tr.S)
+    (a, _), (b, _) = tr.complements
     cosines = np.linalg.svd(a.mT @ b, compute_uv=False)
     return cosines.max(axis=-1, initial=0.0) < 1.0 - RANK_RTOL
 
@@ -109,8 +114,7 @@ def adjoint_kernels_trivial(tr: OperatorTriple) -> np.ndarray:
     Uses the rank of the stacked kernel bases: the sum of two subspaces has
     dimension ka + kb exactly when they intersect trivially.
     """
-    ker_t, rank_t = _image_complement(tr.T)
-    ker_s, rank_s = _image_complement(tr.S)
+    (ker_t, rank_t), (ker_s, rank_s) = tr.complements
     return _rank(np.concatenate([ker_t, ker_s], axis=-1)) == 2 * tr.h - rank_t - rank_s
 
 

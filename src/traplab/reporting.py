@@ -9,11 +9,12 @@ identical output except for the wall-time field.
 from __future__ import annotations
 
 import errno
-import json
+import math
 import os
 import tempfile
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields, is_dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Any, Optional
 
 import numpy as np
@@ -42,21 +43,26 @@ class CheckRecord:
 
 
 def sanitize(obj):
-    """Make numpy payloads JSON-serializable, deterministically."""
+    """Make numpy payloads and records JSON-serializable, deterministically: one ``tolist()``
+    per real-dtype array, ``{"re", "im"}`` per complex number, a dict per dataclass."""
+    if obj is None or type(obj) in (str, float, bool, int):
+        return obj
+    if isinstance(obj, (np.floating, float)):
+        return float(obj)
     if isinstance(obj, dict):
         return {str(k): sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [sanitize(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return [sanitize(v) for v in obj.tolist()]
+        return obj.tolist() if obj.dtype.kind in "fiub" else sanitize(obj.tolist())
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: sanitize(getattr(obj, f.name)) for f in fields(obj)}
     # bool before int: bool is a subclass of int
     if isinstance(obj, (np.bool_, bool)):
         return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
     if isinstance(obj, (np.integer, int)):
         return int(obj)
-    if isinstance(obj, complex):
+    if isinstance(obj, (complex, np.complexfloating)):
         return {"re": float(obj.real), "im": float(obj.imag)}
     return obj
 
@@ -105,7 +111,7 @@ def build_report(command: str, config: dict, checks: list[CheckRecord], wall_tim
         "signature": SIGNATURE_CONVENTION,
         "command": command,
         "config": sanitize(config),
-        "checks": [sanitize(asdict(c)) for c in checks],
+        "checks": sanitize(checks),
         "passed": bool(all(c.passed for c in checks)),
         "wall_time_s": float(wall_time),
     }
@@ -114,24 +120,57 @@ def build_report(command: str, config: dict, checks: list[CheckRecord], wall_tim
     return report
 
 
-def report_bytes(report: dict, drop_wall_time: bool = False) -> bytes:
-    """Serialize deterministically as strict JSON; optionally strip all wall-time data.
+def _encode(obj, out: list, indent: str, path: str = "$") -> list:
+    """Append to ``out`` the standard encoder's sorted-key, indent-2 JSON text of ``obj``."""
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"non-finite float {obj!r} at {path}")
+        out.append(float.__repr__(obj))
+    elif isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif isinstance(obj, (dict, list, tuple)):
+        brackets = "{}" if isinstance(obj, dict) else "[]"
+        if not obj:
+            out.append(brackets)
+            return out
+        inner = indent + "  "
+        sep, start = "," + inner, len(out)
+        if brackets == "{}":
+            for key in sorted(obj):
+                out += (sep, encode_basestring_ascii(key), ": ")
+                _encode(obj[key], out, inner, f"{path}.{key}")
+        # a float leaf list, once checked finite, in one join
+        elif all(type(v) is float for v in obj) and math.isfinite(sum(obj)):
+            out += (sep, sep.join(map(float.__repr__, obj)))
+        else:
+            for i, value in enumerate(obj):
+                out.append(sep)
+                _encode(value, out, inner, f"{path}[{i}]")
+        out[start] = brackets[0] + inner
+        out.append(indent + brackets[1])
+    elif obj is None or isinstance(obj, bool):
+        out.append("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    return out
 
-    Wall-time data means the top-level wall_time_s field and the measured
-    seconds of runtime-budget checks (their pass flags stay).  A NaN or
-    infinite float raises ValueError instead of being written as the
-    non-standard ``NaN``/``Infinity``.
+
+def report_bytes(report: dict, drop_wall_time: bool = False) -> bytes:
+    """Serialize as strict JSON in one walk; optionally strip all wall-time data.
+
+    The bytes are the standard encoder's with sorted keys and indent 2.  Wall-time
+    data means the top-level wall_time_s field and the measured seconds of
+    runtime-budget checks (their pass flags stay).  A NaN or infinite float
+    raises ValueError naming its path: ``non-finite float inf at $.payload.a[1]``.
     """
     doc = dict(report)
     if drop_wall_time:
         doc.pop("wall_time_s", None)
-        checks = []
-        for check in doc.get("checks", []):
-            if check.get("name", "").endswith("-runtime"):
-                check = dict(check, measured=None)
-            checks.append(check)
-        doc["checks"] = checks
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False).encode()
+        doc["checks"] = [dict(c, measured=None) if c.get("name", "").endswith("-runtime") else c
+                         for c in doc.get("checks", [])]
+    return "".join(_encode(doc, [], "\n")).encode()
 
 
 def _directory(path: str) -> str:
@@ -174,19 +213,16 @@ def write_report_json(report: dict, path: str) -> None:
 def write_eigenfunction_csv(path: str, nodes: np.ndarray, values: np.ndarray) -> None:
     """CSV layout: header coord1,...,coordk,value; row-major over grid nodes."""
     nodes = np.atleast_2d(nodes)
-    k = nodes.shape[1]
-    header = ",".join(f"coord{i + 1}" for i in range(k)) + ",value"
-    lines = [header]
-    for row, val in zip(nodes, values):
-        lines.append(",".join(repr(float(c)) for c in row) + f",{float(val)!r}")
+    header = ",".join(f"coord{i + 1}" for i in range(nodes.shape[1])) + ",value"
+    rows = np.column_stack((nodes, values)).astype(float).tolist()
+    lines = [header] + [",".join(map(float.__repr__, row)) for row in rows]
     _write_atomic(path, ("\n".join(lines) + "\n").encode())
 
 
 def write_spectrum_csv(path: str, spectrum: np.ndarray) -> None:
     """CSV layout: header re,im; eigenvalues by real, then imaginary part."""
-    lines = ["re,im"]
-    for val in sorted(spectrum, key=lambda z: (z.real, z.imag)):
-        lines.append(f"{float(val.real)!r},{float(val.imag)!r}")
+    ordered = spectrum[np.lexsort((spectrum.imag, spectrum.real))].astype(complex).tolist()
+    lines = ["re,im"] + [f"{z.real!r},{z.imag!r}" for z in ordered]
     _write_atomic(path, ("\n".join(lines) + "\n").encode())
 
 

@@ -203,6 +203,83 @@ class TestSanitize:
         assert json.loads(data)["checks"][0]["passed"] is False
         assert b'"passed": false' in data
 
+    def test_non_finite_float_names_its_path(self):
+        report = build_report("linear", {}, [], 0.0, {"a": {"b": [1.0, float("inf")]}})
+        with pytest.raises(ValueError, match=r"^non-finite float inf at \$\.payload\.a\.b\[1\]$"):
+            report_bytes(report)
+
+    def test_zero_d_array_becomes_scalar(self):
+        for array, kind in ((np.array(1.5), float), (np.array(3), int), (np.array(True), bool)):
+            value = sanitize(array)
+            assert type(value) is kind and value == array
+
+    @pytest.mark.parametrize("kind", [np.complex64, np.complex128, np.clongdouble])
+    def test_numpy_complex_scalar_becomes_re_im(self, kind):
+        assert sanitize(kind(1 + 2j)) == {"re": 1.0, "im": 2.0}
+        assert json.loads(report_bytes({"z": sanitize(kind(1 + 2j))})) == {"z": {"re": 1.0, "im": 2.0}}
+
+    def test_ndarray_subclass_takes_the_array_path(self):
+        class Grid(np.ndarray):
+            pass
+
+        assert sanitize(np.arange(4.0).reshape(2, 2).view(Grid)) == [[0.0, 1.0], [2.0, 3.0]]
+        assert sanitize(np.array([1 + 2j]).view(Grid)) == [{"re": 1.0, "im": 2.0}]
+
+    def test_dataclass_becomes_the_dict_of_its_fields(self):
+        record = CheckRecord("x", "anchor", np.float64(0.5), np.array([1, 2]), None, np.bool_(True))
+        assert sanitize(record) == {
+            "name": "x", "anchor": "anchor", "measured": 0.5, "expected": [1, 2],
+            "tolerance": None, "passed": True, "detail": "",
+        }
+
+
+# every corner of the JSON text: empty and nested-empty containers, escapes,
+# shortest float reprs, big ints, the literals, and an int beside a float
+EDGE_DOC = {
+    "wall_time_s": 0.125,
+    "checks": [
+        {"name": "suite-runtime", "measured": 0.5, "passed": True},
+        {"name": "other", "measured": [1, 2.0], "passed": False},
+    ],
+    "payload": {
+        "empty": [{}, [], {"a": {}, "b": [[]], "c": [[], {}]}],
+        "strings": ["", "caf\u00e9 \u03bb \U0001d11e", "tab\tnew\nline\x00\x1f\x7f",
+                    'quote " back \\ slash /'],
+        "floats": [0.0, -0.0, 5e-324, 1e16, 1e-7, 0.1, -2.5e300, 1e308, 1e308],
+        "ints": [0, -1, 2**64, -(10**30)],
+        "literals": [True, False, None, 1.0, True],
+        "mixed": [1, 2.0],
+        "float lists": [[1.0, 2.0], [3], [1.5, "s"], [2.0, 1]],
+        "tuple": (1.0, (2, "x")),
+        "caf\u00e9 key": -0.0,
+        "Z": 7,
+    },
+}
+
+
+class TestReportBytes:
+    @staticmethod
+    def oracle(doc) -> bytes:
+        return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False).encode()
+
+    def test_equals_the_stdlib_encoder(self):
+        assert report_bytes(EDGE_DOC) == self.oracle(EDGE_DOC)
+
+    def test_equals_the_stdlib_encoder_without_wall_time(self):
+        stripped = {k: v for k, v in EDGE_DOC.items() if k != "wall_time_s"}
+        stripped["checks"] = [dict(EDGE_DOC["checks"][0], measured=None), EDGE_DOC["checks"][1]]
+        assert report_bytes(EDGE_DOC, drop_wall_time=True) == self.oracle(stripped)
+
+    def test_empty_report(self):
+        assert report_bytes({}) == self.oracle({}) == b"{}"
+
+    @pytest.mark.parametrize("value", [float("nan"), float("-inf")])
+    def test_non_finite_in_a_float_list(self, value):
+        with pytest.raises(ValueError, match=r"at \$\.x\[2\]\[0\]$"):
+            report_bytes({"x": [1.0, 2.0, [value]]})
+        with pytest.raises(ValueError, match=r"at \$\.x\[1\]$"):
+            report_bytes({"x": [1.0, value, 3.0]})
+
 
 class TestCommandLine:
     def test_classify_exit_zero(self):

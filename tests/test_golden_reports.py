@@ -5,7 +5,10 @@ Each file ``tests/golden/<name>.json`` holds
 ``CONFIGS``.  A fresh report matches its golden file when keys, JSON types,
 strings, ints and bools (every ``passed`` among them) are equal, and every
 float agrees to within ``FLOAT_RTOL * max(1, |golden|)``; the float band
-absorbs the rounding differences of BLAS kernels between CPUs.
+absorbs the rounding differences of BLAS kernels between CPUs.  The fresh
+bytes must also equal the file exactly, which pins every byte the report
+writer lays out; on a CPU whose BLAS rounds differently that test fails
+while the band test names the float that moved and by how much.
 
 Regenerate the corpus (after a deliberate, documented output change) with::
 
@@ -100,6 +103,11 @@ def assert_same_report(fresh, golden, path: str = "$") -> None:
 def test_report_matches_golden(name):
     golden = json.loads((GOLDEN_DIR / f"{name}.json").read_bytes())
     assert_same_report(json.loads(golden_bytes(name)), golden)
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_report_bytes_match_golden_exactly(name):
+    assert golden_bytes(name) + b"\n" == (GOLDEN_DIR / f"{name}.json").read_bytes()
 
 
 def test_corpus_has_one_file_per_config():
