@@ -3,7 +3,7 @@
 Subpackage map:
 
 * ``geometry``: curvature and causal classification from metric 2-jets.
-* ``jets``: 1-d jet arithmetic and finite-difference jet construction.
+* ``jets``: 1-d jet arithmetic.
 * ``conformal``: conformal rescaling laws and perturbation sequences.
 * ``submanifold``: extrinsic geometry and trapping classification.
 * ``energy``: sampled curvature-condition predicates.

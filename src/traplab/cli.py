@@ -169,8 +169,10 @@ def _cmd_perturb(cfg: dict):
         "strictly-trapped-after-rescale", "trapping-sequence-values", result.strictly_trapped()
     )]
     if sc.name == "minkowski_torus_quotient":
-        for name, attr, value, form in (("gnHH-value", "gn_H_H", -4.0 / n**2, "-4/n^2"),
-                                        ("gnHX-value", "gn_H_X", 2.0 / n, "2/n")):
+        p = emb.sigma_dim  # the closed forms are -p^2/n^2 and p/n
+        for name, attr, value, form in (
+                ("gnHH-value", "gn_H_H", -float(p * p) / n**2, f"-{p * p}/n^2"),
+                ("gnHX-value", "gn_H_X", float(p) / n, f"{p}/n")):
             worst = max(relative_error(getattr(r, attr), value) for r in result.records)
             checks.append(approx_record(
                 name, "trapping-sequence-values", worst, 0.0, tol, relative=False,
@@ -240,9 +242,9 @@ def _cmd_constraints(cfg: dict):
         if sc.name == "schwarzschild_slice_isotropic":
             direction = rng.normal(size=3)
             pts.append(direction / np.linalg.norm(direction) * rng.uniform(0.6, 3.0))
-        elif sc.name == "einstein_cylinder":
-            pts.append(np.concatenate((rng.uniform(0.4, np.pi - 0.4, 1),
-                                       rng.uniform(0, 2 * np.pi, data.dim - 1))))
+        elif sc.name == "einstein_cylinder":  # n - 1 polar angles inside the chart, one azimuth
+            pts.append(np.concatenate((rng.uniform(0.4, np.pi - 0.4, data.dim - 1),
+                                       rng.uniform(0, 2 * np.pi, 1))))
         else:
             pts.append(rng.uniform(-1.0, 1.0, data.dim))
     cq = constraint_quantities(data, np.array(pts))
@@ -594,7 +596,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except TrapLabError as exc:
+    except (TrapLabError, OverflowError) as exc:  # an overflow: the closed form exceeds a float
         print(f"scenario error: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:  # a bug, never a check outcome

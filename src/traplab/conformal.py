@@ -28,7 +28,6 @@ from .geometry import (
     MetricJet2,
     TangentVector,
     asymmetric,
-    christoffel,
     norm,
     riemann,
     riem_quadform,
@@ -204,27 +203,6 @@ def metric_gradient(m: MetricJet2, f: ScalarJet2) -> np.ndarray:
     return np.matvec(m.inverse(), f.grad)
 
 
-def conformal_connection_check(
-    m: MetricJet2, f: ScalarJet2, x: TangentVector, y: TangentVector
-) -> float:
-    """Residual of the conformal transformation law of the connection.
-
-    Compares the rescaled-jet covariant derivative of constant-coefficient
-    extensions of x, y against
-    nabla_X Y + (Xf) Y + (Yf) X - g(X, Y) grad f, and returns the max-norm
-    difference.  Exact jets keep this at rounding level.
-    """
-    if not np.array_equal(x.base, y.base):
-        raise ValueError("x and y must share a base point")
-    m_hat = rescale_metric(m, f)
-    lhs = np.einsum("kij,i,j->k", christoffel(m_hat), x.components, y.components)
-    nabla = np.einsum("kij,i,j->k", christoffel(m), x.components, y.components)
-    xf = float(x.components @ f.grad)
-    yf = float(y.components @ f.grad)
-    rhs = nabla + xf * y.components + yf * x.components - m.inner(x.components, y.components) * metric_gradient(m, f)
-    return float(np.abs(lhs - rhs).max())
-
-
 def conformal_mean_curvature(
     h: TangentVector,
     f: ScalarJet2,
@@ -274,7 +252,9 @@ class TrappingPerturbationResult:
     metric_field: MetricField
     records: list[TrappingPerturbationRecord]
 
-    def strictly_trapped(self, tol: float = 0.0) -> bool:
+    def strictly_trapped(self) -> bool:
+        """The strict inequalities at every sample, with the band of ``trapping_classify``."""
+        tol = submanifold.CLASSIFY_TOL
         return all(r.gn_H_H < -tol and r.gn_H_X > tol for r in self.records)
 
 
@@ -303,14 +283,14 @@ def trapping_sequence(
     """
     if any(n < 1 for n in ns):
         raise ValueError("n must be a positive integer")
-    weak_tol = 1e-9
+    tol = submanifold.CLASSIFY_TOL
     samples = sigma.sample_set
     data, x, hh, hx = submanifold._trapping_data(sigma, m_field, x_field)
     p = data.H.base
     m = data.metric
     tau = tau_field(p)
     grad_tau = metric_gradient(m, tau)
-    not_weak = (hh > weak_tol) | (hx < -weak_tol)
+    not_weak = (hh > tol) | (hx < -tol)
     not_future = (m.inner(grad_tau, grad_tau) >= 0) | (m.inner(grad_tau, x.components) >= 0)
     # report the first failing sample, the closed inequalities before tau
     first = int(np.argmax(not_weak | not_future))

@@ -42,7 +42,7 @@ COND_LIMIT = 1e12
 # Scale-aware band declaring g(v,v) to be zero (null vector).
 NULL_TOL = 1e-10
 
-# Tolerance for the curvature symmetry checks on the exact-jet path.
+# Largest relative curvature symmetry residual ``riemann`` accepts at a point.
 SYMMETRY_TOL = 1e-9
 
 
@@ -266,13 +266,13 @@ def christoffel_derivative(m: MetricJet2) -> np.ndarray:
     )
 
 
-def riemann(m: MetricJet2, symmetry_tol: float = SYMMETRY_TOL) -> CurvatureTensor:
+def riemann(m: MetricJet2) -> CurvatureTensor:
     """Covariant Riemann tensor of the jet.
 
     The returned components satisfy antisymmetry in the first and last index
     pairs, pair symmetry, and the first Bianchi identity; the largest relative
     residual over these four checks is stored for each point and must not
-    exceed ``symmetry_tol`` at any point.
+    exceed ``SYMMETRY_TOL`` at any point.
     """
     gam = m.connection()
     dgam = christoffel_derivative(m)
@@ -290,8 +290,8 @@ def riemann(m: MetricJet2, symmetry_tol: float = SYMMETRY_TOL) -> CurvatureTenso
         np.maximum(np.abs(r - np.einsum("...klij->...ijkl", r)),
                    np.abs(r + np.einsum("...iklj->...ijkl", r) + np.einsum("...iljk->...ijkl", r))),
     ), 4) / np.maximum(1.0, _max_abs(r, 4))
-    if np.count_nonzero(res > symmetry_tol):
-        raise ValueError(f"curvature symmetry residual {res.max():.3e} exceeds {symmetry_tol:.1e}")
+    if np.count_nonzero(res > SYMMETRY_TOL):
+        raise ValueError(f"curvature symmetry residual {res.max():.3e} exceeds {SYMMETRY_TOL:.1e}")
     return CurvatureTensor(R=r, symmetry_residual=res)
 
 

@@ -22,10 +22,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NotUnitNormal
-from .geometry import MetricJet2, norm, scalar_curvature
+from .geometry import MetricJet2, scalar_curvature
 from .submanifold import EmbeddingJet2, extrinsic_data
 
-VACUUM_TOL = 1e-10
 MOTS_TOL = 1e-9
 
 
@@ -51,7 +50,6 @@ def zero_K_field(dim: int):
 class ConstraintQuantities:
     rho: float
     J: np.ndarray
-    vacuum: bool
 
 
 def constraint_quantities(d: InitialData, p: np.ndarray) -> ConstraintQuantities:
@@ -62,7 +60,7 @@ def constraint_quantities(d: InitialData, p: np.ndarray) -> ConstraintQuantities
 
 def constraints_from_jet(m: MetricJet2, k: np.ndarray, dk: np.ndarray) -> ConstraintQuantities:
     """Energy density and current from the metric jet and (K, dK) at a point,
-    or at each point of a stack (``rho`` and ``vacuum`` are then arrays)."""
+    or at each point of a stack (``rho`` is then an array)."""
     k = np.asarray(k, dtype=float)
     dk = np.asarray(dk, dtype=float)
     hinv = m.inverse()
@@ -79,8 +77,7 @@ def constraints_from_jet(m: MetricJet2, k: np.ndarray, dk: np.ndarray) -> Constr
     dhinv = -np.einsum("...ia,...jab,...bk->...jik", hinv, m.dg, hinv)
     d_tr_k = np.einsum("...jik,...ik->...j", dhinv, k) + np.einsum("...ik,...jik->...j", hinv, dk)
     j = div_k - d_tr_k
-    vacuum = (np.abs(rho) <= VACUUM_TOL) & (norm(j) <= VACUUM_TOL)
-    return ConstraintQuantities(rho=rho, J=j, vacuum=vacuum)
+    return ConstraintQuantities(rho=rho, J=j)
 
 
 def initial_data_expansions(

@@ -1,15 +1,10 @@
-"""Second-order jet arithmetic and finite-difference jet construction.
+"""Second-order jet arithmetic in one variable.
 
 ``Jet1`` propagates a value together with its first and second derivative
 with respect to one scalar variable through arithmetic and elementary
 functions.  It is used wherever a radial or one-parameter profile needs exact
 derivatives (mollifiers, isotropic metric factors) without hand-coding chain
 rules.
-
-``fd_metric_jet`` is the fallback for user-supplied metrics given only as a
-callable: central differences with one Richardson extrapolation step, which
-is accurate to roughly 1e-6 on smooth metrics and feeds the looser 1e-4
-verification tier.
 """
 
 from __future__ import annotations
@@ -20,9 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import MetricJet2, Signature, norm
-
-FD_STEP = 1e-5
+from .geometry import norm
 
 
 def elementwise(fn: Callable[[float], float], x):
@@ -182,55 +175,3 @@ def radial_hessian(value: Jet1, offset: np.ndarray) -> tuple:
     if np.count_nonzero(centre):
         hess = np.where(centre[..., None], d2 * eye, hess)
     return value.f, d1 * xhat, hess
-
-
-def fd_metric_jet(
-    g_func: Callable[[np.ndarray], np.ndarray],
-    p: np.ndarray,
-    signature: Signature = Signature.LORENTZIAN,
-) -> MetricJet2:
-    """Build a metric 2-jet from a plain metric callable by finite differences.
-
-    First derivatives use Richardson-extrapolated central differences; second
-    derivatives use central second-difference stencils.  Suitable for smooth
-    metrics at the 1e-4 verification tier.
-    """
-    p = np.asarray(p, dtype=float)
-    n = p.shape[0]
-    step = FD_STEP
-    g0 = np.asarray(g_func(p), dtype=float)
-
-    def d1(k: int, h: float) -> np.ndarray:
-        e = np.zeros(n)
-        e[k] = h
-        return (np.asarray(g_func(p + e)) - np.asarray(g_func(p - e))) / (2 * h)
-
-    dg = np.empty((n, n, n))
-    for k in range(n):
-        coarse = d1(k, step)
-        fine = d1(k, step / 2)
-        dg[k] = (4 * fine - coarse) / 3
-
-    ddg = np.empty((n, n, n, n))
-    for k in range(n):
-        ek = np.zeros(n)
-        ek[k] = step
-        ddg[k, k] = (np.asarray(g_func(p + ek)) - 2 * g0 + np.asarray(g_func(p - ek))) / step**2
-        for l in range(k + 1, n):
-            el = np.zeros(n)
-            el[l] = step
-            mixed = (
-                np.asarray(g_func(p + ek + el))
-                - np.asarray(g_func(p + ek - el))
-                - np.asarray(g_func(p - ek + el))
-                + np.asarray(g_func(p - ek - el))
-            ) / (4 * step**2)
-            ddg[k, l] = mixed
-            ddg[l, k] = mixed
-
-    # symmetrize away finite-difference noise so jet invariants hold
-    dg = 0.5 * (dg + np.swapaxes(dg, 1, 2))
-    ddg = 0.5 * (ddg + np.swapaxes(ddg, 2, 3))
-    ddg = 0.5 * (ddg + np.swapaxes(ddg, 0, 1))
-    g0 = 0.5 * (g0 + g0.T)
-    return MetricJet2(n, g0, dg, ddg, signature)

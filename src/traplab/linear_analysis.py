@@ -183,7 +183,3 @@ def projection_regularity(tr: OperatorTriple, e=None, f=None) -> ProjectionRepor
         indices_match=index_proj == index_s,
         sum_is_surjective=rank_sum == h,
     )
-
-
-def random_triple(rng: np.random.Generator, h: int, e: int, f: int) -> OperatorTriple:
-    return OperatorTriple(T=rng.normal(size=(h, e)), S=rng.normal(size=(h, f)))

@@ -92,8 +92,8 @@ def _latlong_samples(n_theta: int, n_phi: int) -> np.ndarray:
     return np.array([(t, p) for t in thetas for p in phis])
 
 
-def _grid_samples(count_per_axis: int, dims: int, period: float = 1.0) -> np.ndarray:
-    axes = [np.arange(count_per_axis) * period / count_per_axis for _ in range(dims)]
+def _grid_samples(count_per_axis: int, dims: int) -> np.ndarray:
+    axes = [np.arange(count_per_axis) / count_per_axis for _ in range(dims)]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)
 
@@ -296,7 +296,7 @@ def _build_torus_quotient(params: dict) -> Scenario:
         periods=periods,
     )
     per_axis = int(params.pop("samples_per_axis", 8))
-    sigma_samples = _grid_samples(per_axis, m - 1) if m > 1 else np.zeros((1, 0))
+    sigma_samples = _grid_samples(per_axis, m - 1)
     sc.embeddings["Sigma"] = coordinate_plane_embedding(dim, (0, 1), sigma_samples, outward_axis=1)
     sc.initial_data = InitialData(
         dim=m,

@@ -643,8 +643,6 @@ class DeformationCase:
 @dataclass
 class DeformationReport:
     lambda1: float
-    fd_derivative: np.ndarray
-    predicted: np.ndarray
     max_rel_error: float
     displacement: float
     theta_displaced: np.ndarray
@@ -676,8 +674,6 @@ def deformation_check(case: DeformationCase, fd_step: float = 1e-4) -> Deformati
     theta_displaced = case.theta_of(t_star, phi)
     return DeformationReport(
         lambda1=lam,
-        fd_derivative=fd,
-        predicted=predicted,
         max_rel_error=float(rel.max()),
         displacement=float(t_star),
         theta_displaced=theta_displaced,

@@ -85,12 +85,6 @@ class ExtrinsicData:
     normal_projector: np.ndarray
     metric: MetricJet2
 
-    @property
-    def normal_basis(self) -> list[np.ndarray]:
-        """Orthonormal spanning set of the g-normal space, from the kernel of D^T g."""
-        _, _, vt = np.linalg.svd(np.swapaxes(self.tangent, -1, -2) @ self.metric.g)
-        return [vt[..., i, :] for i in range(self.tangent.shape[-1], self.metric.dim)]
-
 
 @dataclass
 class NullFrame:

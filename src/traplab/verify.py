@@ -165,9 +165,10 @@ def verify_trapping_construction() -> list[CheckRecord]:
     return records
 
 
-def verify_conformal_dual_path(pairs: int = 50, seed: int = 101) -> list[CheckRecord]:
+def verify_conformal_dual_path() -> list[CheckRecord]:
     """Formula-path mean curvature against direct extrinsic recomputation."""
-    rng = np.random.default_rng(seed)
+    pairs = 50
+    rng = np.random.default_rng(101)
     cases = _surface_cases()
     worst_h = 0.0
     worst_sq = 0.0
@@ -211,9 +212,10 @@ def verify_conformal_dual_path(pairs: int = 50, seed: int = 101) -> list[CheckRe
     ]
 
 
-def verify_curvature_axioms(count: int = 100, seed: int = 5) -> list[CheckRecord]:
+def verify_curvature_axioms() -> list[CheckRecord]:
     """Curvature symmetry residuals on random exact jets; flatness of flat jets."""
-    rng = np.random.default_rng(seed)
+    count = 100
+    rng = np.random.default_rng(5)
     worst = 0.0
     for k in range(count):
         dim = int(rng.integers(2, 5))
@@ -238,13 +240,13 @@ def verify_curvature_axioms(count: int = 100, seed: int = 5) -> list[CheckRecord
     ]
 
 
-def verify_energy_chain(seed: int = 11) -> list[CheckRecord]:
+def verify_energy_chain() -> list[CheckRecord]:
     """Sampled condition verdicts respect the inclusion chain on every scenario."""
     records = []
     for name in scenario_names():
         sc = build_scenario(name, {})
         reports = energy.condition_suite(
-            sc.metric, sc.energy_points, sc.time_orientation, seed=seed, count=24
+            sc.metric, sc.energy_points, sc.time_orientation, seed=11, count=24
         )
         records.append(
             flag_record(
@@ -278,7 +280,7 @@ def verify_energy_chain(seed: int = 11) -> list[CheckRecord]:
     return records
 
 
-def verify_constraints(seed: int = 23) -> list[CheckRecord]:
+def verify_constraints() -> list[CheckRecord]:
     """Vacuum and non-vacuum constraint values on the shipped data sets."""
     records = []
     def worst(name: str, points: list, rho: float = 0.0) -> tuple[float, float]:
@@ -293,7 +295,7 @@ def verify_constraints(seed: int = 23) -> list[CheckRecord]:
             0.0, 1e-12, relative=False,
         )
     )
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(23)
     points = []
     for _ in range(200):
         direction = rng.normal(size=3)
@@ -561,13 +563,14 @@ def random_circle_operators(count: int = 50, seed: int = 99, n: int = 48):
         yield grid, stability.assemble_stability_operator(grid, coeffs), time_symmetric
 
 
-def verify_spectral_properties(count: int = 50, seed: int = 99) -> list[CheckRecord]:
+def verify_spectral_properties() -> list[CheckRecord]:
     """Principal-eigenvalue structure on seeded random circle operators."""
     bad_real = 0
     bad_minimal = 0
     bad_sign = 0
     worst_sym = 0.0
-    cases = list(random_circle_operators(count, seed))
+    cases = list(random_circle_operators())
+    count = len(cases)
     # two stacks: one stack of all 50 is no faster and doubles the traced peak (2.9 against 1.5 MB)
     eigs = [eig for half in (cases[: count // 2], cases[count // 2 :])
             for eig in stability.principal_eigenvalues([op for _, op, _ in half], cases[0][0])]

@@ -72,12 +72,12 @@ def test_criterion_02_trapping_perturbation():
 
 def test_criterion_03_conformal_dual_path():
     # 50 seeded (surface, rescaling) pairs, 1e-6 relative agreement.
-    _assert_all("criterion-3", verify.verify_conformal_dual_path(pairs=50))
+    _assert_all("criterion-3", verify.verify_conformal_dual_path())
 
 
 def test_criterion_04_curvature_axioms():
     # symmetry residuals < 1e-9 on 100 random exact jets; flat < 1e-10.
-    _assert_all("criterion-4", verify.verify_curvature_axioms(count=100))
+    _assert_all("criterion-4", verify.verify_curvature_axioms())
 
 
 def test_criterion_05_energy_condition_chain():
@@ -114,7 +114,7 @@ def test_criterion_09_linear_analysis_lemmas():
 def test_criterion_10_spectral_properties():
     # 50 seeded random operators: real minimal principal eigenvalue with
     # one-signed eigenfunction; drift-free instances symmetric to 1e-9.
-    _assert_all("criterion-10", verify.verify_spectral_properties(count=50))
+    _assert_all("criterion-10", verify.verify_spectral_properties())
 
 
 def test_criterion_11_determinism():

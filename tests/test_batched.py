@@ -125,8 +125,6 @@ def test_extrinsic_data(name, params):
         _assert_stacked(batch.H.components, [e.H.components for e in singles])
         _assert_stacked(batch.metric.g, [e.metric.g for e in singles])
         _assert_stacked(batch.H.aux_norm(), [e.H.aux_norm() for e in singles])
-        for stacked_vectors, *vectors in zip(batch.normal_basis, *(e.normal_basis for e in singles)):
-            _assert_stacked(stacked_vectors, vectors)
         for i, array in enumerate(emb.jet(samples)):
             _assert_stacked(array, [emb.jet(u)[i] for u in samples])
         _assert_stacked(emb.outward(samples), [emb.outward(u) for u in samples])

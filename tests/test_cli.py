@@ -92,6 +92,27 @@ class TestExecuteConfig:
         assert report["passed"]
         assert all(r["gn_H_H"] < 0 for r in report["payload"]["records"])
 
+    @pytest.mark.parametrize("m", [2, 4])
+    def test_perturb_closed_forms_follow_sigma_dimension(self, m):
+        # Sigma has dimension p = m - 1: g(H, H) = -p^2/n^2 and g(H, X) = p/n
+        p = m - 1
+        report = execute_config({"command": "perturb", "m": m, "n": 3, "samples_per_axis": 4})
+        assert report["passed"]
+        details = {c["name"]: c["detail"] for c in report["checks"]}
+        assert details["gnHH-value"] == f"max relative deviation from -{p * p}/n^2 at n=3"
+        assert details["gnHX-value"] == f"max relative deviation from {p}/n at n=3"
+        for record in report["payload"]["records"]:
+            assert record["gn_H_H"] == pytest.approx(-p * p / 9, rel=1e-12)
+            assert record["gn_H_X"] == pytest.approx(p / 3, rel=1e-12)
+
+    @pytest.mark.parametrize("n, strict", [(60000, True), (100000, False)])
+    def test_strict_trapping_records_agree(self, n, strict):
+        # both records read the strict inequalities with the classifier's band
+        report = execute_config({"command": "perturb", "n": n, "samples_per_axis": 4})
+        passed = {c["name"]: c["passed"] for c in report["checks"]}
+        assert passed["strictly-trapped-after-rescale"] is strict
+        assert passed["class-after-rescale"] is strict
+
     def test_curvature_timelike_pass(self):
         report = execute_config({"command": "curvature", "case": "timelike", "n": 1})
         assert report["passed"]
@@ -118,6 +139,14 @@ class TestExecuteConfig:
              "points": 25, "seed": 4}
         )
         assert report["passed"]
+
+    def test_constraints_three_sphere_cylinder(self):
+        # two polar angles inside the chart and one azimuth: rho = 3 to rounding
+        report = execute_config(
+            {"command": "constraints", "scenario": "einstein_cylinder", "n": 3, "points": 200}
+        )
+        assert report["passed"]
+        assert report["payload"]["rho_max"] - report["payload"]["rho_min"] < 1e-13
 
     def test_spectrum_and_deform(self):
         spec = execute_config(
@@ -303,6 +332,22 @@ class TestCommandLine:
         assert proc.stderr.splitlines() == [
             "scenario error: factorising A - sigma I at sigma=1e+200 failed: Singular matrix"
         ]
+
+    @pytest.mark.parametrize("argv, config", [
+        (["energy-check", "--scenario", "schwarzschild_slice_isotropic"], "mass = 1e100"),
+        (["classify", "--scenario", "schwarzschild_slice_isotropic", "--surface", "sphere"],
+         "mass = 1e300"),
+        (["classify", "--scenario", "minkowski", "--surface", "sphere"], "radius = 1e200"),
+    ])
+    def test_overflow_is_scenario_error_exit_three(self, argv, config, tmp_path, capsys):
+        # a valid input whose closed form exceeds a float
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config + "\n")
+        assert cli.main([*argv, "--config", str(cfg)]) == 3
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("scenario error: ")
+        assert captured.out == ""
 
     def test_bad_tolerance_exit_two(self):
         proc = run_cli("curvature", "--case", "timelike", "--n", "1", "--tol", "curvature=x")

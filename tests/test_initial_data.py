@@ -27,7 +27,6 @@ class TestConstraintQuantities:
             cq = constraint_quantities(MINK.initial_data, p)
             assert cq.rho == 0.0
             assert np.abs(cq.J).max() == 0.0
-            assert cq.vacuum
 
     def test_cylinder_slice_density(self):
         # n = 2 slice of the unit sphere: Scal = 2, so rho = 1 and J = 0

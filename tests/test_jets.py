@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from traplab.geometry import Signature, christoffel, riemann
-from traplab.jets import Jet1, fd_metric_jet, radial_hessian, smoothstep_down
+from traplab.jets import Jet1, radial_hessian, smoothstep_down
 
 from _oracles import fd_grad, fd_hess
 
@@ -89,38 +88,3 @@ class TestRadialHessian:
         assert value == 2.0
         assert np.abs(grad).max() == 0.0
         assert np.abs(hess - 0.5 * np.eye(3)).max() == 0.0
-
-
-class TestFdMetricJet:
-    def test_reproduces_analytic_jet(self):
-        from traplab.scenarios import build_scenario
-
-        sc = build_scenario("schwarzschild_slice_isotropic", {})
-        p = np.array([0.8, -0.5, 1.1])
-
-        def g_func(x):
-            return sc.initial_data.h_field(x).g
-
-        fd = fd_metric_jet(g_func, p, Signature.RIEMANNIAN)
-        exact = sc.initial_data.h_field(p)
-        assert np.abs(fd.g - exact.g).max() < 1e-12
-        assert np.abs(fd.dg - exact.dg).max() < 1e-8
-        # second differences carry ~eps/h^2 roundoff at step 1e-5
-        assert np.abs(fd.ddg - exact.ddg).max() < 5e-5
-
-    def test_curvature_at_loose_tier(self):
-        # FD jets feed the looser 1e-4 verification tier
-        from traplab.scenarios import build_scenario
-
-        sc = build_scenario("einstein_cylinder", {"n": 2})
-        p = np.array([0.0, 1.0, 0.5])
-
-        def g_func(x):
-            return sc.metric(x).g
-
-        fd = fd_metric_jet(g_func, p)
-        exact = sc.metric(p)
-        r_fd = riemann(fd, symmetry_tol=1e-4)
-        r_exact = riemann(exact)
-        assert np.abs(r_fd.R - r_exact.R).max() < 1e-4
-        assert np.abs(christoffel(fd) - christoffel(exact)).max() < 1e-6
