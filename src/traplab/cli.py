@@ -173,7 +173,7 @@ def _cmd_perturb(cfg: dict):
         for name, attr, value, form in (
                 ("gnHH-value", "gn_H_H", -float(p * p) / n**2, f"-{p * p}/n^2"),
                 ("gnHX-value", "gn_H_X", float(p) / n, f"{p}/n")):
-            worst = max(relative_error(getattr(r, attr), value) for r in result.records)
+            worst = relative_error(getattr(result, attr), value).max()
             checks.append(approx_record(
                 name, "trapping-sequence-values", worst, 0.0, tol, relative=False,
                 detail=f"max relative deviation from {form} at n={n}",

@@ -16,6 +16,7 @@ quadratic form negative along chosen causal planes.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -157,15 +158,17 @@ def coordinate_scalar_field(axis: int, dim: int, scale: float = 1.0) -> ScalarFi
 
 
 def quadratic_scalar_field(c0: float, b: np.ndarray, c: np.ndarray) -> ScalarField:
-    """Field c0 + b.p + p.C.p (C symmetrized), with exact jet."""
+    """Field c0 + b.p + p.C.p (C symmetrized), with exact jet; for coefficient
+    stacks c0 (...), b (..., n), C (..., n, n) it takes one point per set."""
     b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
-    c = 0.5 * (c + c.T)
+    c = 0.5 * (c + np.swapaxes(c, -1, -2))
 
     def f(p: np.ndarray) -> ScalarJet2:
         p = np.asarray(p, dtype=float)
         value = c0 + np.vecdot(p, b) + np.vecdot(np.vecmat(p, c), p)
-        return ScalarJet2(value, b + np.matvec(2.0 * c, p), stacked(2.0 * c, p.shape[:-1]))
+        hess = np.broadcast_to(2.0 * c, p.shape[:-1] + c.shape[-2:]).copy()
+        return ScalarJet2(value, b + np.matvec(2.0 * c, p), hess)
 
     return f
 
@@ -210,15 +213,15 @@ def conformal_mean_curvature(
     m: MetricJet2,
     normal_projector: np.ndarray,
 ) -> TangentVector:
-    """Mean curvature vector after rescaling by e^{2f}.
+    """Mean curvature vector after rescaling by e^{2f}, at one point or a stack.
 
     Applies H_hat = e^{-2f} (H - m (grad f)^perp) where m is the submanifold
     dimension and perp the projection onto the normal space of the original
     metric.
     """
-    grad_perp = normal_projector @ metric_gradient(m, f)
-    comps = math.exp(-2.0 * f.value) * (h.components - m_dim_sigma * grad_perp)
-    return TangentVector(h.base, comps)
+    grad_perp = np.matvec(normal_projector, metric_gradient(m, f))
+    w = np.expand_dims(elementwise(math.exp, -2.0 * f.value), -1)
+    return TangentVector(h.base, w * (h.components - m_dim_sigma * grad_perp))
 
 
 def conformal_H_normsq(
@@ -230,8 +233,8 @@ def conformal_H_normsq(
 ) -> float:
     """Scalar product of the rescaled mean curvature in the rescaled metric."""
     grad = metric_gradient(m, f)
-    grad_perp = normal_projector @ grad
-    w = math.exp(-2.0 * f.value)
+    grad_perp = np.matvec(normal_projector, grad)
+    w = elementwise(math.exp, -2.0 * f.value)
     return w * (
         m.inner(h.components, h.components)
         - 2.0 * m_dim_sigma * m.inner(h.components, grad)
@@ -250,12 +253,19 @@ class TrappingPerturbationRecord:
 class TrappingPerturbationResult:
     n: int
     metric_field: MetricField
-    records: list[TrappingPerturbationRecord]
+    u: np.ndarray
+    gn_H_H: np.ndarray
+    gn_H_X: np.ndarray
+
+    @functools.cached_property
+    def records(self) -> list[TrappingPerturbationRecord]:
+        return [TrappingPerturbationRecord(u=u, gn_H_H=float(a), gn_H_X=float(b))
+                for u, a, b in zip(self.u, self.gn_H_H, self.gn_H_X)]
 
     def strictly_trapped(self) -> bool:
         """The strict inequalities at every sample, with the band of ``trapping_classify``."""
         tol = submanifold.CLASSIFY_TOL
-        return all(r.gn_H_H < -tol and r.gn_H_X > tol for r in self.records)
+        return bool(np.all((self.gn_H_H < -tol) & (self.gn_H_X > tol)))
 
 
 def trapping_perturbation(
@@ -279,13 +289,14 @@ def trapping_sequence(
     its metric jets at the samples and the exponent phi tau, evaluated there
     once, serve every n: each stack of at most ``STACK_POINTS`` (n, sample)
     points rescales those jets by the exponent times a 1/n column, for one
-    ``extrinsic_data`` call.
+    ``extrinsic_data`` call on the input's embedding jets and time orientation.
     """
     if any(n < 1 for n in ns):
         raise ValueError("n must be a positive integer")
     tol = submanifold.CLASSIFY_TOL
     samples = sigma.sample_set
-    data, x, hh, hx = submanifold._trapping_data(sigma, m_field, x_field)
+    jets = sigma.at(samples)
+    data, x, hh, hx = submanifold._trapping_data(sigma, m_field, x_field, jets)
     p = data.H.base
     m = data.metric
     tau = tau_field(p)
@@ -310,12 +321,10 @@ def trapping_sequence(
         scale = 1.0 / np.asarray(ns[i : i + step], dtype=float)[:, None]
         # extrinsic_data evaluates its field exactly at the samples' chart points
         rows += zip(*submanifold._trapping_data(
-            sigma, lambda _: rescale_metric(m, f * scale), x_field)[2:])
+            sigma, lambda _: rescale_metric(m, f * scale), lambda _: x, jets)[2:])
     return [
-        TrappingPerturbationResult(n, rescaled_metric_field(m_field, scaled_field(exponent, 1.0 / n)), [
-            TrappingPerturbationRecord(u=u, gn_H_H=float(a), gn_H_X=float(b))
-            for u, a, b in zip(samples, row_hh, row_hx)
-        ])
+        TrappingPerturbationResult(
+            n, rescaled_metric_field(m_field, scaled_field(exponent, 1.0 / n)), samples, row_hh, row_hx)
         for n, (row_hh, row_hx) in zip(ns, rows)
     ]
 

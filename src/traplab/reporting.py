@@ -67,9 +67,9 @@ def sanitize(obj):
     return obj
 
 
-def relative_error(measured: float, expected: float) -> float:
-    scale = max(abs(expected), 1e-300)
-    return abs(measured - expected) / scale
+def relative_error(measured, expected):
+    """|measured - expected| / max(|expected|, 1e-300), for floats or elementwise for arrays."""
+    return np.abs(np.subtract(measured, expected)) / np.maximum(np.abs(expected), 1e-300)
 
 
 def approx_record(

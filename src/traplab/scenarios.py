@@ -524,11 +524,16 @@ def scenario_names() -> list[str]:
 
 def build_scenario(name: str, params: Optional[dict] = None) -> Scenario:
     """Construct a named scenario; raises UnknownScenario / BadParams, the
-    latter also for a parameter the scenario does not read."""
+    latter also for a parameter the scenario does not read or a closed form
+    that overflows a float."""
     if name not in _BUILDERS:
         raise UnknownScenario(f"unknown scenario {name!r}; available: {scenario_names()}")
     unread = dict(params or {})
-    sc = _BUILDERS[name](unread)
+    try:
+        sc = _BUILDERS[name](unread)
+    except OverflowError:
+        given = ", ".join(f"{k} = {v!r}" for k, v in sorted((params or {}).items()))
+        raise BadParams(f"{name} with {given or 'its defaults'}: a closed form overflows a float") from None
     if unread:
         raise BadParams(f"{name} reads no parameter {', '.join(sorted(map(str, unread)))}")
     return sc

@@ -631,12 +631,13 @@ class DeformationCase:
     """Everything needed to displace a MOTS and recompute its expansion.
 
     ``theta_of(t, phi)`` returns the outward null expansion at every grid
-    node of the surface displaced by t * phi along the outward unit normal.
+    node of the surface displaced by t * phi along the outward unit normal,
+    or one row of them per displacement of a stack t, bitwise as one t alone.
     """
 
     grid: SurfaceGrid
     coefficients: StabilityCoefficients
-    theta_of: Callable[[float, np.ndarray], np.ndarray]
+    theta_of: Callable[[np.ndarray, np.ndarray], np.ndarray]
     injectivity_scale: float = 1.0
 
 
@@ -665,13 +666,12 @@ def deformation_check(case: DeformationCase, fd_step: float = 1e-4) -> Deformati
     if not eigen.positivity:
         raise DegenerateMOTS("principal eigenfunction is not one-signed")
     phi = eigen.eigenfunction
-    theta_plus = case.theta_of(fd_step, phi)
-    theta_minus = case.theta_of(-fd_step, phi)
+    t_star = 0.05 * case.injectivity_scale * (1.0 if lam < 0 else -1.0)
+    theta_plus, theta_minus, theta_displaced = case.theta_of(
+        np.array([fd_step, -fd_step, t_star]), phi)
     fd = (theta_plus - theta_minus) / (2.0 * fd_step)
     predicted = lam * phi
     rel = np.abs(fd - predicted) / np.maximum(np.abs(predicted), 1e-300)
-    t_star = 0.05 * case.injectivity_scale * (1.0 if lam < 0 else -1.0)
-    theta_displaced = case.theta_of(t_star, phi)
     return DeformationReport(
         lambda1=lam,
         max_rel_error=float(rel.max()),
@@ -688,12 +688,14 @@ def _nodal_curve_embedding(
 
     Derivatives of the profile come from periodic central differences of the
     nodal values, which is exact for the constant profiles arising from
-    principal eigenfunctions of the equator.
+    principal eigenfunctions of the equator.  For an (S, nodes) stack of
+    profiles, the points of parameters (S, ..., 1) lie on their row's curve.
     """
     n = grid.shape[0]
     du = grid.spacing[0]
-    d_theta = (np.roll(theta_vals, -1) - np.roll(theta_vals, 1)) / (2.0 * du)
-    dd_theta = (np.roll(theta_vals, -1) - 2.0 * theta_vals + np.roll(theta_vals, 1)) / du**2
+    ahead, behind = np.roll(theta_vals, -1, axis=-1), np.roll(theta_vals, 1, axis=-1)
+    d_theta = (ahead - behind) / (2.0 * du)
+    dd_theta = (ahead - 2.0 * theta_vals + behind) / du**2
 
     def node_index(u: np.ndarray) -> np.ndarray:
         val = np.asarray(u, dtype=float)[..., 0]
@@ -702,11 +704,15 @@ def _nodal_curve_embedding(
             raise ValueError("nodal embedding evaluated off the grid")
         return steps.astype(int) % n
 
+    def at(v: np.ndarray, i: np.ndarray) -> np.ndarray:
+        """The nodal values v at nodes i, each row of a stack from its own profile."""
+        return np.take_along_axis(v, i.reshape(v.shape[:-1] + (-1,)), -1).reshape(i.shape)
+
     def jet(u: np.ndarray):
         """The (..., 2) pairs (theta, u) at the node of u and their derivatives."""
         i = node_index(u)
         pairs = ((theta_vals, np.asarray(u, dtype=float)[..., 0]), (d_theta, 1.0), (dd_theta, 0.0))
-        x, d, dd = (np.stack(np.broadcast_arrays(v[i], w), axis=-1) for v, w in pairs)
+        x, d, dd = (np.stack(np.broadcast_arrays(at(v, i), w), axis=-1) for v, w in pairs)
         return x, d[..., None], dd[..., None, None]
 
     emb = EmbeddingJet2(
@@ -719,8 +725,8 @@ def _nodal_curve_embedding(
 
     def nu(u: np.ndarray) -> np.ndarray:
         i = node_index(u)
-        s2 = elementwise(lambda theta: math.sin(theta) ** 2, theta_vals[i])
-        slope = d_theta[i]
+        s2 = elementwise(lambda theta: math.sin(theta) ** 2, at(theta_vals, i))
+        slope = at(d_theta, i)
         raw = np.stack(np.broadcast_arrays(1.0, -slope / s2), axis=-1)
         norm = np.sqrt(1.0 + elementwise(lambda v: v**2, slope) / s2)
         return raw / np.expand_dims(norm, -1)
@@ -741,9 +747,12 @@ def equator_deformation_case(resolution: int = 64, q_offset: float = 0.0) -> Def
     grid, coeffs = _curve_grid_and_coefficients(surface, data, resolution)
     coeffs = coeffs.shifted(q_offset)
 
-    def theta_of(t: float, phi: np.ndarray) -> np.ndarray:
-        emb, nu = _nodal_curve_embedding(grid, 0.5 * math.pi + t * phi)
-        return initial_data_expansions(data, emb, nu, grid.nodes)[0] + q_offset * t * phi
+    def theta_of(t, phi: np.ndarray) -> np.ndarray:
+        t = np.expand_dims(t, -1)  # one row per displacement of a stack
+        profiles = 0.5 * math.pi + t * phi
+        emb, nu = _nodal_curve_embedding(grid, profiles)
+        nodes = np.broadcast_to(grid.nodes, profiles.shape + (1,))
+        return initial_data_expansions(data, emb, nu, nodes)[0] + q_offset * t * phi
 
     return DeformationCase(grid, coeffs, theta_of, surface.injectivity_scale)
 
@@ -755,8 +764,8 @@ def flat_torus_degenerate_case(resolution: int = 32) -> DeformationCase:
     surface = sc.slice_surfaces["Sigma"]
     grid, coeffs = _curve_grid_and_coefficients(surface, data, resolution)
 
-    def theta_of(t: float, phi: np.ndarray) -> np.ndarray:
+    def theta_of(t, phi: np.ndarray) -> np.ndarray:
         # flat quotient: a normal displacement of the flat circle stays minimal
-        return np.zeros(grid.num_nodes)
+        return np.zeros(np.shape(t) + (grid.num_nodes,))
 
     return DeformationCase(grid, coeffs, theta_of, surface.injectivity_scale)

@@ -115,7 +115,7 @@ class TrappingClass:
     per_point: list[PointTrappingRecord] = field(default_factory=list)
 
 
-def extrinsic_data(e: EmbeddingJet2, m_field: MetricField, u: np.ndarray) -> ExtrinsicData:
+def extrinsic_data(e: EmbeddingJet2, m_field: MetricField, u: np.ndarray, jets=None) -> ExtrinsicData:
     """Induced metric, shape tensor and mean curvature vector at parameter u,
     or at each parameter of a (B, sigma) stack with one metric-field call.
 
@@ -124,10 +124,10 @@ def extrinsic_data(e: EmbeddingJet2, m_field: MetricField, u: np.ndarray) -> Ext
     trace against the inverse induced metric, so it is independent of the
     parametrization.  A field may return jets stacked over the points (one
     per n of ``trapping_sequence``); the data then carry that leading axis,
-    ``H.base`` broadcast to it.
+    ``H.base`` broadcast to it.  ``jets`` is ``e.at(u)`` if already at hand.
     """
     u = np.asarray(u, dtype=float)
-    x, d, dd = e.at(u)
+    x, d, dd = e.at(u) if jets is None else jets
     m = m_field(x)
     g = m.g
     d_t = np.swapaxes(d, -1, -2)
@@ -135,6 +135,7 @@ def extrinsic_data(e: EmbeddingJet2, m_field: MetricField, u: np.ndarray) -> Ext
     eigs = np.linalg.eigvalsh(induced)
     bad = eigs.min(axis=-1) <= 1e-12 * np.maximum(1.0, np.abs(eigs.max(axis=-1)))
     if np.count_nonzero(bad):
+        u = np.broadcast_to(u, bad.shape + u.shape[-1:])
         raise NotSpacelike(f"induced metric not positive definite at u={u[bad][0]}")
     induced_inv = np.linalg.inv(induced)
     gam = m.connection()
@@ -211,11 +212,11 @@ def null_expansions(
     return float(theta_p), float(theta_m)
 
 
-def _trapping_data(e: EmbeddingJet2, m_field: MetricField, x_field: VectorField):
+def _trapping_data(e: EmbeddingJet2, m_field: MetricField, x_field: VectorField, jets=None):
     """Extrinsic data, the time orientation X, g(H, H) and g(H, X) at every
     sample of ``e`` (for each jet of a field that stacks jets over the
     samples), from one ``extrinsic_data`` and one ``x_field`` call."""
-    data = extrinsic_data(e, m_field, e.sample_set)
+    data = extrinsic_data(e, m_field, e.sample_set, jets=jets)
     xv = x_field(data.H.base)
     h = data.H.components
     return data, xv, data.metric.inner(h, h), data.metric.inner(h, xv.components)

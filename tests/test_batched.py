@@ -5,8 +5,11 @@ Every scenario field, conformal field and embedding is called once with a
 a stack with one bad point must raise what the call at that point raises.
 The same holds for the initial-data expansions and the trapping
 classification, which evaluate whole sample sets, for the frames, classes,
-tidal operators and curvature forms of a stack of cone directions, and for
-the cone directions and tidal operators of a stack of energy points.
+tidal operators and curvature forms of a stack of cone directions, for
+the cone directions and tidal operators of a stack of energy points, for
+conformal fields and formulas with one coefficient set per point, for the
+expansions of a stack of displacements, and for ``riemann`` of a group of
+random jets.
 """
 
 import dataclasses
@@ -17,6 +20,9 @@ import pytest
 
 from traplab.conformal import (
     BumpProfile,
+    TrappingPerturbationResult,
+    conformal_H_normsq,
+    conformal_mean_curvature,
     bump_field,
     coordinate_scalar_field,
     product_field,
@@ -48,8 +54,14 @@ from traplab.geometry import (
 )
 from traplab.initial_data import initial_data_expansions
 from traplab.scenarios import build_scenario
-from traplab.stability import _nodal_curve_embedding, circle_grid
+from traplab.stability import (
+    _nodal_curve_embedding,
+    circle_grid,
+    equator_deformation_case,
+    flat_torus_degenerate_case,
+)
 from traplab.submanifold import (
+    CLASSIFY_TOL,
     EmbeddingJet2,
     extrinsic_data,
     null_expansions,
@@ -480,3 +492,80 @@ def test_bad_direction_in_cone_stack():
     _raises_like_the_point(frame, seeds, 1)
     with pytest.raises(NonTimelikeOrientation):
         frame(seeds)
+
+
+# --- per-point coefficients, displacement stacks and jet groups -----------------
+
+def _coefficient_stacks(rng, count, dim):
+    return rng.normal(size=count), rng.normal(size=(count, dim)), rng.normal(size=(count, dim, dim))
+
+
+def test_quadratic_field_coefficient_stacks():
+    rng = np.random.default_rng(7)
+    c0, b, c = _coefficient_stacks(rng, 12, 4)
+    points = rng.normal(size=(12, 4))
+    batch = quadratic_scalar_field(c0, b, c)(points)
+    singles = [quadratic_scalar_field(c0[i], b[i], c[i])(p) for i, p in enumerate(points)]
+    for attr in ("value", "grad", "hess"):
+        _assert_stacked(getattr(batch, attr), [getattr(j, attr) for j in singles])
+
+
+@pytest.mark.parametrize("name,params,surface", [
+    ("minkowski", {}, "sphere"),
+    ("minkowski_torus_quotient", {"m": 3, "samples_per_axis": 4}, "Sigma"),
+    ("einstein_cylinder", {"n": 2}, "equator"),
+])
+def test_conformal_formulas_on_stacks(name, params, surface):
+    # the dual-path suite's formulas, one coefficient set per sample
+    sc = build_scenario(name, params)
+    emb = sc.embeddings[surface]
+    samples = emb.sample_set
+    c0, b, c = _coefficient_stacks(np.random.default_rng(11), len(samples), emb.ambient_dim)
+
+    def formulas(data, f_field):
+        args = (data.H, f_field(data.H.base), emb.sigma_dim, data.metric, data.normal_projector)
+        return conformal_mean_curvature(*args).components, conformal_H_normsq(*args)
+
+    h, sq = formulas(extrinsic_data(emb, sc.metric, samples), quadratic_scalar_field(c0, b, c))
+    singles = [formulas(extrinsic_data(emb, sc.metric, u), quadratic_scalar_field(c0[i], b[i], c[i]))
+               for i, u in enumerate(samples)]
+    _assert_stacked(h, [hi for hi, _ in singles])
+    _assert_stacked(sq, [sqi for _, sqi in singles])
+
+
+def test_theta_of_displacement_stack():
+    case = equator_deformation_case(32, q_offset=2.0)
+    s = case.grid.nodes[:, 0]
+    phi = 1.0 + 0.3 * np.cos(s)
+    ts = [1e-4, -1e-4, -0.05]
+    _assert_stacked(case.theta_of(np.array(ts), phi), [case.theta_of(t, phi) for t in ts])
+    flat = flat_torus_degenerate_case(32)
+    _assert_stacked(flat.theta_of(np.array(ts), phi), [flat.theta_of(t, phi) for t in ts])
+
+
+def test_grouped_riemann_residuals():
+    # the curvature-axioms suite's groups: one jet stack per (dim, signature)
+    from traplab.verify import _random_jet_arrays
+
+    rng = np.random.default_rng(5)
+    for dim in (2, 3, 4):
+        for sig in Signature:
+            jets = [_random_jet_arrays(rng, dim, sig) for _ in range(9)]
+            batch = riemann(MetricJet2(dim, *map(np.array, zip(*jets)), sig))
+            singles = [riemann(MetricJet2(dim, *jet, sig)) for jet in jets]
+            _assert_stacked(batch.R, [r.R for r in singles])
+            _assert_stacked(batch.symmetry_residual, [r.symmetry_residual for r in singles])
+
+
+@pytest.mark.parametrize("hh, hx, strict", [
+    (-CLASSIFY_TOL, 1.0, False),
+    (-1.0, CLASSIFY_TOL, False),
+    (np.nextafter(-CLASSIFY_TOL, -1.0), np.nextafter(CLASSIFY_TOL, 1.0), True),
+])
+def test_strictly_trapped_band_edge(hh, hx, strict):
+    # a value on the band edge is not strict, as in the per-record rule
+    result = TrappingPerturbationResult(
+        1, None, np.zeros((3, 2)), np.array([-1.0, hh, -1.0]), np.array([1.0, hx, 1.0]))
+    tol = CLASSIFY_TOL
+    assert all(r.gn_H_H < -tol and r.gn_H_X > tol for r in result.records) is strict
+    assert result.strictly_trapped() is strict

@@ -340,13 +340,14 @@ class TestCommandLine:
         (["classify", "--scenario", "minkowski", "--surface", "sphere"], "radius = 1e200"),
     ])
     def test_overflow_is_scenario_error_exit_three(self, argv, config, tmp_path, capsys):
-        # a valid input whose closed form exceeds a float
+        # a valid input whose closed form exceeds a float; the line names the parameter
         cfg = tmp_path / "run.cfg"
         cfg.write_text(config + "\n")
         assert cli.main([*argv, "--config", str(cfg)]) == 3
         captured = capsys.readouterr()
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("scenario error: ")
+        assert config.split(" = ")[0] in captured.err
         assert captured.out == ""
 
     def test_bad_tolerance_exit_two(self):
