@@ -58,7 +58,7 @@ _CASE_NAMES = {c.value: c for c in CurvatureCase}
 SPECTRUM_HEAD = 8
 # the surface whose stability operator the spectrum command solves, by its
 # (scenario, n): the equator of the unit round 2-sphere slice
-_SPECTRUM_CASES = {("einstein_cylinder", 2): stability.equator_deformation_case}
+_SPECTRUM_CASES = {("einstein_cylinder", 2): stability.equator_deformation_cases}
 # a config-file line up to its comment; a '#' inside a JSON string is kept
 _BEFORE_COMMENT = re.compile(r'(?:"(?:[^"\\]|\\.)*"|[^#])*')
 
@@ -276,8 +276,11 @@ def _cmd_constraints(cfg: dict):
 def _cmd_spectrum(cfg: dict):
     """stability operator spectrum"""
     resolution, tols = cfg["resolution"], cfg["tolerances"]
-    build = _SPECTRUM_CASES[cfg["scenario"], cfg["n"]]
-    case = build(resolution)
+    # the convergence table: each distinct node is evaluated once, each distinct resolution solved once
+    sizes = (max(8, resolution // 4), max(8, resolution // 2), resolution)
+    distinct = list(dict.fromkeys(sizes))
+    cases = dict(zip(distinct, _SPECTRUM_CASES[cfg["scenario"], cfg["n"]](distinct)))
+    case = cases[resolution]
     operator = stability.assemble_stability_operator(case.grid, case.coefficients)
     eig = stability.principal_eigenvalue(operator, case.grid, k=SPECTRUM_HEAD)
     q_vals = case.coefficients.Q
@@ -290,12 +293,11 @@ def _cmd_spectrum(cfg: dict):
         flag_record("eigenfunction-one-signed", anchor, eig.positivity),
         flag_record("nondegenerate", anchor, abs(eig.lambda1_real) > 1e-6),
     ]
-    # each distinct resolution is built and solved once
     lams = {resolution: eig.lambda1_real}
     table = []
-    for n in (max(8, resolution // 4), max(8, resolution // 2), resolution):
+    for n in sizes:
         if n not in lams:
-            c = build(n)
+            c = cases[n]
             op = stability.assemble_stability_operator(c.grid, c.coefficients)
             lams[n] = stability.principal_eigenvalue(op, c.grid).lambda1_real
         table.append({"resolution": n, "lambda1": lams[n]})

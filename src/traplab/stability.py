@@ -170,26 +170,9 @@ def latlong_sphere_grid(n_theta: int, n_phi: int, radius: float = 1.0) -> Surfac
     )
 
 
-def _curve_nodes(
-    surface: SliceSurface, data: InitialData, resolution: int
-) -> tuple[np.ndarray, ExtrinsicData]:
-    """The node parameters of a curve surface, (resolution, 1), with their
-    extrinsic data from one ``extrinsic_data`` call."""
-    emb = surface.embedding
-    if emb.sigma_dim != 1:
-        raise ValueError("grid_from_surface supports curve surfaces; use latlong_sphere_grid")
-    u = (np.arange(resolution) * (surface.param_period / resolution))[:, None]
-    return u, extrinsic_data(emb, data.h_field, u)
-
-
-def _curve_grid(surface: SliceSurface, ext: ExtrinsicData) -> SurfaceGrid:
-    h = ext.induced[:, 0, 0]
-    return circle_grid(len(h), surface.param_period, h, analytic_measure=surface.measure)
-
-
 def grid_from_surface(surface: SliceSurface, data: InitialData, resolution: int) -> SurfaceGrid:
     """Grid matched to a one-dimensional slice surface parametrization."""
-    return _curve_grid(surface, _curve_nodes(surface, data, resolution)[1])
+    return _curve_grids_and_coefficients(surface, data, [resolution])[0][0]
 
 
 @dataclass
@@ -216,14 +199,14 @@ def stability_coefficients(
 ) -> StabilityCoefficients:
     """Assemble the geometric coefficients of the stability operator."""
     ext = extrinsic_data(surface.embedding, data.h_field, grid.nodes)
-    return _coefficients(grid, data, surface, grid.nodes, ext)
+    q, x, norm_x = _pointwise_coefficients(data, surface, grid.nodes, ext)
+    return StabilityCoefficients(Q=q, X=x, divX=_divergence_on_grid(grid, x), normX_sq=norm_x)
 
 
-def _coefficients(
-    grid: SurfaceGrid, data: InitialData, surface: SliceSurface, u: np.ndarray, ext: ExtrinsicData
-) -> StabilityCoefficients:
-    """Potential Q, drift X, div X and |X|^2 at the grid nodes u, from their
-    extrinsic data."""
+def _pointwise_coefficients(
+    data: InitialData, surface: SliceSurface, u: np.ndarray, ext: ExtrinsicData
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Potential Q, drift X and |X|^2 at the parameters u, from their extrinsic data."""
     m = ext.metric
     k, dk = data.K_field(ext.H.base)
     nu = np.asarray(surface.nu(u), dtype=float)
@@ -236,19 +219,35 @@ def _coefficients(
     norm_total_sq = np.einsum("...ac,...bd,...ab,...cd->...", inv, inv, total, total)
     q = 0.5 * surface.scal_sigma(u) - (np.vecdot(cq.J, nu) + cq.rho) - 0.5 * norm_total_sq
     omega = np.matvec(tangent_t @ k, nu)
-    x = np.matvec(inv, omega)
-    norm_x = np.vecdot(np.vecmat(omega, inv), omega)
-    return StabilityCoefficients(Q=q, X=x, divX=_divergence_on_grid(grid, x), normX_sq=norm_x)
+    return q, np.matvec(inv, omega), np.vecdot(np.vecmat(omega, inv), omega)
 
 
-def _curve_grid_and_coefficients(
-    surface: SliceSurface, data: InitialData, resolution: int
-) -> tuple[SurfaceGrid, StabilityCoefficients]:
-    """``grid_from_surface`` and ``stability_coefficients`` from one
-    ``extrinsic_data`` call over the nodes."""
-    u, ext = _curve_nodes(surface, data, resolution)
-    grid = _curve_grid(surface, ext)
-    return grid, _coefficients(grid, data, surface, u, ext)
+def _curve_grids_and_coefficients(
+    surface: SliceSurface, data: InitialData, resolutions
+) -> list[tuple[SurfaceGrid, StabilityCoefficients]]:
+    """The grid and coefficients of a curve surface at each resolution, from one
+    ``extrinsic_data`` call over the distinct node parameters of them all.
+
+    A resolution's parameters are np.arange(r) * (period / r); a parameter that
+    several resolutions share, bitwise, is evaluated once.  Every coefficient
+    but div X is pointwise, so each grid reads its nodes' values from the union.
+    """
+    emb, period = surface.embedding, surface.param_period
+    if emb.sigma_dim != 1:
+        raise ValueError("grid_from_surface supports curve surfaces; use latlong_sphere_grid")
+    params = [np.arange(r) * (period / r) for r in resolutions]
+    u, inverse = np.unique(np.concatenate(params), return_inverse=True)
+    # the union's extrinsic data is freed on return, before any eigensolve
+    ext = extrinsic_data(emb, data.h_field, u[:, None])
+    h = ext.induced[:, 0, 0]
+    q, x, norm_x = _pointwise_coefficients(data, surface, u[:, None], ext)
+    out = []
+    for idx in np.split(inverse, np.cumsum(resolutions)[:-1]):
+        grid = circle_grid(len(idx), period, h[idx], analytic_measure=surface.measure)
+        x_grid = x[idx]
+        divx = _divergence_on_grid(grid, x_grid)
+        out.append((grid, StabilityCoefficients(q[idx], x_grid, divx, norm_x[idx])))
+    return out
 
 
 def _divergence_on_grid(grid: SurfaceGrid, x: np.ndarray) -> np.ndarray:
@@ -735,34 +734,40 @@ def _nodal_curve_embedding(
 
 
 def equator_deformation_case(resolution: int = 64, q_offset: float = 0.0) -> DeformationCase:
-    """Deformation case for the equator of the unit-sphere slice (n = 2).
+    """``equator_deformation_cases`` at one resolution."""
+    return equator_deformation_cases([resolution], q_offset)[0]
+
+
+def equator_deformation_cases(resolutions, q_offset: float = 0.0) -> list[DeformationCase]:
+    """Deformation case for the equator of the unit-sphere slice (n = 2) at
+    each resolution, from one geometry pass over their distinct nodes.
 
     ``q_offset`` adds a constant to the potential; the expansion functional
     is extended accordingly by q_offset * t * phi so that its linearization
     matches the shifted operator.
     """
-    sc = build_scenario("einstein_cylinder", {"n": 2, "equator_samples": resolution})
+    sc = build_scenario("einstein_cylinder", {"n": 2})
     data = sc.initial_data
     surface = sc.slice_surfaces["equator"]
-    grid, coeffs = _curve_grid_and_coefficients(surface, data, resolution)
-    coeffs = coeffs.shifted(q_offset)
 
-    def theta_of(t, phi: np.ndarray) -> np.ndarray:
-        t = np.expand_dims(t, -1)  # one row per displacement of a stack
-        profiles = 0.5 * math.pi + t * phi
-        emb, nu = _nodal_curve_embedding(grid, profiles)
-        nodes = np.broadcast_to(grid.nodes, profiles.shape + (1,))
-        return initial_data_expansions(data, emb, nu, nodes)[0] + q_offset * t * phi
+    def case(grid: SurfaceGrid, coeffs: StabilityCoefficients) -> DeformationCase:
+        def theta_of(t, phi: np.ndarray) -> np.ndarray:
+            t = np.expand_dims(t, -1)  # one row per displacement of a stack
+            profiles = 0.5 * math.pi + t * phi
+            emb, nu = _nodal_curve_embedding(grid, profiles)
+            nodes = np.broadcast_to(grid.nodes, profiles.shape + (1,))
+            return initial_data_expansions(data, emb, nu, nodes)[0] + q_offset * t * phi
 
-    return DeformationCase(grid, coeffs, theta_of, surface.injectivity_scale)
+        return DeformationCase(grid, coeffs.shifted(q_offset), theta_of, surface.injectivity_scale)
+
+    return [case(*gc) for gc in _curve_grids_and_coefficients(surface, data, resolutions)]
 
 
 def flat_torus_degenerate_case(resolution: int = 32) -> DeformationCase:
     """Circle in flat torus data: Q = 0 identically, principal eigenvalue 0."""
-    sc = build_scenario("minkowski_torus_quotient", {"m": 2, "samples_per_axis": resolution})
-    data = sc.initial_data
+    sc = build_scenario("minkowski_torus_quotient", {"m": 2})
     surface = sc.slice_surfaces["Sigma"]
-    grid, coeffs = _curve_grid_and_coefficients(surface, data, resolution)
+    [(grid, coeffs)] = _curve_grids_and_coefficients(surface, sc.initial_data, [resolution])
 
     def theta_of(t, phi: np.ndarray) -> np.ndarray:
         # flat quotient: a normal displacement of the flat circle stays minimal

@@ -40,19 +40,10 @@ from .submanifold import TrappingLabel, extrinsic_data, trapping_classify
 
 # --- helpers ----------------------------------------------------------------
 
-def random_polynomial_metric_jet(
-    rng: np.random.Generator, dim: int, signature: Signature = Signature.LORENTZIAN
-) -> MetricJet2:
-    """Random analytic metric jet: base metric plus bounded random derivatives.
-
-    Any symmetric derivative data is the exact 2-jet of a polynomial metric,
-    so these jets are exact-jet scenarios in their own right.
-    """
-    return MetricJet2(dim, *_random_jet_arrays(rng, dim, signature), signature)
-
-
 def _random_jet_arrays(rng: np.random.Generator, dim: int, signature: Signature):
-    """The (g, dg, ddg) arrays of ``random_polynomial_metric_jet``, unchecked."""
+    """The (g, dg, ddg) arrays of a random analytic metric jet, unchecked: the
+    base metric plus bounded random symmetric derivatives, the exact 2-jet of a
+    polynomial metric."""
     amplitude = 0.15
     g = np.eye(dim)
     if signature is Signature.LORENTZIAN:
@@ -343,8 +334,7 @@ def verify_spectral_suite() -> list[CheckRecord]:
     records = []
     with Stopwatch() as sw:
         worst_lam = -1.0
-        for n in (32, 64, 128):
-            c = stability.equator_deformation_case(n)
+        for n, c in zip((32, 64, 128), stability.equator_deformation_cases([32, 64, 128])):
             op = stability.assemble_stability_operator(c.grid, c.coefficients)
             eig = stability.principal_eigenvalue(op, c.grid)
             if abs(eig.lambda1_real + 1.0) > abs(worst_lam + 1.0):

@@ -13,11 +13,26 @@ one-SVD-per-question form that the stacked ``traplab.linear_analysis``
 must reproduce integer for integer; and ``reference_dense_operator``, which
 takes the package's grids and coefficients and keeps the dense N x N
 assembly that the banded ``assemble_stability_operator`` must reproduce bit
-for bit.
+for bit.  ``random_polynomial_metric_jet`` is not an oracle but a test input:
+it wraps the seeded jet draws of the verify suites in a checked ``MetricJet2``.
 """
 
 import numpy as np
 import sympy as sp
+
+from traplab.geometry import MetricJet2, Signature
+from traplab.verify import _random_jet_arrays
+
+
+def random_polynomial_metric_jet(
+    rng: np.random.Generator, dim: int, signature: Signature = Signature.LORENTZIAN
+) -> MetricJet2:
+    """Random analytic metric jet: base metric plus bounded random derivatives.
+
+    Any symmetric derivative data is the exact 2-jet of a polynomial metric,
+    so these jets are exact-jet scenarios in their own right.
+    """
+    return MetricJet2(dim, *_random_jet_arrays(rng, dim, signature), signature)
 
 
 def fd_grad(f, x, h=1e-6):

@@ -8,8 +8,9 @@ classification, which evaluate whole sample sets, for the frames, classes,
 tidal operators and curvature forms of a stack of cone directions, for
 the cone directions and tidal operators of a stack of energy points, for
 conformal fields and formulas with one coefficient set per point, for the
-expansions of a stack of displacements, and for ``riemann`` of a group of
-random jets.
+expansions of a stack of displacements, for ``riemann`` of a group of
+random jets, and for the deformation cases of several resolutions built from
+one geometry pass over their distinct nodes.
 """
 
 import dataclasses
@@ -58,6 +59,7 @@ from traplab.stability import (
     _nodal_curve_embedding,
     circle_grid,
     equator_deformation_case,
+    equator_deformation_cases,
     flat_torus_degenerate_case,
 )
 from traplab.submanifold import (
@@ -367,7 +369,7 @@ def test_degenerate_outward_samples():
 def _cones():
     """(label, jet, cone sample, orientation) at two energy points of every
     scenario, in 2-d Minkowski space and at a random polynomial jet."""
-    from traplab.verify import random_polynomial_metric_jet
+    from _oracles import random_polynomial_metric_jet
 
     out = []
     cases = [(build_scenario(name, params), label) for (name, params), label in zip(SCENARIOS, IDS)]
@@ -541,6 +543,20 @@ def test_theta_of_displacement_stack():
     _assert_stacked(case.theta_of(np.array(ts), phi), [case.theta_of(t, phi) for t in ts])
     flat = flat_torus_degenerate_case(32)
     _assert_stacked(flat.theta_of(np.array(ts), phi), [flat.theta_of(t, phi) for t in ts])
+
+
+@pytest.mark.parametrize("resolutions", [(32, 64, 128), (8, 15, 30), (513, 1026, 2053)])
+def test_deformation_cases_from_one_geometry_pass(resolutions):
+    # nested and non-nested node sets: each case is bitwise its own build's
+    for case, r in zip(equator_deformation_cases(resolutions), resolutions):
+        alone = equator_deformation_case(r)
+        for attr in ("nodes", "metric_diag", "weights"):
+            assert np.array_equal(getattr(case.grid, attr), getattr(alone.grid, attr))
+        for attr in ("Q", "X", "divX", "normX_sq"):
+            assert np.array_equal(getattr(case.coefficients, attr), getattr(alone.coefficients, attr))
+        phi = 1.0 + 0.3 * np.cos(case.grid.nodes[:, 0])
+        ts = np.array([1e-4, -1e-4, -0.05])
+        assert np.array_equal(case.theta_of(ts, phi), alone.theta_of(ts, phi))
 
 
 def test_grouped_riemann_residuals():

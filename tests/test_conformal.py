@@ -24,9 +24,8 @@ from traplab.errors import NotWeaklyTrapped
 from traplab.geometry import MetricJet2, TangentVector, christoffel
 from traplab.scenarios import build_scenario
 from traplab.submanifold import TrappingLabel, extrinsic_data, trapping_classify
-from traplab.verify import random_polynomial_metric_jet
 
-from _oracles import fd_metric_derivatives, sympy_conformal_quadform
+from _oracles import fd_metric_derivatives, random_polynomial_metric_jet, sympy_conformal_quadform
 
 
 class TestRescaleMetric:

@@ -202,7 +202,7 @@ class TestTidalOperator:
             _tidal(m, r, TangentVector(np.zeros(4), np.eye(4)[1]))
 
     def test_symmetric_in_induced_inner_product(self, rng):
-        from traplab.verify import random_polynomial_metric_jet
+        from _oracles import random_polynomial_metric_jet
 
         for _ in range(10):
             jet = random_polynomial_metric_jet(rng, 4)

@@ -19,9 +19,8 @@ from traplab.geometry import (
     scalar_curvature,
 )
 from traplab.scenarios import build_scenario
-from traplab.verify import random_polynomial_metric_jet
 
-from _oracles import constant_curvature_riemann, static_product_riemann
+from _oracles import constant_curvature_riemann, random_polynomial_metric_jet, static_product_riemann
 
 CYL = build_scenario("einstein_cylinder", {"n": 2})
 SPHERE_POINT = np.array([0.0, math.pi / 4, 0.3])

@@ -364,6 +364,36 @@ class TestDeformation:
         assert case.grid.num_nodes == 32
         assert calls == {"extrinsic_data": 32, "h_field": 32}
 
+    @pytest.mark.parametrize("resolution, distinct", [(1024, 1024), (30, 36)])
+    def test_one_geometry_evaluation_per_distinct_table_node(self, resolution, distinct,
+                                                             monkeypatch):
+        # the convergence table's grids at max(8, N/4), max(8, N/2) and N: each
+        # distinct parameter is evaluated once, 1024 and not 256 + 512 + 1024;
+        # at N = 30 the 8-node grid shares 0 and pi with the 30-node one, which
+        # holds the 15-node one, so 30 + 8 - 2
+        from traplab import cli, stability
+
+        points = []
+
+        def scenario_with_counted_h_field(*args, **kwargs):
+            sc = build_scenario(*args, **kwargs)
+            h_field = sc.initial_data.h_field
+
+            def counted(p):
+                points.append(int(np.prod(np.shape(p)[:-1])))
+                return h_field(p)
+
+            sc.initial_data.h_field = counted
+            return sc
+
+        monkeypatch.setattr(stability, "build_scenario", scenario_with_counted_h_field)
+        cli.execute_config({"command": "spectrum", "scenario": "einstein_cylinder", "n": 2,
+                            "resolution": resolution})
+        params = [np.arange(r) * (2.0 * math.pi / r)
+                  for r in (max(8, resolution // 4), max(8, resolution // 2), resolution)]
+        assert len(np.unique(np.concatenate(params))) == distinct
+        assert sum(points) == distinct
+
     def test_one_expansion_pass_per_theta_of(self, monkeypatch):
         # the two finite-difference passes and the displaced surface evaluate
         # the expansions over all nodes in one call, one row per displacement
