@@ -131,10 +131,10 @@ def codim_formula_check(l: np.ndarray, s_basis: np.ndarray,
     s_basis = np.atleast_2d(np.asarray(s_basis, dtype=float))
     v = l.shape[-2]
     s = s_basis.shape[-1] if s is None else np.asarray(s)
-    if np.any(_rank(s_basis) != s):
+    # preimage kernel: x with P_{S^perp} L x = 0; the complement's SVD also gives the rank
+    perp, rank = _image_complement(s_basis)
+    if np.any(rank != s):
         raise DependentBasis("columns of the subspace basis are dependent")
-    # preimage kernel: x with P_{S^perp} L x = 0
-    perp, _ = _image_complement(s_basis)
     lhs = _rank(perp.mT @ l)
     dim_sum = _rank(np.concatenate([s_basis, l], axis=-1))
     rhs = (v - s) - (v - dim_sum)

@@ -19,18 +19,19 @@ shift sigma below all discs has Re(lambda) - sigma >= lambda_1 - sigma > 0
 for every eigenvalue: lambda_1 is the eigenvalue nearest sigma, hence the
 dominant eigenvalue of (A - sigma I)^-1.  The operators are block tridiagonal
 in grid rows (block-cyclic on periodic grids), so assembly writes only their
-block diagonals (``BlockOperator``).  ``principal_eigenvalue`` factors the
-shifted operator once by one block-arrow elimination over those blocks, the
-same code for every block count m, without pivoting since it is strictly
-diagonally dominant, and runs orthogonal iteration with Rayleigh-Ritz
-extraction on the factors (``_orthogonal_iteration``); ``principal_eigenvalues``
-solves same-shape operators as one stack, bitwise as one at a time.  Blocks
-under ``MIN_BLOCK_NODES`` nodes give m = 1, one block whose elimination is one
-dense inverse: so on every circle whose N has no divisor in
-[MIN_BLOCK_NODES, sqrt(N)], a prime N among them.  The solve uses numpy only
-and a fixed starting block, so replays are bytewise identical.  The N x N
-matrix (``BlockOperator.dense``) and the full spectrum are formed only on request,
-the spectrum by ``eigvalsh`` if that matrix is bitwise symmetric, else ``eigvals``.
+block diagonals (``BlockOperator``), for one operator or, from coefficient
+stacks, a stack of them.  ``principal_eigenvalues`` factors a stack of shifted
+operators once by one block-arrow elimination over those blocks, the same code
+for every block count m, without pivoting since they are strictly diagonally
+dominant, runs orthogonal iteration with Rayleigh-Ritz extraction on the
+factors (``_orthogonal_iteration``) and finishes the eigenpairs, each step one
+array operation over the stack and each member bitwise as alone; one operator
+is a stack of one.  Blocks under ``MIN_BLOCK_NODES`` nodes give m = 1, one dense
+inverse: so on every circle whose N has no divisor in [MIN_BLOCK_NODES, sqrt(N)],
+a prime N among them.  The solve uses numpy only and a fixed starting block,
+so replays are bytewise identical.  The N x N matrix (``BlockOperator.dense``)
+and the full spectrum are formed only on request, the spectrum by ``eigvalsh``
+if that matrix is bitwise symmetric, else ``eigvals``.
 The deformation check moves the surface along its unit normal with the
 principal eigenfunction as velocity and verifies the derivative identity for
 the outward null expansion.
@@ -270,11 +271,12 @@ def _divergence_on_grid(grid: SurfaceGrid, x: np.ndarray) -> np.ndarray:
 
 def assemble_stability_operator(grid: SurfaceGrid, coeffs: StabilityCoefficients) -> BlockOperator:
     """-Lap + 2 X.grad + (Q + div X - |X|^2) on the grid, written straight into
-    the block diagonals of its grid-row blocks (``BlockOperator``)."""
+    the block diagonals of its grid-row blocks (``BlockOperator``).  Coefficients
+    with a leading stack axis S give a stack of S operators, each bitwise alone."""
     _check_resolution(grid.shape)
     b = _block_size(grid, grid.num_nodes)
     _, cols = _band_blocks(grid.num_nodes // b)
-    op = BlockOperator(np.zeros(cols.shape + (b, b)))
+    op = BlockOperator(np.zeros(np.shape(coeffs.Q)[:-1] + cols.shape + (b, b)))
     rows = np.arange(grid.num_nodes)
     diag = op.at(rows, rows)
     if grid.kind is GridKind.PERIODIC_TENSOR:
@@ -287,15 +289,6 @@ def assemble_stability_operator(grid: SurfaceGrid, coeffs: StabilityCoefficients
     return op
 
 
-def _axis_neighbors(shape, axis):
-    """Index maps for +1 / -1 shifts along an axis of the flattened grid."""
-    num = int(np.prod(shape))
-    idx = np.arange(num).reshape(shape)
-    plus = np.roll(idx, -1, axis=axis).ravel()
-    minus = np.roll(idx, 1, axis=axis).ravel()
-    return plus, minus
-
-
 def _periodic_stencil(grid: SurfaceGrid, x: np.ndarray, op: BlockOperator, diag: tuple) -> None:
     """-Lap + 2 X.grad on a periodic grid, into ``op``: the conservative
     Laplace-Beltrami operator of a diagonal metric and 2 X^a d_a by central
@@ -305,11 +298,12 @@ def _periodic_stencil(grid: SurfaceGrid, x: np.ndarray, op: BlockOperator, diag:
     rows = np.arange(grid.num_nodes)
     for axis, h in enumerate(grid.spacing):
         coeff = sqrt_h / grid.metric_diag[:, axis]
-        plus, minus = _axis_neighbors(grid.shape, axis)
+        # the nodes one step ahead and one step behind along the axis
+        plus, minus = (np.roll(rows.reshape(grid.shape), s, axis=axis).ravel() for s in (-1, 1))
         c_plus = 0.5 * (coeff + coeff[plus])
         c_minus = 0.5 * (coeff + coeff[minus])
         scale = 1.0 / (sqrt_h * h * h)
-        drift = x[:, axis] / h
+        drift = x[..., axis] / h
         op.bands[op.at(rows, plus)] += drift - scale * c_plus
         op.bands[op.at(rows, minus)] += -drift - scale * c_minus
         op.bands[diag] += scale * (c_plus + c_minus)
@@ -371,8 +365,8 @@ class BlockOperator:
     on lat-long grids.  ``bands`` has shape (3, m, b, b); bands 0, 1, 2 hold
     blocks (i, i), (i, i - 1) and (i, i + 1).  One block (m = 1), its own
     neighbour, has the one band (1, 1, N, N) and runs the same code.  A stack
-    of S has bands (S, bands, m, b, b), over which ``apply`` and
-    ``shifted_solver`` broadcast; ``at`` and ``dense`` take one operator.
+    of S has bands (S, bands, m, b, b), over which ``at``, ``apply`` and
+    ``shifted_solver`` broadcast; ``dense`` takes one operator.
     """
 
     def __init__(self, bands: np.ndarray):
@@ -398,10 +392,10 @@ class BlockOperator:
 
     def at(self, rows: np.ndarray, cols: np.ndarray) -> tuple:
         """Index into ``bands`` of the matrix entries (rows, cols), which must
-        lie on the block diagonals."""
+        lie on the block diagonals, in every member of a stack."""
         i, r = np.divmod(rows, self.b)
         j, c = np.divmod(cols, self.b)
-        return np.where(j == i, 0, np.where(j == (i + 1) % self.m, 2, 1)), i, r, c
+        return ..., np.where(j == i, 0, np.where(j == (i + 1) % self.m, 2, 1)), i, r, c
 
     def dense(self) -> np.ndarray:
         """The N x N matrix, a new array."""
@@ -483,9 +477,9 @@ class BlockOperator:
         return solve
 
 
-def _orthogonal_iteration(op: BlockOperator, k: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The k eigenvalues of minimal real part with unit eigenvectors (columns),
-    of one operator or of each of a stack: one pair per member.
+def _orthogonal_iteration(op: BlockOperator, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The k eigenvalues (S, k) of minimal real part with unit eigenvectors (S, N, k)
+    of each member of a stack of operators, both complex, and whether each was real.
 
     The shift sigma sits one unit below the Gershgorin lower bound
     min(diag - off-diagonal row sum), so the principal eigenvalue is the
@@ -503,23 +497,26 @@ def _orthogonal_iteration(op: BlockOperator, k: int) -> list[tuple[np.ndarray, n
     sums and A Q read only the three block diagonals; a non-finite entry
     raises ``EigensolverFailure``.
 
-    Members of a stack iterate together until the last one converges; each
-    member's result comes from the iteration where its own stop rule is first
-    met, so it is exactly its own solve's.  A stacked ``eig`` is complex when
-    any member's is, so a member whose values are all real is taken real, as
-    ``eig`` does for one matrix.
+    Members iterate together until the last one converges, and each result is
+    stored at the first iteration that meets its member's own stop rule, so it
+    is exactly its own solve's.  A stacked ``eig`` is complex when any member's
+    is, so each step takes the members whose Ritz values are all real as one
+    real stack, as ``eig`` does for one matrix, and the others as one complex.
     """
     if not np.isfinite(op.bands).all():
         raise EigensolverFailure("operator has non-finite entries")
-    lead, num = op.bands.shape[:-4], op.shape[0]
-    diag = np.diagonal(op.bands[..., 0, :, :, :], axis1=-2, axis2=-1).reshape(lead + (num,))
-    row_sums = np.abs(op.bands).sum(axis=-1).sum(axis=-3).reshape(lead + (num,))
+    count, num = op.bands.shape[0], op.shape[0]
+    diag = np.diagonal(op.bands[:, 0], axis1=-2, axis2=-1).reshape(count, num)
+    row_sums = np.abs(op.bands).sum(axis=-1).sum(axis=-3).reshape(count, num)
     sigma = (diag - (row_sums - np.abs(diag))).min(axis=-1) - 1.0
-    tol = (num * np.finfo(float).eps * row_sums.max(axis=-1)).reshape(-1)
+    tol = num * np.finfo(float).eps * row_sums.max(axis=-1)
     start = np.random.default_rng(0).standard_normal((num, min(num, k + OVERSAMPLING)))
     start[:, 0] = 1.0
-    q = np.broadcast_to(start, lead + start.shape)
-    found, going, residuals = [None] * len(tol), [True] * len(tol), [None] * len(tol)
+    q = np.broadcast_to(start, (count,) + start.shape)
+    columns = np.arange(start.shape[1])[:, None]  # row index of the Ritz coefficient matrices
+    # every member's slot is written when it converges, or the solve raises
+    vals, vecs = np.empty((count, min(k, num)), complex), np.empty((count, num, min(k, num)), complex)
+    real, going, residuals = np.zeros(count, bool), np.ones(count, bool), np.zeros(count)
     step = "factorising A - sigma I"
     try:
         solve = op.shifted_solver(sigma)
@@ -527,30 +524,40 @@ def _orthogonal_iteration(op: BlockOperator, k: int) -> list[tuple[np.ndarray, n
         for _ in range(MAX_ITERATIONS):
             q, _ = np.linalg.qr(solve(q))
             aq = op.apply(q)
-            vals, coeffs = np.linalg.eig(q.mT @ aq)
-            members = zip(q, aq, vals, coeffs) if lead else [(q, aq, vals, coeffs)]
-            for j, (qj, aqj, v, c) in enumerate(members):
-                if not going[j]:
-                    continue  # converged: its result stays that of its first converged iteration
-                if np.iscomplexobj(v) and not v.imag.any():
-                    v, c = v.real, c.real
-                order = np.lexsort((np.abs(v.imag), v.real))[:k]
-                v, c = v[order], c[:, order]
-                vecs = qj @ c
-                residuals[j] = np.linalg.norm(aqj @ c - vecs * v, axis=0).max()
-                found[j], going[j] = (v, vecs), not residuals[j] <= tol[j]
-            if not any(going):
+            ritz, coeffs = np.linalg.eig(q.mT @ aq)
+            ritz_real = ~ritz.imag.any(axis=-1)
+            for rows, taken_real in ((ritz_real, True), (~ritz_real, False)):
+                size = np.count_nonzero(rows)
+                if not size:
+                    continue
+                # a group of every member, as one operator always is, is taken without copies
+                sel = slice(None) if size == count else rows
+                v, c = (ritz[sel].real, coeffs[sel].real) if taken_real else (ritz[sel], coeffs[sel])
+                order = np.lexsort((np.abs(v.imag), v.real), axis=-1)[:, :k]
+                # np.take_along_axis written out, at half its cost for these small arrays
+                member = np.arange(size)[:, None]
+                v, c = v[member, order], c[member[:, None], columns, order[:, None, :]]
+                x = q[sel] @ c
+                r = aq[sel] @ c - x * v[:, None, :]
+                # the largest column 2-norm, as np.linalg.norm(r, axis=-2) forms it
+                residuals[sel] = res = np.sqrt(np.add.reduce((r.conj() * r).real, axis=-2)).max(-1)
+                done = going[sel] & (res <= tol[sel])
+                if done.any():
+                    idx = np.flatnonzero(rows)[done]
+                    vals[idx], vecs[idx], real[idx] = v[done], x[done], taken_real
+                    going[idx] = False
+            if not going.any():
                 break
         else:
-            i = going.index(True)
+            i = np.flatnonzero(going)[0]
             raise EigensolverFailure(f"no convergence in {MAX_ITERATIONS} iterations: residual "
                                      f"{residuals[i]:.3e} above {tol[i]:.3e}")
     except np.linalg.LinAlgError as exc:
-        raise EigensolverFailure(f"{step} at sigma={sigma} failed: {exc}") from exc
-    for lam in (vals[0] for vals, _ in found):
+        raise EigensolverFailure(f"{step} at sigma={sigma.squeeze()} failed: {exc}") from exc
+    for lam in vals[:, 0].tolist():
         if abs(lam.imag) > 1e-8 * (1.0 + abs(lam.real)):
             raise EigensolverFailure(f"principal eigenvalue has non-negligible imaginary part {lam.imag:.3e}")
-    return found
+    return vals, vecs, real
 
 
 @dataclass
@@ -590,25 +597,31 @@ def principal_eigenvalue(operator, grid: SurfaceGrid, k: int = 1) -> PrincipalEi
 
 
 def principal_eigenvalues(operators, grid: SurfaceGrid, k: int = 1) -> list[PrincipalEigen]:
-    """``principal_eigenvalue`` of each of a list of same-shape operators on
-    ``grid``, solved as one stack; each result is bitwise its own solve's."""
+    """``principal_eigenvalue`` of each of a list of same-shape operators on ``grid``,
+    solved and finished as one stack; each result is bitwise its own solve's."""
     ops = [BlockOperator.from_dense(o, grid) if isinstance(o, np.ndarray) else o for o in operators]
-    stack = ops[0] if len(ops) == 1 else BlockOperator(np.stack([op.bands for op in ops]))
-    results = []
-    for op, (vals, vecs) in zip(ops, _orthogonal_iteration(stack, k)):
-        vec = (vecs[:, 0] / vecs[np.argmax(np.abs(vecs[:, 0])), 0]).real
-        vec = -vec if vec.mean() < 0 else vec
-        vec = vec / np.abs(vec).max()
-        positivity = bool(vec.min() > 0.0) or bool(vec.max() < 0.0)
-        # the Rayleigh quotient of the real eigenfunction, accumulated in extended
-        # precision, is accurate to the rounding level of the matrix itself
-        wide = vec.astype(np.longdouble)
-        lam = float(wide @ op.apply(wide) / (wide @ wide))
-        residual = float(np.linalg.norm(op.apply(vec) - lam * vec) / np.linalg.norm(vec))
-        head = vals.copy()
-        head[0] = lam
-        results.append(PrincipalEigen(complex(lam), vec, positivity, residual, head, op))
-    return results
+    stack = BlockOperator(np.stack([op.bands for op in ops]) if len(ops) > 1 else ops[0].bands[None])
+    vals, vecs, real = _orthogonal_iteration(stack, k)
+    first = vecs[:, :, 0]
+    pivot = first[np.arange(len(first)), np.argmax(np.abs(first), axis=-1)][:, None]
+    vec = np.empty(first.shape)
+    # complex division by a real pivot rounds unlike real division, so real members divide as reals
+    vec[real] = first[real].real / pivot[real].real
+    vec[~real] = (first[~real] / pivot[~real]).real
+    np.negative(vec, out=vec, where=vec.mean(axis=-1, keepdims=True) < 0)
+    vec /= np.abs(vec).max(axis=-1, keepdims=True)
+    positivity = (vec.min(axis=-1) > 0.0) | (vec.max(axis=-1) < 0.0)
+    # the Rayleigh quotient of the real eigenfunction, accumulated in extended
+    # precision, is accurate to the rounding level of the matrix itself
+    col = vec[..., None]
+    wide = col.astype(np.longdouble)
+    lam = (wide.mT @ stack.apply(wide) / (wide.mT @ wide)).astype(float)
+    r = stack.apply(col) - lam * col
+    residual = (np.sqrt(r.mT @ r) / np.sqrt(col.mT @ col))[:, 0, 0]
+    head = np.concatenate([lam[:, 0], vals[:, 1:]], axis=-1)
+    return [PrincipalEigen(complex(lam_j), vec_j, pos_j, res_j, head_j.real if real_j else head_j, op)
+            for lam_j, vec_j, pos_j, res_j, head_j, real_j, op in zip(
+                lam.ravel().tolist(), vec, positivity.tolist(), residual.tolist(), head, real.tolist(), ops)]
 
 
 def quadrature_symmetry_residual(operator: BlockOperator, grid: SurfaceGrid) -> float:
@@ -638,6 +651,12 @@ class DeformationCase:
     coefficients: StabilityCoefficients
     theta_of: Callable[[np.ndarray, np.ndarray], np.ndarray]
     injectivity_scale: float = 1.0
+
+    def shifted(self, q_offset: float) -> "DeformationCase":
+        """The case with q_offset added to the potential and q_offset * t * phi to
+        ``theta_of``, so that its linearization matches the shifted operator."""
+        return DeformationCase(self.grid, self.coefficients.shifted(q_offset), lambda t, phi: (
+            self.theta_of(t, phi) + q_offset * np.expand_dims(t, -1) * phi), self.injectivity_scale)
 
 
 @dataclass
@@ -734,18 +753,13 @@ def _nodal_curve_embedding(
 
 
 def equator_deformation_case(resolution: int = 64, q_offset: float = 0.0) -> DeformationCase:
-    """``equator_deformation_cases`` at one resolution."""
-    return equator_deformation_cases([resolution], q_offset)[0]
+    """``equator_deformation_cases`` at one resolution, ``shifted`` by ``q_offset``."""
+    return equator_deformation_cases([resolution])[0].shifted(q_offset)
 
 
-def equator_deformation_cases(resolutions, q_offset: float = 0.0) -> list[DeformationCase]:
+def equator_deformation_cases(resolutions) -> list[DeformationCase]:
     """Deformation case for the equator of the unit-sphere slice (n = 2) at
-    each resolution, from one geometry pass over their distinct nodes.
-
-    ``q_offset`` adds a constant to the potential; the expansion functional
-    is extended accordingly by q_offset * t * phi so that its linearization
-    matches the shifted operator.
-    """
+    each resolution, from one geometry pass over their distinct nodes."""
     sc = build_scenario("einstein_cylinder", {"n": 2})
     data = sc.initial_data
     surface = sc.slice_surfaces["equator"]
@@ -756,9 +770,9 @@ def equator_deformation_cases(resolutions, q_offset: float = 0.0) -> list[Deform
             profiles = 0.5 * math.pi + t * phi
             emb, nu = _nodal_curve_embedding(grid, profiles)
             nodes = np.broadcast_to(grid.nodes, profiles.shape + (1,))
-            return initial_data_expansions(data, emb, nu, nodes)[0] + q_offset * t * phi
+            return initial_data_expansions(data, emb, nu, nodes)[0]
 
-        return DeformationCase(grid, coeffs.shifted(q_offset), theta_of, surface.injectivity_scale)
+        return DeformationCase(grid, coeffs, theta_of, surface.injectivity_scale)
 
     return [case(*gc) for gc in _curve_grids_and_coefficients(surface, data, resolutions)]
 

@@ -395,8 +395,8 @@ def verify_spectral_suite() -> list[CheckRecord]:
 def verify_deformation() -> list[CheckRecord]:
     """Derivative identity and sign rule for the equator deformation."""
     records = []
-    case = stability.equator_deformation_case(64)
-    report = stability.deformation_check(case)
+    [case] = stability.equator_deformation_cases([64])
+    report = stability.deformation_check(case.shifted(0.0))
     records.append(
         approx_record(
             "deformation-derivative-identity", "deformation-derivative-identity",
@@ -412,7 +412,7 @@ def verify_deformation() -> list[CheckRecord]:
             f"max theta_+ after move {report.theta_displaced.max():.3e}",
         )
     )
-    shifted = stability.deformation_check(stability.equator_deformation_case(64, q_offset=2.0))
+    shifted = stability.deformation_check(case.shifted(2.0))
     records.append(
         flag_record(
             "deformation-sign-rule-flips", "deformation-derivative-identity",
@@ -526,63 +526,47 @@ def verify_linear_lemmas(seed: int = 2024) -> list[CheckRecord]:
 
 
 def random_circle_operators(count: int = 50, seed: int = 99, n: int = 48):
-    """Seeded random circle operators; every second one is drift-free.
-
-    Yields (grid, assembled operator, time_symmetric).
-    """
+    """Seeded random circle operators, every second one drift-free, all drawn
+    first on one grid and assembled as one stack: (grid, operator, time_symmetric)."""
     rng = np.random.default_rng(seed)
+    grid = stability.circle_grid(n)
+    s = grid.nodes[:, 0]
+    basis = [1.0, np.sin(s), np.cos(s), np.sin(2 * s), np.cos(2 * s)]
+    q, x, divx = np.empty((count, n)), np.zeros((count, n)), np.zeros((count, n))
     for k in range(count):
-        grid = stability.circle_grid(n)
-        s = grid.nodes[:, 0]
-        q = (
-            rng.normal(scale=0.7)
-            + rng.normal(scale=0.7) * np.sin(s)
-            + rng.normal(scale=0.7) * np.cos(s)
-            + rng.normal(scale=0.4) * np.sin(2 * s)
-            + rng.normal(scale=0.4) * np.cos(2 * s)
-        )
-        time_symmetric = k % 2 == 1
-        if time_symmetric:
-            x = np.zeros(n)
-            divx = np.zeros(n)
-        else:
+        q[k] = sum(rng.normal(scale=w) * f for w, f in zip((0.7, 0.7, 0.7, 0.4, 0.4), basis))
+        if k % 2 == 0:
             a, b = rng.normal(scale=0.25, size=2)
-            x = a * np.cos(s) + b * np.sin(s)
-            divx = -a * np.sin(s) + b * np.cos(s)
-        coeffs = stability.StabilityCoefficients(
-            Q=q, X=x.reshape(-1, 1), divX=divx, normX_sq=x**2
-        )
-        yield grid, stability.assemble_stability_operator(grid, coeffs), time_symmetric
+            x[k], divx[k] = a * basis[2] + b * basis[1], -a * basis[1] + b * basis[2]
+    coeffs = stability.StabilityCoefficients(Q=q, X=x[..., None], divX=divx, normX_sq=x**2)
+    stack = stability.assemble_stability_operator(grid, coeffs)
+    for k in range(count):
+        yield grid, stability.BlockOperator(stack.bands[k]), k % 2 == 1
 
 
 def verify_spectral_properties() -> list[CheckRecord]:
     """Principal-eigenvalue structure on seeded random circle operators."""
-    bad_real = 0
-    bad_minimal = 0
-    bad_sign = 0
-    worst_sym = 0.0
     cases = list(random_circle_operators())
     count = len(cases)
-    # two stacks: one stack of all 50 is no faster and doubles the traced peak (2.9 against 1.5 MB)
+    # two stacks: one stack of all 50 saves 1.5 of 25 ms of solving but doubles
+    # the traced peak (2.8 against 1.4 MB)
     eigs = [eig for half in (cases[: count // 2], cases[count // 2 :])
             for eig in stability.principal_eigenvalues([op for _, op, _ in half], cases[0][0])]
-    for (grid, op, time_symmetric), eig in zip(cases, eigs):
-        if abs(eig.lambda1.imag) > 1e-8 * (1.0 + abs(eig.lambda1.real)):
-            bad_real += 1
-        if eig.lambda1_real > float(eig.spectrum.real.min()) + 1e-10:
-            bad_minimal += 1
-        if not eig.positivity:
-            bad_sign += 1
-        if time_symmetric:
-            worst_sym = max(worst_sym, stability.quadrature_symmetry_residual(op, grid))
-    records = [
+    bad = {
+        "nonreal": sum(abs(e.lambda1.imag) > 1e-8 * (1.0 + abs(e.lambda1.real)) for e in eigs),
+        "nonminimal": sum(e.lambda1_real > float(e.spectrum.real.min()) + 1e-10 for e in eigs),
+        "signchange": sum(not e.positivity for e in eigs),
+    }
+    worst_sym = max(stability.quadrature_symmetry_residual(op, grid)
+                    for grid, op, time_symmetric in cases if time_symmetric)
+    return [
         CheckRecord(
             name="random-operators-principal-structure",
             anchor="stability-principal-eigenvalue",
-            measured={"nonreal": bad_real, "nonminimal": bad_minimal, "signchange": bad_sign},
-            expected={"nonreal": 0, "nonminimal": 0, "signchange": 0},
+            measured=bad,
+            expected=dict.fromkeys(bad, 0),
             tolerance=None,
-            passed=bad_real == 0 and bad_minimal == 0 and bad_sign == 0,
+            passed=not any(bad.values()),
             detail=f"{count} seeded random circle operators",
         ),
         approx_record(
@@ -591,7 +575,6 @@ def verify_spectral_properties() -> list[CheckRecord]:
             detail="quadrature-inner-product asymmetry of drift-free instances",
         ),
     ]
-    return records
 
 
 def verify_determinism() -> list[CheckRecord]:

@@ -13,7 +13,11 @@ one-SVD-per-question form that the stacked ``traplab.linear_analysis``
 must reproduce integer for integer; and ``reference_dense_operator``, which
 takes the package's grids and coefficients and keeps the dense N x N
 assembly that the banded ``assemble_stability_operator`` must reproduce bit
-for bit.  ``random_polynomial_metric_jet`` is not an oracle but a test input:
+for bit; and ``reference_principal_eigen``, which runs one operator's
+orthogonal iteration on the package's factorisation with the one-operator
+loop form of the Rayleigh-Ritz step and of the eigenpair finishing, which the
+stacked ``principal_eigenvalues`` must reproduce bit for bit.
+``random_polynomial_metric_jet`` is not an oracle but a test input:
 it wraps the seeded jet draws of the verify suites in a checked ``MetricJet2``.
 """
 
@@ -436,3 +440,42 @@ def reference_dense_operator(grid, coeffs):
     zeroth = coeffs.Q + coeffs.divX - coeffs.normX_sq
     mat[np.diag_indices_from(mat)] += zeroth
     return mat
+
+
+def reference_principal_eigen(op, k):
+    """(lambda1, eigenfunction, residual, spectrum head) of one unstacked
+    ``BlockOperator`` by the one-operator form of the solve: Ritz values
+    taken real when all are, selection, residual and finishing one vector at
+    a time."""
+    from traplab.stability import MAX_ITERATIONS, OVERSAMPLING
+
+    num = op.shape[0]
+    diag = np.diagonal(op.bands[0], axis1=-2, axis2=-1).reshape(num)
+    row_sums = np.abs(op.bands).sum(axis=-1).sum(axis=-3).reshape(num)
+    sigma = (diag - (row_sums - np.abs(diag))).min() - 1.0
+    tol = num * np.finfo(float).eps * row_sums.max()
+    q = np.random.default_rng(0).standard_normal((num, min(num, k + OVERSAMPLING)))
+    q[:, 0] = 1.0
+    solve = op.shifted_solver(sigma)
+    for _ in range(MAX_ITERATIONS):
+        q, _ = np.linalg.qr(solve(q))
+        aq = op.apply(q)
+        vals, coeffs = np.linalg.eig(q.T @ aq)
+        if np.iscomplexobj(vals) and not vals.imag.any():
+            vals, coeffs = vals.real, coeffs.real
+        order = np.lexsort((np.abs(vals.imag), vals.real))[:k]
+        vals, coeffs = vals[order], coeffs[:, order]
+        vecs = q @ coeffs
+        if np.linalg.norm(aq @ coeffs - vecs * vals, axis=0).max() <= tol:
+            break
+    else:
+        raise AssertionError("reference iteration did not converge")
+    vec = (vecs[:, 0] / vecs[np.argmax(np.abs(vecs[:, 0])), 0]).real
+    vec = -vec if vec.mean() < 0 else vec
+    vec = vec / np.abs(vec).max()
+    wide = vec.astype(np.longdouble)
+    lam = float(wide @ op.apply(wide) / (wide @ wide))
+    residual = float(np.linalg.norm(op.apply(vec) - lam * vec) / np.linalg.norm(vec))
+    head = vals.copy()
+    head[0] = lam
+    return lam, vec, residual, head

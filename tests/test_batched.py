@@ -559,6 +559,18 @@ def test_deformation_cases_from_one_geometry_pass(resolutions):
         assert np.array_equal(case.theta_of(ts, phi), alone.theta_of(ts, phi))
 
 
+def test_shifted_case_is_the_offset_case():
+    # the offset enters the potential and theta_of where equator_deformation_case adds it
+    base, offset = equator_deformation_cases([64])[0].shifted(2.0), equator_deformation_case(64, 2.0)
+    assert offset.coefficients.Q.tobytes() == base.coefficients.Q.tobytes()
+    phi = 1.0 + 0.3 * np.cos(base.grid.nodes[:, 0])
+    ts = np.array([1e-4, -1e-4, -0.05])
+    shifted = base.theta_of(ts, phi)
+    assert shifted.tobytes() == offset.theta_of(ts, phi).tobytes()
+    for t, row in zip(ts, shifted):
+        assert row.tobytes() == offset.theta_of(t, phi).tobytes()
+
+
 def test_grouped_riemann_residuals():
     # the curvature-axioms suite's groups: one jet stack per (dim, signature)
     from traplab.verify import _random_jet_arrays

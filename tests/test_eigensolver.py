@@ -24,7 +24,7 @@ from traplab.stability import (
 )
 from traplab.verify import random_circle_operators
 
-from _oracles import reference_dense_operator
+from _oracles import reference_dense_operator, reference_principal_eigen
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -76,7 +76,7 @@ class TestAgainstDenseOracle:
     def test_whole_space_block_returns_every_eigenvalue(self):
         grid, op, _ = next(random_circle_operators(count=1, n=8))
         mat = op.dense()
-        [(vals, vecs)] = _orthogonal_iteration(BlockOperator.from_dense(mat), 8)
+        [vals], [vecs], _ = _orthogonal_iteration(BlockOperator(op.bands[None]), 8)
         dense = np.linalg.eigvals(mat)
         assert np.abs(np.sort_complex(vals) - np.sort_complex(dense)).max() < 1e-12
         assert np.linalg.norm(mat @ vecs - vecs * vals, axis=0).max() < 1e-12
@@ -202,7 +202,7 @@ class TestBlockPath:
         # the factorisation inverts one b x b block at a time; only the
         # N x (k + OVERSAMPLING) iterate and its residuals, never an N x N
         # array, reach np.linalg with more than b rows.  One block (b = N)
-        # is one N x N inverse
+        # is one N x N inverse; one operator is solved as a stack of one
         grid, op = BLOCK_OPERATORS[name]()
         calls = []
 
@@ -219,7 +219,7 @@ class TestBlockPath:
                 monkeypatch.setattr(np.linalg, fname, counted(fname, func))
         principal_eigenvalue(op, grid)
         inverses = [shapes[0] for fname, shapes in calls if fname == "inv"]
-        assert inverses == [(op.b, op.b)] * op.m
+        assert inverses == [(1, op.b, op.b)] * op.m
         for fname, shapes in calls:
             assert all(len(s) < 2 or min(s[-2:]) <= op.b for s in shapes), (fname, shapes)
 
@@ -358,7 +358,8 @@ def test_latlong_laplacian_matches_loop_oracle(shape):
 
 
 def _random_circle_cases(n, monkeypatch):
-    """(grid, coefficients, assembled operator) of ``random_circle_operators``."""
+    """(grid, coefficients, assembled operator) of ``random_circle_operators``:
+    member j of the coefficients of its one stacked assembly."""
     coefficients = []
     assemble = stability.assemble_stability_operator
 
@@ -367,9 +368,11 @@ def _random_circle_cases(n, monkeypatch):
         return assemble(grid, coeffs)
 
     monkeypatch.setattr(stability, "assemble_stability_operator", capturing)
-    cases = [(grid, coefficients[-1], op) for grid, op, _ in random_circle_operators(n=n)]
+    ops = list(random_circle_operators(n=n))
     monkeypatch.undo()
-    return cases
+    [c] = coefficients
+    return [(grid, StabilityCoefficients(c.Q[j], c.X[j], c.divX[j], c.normX_sq[j]), op)
+            for j, (grid, op, _) in enumerate(ops)]
 
 
 def _equator_case(n, q_offset):
@@ -383,6 +386,22 @@ GRID_CASES = {
     "torus-16x32": _drift_torus_case,
     **{f"sphere-{a}x{2 * a}-r{r}": lambda a=a, r=r: _sphere_case(a, 2 * a, r)
        for a in (12, 24) for r in (0.5, 1.3, 2.0)},
+}
+
+
+def _drift_circle_case(n):
+    """A circle with a non-constant potential and drift."""
+    grid = circle_grid(n)
+    s = grid.nodes[:, 0]
+    x = 0.3 * np.cos(s)
+    return grid, StabilityCoefficients(Q=-1.0 + 0.4 * np.sin(s), X=x[:, None],
+                                       divX=-0.3 * np.sin(s), normX_sq=x**2)
+
+
+STACKED_ASSEMBLY_CASES = {
+    "drift-circle-256": lambda: _drift_circle_case(256),
+    "torus-16x32": _drift_torus_case,
+    "sphere-12x24-r1.3": lambda: _sphere_case(12, 24, 1.3),
 }
 
 
@@ -415,6 +434,19 @@ class TestBandedAssembly:
         for grid, coeffs, op in cases:
             assert np.array_equal(op.dense(), reference_dense_operator(grid, coeffs))
             _assert_same_solve(principal_eigenvalue(op, grid), principal_eigenvalue(op.dense(), grid))
+
+    @pytest.mark.parametrize("name", STACKED_ASSEMBLY_CASES)
+    def test_stacked_assembly_bitwise_equal_to_single(self, name):
+        grid, coeffs = STACKED_ASSEMBLY_CASES[name]()
+        members = [StabilityCoefficients(coeffs.Q + dq, coeffs.X * a, coeffs.divX * a,
+                                         coeffs.normX_sq * a * a)
+                   for dq, a in ((0.0, 1.0), (0.7, -0.5), (-1.3, 2.0))]
+        stacked = StabilityCoefficients(*(np.stack(f) for f in zip(*(vars(m).values() for m in members))))
+        stack = assemble_stability_operator(grid, stacked)
+        singles = [assemble_stability_operator(grid, m) for m in members]
+        assert stack.bands.shape == (3,) + singles[0].bands.shape
+        for j, single in enumerate(singles):
+            assert stack.bands[j].tobytes() == single.bands.tobytes()
 
     def test_large_sphere_never_allocates_a_dense_operator(self):
         # N = 4608: one dense operator is 170 MB, and dense assembly held two
@@ -461,11 +493,30 @@ class TestStackedSolve:
             _assert_same_member(eig, principal_eigenvalue(op, grid, k))
             assert eig.operator is op
 
-    def test_batch_mixing_real_and_complex_ritz_values(self, monkeypatch):
+    @pytest.mark.parametrize("k", [1, cli.SPECTRUM_HEAD])
+    def test_stacks_match_the_one_operator_loop_form(self, k):
+        # the suite's two stacks of 25, and block operators alone, against the
+        # per-vector Ritz step and finishing
+        cases = list(random_circle_operators())
+        grid, ops = cases[0][0], [op for _, op, _ in cases]
+        eigs = [*stability.principal_eigenvalues(ops[:25], grid, k),
+                *stability.principal_eigenvalues(ops[25:], grid, k)]
+        eigs += [principal_eigenvalue(op, g, k) for g, op in (
+            BLOCK_OPERATORS[name]() for name in ("circle-256-0", "torus-16x32", "sphere-16x32"))]
+        for eig in eigs:
+            lam, vec, residual, head = reference_principal_eigen(eig.operator, k)
+            assert repr(eig.lambda1) == repr(complex(lam))
+            assert eig.eigenfunction.tobytes() == vec.tobytes()
+            assert repr(eig.residual) == repr(residual)
+            assert eig.spectrum_head.dtype == head.dtype
+            assert eig.spectrum_head.tobytes() == head.tobytes()
+
+    @pytest.mark.parametrize("k", [1, cli.SPECTRUM_HEAD])
+    def test_batch_mixing_real_and_complex_ritz_values(self, k, monkeypatch):
         # a drift operator (complex Ritz values) beside drift-free ones (real)
         cases = list(random_circle_operators(count=4))
         grid, ops = cases[0][0], [op for _, op, _ in cases]
-        singles = [principal_eigenvalue(op, grid) for op in ops]
+        singles = [principal_eigenvalue(op, grid, k) for op in ops]
         realness = []
         eig = np.linalg.eig
 
@@ -475,7 +526,7 @@ class TestStackedSolve:
             return vals, vecs
 
         monkeypatch.setattr(np.linalg, "eig", recording)
-        stacked = stability.principal_eigenvalues(ops, grid)
+        stacked = stability.principal_eigenvalues(ops, grid, k)
         assert any(True in r and False in r for r in realness)
         for a, b in zip(stacked, singles):
             _assert_same_member(a, b)

@@ -364,6 +364,22 @@ class TestDeformation:
         assert case.grid.num_nodes == 32
         assert calls == {"extrinsic_data": 32, "h_field": 32}
 
+    def test_deformation_suite_builds_its_equator_once(self, monkeypatch):
+        # one geometry pass serves the suite's two equator cases (q_offset 0 and 2);
+        # the flat-torus case makes the other call
+        from traplab import stability, verify
+
+        points = []
+        extrinsic = stability.extrinsic_data
+
+        def counted(emb, h_field, u, **kwargs):
+            points.append(len(u))
+            return extrinsic(emb, h_field, u, **kwargs)
+
+        monkeypatch.setattr(stability, "extrinsic_data", counted)
+        assert all(record.passed for record in verify.verify_deformation())
+        assert points == [64, 32]
+
     @pytest.mark.parametrize("resolution, distinct", [(1024, 1024), (30, 36)])
     def test_one_geometry_evaluation_per_distinct_table_node(self, resolution, distinct,
                                                              monkeypatch):
