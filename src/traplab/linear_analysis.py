@@ -129,16 +129,21 @@ def codim_formula_check(l: np.ndarray, s_basis: np.ndarray,
     """
     l = np.atleast_2d(np.asarray(l, dtype=float))
     s_basis = np.atleast_2d(np.asarray(s_basis, dtype=float))
-    v = l.shape[-2]
     s = s_basis.shape[-1] if s is None else np.asarray(s)
-    # preimage kernel: x with P_{S^perp} L x = 0; the complement's SVD also gives the rank
-    perp, rank = _image_complement(s_basis)
+    lhs, rhs, rank = _codim_sides(l, s_basis, s)
     if np.any(rank != s):
         raise DependentBasis("columns of the subspace basis are dependent")
+    return lhs, rhs
+
+
+def _codim_sides(l: np.ndarray, s_basis: np.ndarray, s) -> tuple:
+    """lhs, rhs and the basis rank; the sides hold only where the rank equals s."""
+    v = l.shape[-2]
+    # preimage kernel: x with P_{S^perp} L x = 0; the complement's SVD also gives the rank
+    perp, rank = _image_complement(s_basis)
     lhs = _rank(perp.mT @ l)
     dim_sum = _rank(np.concatenate([s_basis, l], axis=-1))
-    rhs = (v - s) - (v - dim_sum)
-    return lhs, rhs
+    return lhs, (v - s) - (v - dim_sum), rank
 
 
 @dataclass

@@ -437,66 +437,60 @@ def verify_deformation() -> list[CheckRecord]:
     return records
 
 
-def linear_lemma_instances(seed: int = 2024):
-    """The linear-lemmas suite's seeded draws in its fixed order: 1000 surjectivity
-    pairs (T, S), 500 codimension pairs (l, basis), 200 projection pairs (T, S)."""
+MAX_LINEAR_DIM = 8  # every dimension of the linear-lemmas draws lies in 1..8
+
+
+def _map_stacks(rng: np.random.Generator, dims: np.ndarray) -> list[tuple]:
+    """(indices, A, B, a, b) per codomain dimension h = dims[0] present, ascending: A, B
+    one normal draw each, (count, h, MAX_LINEAR_DIM), zero past widths a = dims[1],
+    b = dims[2] (zero columns change no span, rank or principal angle)."""
+    stacks = []
+    for h in range(1, MAX_LINEAR_DIM + 1):
+        idx = np.flatnonzero(dims[0] == h)
+        if idx.size:
+            widths = dims[1:, idx]
+            maps = [np.where(np.arange(MAX_LINEAR_DIM) < w[:, None, None],
+                             rng.normal(size=(idx.size, h, MAX_LINEAR_DIM)), 0.0) for w in widths]
+            stacks.append((idx, *maps, *widths))
+    return stacks
+
+
+def _linear_lemma_stacks(seed: int) -> tuple[list, list, list]:
+    """The linear-lemmas instances as _map_stacks, drawn section after section: 1000
+    surjectivity (h, e, f) in one (3, 1000) draw, then their (T, S); 500 codimension
+    (v, u) in one (2, 500) draw and s in 0..v, then (l, basis); 200 projection (T, S)."""
     rng = np.random.default_rng(seed)
-
-    def maps():
-        h, e, f = (int(rng.integers(1, 9)) for _ in range(3))
-        return rng.normal(size=(h, e)), rng.normal(size=(h, f))
-
-    def codim_pair():
-        v, u = int(rng.integers(1, 9)), int(rng.integers(1, 9))
-        s = int(rng.integers(0, v + 1))
-        l = rng.normal(size=(v, u))
-        return l, rng.normal(size=(v, s)) if s else np.zeros((v, 0))
-
-    triples = [maps() for _ in range(1000)]
-    return triples, [codim_pair() for _ in range(500)], [maps() for _ in range(200)]
-
-
-def _stacks(pairs, key):
-    """(indices, A, B) per group of pairs with equal key(a, b), in first-seen order; A and
-    B stack the group's matrices zero-padded to the widest (no span or rank changes)."""
-    groups: dict = {}
-    for i, pair in enumerate(pairs):
-        groups.setdefault(key(*pair), []).append(i)
-    for idx in groups.values():
-        stacks = []
-        for arrays in zip(*(pairs[i] for i in idx)):
-            stack = np.zeros((len(idx), arrays[0].shape[0], max(a.shape[1] for a in arrays)))
-            for slot, a in zip(stack, arrays):
-                slot[:, : a.shape[1]] = a
-            stacks.append(stack)
-        yield idx, *stacks
+    surjectivity = _map_stacks(rng, rng.integers(1, MAX_LINEAR_DIM + 1, size=(3, 1000)))
+    v, u = rng.integers(1, MAX_LINEAR_DIM + 1, size=(2, 500))
+    codimension = _map_stacks(rng, np.stack([v, u, rng.integers(0, v + 1)]))
+    projection = _map_stacks(rng, rng.integers(1, MAX_LINEAR_DIM + 1, size=(3, 200)))
+    return surjectivity, codimension, projection
 
 
 def linear_lemma_results(seed: int = 2024):
-    """Per-instance results for the suite's seeded draws, evaluated in stacks.
+    """Per-instance results for the suite's seeded draws, one stack per codomain dimension.
 
-    Returns the (1000, 3) surjectivity verdicts (stacked by h), the (2, 500)
-    codimension sides lhs and rhs (stacked by v; -1 where a basis is dependent
-    and skipped) and one ProjectionReport indexed like the 200 projection pairs
-    (stacked by h, each instance with its own e and f).
+    Draws as _linear_lemma_stacks: surjectivity, codimension, projection, each
+    section's dimensions first and then its maps by ascending h (or v).  Returns
+    the (1000, 3) surjectivity verdicts, the (2, 500) codimension sides lhs and rhs
+    (-1 where a basis is dependent) and one ProjectionReport over the 200 projection
+    instances, each with its own e and f.
     """
     la = linear_analysis
-    triples, pairs, projection_pairs = linear_lemma_instances(seed)
+    surjectivity, codimension, projection = _linear_lemma_stacks(seed)
     tests = (la.sum_surjective, la.perp_intersection_trivial, la.adjoint_kernels_trivial)
-    verdicts = np.empty((len(triples), len(tests)), dtype=bool)
-    for idx, t, s in _stacks(triples, lambda t, s: t.shape[0]):
+    verdicts = np.empty((1000, len(tests)), dtype=bool)
+    for idx, t, s, _, _ in surjectivity:
         tr = la.OperatorTriple(t, s)
         verdicts[idx] = np.stack([test(tr) for test in tests], axis=-1)
-    sides = np.full((2, len(pairs)), -1)
-    for idx, l, basis in _stacks(pairs, lambda l, basis: l.shape[0]):
-        s = np.array([pairs[i][1].shape[1] for i in idx])
-        keep = la._rank(basis) == s  # the rank rule codim_formula_check enforces
-        sides[:, np.asarray(idx)[keep]] = la.codim_formula_check(l[keep], basis[keep], s[keep])
+    sides = np.full((2, 500), -1)
+    for idx, l, basis, _, s in codimension:
+        lhs, rhs, rank = la._codim_sides(l, basis, s)
+        sides[:, idx] = np.where(rank == s, [lhs, rhs], -1)
     fields: dict = {}
-    for idx, t, s in _stacks(projection_pairs, lambda t, s: t.shape[0]):
-        e, f = np.array([[a.shape[1] for a in projection_pairs[i]] for i in idx]).T
+    for idx, t, s, e, f in projection:
         for name, value in vars(la.projection_regularity(la.OperatorTriple(t, s), e, f)).items():
-            fields.setdefault(name, np.empty(len(projection_pairs), value.dtype))[idx] = value
+            fields.setdefault(name, np.empty(200, value.dtype))[idx] = value
     return verdicts, sides, la.ProjectionReport(**fields)
 
 

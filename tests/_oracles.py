@@ -17,15 +17,17 @@ for bit; and ``reference_principal_eigen``, which runs one operator's
 orthogonal iteration on the package's factorisation with the one-operator
 loop form of the Rayleigh-Ritz step and of the eigenpair finishing, which the
 stacked ``principal_eigenvalues`` must reproduce bit for bit.
-``random_polynomial_metric_jet`` is not an oracle but a test input:
-it wraps the seeded jet draws of the verify suites in a checked ``MetricJet2``.
+``random_polynomial_metric_jet`` and ``linear_lemma_instances`` are not
+oracles but test inputs: the first wraps the seeded jet draws of the verify
+suites in a checked ``MetricJet2``, the second unpads the seeded stacks of the
+linear-lemmas suite into one-instance matrices.
 """
 
 import numpy as np
 import sympy as sp
 
 from traplab.geometry import MetricJet2, Signature
-from traplab.verify import _random_jet_arrays
+from traplab.verify import _linear_lemma_stacks, _random_jet_arrays
 
 
 def random_polynomial_metric_jet(
@@ -37,6 +39,19 @@ def random_polynomial_metric_jet(
     so these jets are exact-jet scenarios in their own right.
     """
     return MetricJet2(dim, *_random_jet_arrays(rng, dim, signature), signature)
+
+
+def linear_lemma_instances(seed: int):
+    """The linear-lemmas suite's instances, one unpadded pair per index, as three
+    lists: surjectivity (T, S), codimension (l, basis), projection (T, S)."""
+    sections = []
+    for stacks in _linear_lemma_stacks(seed):
+        pairs = {}
+        for idx, a, b, width_a, width_b in stacks:
+            for k, i in enumerate(idx):
+                pairs[i] = (a[k, :, : width_a[k]], b[k, :, : width_b[k]])
+        sections.append([pairs[i] for i in range(len(pairs))])
+    return sections
 
 
 def fd_grad(f, x, h=1e-6):

@@ -12,10 +12,11 @@ from traplab.linear_analysis import (
     sum_surjective,
 )
 
-from traplab.verify import linear_lemma_instances, linear_lemma_results
+from traplab.verify import MAX_LINEAR_DIM, _linear_lemma_stacks, linear_lemma_results, verify_linear_lemmas
 
 from _oracles import (
     column_space_union_full,
+    linear_lemma_instances,
     reference_codim,
     reference_projection,
     reference_surjectivity,
@@ -176,6 +177,44 @@ class TestStacks:
         linear_lemma_results(2024)
         assert sorted(h for _, h in stacks) == sorted({t.shape[0] for t, _ in projection_pairs})
         assert sum(count for count, _ in stacks) == len(projection_pairs)
+
+    @pytest.mark.parametrize("seed", [0, 2024])
+    def test_suite_draw_invariants(self, seed):
+        # (count, smallest width of the second map) per section: the basis width s may be 0
+        for stacks, count, low in zip(_linear_lemma_stacks(seed), (1000, 500, 200), (1, 0, 1)):
+            heights = [a.shape[1] for _, a, _, _, _ in stacks]
+            assert heights == sorted(set(heights)) and set(heights) <= set(range(1, 9))
+            assert np.array_equal(np.sort(np.concatenate([idx for idx, *_ in stacks])), np.arange(count))
+            for idx, a, b, width_a, width_b in stacks:
+                h = a.shape[1]
+                assert a.shape == b.shape == (idx.size, h, MAX_LINEAR_DIM)
+                assert (1 <= width_a).all() and (width_a <= MAX_LINEAR_DIM).all()
+                assert (low <= width_b).all() and (width_b <= (h if low == 0 else MAX_LINEAR_DIM)).all()
+                for maps, widths in ((a, width_a), (b, width_b)):
+                    padding = np.arange(MAX_LINEAR_DIM) >= widths[:, None, None]
+                    assert (maps[np.broadcast_to(padding, maps.shape)] == 0.0).all()
+                    assert (maps[~np.broadcast_to(padding, maps.shape)] != 0.0).all()
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 99, 2024])
+    def test_suite_passes_across_seeds(self, seed):
+        records = verify_linear_lemmas(seed)
+        assert all(r.passed for r in records)
+        details = [r.detail for r in records[:3]]
+        assert [d.split()[0] for d in details] == ["1000", "500", "200"]
+
+    def test_suite_svd_calls(self, monkeypatch):
+        # per codimension group the basis rank comes from its complement's SVD:
+        # 8 groups x (5 surjectivity + 3 codimension + 3 projection) SVDs
+        calls = []
+        original = np.linalg.svd
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        linear_lemma_results(2024)
+        assert len(calls) == 88
 
     @pytest.mark.parametrize("h, e, f", [(5, 2, 2), (4, 3, 5), (3, 1, 1), (6, 6, 6)])
     def test_mixed_ranks_in_one_stack(self, h, e, f):
