@@ -178,7 +178,7 @@ def _cmd_perturb(cfg: dict):
                 name, "trapping-sequence-values", worst, 0.0, tol, relative=False,
                 detail=f"max relative deviation from {form} at n={n}",
             ))
-    after = trapping_classify(emb, result.metric_field, sc.time_orientation).label.value
+    after = result.label.value
     checks.append(CheckRecord(
         name="class-after-rescale", anchor="trapping-set-membership", measured=after,
         expected="trapped", tolerance=None, passed=after == "trapped",

@@ -38,8 +38,9 @@ from .jets import Jet1, elementwise, radial_hessian, smoothstep_down
 
 ScalarField = Callable[[np.ndarray], "ScalarJet2"]
 MetricField = Callable[[np.ndarray], MetricJet2]
-# (n, sample) points per stacked call of ``trapping_sequence``: the dim**4 second
-# derivatives ``ddg`` of their rescaled jets bound the peak memory of a stack
+# (n, sample) points per stacked call of ``trapping_sequence``: one stack of all 32 n
+# of the torus suite (2,048 points) ran slower than 256-point stacks (suite minima on a
+# 2-vCPU host, 19.4-20.9 against 16.7-19.5 ms) and raised its traced peak from 1.7 to 5.4 MB
 STACK_POINTS = 256
 
 
@@ -182,19 +183,17 @@ def scaled_field(f: ScalarField, factor: float) -> ScalarField:
 
 
 def rescale_metric(m: MetricJet2, f: ScalarJet2) -> MetricJet2:
-    """Conformal rescaling e^{2f} g with jets from exact product/chain rules."""
+    """Conformal rescaling e^{2f} g with jets from exact product/chain rules, ddg on first read."""
     w = elementwise(math.exp, 2.0 * f.value)
     w2, w3, w4 = (np.asarray(w).reshape(np.shape(w) + (1,) * k) for k in (2, 3, 4))
-    g = w2 * m.g
     fg = f.grad
-    dg = w3 * (2.0 * np.einsum("...k,...ij->...kij", fg, m.g) + m.dg)
-    ddg = w4 * (
-        2.0 * np.einsum("...l,...kij->...lkij", fg, 2.0 * np.einsum("...k,...ij->...kij", fg, m.g) + m.dg)
+    dg_over_w = 2.0 * np.einsum("...k,...ij->...kij", fg, m.g) + m.dg
+    return MetricJet2(m.dim, w2 * m.g, w3 * dg_over_w, lambda: w4 * (
+        2.0 * np.einsum("...l,...kij->...lkij", fg, dg_over_w)
         + 2.0 * np.einsum("...lk,...ij->...lkij", f.hess, m.g)
         + 2.0 * np.einsum("...k,...lij->...lkij", fg, m.dg)
         + m.ddg
-    )
-    return MetricJet2(m.dim, g, dg, ddg, m.signature)
+    ), m.signature)
 
 
 def rescaled_metric_field(m_field: MetricField, f_field: ScalarField) -> MetricField:
@@ -256,6 +255,7 @@ class TrappingPerturbationResult:
     u: np.ndarray
     gn_H_H: np.ndarray
     gn_H_X: np.ndarray
+    label: submanifold.TrappingLabel | None = None  # the trapping_classify label of metric_field
 
     @functools.cached_property
     def records(self) -> list[TrappingPerturbationRecord]:
@@ -289,8 +289,12 @@ def trapping_sequence(
     its metric jets at the samples and the exponent phi tau, evaluated there
     once, serve every n: each stack of at most ``STACK_POINTS`` (n, sample)
     points rescales those jets by the exponent times a 1/n column, for one
-    ``extrinsic_data`` call on the input's embedding jets and time orientation.
+    ``extrinsic_data`` call on the input's embedding jets and time orientation,
+    which also decides each result's ``trapping_classify`` label.
     """
+    ns = list(ns)
+    if not ns:
+        raise ValueError("no n given to rescale by")
     if any(n < 1 for n in ns):
         raise ValueError("n must be a positive integer")
     tol = submanifold.CLASSIFY_TOL
@@ -315,17 +319,19 @@ def trapping_sequence(
 
     f = bump(profile, p) * tau
     exponent = product_field(bump_field(profile), tau_field)
-    ns, rows = list(ns), []
+    rows = []
     step = max(1, STACK_POINTS // len(samples))
     for i in range(0, len(ns), step):
         scale = 1.0 / np.asarray(ns[i : i + step], dtype=float)[:, None]
         # extrinsic_data evaluates its field exactly at the samples' chart points
-        rows += zip(*submanifold._trapping_data(
-            sigma, lambda _: rescale_metric(m, f * scale), lambda _: x, jets)[2:])
+        stack, _, stack_hh, stack_hx = submanifold._trapping_data(
+            sigma, lambda _: rescale_metric(m, f * scale), lambda _: x, jets)
+        rows += zip(stack_hh, stack_hx, submanifold._trapping_label(
+            stack_hh, stack_hx, stack.H.aux_norm(), lambda: submanifold._theta_plus(sigma, stack, x)))
     return [
         TrappingPerturbationResult(
-            n, rescaled_metric_field(m_field, scaled_field(exponent, 1.0 / n)), samples, row_hh, row_hx)
-        for n, (row_hh, row_hx) in zip(ns, rows)
+            n, rescaled_metric_field(m_field, scaled_field(exponent, 1.0 / n)), samples, *row)
+        for n, row in zip(ns, rows)
     ]
 
 

@@ -94,8 +94,9 @@ class MetricJet2:
         Metric components, symmetric.
     dg : (..., dim, dim, dim) array
         First derivatives, ``dg[..., k, i, j] = d_k g_ij``.
-    ddg : (..., dim, dim, dim, dim) array
-        Second derivatives, ``ddg[..., l, k, i, j] = d_l d_k g_ij``.
+    ddg : (..., dim, dim, dim, dim) array, or a callable returning it
+        Second derivatives, ``ddg[..., l, k, i, j] = d_l d_k g_ij``; a callable
+        is called, and its symmetry checked, on the first read of ``ddg``.
     signature : Signature
         Lorentzian metrics must have exactly one negative eigenvalue,
         Riemannian metrics must be positive definite.
@@ -119,22 +120,27 @@ class MetricJet2:
     def __post_init__(self):
         self.g = np.asarray(self.g, dtype=float)
         self.dg = np.asarray(self.dg, dtype=float)
-        self.ddg = np.asarray(self.ddg, dtype=float)
+        eager = not callable(self.ddg)
+        if eager:
+            self.ddg = np.asarray(self.ddg, dtype=float)
+        else:  # formed by ``__getattr__`` on the first read
+            self._form_ddg = self.ddg
+            del self.ddg
         n = self.dim
         if n < 2:
             raise ValueError("dimension must be at least 2")
         points = self.g.shape[:-2]
         if (self.g.shape != points + (n, n) or self.dg.shape != points + (n,) * 3
-                or self.ddg.shape != points + (n,) * 4):
+                or eager and self.ddg.shape != points + (n,) * 4):
             raise ValueError("jet array shapes inconsistent with dim")
         for a, axes, rel, what in (
             (self.g, (-1, -2), 1e-12, "metric matrix must be symmetric"),
             (self.dg, (-1, -2), 1e-10, "dg must be symmetric in (i, j)"),
-            (self.ddg, (-1, -2), 1e-10, "ddg must be symmetric in (i, j)"),
-            (self.ddg, (-3, -4), 1e-10, "ddg must be symmetric in (k, l)"),
         ):
             if asymmetric(a, axes, rel, a.ndim - len(points)):
                 raise ValueError(what)
+        if eager:
+            self._checked_ddg(self.ddg)
         # ascending eigenvalues: one negative then positive ones, or all positive
         eigs = np.linalg.eigvalsh(self.g)
         if self.signature is Signature.LORENTZIAN:
@@ -158,13 +164,30 @@ class MetricJet2:
         n = g.shape[-1]
         return cls(n, g, np.zeros(g.shape + (n,)), np.zeros(g.shape + (n, n)), signature)
 
+    def __getattr__(self, name):
+        # reached only for attributes not set: ``ddg`` of a jet made with a callable
+        if name != "ddg" or "_form_ddg" not in vars(self):
+            raise AttributeError(name)
+        self.ddg = self._checked_ddg(np.asarray(self._form_ddg(), dtype=float))
+        return self.ddg
+
+    @staticmethod
+    def _checked_ddg(ddg: np.ndarray) -> np.ndarray:
+        for axes, pair in (((-1, -2), "(i, j)"), ((-3, -4), "(k, l)")):
+            if asymmetric(ddg, axes, 1e-10, 4):
+                raise ValueError(f"ddg must be symmetric in {pair}")
+        return ddg
+
     def take(self, index) -> "MetricJet2":
         """The jet at the points ``index`` selects in C order, unchecked: each
-        point passed the checks when this jet was made."""
+        point passed the checks when this jet was made.  Its ``ddg`` is taken on
+        the first read, so a deferred one stays deferred."""
         jet, lead = copy.copy(self), np.ndim(self.cond)
-        jet.g, jet.dg, jet.ddg, jet.cond = (
-            a.reshape((-1,) + a.shape[lead:])[index] for a in (self.g, self.dg, self.ddg, self.cond)
+        jet.g, jet.dg, jet.cond = (
+            a.reshape((-1,) + a.shape[lead:])[index] for a in (self.g, self.dg, self.cond)
         )
+        vars(jet).pop("ddg", None)
+        jet._form_ddg = lambda: self.ddg.reshape((-1,) + self.ddg.shape[lead:])[index]
         jet._inverse = jet._connection = None
         return jet
 

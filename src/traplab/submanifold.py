@@ -100,6 +100,11 @@ class TrappingLabel(enum.Enum):
     NOT_WEAKLY_TRAPPED = "not_weakly_trapped"
 
 
+# the labels in the decision order of ``trapping_classify``, then the one where no rule holds
+_DECISION_ORDER = np.array([TrappingLabel.TRAPPED, TrappingLabel.EXTREMAL, TrappingLabel.MOTS,
+                            TrappingLabel.WEAKLY_TRAPPED, TrappingLabel.NOT_WEAKLY_TRAPPED])
+
+
 @dataclass
 class PointTrappingRecord:
     u: np.ndarray
@@ -236,24 +241,35 @@ def trapping_classify(
     trapped.  theta_+ is None at samples where the outward reference
     degenerates.
     """
-    tol = CLASSIFY_TOL
     u = e.sample_set
     data, xv, hh, hx = _trapping_data(e, m_field, x_field)
-    theta_plus = [None] * len(u)
-    if e.codim == 2 and e.outward is not None:
-        frame, oriented = _null_frame(e, data, xv, u)
-        values = -data.metric.inner(data.H.components, frame.l_plus.components)
-        theta_plus = [t if ok else None for t, ok in zip(values, oriented)]
+    h_aux, theta = data.H.aux_norm(), _theta_plus(e, data, xv)
+    theta_plus = [None] * len(u) if theta is None else [t if ok else None for t, ok in zip(*theta)]
     records = [
         PointTrappingRecord(u=s, g_H_H=a, g_H_X=b, H_aux=c, theta_plus=t)
-        for s, a, b, c, t in zip(u, hh, hx, data.H.aux_norm(), theta_plus)
+        for s, a, b, c, t in zip(u, hh, hx, h_aux, theta_plus)
     ]
-    if all(r.g_H_H < -tol and r.g_H_X > tol for r in records):
-        return TrappingClass(TrappingLabel.TRAPPED, records)
-    if all(r.H_aux <= tol for r in records):
-        return TrappingClass(TrappingLabel.EXTREMAL, records)
-    if all(r.theta_plus is not None and abs(r.theta_plus) <= tol for r in records):
-        return TrappingClass(TrappingLabel.MOTS, records)
-    if all(r.g_H_H <= tol and r.g_H_X >= -tol for r in records):
-        return TrappingClass(TrappingLabel.WEAKLY_TRAPPED, records)
-    return TrappingClass(TrappingLabel.NOT_WEAKLY_TRAPPED, records)
+    return TrappingClass(_trapping_label(hh, hx, h_aux, lambda: theta), records)
+
+
+def _theta_plus(e: EmbeddingJet2, data: ExtrinsicData, xv: TangentVector):
+    """theta_+ = -g(H, l+) at each sample of ``data`` with the mask of ``_null_frame``,
+    or None without a null frame (codimension other than 2, or no outward reference)."""
+    if e.codim != 2 or e.outward is None:
+        return None
+    frame, oriented = _null_frame(e, data, xv, e.sample_set)
+    return -data.metric.inner(data.H.components, frame.l_plus.components), oriented
+
+
+def _trapping_label(hh, hx, h_aux, theta_plus):
+    """The label of ``trapping_classify`` for each row of a stack of g(H, H), g(H, X)
+    and |H|_aux, samples on the last axis: one array reduction per rule, in the
+    decision order.  ``theta_plus()``, the ``_theta_plus`` pair or None, is called
+    only when a row is neither trapped nor extremal, the rows whose label reads it."""
+    tol = CLASSIFY_TOL
+    trapped = np.all((hh < -tol) & (hx > tol), axis=-1)
+    extremal = np.all(h_aux <= tol, axis=-1)
+    theta = None if np.all(trapped | extremal) else theta_plus()
+    mots = theta is not None and np.all(theta[1] & (np.abs(theta[0]) <= tol), axis=-1)
+    weak = np.all((hh <= tol) & (hx >= -tol), axis=-1)
+    return _DECISION_ORDER[np.where(trapped, 0, np.where(extremal, 1, np.where(mots, 2, np.where(weak, 3, 4))))]

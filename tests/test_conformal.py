@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from traplab import conformal, submanifold, verify
+from traplab.cli import execute_config
 from traplab.conformal import (
     BumpProfile,
     CurvatureCase,
@@ -21,7 +23,8 @@ from traplab.conformal import (
     trapping_sequence,
 )
 from traplab.errors import NotWeaklyTrapped
-from traplab.geometry import MetricJet2, TangentVector, christoffel
+from traplab.geometry import MetricJet2, TangentVector, christoffel, riemann
+from traplab.jets import elementwise
 from traplab.scenarios import build_scenario
 from traplab.submanifold import TrappingLabel, extrinsic_data, trapping_classify
 
@@ -73,6 +76,42 @@ class TestRescaleMetric:
             assert np.abs(back.g - jet.g).max() < 1e-10
             assert np.abs(back.dg - jet.dg).max() < 1e-10 * scale
             assert np.abs(back.ddg - jet.ddg).max() < 1e-10 * scale
+
+    @pytest.mark.parametrize("name, params, surface", [
+        ("minkowski_torus_quotient", {"m": 3, "samples_per_axis": 4}, "Sigma"),
+        ("einstein_cylinder", {"n": 2}, "equator"),
+        ("einstein_cylinder", {"n": 3}, "equator"),
+    ])
+    def test_deferred_ddg_is_the_eager_formula(self, name, params, surface, rng):
+        # read on first use, a rescaled jet's ddg is bitwise the product-rule formula
+        # formed at once, also for a rescaled jet rescaled again, and so is its curvature
+        sc = build_scenario(name, params)
+        emb = sc.embeddings[surface]
+        p = emb.at(emb.sample_set)[0]
+        f1, f2 = (quadratic_scalar_field(0.1, 0.2 * rng.normal(size=sc.dim),
+                                         0.1 * rng.normal(size=(sc.dim, sc.dim)))(p)
+                  for _ in range(2))
+        m = sc.metric(p)
+        once = rescale_metric(m, f1)
+        eager = MetricJet2(m.dim, once.g, once.dg, _eager_ddg(m, f1), m.signature)
+        twice = rescale_metric(rescale_metric(m, f1), f2)
+        assert np.array_equal(twice.ddg, _eager_ddg(eager, f2))
+        assert np.array_equal(once.ddg, eager.ddg)
+        r, r_eager = riemann(rescale_metric(m, f1)), riemann(eager)
+        assert np.array_equal(r.R, r_eager.R)
+        assert np.array_equal(r.symmetry_residual, r_eager.symmetry_residual)
+
+
+def _eager_ddg(m, f):
+    """d_l d_k of e^{2f} g_ij by the product and chain rules, formed at once."""
+    w = np.asarray(elementwise(math.exp, 2.0 * f.value))
+    dg_over_w = 2.0 * np.einsum("...k,...ij->...kij", f.grad, m.g) + m.dg
+    return w.reshape(w.shape + (1,) * 4) * (
+        2.0 * np.einsum("...l,...kij->...lkij", f.grad, dg_over_w)
+        + 2.0 * np.einsum("...lk,...ij->...lkij", f.hess, m.g)
+        + 2.0 * np.einsum("...k,...lij->...lkij", f.grad, m.dg)
+        + m.ddg
+    )
 
 
 def _sym(a):
@@ -360,6 +399,86 @@ class TestTrappingSequence:
         sc, sigma, tau, profile = self._setup()
         with pytest.raises(ValueError, match="positive integer"):
             trapping_sequence(sc.metric, sigma, sc.time_orientation, tau, profile, [3, 0])
+
+    def test_ns_read_once_from_any_iterable(self):
+        sc, sigma, tau, profile = self._setup()
+        listed = trapping_sequence(sc.metric, sigma, sc.time_orientation, tau, profile, [1, 2, 3])
+        for ns in ((n for n in range(1, 4)), range(1, 4), iter([1, 2, 3])):
+            results = trapping_sequence(sc.metric, sigma, sc.time_orientation, tau, profile, ns)
+            assert len(results) == 3
+            for result, want in zip(results, listed):
+                _same_records(result, want)
+
+    @pytest.mark.parametrize("ns", [[], range(0), (n for n in ())])
+    def test_rejects_empty_ns(self, ns):
+        # an empty sequence would pass "strictly trapped at every n" on no n at all
+        sc, sigma, tau, profile = self._setup()
+        with pytest.raises(ValueError, match="no n given"):
+            trapping_sequence(sc.metric, sigma, sc.time_orientation, tau, profile, ns)
+
+    @pytest.mark.parametrize("name, params, surface", [
+        ("minkowski_torus_quotient", {"m": 2}, "Sigma"),
+        ("minkowski_torus_quotient", {"m": 3}, "Sigma"),
+        ("minkowski_torus_quotient", {"m": 4, "samples_per_axis": 4}, "Sigma"),
+        ("einstein_cylinder", {"n": 2}, "equator"),
+        ("einstein_cylinder", {"n": 3}, "equator"),
+    ])
+    def test_stack_label_is_the_classifier_label(self, name, params, surface):
+        # at m = 3, -4/n^2 crosses the classifier's band between n = 60000 and 100000
+        sc = build_scenario(name, params)
+        sigma = sc.embeddings[surface]
+        tau = coordinate_scalar_field(0, sc.dim, scale=-1.0)
+        profile = BumpProfile(
+            0.2, 0.45, np.asarray(sigma.jet(sigma.sample_set[0])[0], dtype=float), axes=(0, 1),
+            periods=(None, sc.periods[1] if sc.periods else None),
+        )
+        ns = [*range(1, 33), 60000, 100000]
+        sequence = trapping_sequence(sc.metric, sigma, sc.time_orientation, tau, profile, ns)
+        for result in sequence:
+            direct = trapping_classify(sigma, result.metric_field, sc.time_orientation)
+            assert result.label is direct.label
+            assert np.array_equal(result.gn_H_H, [r.g_H_H for r in direct.per_point])
+            assert np.array_equal(result.gn_H_X, [r.g_H_X for r in direct.per_point])
+        assert sequence[0].label is TrappingLabel.TRAPPED
+        assert sequence[-1].label is not TrappingLabel.TRAPPED
+
+
+def test_trapping_requests_never_form_a_rescaled_ddg(monkeypatch):
+    made = []
+
+    def recording(m, f):
+        made.append(rescale_metric(m, f))
+        return made[-1]
+
+    monkeypatch.setattr(conformal, "rescale_metric", recording)
+    sc = build_scenario("minkowski_torus_quotient", {"m": 3, "samples_per_axis": 8})
+    profile = BumpProfile(0.2, 0.45, np.zeros(sc.dim), axes=(0, 1), periods=(None, 1.0))
+    trapping_sequence(sc.metric, sc.embeddings["Sigma"], sc.time_orientation,
+                      coordinate_scalar_field(0, sc.dim, scale=-1.0), profile, range(1, 33))
+    assert execute_config({"command": "perturb", "n": 3})["passed"]
+    assert execute_config({"command": "perturb", "scenario": "einstein_cylinder",
+                           "surface": "equator", "n": 2})["passed"]
+    # a formed ddg is an attribute of the jet; a deferred one is not yet
+    assert made and not any("ddg" in vars(jet) for jet in made)
+
+
+def test_extrinsic_data_calls_per_trapping_request(monkeypatch):
+    # the after-rescale label comes from the sequence's own stacks: the input
+    # check and one stack per perturb, and 8 stacks of 4 n plus the input label
+    # and input check per trapping-construction suite
+    calls = []
+    real = submanifold.extrinsic_data
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(submanifold, "extrinsic_data", counted)
+    assert execute_config({"command": "perturb", "n": 3})["passed"]
+    assert len(calls) == 2
+    calls.clear()
+    assert all(record.passed for record in verify.verify_trapping_construction())
+    assert len(calls) == 10
 
 
 class TestCurvaturePerturbation:

@@ -282,6 +282,35 @@ class TestJetValidation:
         with pytest.raises(ValueError):
             MetricJet2(3, np.diag([-1.0, 1, 1]), dg, np.zeros((3,) * 4))
 
+    def test_deferred_ddg_checked_on_each_read_until_formed(self):
+        ddg = np.zeros((3,) * 4)
+        ddg[0, 1, 2, 2] = 1.0  # symmetric in (i, j), not in (k, l)
+        with pytest.raises(ValueError, match=r"ddg must be symmetric in \(k, l\)"):
+            MetricJet2(3, np.diag([-1.0, 1, 1]), np.zeros((3,) * 3), ddg)
+        jet = MetricJet2(3, np.diag([-1.0, 1, 1]), np.zeros((3,) * 3), lambda: ddg)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"ddg must be symmetric in \(k, l\)"):
+                jet.ddg
+
+    def test_deferred_ddg_formed_once_and_kept_deferred_by_take(self, rng):
+        jet = random_polynomial_metric_jet(rng, 4)
+        points = 5
+        g, dg = (np.broadcast_to(a, (points,) + a.shape) for a in (jet.g, jet.dg))
+        ddg = jet.ddg * np.arange(1.0, points + 1).reshape(points, 1, 1, 1, 1)
+        calls = []
+
+        def form():
+            calls.append(1)
+            return ddg
+
+        stack = MetricJet2(4, g, dg, form)
+        taken = stack.take(np.array([3, 1]))
+        assert calls == []
+        assert np.array_equal(taken.ddg, ddg[[3, 1]])
+        assert calls == [1]
+        assert stack.ddg is stack.ddg and taken.ddg is taken.ddg
+        assert calls == [1]
+
     def test_wrong_signature_rejected(self):
         with pytest.raises(ValueError):
             MetricJet2(3, np.eye(3), np.zeros((3,) * 3), np.zeros((3,) * 4),

@@ -12,11 +12,13 @@ from traplab.conformal import (
 from traplab.errors import CodimensionMismatch, NotSpacelike, OrientationFailure
 from traplab.scenarios import build_scenario, coordinate_plane_embedding, sphere_embedding
 from traplab.submanifold import (
+    CLASSIFY_TOL,
     EmbeddingJet2,
     TrappingLabel,
     extrinsic_data,
     null_expansions,
     null_frame,
+    _trapping_label,
     trapping_classify,
 )
 
@@ -185,6 +187,42 @@ class TestNullExpansions:
         assert abs(m.inner(data.H.components, data.H.components)) < 1e-12
         cross = np.outer(data.H.components, fr.l_plus.components)
         assert np.abs(cross - cross.T).max() < 1e-10
+
+
+def _records_label(hh, hx, aux, theta):
+    """The decision order over one row, read record by record."""
+    tol = CLASSIFY_TOL
+    if all(a < -tol and b > tol for a, b in zip(hh, hx)):
+        return TrappingLabel.TRAPPED
+    if all(c <= tol for c in aux):
+        return TrappingLabel.EXTREMAL
+    if all(t is not None and abs(t) <= tol for t in theta):
+        return TrappingLabel.MOTS
+    if all(a <= tol and b >= -tol for a, b in zip(hh, hx)):
+        return TrappingLabel.WEAKLY_TRAPPED
+    return TrappingLabel.NOT_WEAKLY_TRAPPED
+
+
+def test_stacked_label_rule_is_the_record_rule():
+    # one row per label, each sample on or beside the band edge; theta_+ is read
+    # only for a stack with a row that is neither trapped nor extremal
+    tol, edge = CLASSIFY_TOL, np.nextafter(CLASSIFY_TOL, 1.0)
+    hh = np.array([[-edge, -1.0], [0.0, 0.0], [-1.0, tol], [tol, -1.0], [edge, -1.0], [0.0, 0.0]])
+    hx = np.array([[edge, 1.0], [0.0, 0.0], [1.0, 0.0], [-tol, 1.0], [0.0, 1.0], [0.0, 0.0]])
+    aux = np.array([[1.0, 1.0], [tol, 0.0], [1.0, 1.0], [1.0, 1.0], [1.0, 1.0], [edge, 1.0]])
+    values = np.array([[0.0, 0.0], [0.0, 0.0], [tol, -tol], [1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+    oriented = np.array([[True, True]] * 5 + [[True, False]])
+    labels = _trapping_label(hh, hx, aux, lambda: (values, oriented))
+    theta = [[t if ok else None for t, ok in zip(*row)] for row in zip(values, oriented)]
+    assert list(labels) == [_records_label(*row) for row in zip(hh, hx, aux, theta)]
+    assert list(labels) == [
+        TrappingLabel.TRAPPED, TrappingLabel.EXTREMAL, TrappingLabel.MOTS,
+        TrappingLabel.WEAKLY_TRAPPED, TrappingLabel.NOT_WEAKLY_TRAPPED,
+        TrappingLabel.WEAKLY_TRAPPED,
+    ]
+    assert _trapping_label(hh[2:4], hx[2:4], aux[2:4], lambda: None)[0] is TrappingLabel.WEAKLY_TRAPPED
+    assert _trapping_label(hh[:2], hx[:2], aux[:2], pytest.fail).tolist() == [
+        TrappingLabel.TRAPPED, TrappingLabel.EXTREMAL]
 
 
 class TestTrappingClassify:
