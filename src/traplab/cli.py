@@ -56,6 +56,8 @@ from .submanifold import TrappingLabel, trapping_classify
 _CASE_NAMES = {c.value: c for c in CurvatureCase}
 # eigenvalues reported as the spectrum head of the spectrum command
 SPECTRUM_HEAD = 8
+# the most bytes one array of a spectrum or deform request may take, checked before any geometry
+MAX_ARRAY_BYTES = 2**30
 # the surface whose stability operator the spectrum command solves, by its
 # (scenario, n): the equator of the unit round 2-sphere slice
 _SPECTRUM_CASES = {("einstein_cylinder", 2): stability.equator_deformation_cases}
@@ -165,9 +167,8 @@ def _cmd_perturb(cfg: dict):
         periods=(None, sc.periods[1] if sc.periods else None),
     )
     result = trapping_perturbation(sc.metric, emb, sc.time_orientation, tau, profile, n)
-    checks = [flag_record(
-        "strictly-trapped-after-rescale", "trapping-sequence-values", result.strictly_trapped()
-    )]
+    checks = [flag_record("strictly-trapped-after-rescale", "trapping-sequence-values",
+                          result.label is TrappingLabel.TRAPPED)]
     if sc.name == "minkowski_torus_quotient":
         p = emb.sigma_dim  # the closed forms are -p^2/n^2 and p/n
         for name, attr, value, form in (
@@ -183,7 +184,9 @@ def _cmd_perturb(cfg: dict):
         name="class-after-rescale", anchor="trapping-set-membership", measured=after,
         expected="trapped", tolerance=None, passed=after == "trapped",
     ))
-    return checks, {"n": n, "records": result.records}
+    records = [{"u": u, "gn_H_H": float(a), "gn_H_X": float(b)}
+               for u, a, b in zip(result.u, result.gn_H_H, result.gn_H_X)]
+    return checks, {"n": n, "records": records}
 
 
 def _cmd_curvature(cfg: dict):
@@ -273,8 +276,21 @@ def _cmd_constraints(cfg: dict):
     return checks, payload
 
 
+def _check_array_bytes(cfg: dict) -> None:
+    """ConfigError when the request's largest array would exceed ``MAX_ARRAY_BYTES``: the block
+    diagonals, 3 N b doubles (N^2 as one block), or the dense N x N matrix of csv output."""
+    n = cfg["resolution"]
+    # past MAX_ARRAY_BYTES / 8 nodes even blocks of MIN_BLOCK_NODES exceed it: no divisor search
+    b = stability.MIN_BLOCK_NODES if n > MAX_ARRAY_BYTES // 8 else stability._block_size((n,), n)
+    need = 8 * n * (n if b == n or cfg.get("format") == "csv" else 3 * b)
+    if need > MAX_ARRAY_BYTES:
+        raise ConfigError(f"resolution {n} needs at least {need} bytes in one array, "
+                          f"over the budget of {MAX_ARRAY_BYTES}")
+
+
 def _cmd_spectrum(cfg: dict):
     """stability operator spectrum"""
+    _check_array_bytes(cfg)
     resolution, tols = cfg["resolution"], cfg["tolerances"]
     # the convergence table: each distinct node is evaluated once, each distinct resolution solved once
     sizes = (max(8, resolution // 4), max(8, resolution // 2), resolution)
@@ -291,7 +307,7 @@ def _cmd_spectrum(cfg: dict):
                       worst_q, -1.0, tols["potential"], detail="worst node value"),
         approx_record("lambda1", anchor, eig.lambda1_real, -1.0, tols["lambda1"]),
         flag_record("eigenfunction-one-signed", anchor, eig.positivity),
-        flag_record("nondegenerate", anchor, abs(eig.lambda1_real) > 1e-6),
+        flag_record("nondegenerate", anchor, abs(eig.lambda1_real) > stability.DEGENERACY_TOL),
     ]
     lams = {resolution: eig.lambda1_real}
     table = []
@@ -314,6 +330,7 @@ def _cmd_spectrum(cfg: dict):
 
 def _cmd_deform(cfg: dict):
     """normal deformation of a marginal surface"""
+    _check_array_bytes(cfg)
     case = stability.equator_deformation_case(cfg["resolution"], q_offset=cfg["q_offset"])
     anchor = "deformation-derivative-identity"
     try:

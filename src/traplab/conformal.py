@@ -16,7 +16,6 @@ quadratic form negative along chosen causal planes.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -242,30 +241,14 @@ def conformal_H_normsq(
 
 
 @dataclass
-class TrappingPerturbationRecord:
-    u: np.ndarray
-    gn_H_H: float
-    gn_H_X: float
-
-
-@dataclass
 class TrappingPerturbationResult:
     n: int
     metric_field: MetricField
     u: np.ndarray
     gn_H_H: np.ndarray
     gn_H_X: np.ndarray
-    label: submanifold.TrappingLabel | None = None  # the trapping_classify label of metric_field
-
-    @functools.cached_property
-    def records(self) -> list[TrappingPerturbationRecord]:
-        return [TrappingPerturbationRecord(u=u, gn_H_H=float(a), gn_H_X=float(b))
-                for u, a, b in zip(self.u, self.gn_H_H, self.gn_H_X)]
-
-    def strictly_trapped(self) -> bool:
-        """The strict inequalities at every sample, with the band of ``trapping_classify``."""
-        tol = submanifold.CLASSIFY_TOL
-        return bool(np.all((self.gn_H_H < -tol) & (self.gn_H_X > tol)))
+    label: submanifold.TrappingLabel  # the trapping_classify label of metric_field
+    input_label: submanifold.TrappingLabel  # the trapping_classify label of the input metric
 
 
 def trapping_perturbation(
@@ -283,21 +266,20 @@ def trapping_sequence(
     """Rescale by e^{2 (phi tau) / n} and recompute trapping data on Sigma, for each n of ``ns``.
 
     ``tau_field`` must have future-directed timelike gradient where the bump
-    is active, and the input surface must already satisfy the closed trapping
-    inequalities; the output metric then satisfies the strict ones at every
-    sample, with values shrinking like 1/n.  The input is checked once, and
-    its metric jets at the samples and the exponent phi tau, evaluated there
-    once, serve every n: each stack of at most ``STACK_POINTS`` (n, sample)
-    points rescales those jets by the exponent times a 1/n column, for one
-    ``extrinsic_data`` call on the input's embedding jets and time orientation,
-    which also decides each result's ``trapping_classify`` label.
+    is active, and the input surface must satisfy the closed trapping inequalities
+    (the closed mask of ``submanifold._trapping_bands``); the output metric then
+    satisfies the strict ones at every sample, with values shrinking like 1/n.
+    The input is checked once, and its label (``input_label``) comes from the
+    check's data.  Its metric jets and the exponent phi tau at the samples serve
+    every n: each stack of at most ``STACK_POINTS`` (n, sample) points rescales
+    those jets by the exponent times a 1/n column, for one ``extrinsic_data``
+    call that also decides each result's ``trapping_classify`` label.
     """
     ns = list(ns)
     if not ns:
         raise ValueError("no n given to rescale by")
     if any(n < 1 for n in ns):
         raise ValueError("n must be a positive integer")
-    tol = submanifold.CLASSIFY_TOL
     samples = sigma.sample_set
     jets = sigma.at(samples)
     data, x, hh, hx = submanifold._trapping_data(sigma, m_field, x_field, jets)
@@ -305,7 +287,8 @@ def trapping_sequence(
     m = data.metric
     tau = tau_field(p)
     grad_tau = metric_gradient(m, tau)
-    not_weak = (hh > tol) | (hx < -tol)
+    h_aux = data.H.aux_norm()
+    not_weak = ~submanifold._trapping_bands(hh, hx, h_aux)[1]
     not_future = (m.inner(grad_tau, grad_tau) >= 0) | (m.inner(grad_tau, x.components) >= 0)
     # report the first failing sample, the closed inequalities before tau
     first = int(np.argmax(not_weak | not_future))
@@ -316,6 +299,9 @@ def trapping_sequence(
         )
     if not_future[first]:
         raise ValueError("tau gradient must be future-directed timelike on the surface")
+    # after the check, so that an input it refuses never reaches theta_+
+    input_label = submanifold._trapping_label(
+        hh, hx, h_aux, lambda: submanifold._theta_plus(sigma, data, x))
 
     f = bump(profile, p) * tau
     exponent = product_field(bump_field(profile), tau_field)
@@ -330,7 +316,7 @@ def trapping_sequence(
             stack_hh, stack_hx, stack.H.aux_norm(), lambda: submanifold._theta_plus(sigma, stack, x)))
     return [
         TrappingPerturbationResult(
-            n, rescaled_metric_field(m_field, scaled_field(exponent, 1.0 / n)), samples, *row)
+            n, rescaled_metric_field(m_field, scaled_field(exponent, 1.0 / n)), samples, *row, input_label)
         for n, row in zip(ns, rows)
     ]
 

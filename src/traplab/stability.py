@@ -274,7 +274,7 @@ def assemble_stability_operator(grid: SurfaceGrid, coeffs: StabilityCoefficients
     the block diagonals of its grid-row blocks (``BlockOperator``).  Coefficients
     with a leading stack axis S give a stack of S operators, each bitwise alone."""
     _check_resolution(grid.shape)
-    b = _block_size(grid, grid.num_nodes)
+    b = _block_size(grid.shape, grid.num_nodes)
     _, cols = _band_blocks(grid.num_nodes // b)
     op = BlockOperator(np.zeros(np.shape(coeffs.Q)[:-1] + cols.shape + (b, b)))
     rows = np.arange(grid.num_nodes)
@@ -333,17 +333,17 @@ def _latlong_stencil(grid: SurfaceGrid, op: BlockOperator, diag: tuple) -> None:
     op.bands[diag] = (c_up + c_dn + 2.0 * scale).ravel()
 
 
-def _block_size(grid: Optional[SurfaceGrid], num: int) -> int:
-    """Nodes per block of an N-node operator on ``grid``: a latitude row on a
+def _block_size(shape: Optional[tuple[int, ...]], num: int) -> int:
+    """Nodes per block of an N-node operator on a grid of ``shape``: a latitude row on a
     lat-long grid, a line of the last axis on a periodic 2-d grid, on a circle
     the largest divisor of N not above sqrt(N).  N itself (m = 1, the same
     elimination) without a grid, for fewer than three blocks or under ``MIN_BLOCK_NODES``."""
-    if grid is None:
+    if shape is None:
         return num
-    if len(grid.nodes) != num:
-        raise ValueError(f"operator of order {num} on a grid of {len(grid.nodes)} nodes")
-    if len(grid.shape) > 1:
-        size = num // grid.shape[0]
+    if math.prod(shape) != num:
+        raise ValueError(f"operator of order {num} on a grid of {math.prod(shape)} nodes")
+    if len(shape) > 1:
+        size = num // shape[0]
     else:
         size = max(d for d in range(1, math.isqrt(num) + 1) if num % d == 0)
     return size if size >= MIN_BLOCK_NODES and num >= 3 * size else num
@@ -379,7 +379,7 @@ class BlockOperator:
         """A hand-built N x N matrix in blocks chosen by ``grid`` (one block
         without); a nonzero outside the bands raises ``EigensolverFailure``."""
         num = matrix.shape[0]
-        b = _block_size(grid, num)
+        b = _block_size(None if grid is None else grid.shape, num)
         m = num // b
         rows, cols = _band_blocks(m)
         op = cls(matrix.reshape(m, b, m, b)[rows, :, cols, :])

@@ -234,7 +234,7 @@ def trapping_classify(
 ) -> TrappingClass:
     """Classify the trapping type of the surface over its sample set.
 
-    Decision order with tolerance band CLASSIFY_TOL: strictly trapped
+    Decision order with the band of ``_trapping_bands``: strictly trapped
     everywhere, else extremal (H vanishes everywhere), else marginally outer
     trapped (theta_+ vanishes everywhere, codimension 2 only), else weakly
     trapped when the closed inequalities hold everywhere, else not weakly
@@ -261,15 +261,19 @@ def _theta_plus(e: EmbeddingJet2, data: ExtrinsicData, xv: TangentVector):
     return -data.metric.inner(data.H.components, frame.l_plus.components), oriented
 
 
+def _trapping_bands(hh, hx, h_aux):
+    """Per-sample masks with the band CLASSIFY_TOL: the strict and the closed trapping
+    inequalities, and |H|_aux within the band (|theta_+| for the MOTS rule)."""
+    tol = CLASSIFY_TOL
+    return (hh < -tol) & (hx > tol), (hh <= tol) & (hx >= -tol), h_aux <= tol
+
+
 def _trapping_label(hh, hx, h_aux, theta_plus):
     """The label of ``trapping_classify`` for each row of a stack of g(H, H), g(H, X)
-    and |H|_aux, samples on the last axis: one array reduction per rule, in the
-    decision order.  ``theta_plus()``, the ``_theta_plus`` pair or None, is called
-    only when a row is neither trapped nor extremal, the rows whose label reads it."""
-    tol = CLASSIFY_TOL
-    trapped = np.all((hh < -tol) & (hx > tol), axis=-1)
-    extremal = np.all(h_aux <= tol, axis=-1)
+    and |H|_aux, samples on the last axis: the ``_trapping_bands`` masks reduced in the
+    decision order.  ``theta_plus()``, the ``_theta_plus`` pair or None, is called only
+    when a row is neither trapped nor extremal, the rows whose label reads it."""
+    trapped, weak, extremal = (np.all(mask, axis=-1) for mask in _trapping_bands(hh, hx, h_aux))
     theta = None if np.all(trapped | extremal) else theta_plus()
-    mots = theta is not None and np.all(theta[1] & (np.abs(theta[0]) <= tol), axis=-1)
-    weak = np.all((hh <= tol) & (hx >= -tol), axis=-1)
+    mots = theta is not None and np.all(theta[1] & _trapping_bands(hh, hx, np.abs(theta[0]))[2], axis=-1)
     return _DECISION_ORDER[np.where(trapped, 0, np.where(extremal, 1, np.where(mots, 2, np.where(weak, 3, 4))))]

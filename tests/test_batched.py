@@ -21,7 +21,6 @@ import pytest
 
 from traplab.conformal import (
     BumpProfile,
-    TrappingPerturbationResult,
     conformal_H_normsq,
     conformal_mean_curvature,
     bump_field,
@@ -65,6 +64,9 @@ from traplab.stability import (
 from traplab.submanifold import (
     CLASSIFY_TOL,
     EmbeddingJet2,
+    TrappingLabel,
+    _trapping_bands,
+    _trapping_label,
     extrinsic_data,
     null_expansions,
     null_frame,
@@ -591,9 +593,9 @@ def test_grouped_riemann_residuals():
     (np.nextafter(-CLASSIFY_TOL, -1.0), np.nextafter(CLASSIFY_TOL, 1.0), True),
 ])
 def test_strictly_trapped_band_edge(hh, hx, strict):
-    # a value on the band edge is not strict, as in the per-record rule
-    result = TrappingPerturbationResult(
-        1, None, np.zeros((3, 2)), np.array([-1.0, hh, -1.0]), np.array([1.0, hx, 1.0]))
+    # a value on the band edge is not strict, as in the per-sample rule
+    hh, hx, aux = np.array([-1.0, hh, -1.0]), np.array([1.0, hx, 1.0]), np.ones(3)
     tol = CLASSIFY_TOL
-    assert all(r.gn_H_H < -tol and r.gn_H_X > tol for r in result.records) is strict
-    assert result.strictly_trapped() is strict
+    assert all(a < -tol and b > tol for a, b in zip(hh, hx)) is strict
+    assert bool(np.all(_trapping_bands(hh, hx, aux)[0])) is strict
+    assert (_trapping_label(hh, hx, aux, lambda: None) is TrappingLabel.TRAPPED) is strict

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from traplab import cli
+from traplab import cli, stability
 from traplab.cli import execute_config, parse_config_file, resolve
 from traplab.errors import ConfigError
 from traplab.reporting import CheckRecord, build_report, report_bytes, sanitize
@@ -183,6 +183,29 @@ class TestExecuteConfig:
     def test_invalid_config_is_config_error(self, cfg):
         with pytest.raises(ConfigError):
             execute_config(cfg)
+
+    @pytest.mark.parametrize("cfg, need", [
+        # 3000017 has no divisor from MIN_BLOCK_NODES to its root: one block of N^2 doubles
+        ({"command": "spectrum", "resolution": 3000017}, 8 * 3000017**2),
+        ({"command": "deform", "resolution": 3000017}, 8 * 3000017**2),
+        # blocks of 128 nodes fit, the dense matrix of the csv spectrum does not
+        ({"command": "spectrum", "resolution": 16384, "format": "csv"}, 8 * 16384**2),
+        # past MAX_ARRAY_BYTES / 8 nodes, the least bands of any blocking
+        ({"command": "spectrum", "resolution": 10**30}, 24 * 10**30 * stability.MIN_BLOCK_NODES),
+    ])
+    def test_resolution_over_the_array_budget_is_config_error(self, monkeypatch, cfg, need):
+        # refused before any geometry: building the case would allocate
+        def refuse(*args):
+            pytest.fail("equator case built for a refused resolution")
+
+        monkeypatch.setattr(stability, "equator_deformation_cases", refuse)
+        monkeypatch.setitem(cli._SPECTRUM_CASES, ("einstein_cylinder", 2), refuse)
+        with pytest.raises(ConfigError, match=f"needs at least {need} bytes in one array"):
+            execute_config(cfg)
+
+    @pytest.mark.parametrize("resolution, fmt", [(8192, "json"), (2053, "json"), (1024, "csv")])
+    def test_array_budget_admits_the_ci_resolutions(self, resolution, fmt):
+        cli._check_array_bytes({"resolution": resolution, "format": fmt})
 
     def test_resolve_fills_defaults_without_touching_the_echo(self):
         cfg = {"command": "constraints", "scenario": "minkowski", "points": 3}

@@ -267,9 +267,9 @@ class TestTrappingPerturbation:
             res = trapping_perturbation(
                 sc.metric, sc.embeddings["Sigma"], sc.time_orientation, tau, profile, n
             )
-            for rec in res.records:
-                assert rec.gn_H_H == pytest.approx(-4.0 / n**2, rel=1e-9)
-                assert rec.gn_H_X == pytest.approx(2.0 / n, rel=1e-9)
+            for hh, hx in zip(res.gn_H_H, res.gn_H_X):
+                assert hh == pytest.approx(-4.0 / n**2, rel=1e-9)
+                assert hx == pytest.approx(2.0 / n, rel=1e-9)
 
     def test_large_n_limit(self):
         sc, tau, profile = self._setup()
@@ -278,8 +278,8 @@ class TestTrappingPerturbation:
             res = trapping_perturbation(
                 sc.metric, sc.embeddings["Sigma"], sc.time_orientation, tau, profile, n
             )
-            hh = max(abs(r.gn_H_H) for r in res.records)
-            hx = max(abs(r.gn_H_X) for r in res.records)
+            hh = np.abs(res.gn_H_H).max()
+            hx = np.abs(res.gn_H_X).max()
             if prev_hh is not None:
                 assert hh < prev_hh
             prev_hh = hh
@@ -297,7 +297,7 @@ class TestTrappingPerturbation:
         again = trapping_perturbation(
             first.metric_field, sc.embeddings["Sigma"], sc.time_orientation, tau, profile, 3
         )
-        assert again.strictly_trapped()
+        assert again.label is TrappingLabel.TRAPPED
 
     def test_rejects_non_weakly_trapped_input(self):
         sc, tau, profile = self._setup()
@@ -313,9 +313,11 @@ class TestTrappingPerturbation:
 
 def _same_records(a, b):
     assert a.n == b.n
-    assert [(r.u.tobytes(), repr(r.gn_H_H), repr(r.gn_H_X)) for r in a.records] == [
-        (r.u.tobytes(), repr(r.gn_H_H), repr(r.gn_H_X)) for r in b.records
-    ]
+
+    def rows(r):
+        return [(u.tobytes(), repr(float(hh)), repr(float(hx))) for u, hh, hx in zip(r.u, r.gn_H_H, r.gn_H_X)]
+
+    assert rows(a) == rows(b)
 
 
 class TestTrappingSequence:
@@ -360,7 +362,7 @@ class TestTrappingSequence:
             _same_records(result, trapping_perturbation(
                 first.metric_field, sigma, sc.time_orientation, tau, profile, n
             ))
-            assert result.strictly_trapped()
+            assert result.label is TrappingLabel.TRAPPED
 
     @pytest.mark.parametrize("name, params, surface", [
         ("minkowski_torus_quotient", {"m": 3, "samples_per_axis": 8}, "Sigma"),
@@ -379,11 +381,11 @@ class TestTrappingSequence:
         sequence = trapping_sequence(sc.metric, sigma, sc.time_orientation, tau, profile, range(1, 33))
         for result in sequence:
             direct = trapping_classify(sigma, result.metric_field, sc.time_orientation)
-            assert [(repr(r.gn_H_H), repr(r.gn_H_X)) for r in result.records] == [
+            assert [(repr(float(hh)), repr(float(hx))) for hh, hx in zip(result.gn_H_H, result.gn_H_X)] == [
                 (repr(float(r.g_H_H)), repr(float(r.g_H_X))) for r in direct.per_point
             ]
             if result.n == 1:
-                assert result.strictly_trapped()
+                assert result.label is TrappingLabel.TRAPPED
                 assert direct.label is TrappingLabel.TRAPPED
 
     def test_rejects_non_weakly_trapped_input(self):
@@ -441,6 +443,7 @@ class TestTrappingSequence:
             assert np.array_equal(result.gn_H_X, [r.g_H_X for r in direct.per_point])
         assert sequence[0].label is TrappingLabel.TRAPPED
         assert sequence[-1].label is not TrappingLabel.TRAPPED
+        assert sequence[0].input_label is trapping_classify(sigma, sc.metric, sc.time_orientation).label
 
 
 def test_trapping_requests_never_form_a_rescaled_ddg(monkeypatch):
@@ -463,9 +466,9 @@ def test_trapping_requests_never_form_a_rescaled_ddg(monkeypatch):
 
 
 def test_extrinsic_data_calls_per_trapping_request(monkeypatch):
-    # the after-rescale label comes from the sequence's own stacks: the input
-    # check and one stack per perturb, and 8 stacks of 4 n plus the input label
-    # and input check per trapping-construction suite
+    # both labels come from the sequence's own data: the input check and one
+    # stack per perturb, and the input check and 8 stacks of 4 n per
+    # trapping-construction suite
     calls = []
     real = submanifold.extrinsic_data
 
@@ -478,7 +481,7 @@ def test_extrinsic_data_calls_per_trapping_request(monkeypatch):
     assert len(calls) == 2
     calls.clear()
     assert all(record.passed for record in verify.verify_trapping_construction())
-    assert len(calls) == 10
+    assert len(calls) == 9
 
 
 class TestCurvaturePerturbation:

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -223,6 +225,25 @@ def test_stacked_label_rule_is_the_record_rule():
     assert _trapping_label(hh[2:4], hx[2:4], aux[2:4], lambda: None)[0] is TrappingLabel.WEAKLY_TRAPPED
     assert _trapping_label(hh[:2], hx[:2], aux[:2], pytest.fail).tolist() == [
         TrappingLabel.TRAPPED, TrappingLabel.EXTREMAL]
+
+
+def test_classify_tol_is_read_in_one_function():
+    # the trapping band has one home: every load of the name, bare or as an attribute,
+    # is charged to its innermost enclosing function, or to its module outside any
+    readers = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            where = f"{where.split('.')[0]}.{getattr(node, 'name', '<lambda>')}"
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if name == "CLASSIFY_TOL" and isinstance(node.ctx, ast.Load):
+            readers.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in sorted((Path(__file__).resolve().parent.parent / "src" / "traplab").glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    assert readers == {"submanifold._trapping_bands"}
 
 
 class TestTrappingClassify:
