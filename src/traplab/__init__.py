@@ -2,7 +2,7 @@
 
 Subpackage map:
 
-* ``geometry``: curvature and causal classification from metric 2-jets.
+* ``geometry``: connection, curvature and Lorentz frames from metric 2-jets.
 * ``jets``: 1-d jet arithmetic.
 * ``conformal``: conformal rescaling laws and perturbation sequences.
 * ``submanifold``: extrinsic geometry and trapping classification.

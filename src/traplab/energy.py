@@ -179,12 +179,6 @@ def tidal_operator(m: MetricJet2, r: CurvatureTensor, v: TangentVector):
     return a, tuple(stacks)
 
 
-def tidal_psd(mat: np.ndarray) -> bool:
-    """Whether the tidal matrix is positive semidefinite within ``TIDAL_TOL``;
-    an empty one (a null v in dimension 2 has no screen space) is, vacuously."""
-    return mat.size == 0 or np.linalg.eigvalsh(mat).min() >= -TIDAL_TOL
-
-
 def _condition_report(condition: Condition, samples: tuple, violated) -> ConditionReport:
     """Minimum, sample count and first violating witness of one condition, from
     its values, points, vectors and (plane values) partners in sampling order."""

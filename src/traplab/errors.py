@@ -29,14 +29,6 @@ class ImmersionFailure(TrapLabError):
     """Embedding derivative lost rank at a sample point."""
 
 
-class CodimensionMismatch(TrapLabError):
-    """Operation requires a specific codimension."""
-
-
-class OrientationFailure(TrapLabError):
-    """Could not orient the normal frame consistently."""
-
-
 class NotWeaklyTrapped(TrapLabError):
     """Input configuration violates the weak trapping inequalities."""
 
@@ -55,10 +47,6 @@ class EigensolverFailure(TrapLabError):
 
 class DegenerateMOTS(TrapLabError):
     """Principal eigenvalue too close to zero for the deformation step."""
-
-
-class DependentBasis(TrapLabError):
-    """Supplied basis columns are linearly dependent."""
 
 
 class UnknownScenario(TrapLabError):

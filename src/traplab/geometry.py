@@ -1,4 +1,4 @@
-"""Pointwise connection and curvature from metric 2-jets, and causal classification.
+"""Pointwise connection and curvature from metric 2-jets, and the time-orientation check.
 
 A metric 2-jet carries the metric components together with their first and
 second coordinate derivatives at a point.  Everything downstream (curvature,
@@ -49,15 +49,6 @@ SYMMETRY_TOL = 1e-9
 class Signature(enum.Enum):
     LORENTZIAN = "lorentzian"
     RIEMANNIAN = "riemannian"
-
-
-class CausalClass(enum.Enum):
-    TIMELIKE_FUTURE = "timelike_future"
-    TIMELIKE_PAST = "timelike_past"
-    NULL_FUTURE = "null_future"
-    NULL_PAST = "null_past"
-    SPACELIKE = "spacelike"
-    ZERO = "zero"
 
 
 @dataclass
@@ -337,30 +328,6 @@ def check_time_orientation(m: MetricJet2, x: TangentVector) -> None:
     """Raise ``NonTimelikeOrientation`` unless x is timelike beyond the null band."""
     if np.count_nonzero(m.inner(x.components, x.components) >= -NULL_TOL * x.aux_norm() ** 2):
         raise NonTimelikeOrientation("orientation vector X is not timelike")
-
-
-def causal_classify(m: MetricJet2, v: TangentVector, x: TangentVector):
-    """Classify ``v`` against the time orientation defined by timelike ``x``.
-
-    The decision is sign based: the causal type comes from the sign of
-    g(v, v) with a scale-aware zero band, and future/past from the sign of
-    g(v, x).  Conformal rescaling therefore cannot change the answer.  For a
-    stack of vectors the result is an array holding the class of each.
-    """
-    if m.signature is not Signature.LORENTZIAN:
-        raise ValueError("causal classification needs a Lorentzian metric")
-    check_time_orientation(m, x)
-    aux = v.aux_norm()
-    q = m.inner(v.components, v.components)
-    future = m.inner(v.components, x.components) < 0
-    classes = np.select(
-        [aux <= 1e-14, abs(q) <= NULL_TOL * aux * aux, q < 0],
-        [CausalClass.ZERO,
-         np.where(future, CausalClass.NULL_FUTURE, CausalClass.NULL_PAST),
-         np.where(future, CausalClass.TIMELIKE_FUTURE, CausalClass.TIMELIKE_PAST)],
-        CausalClass.SPACELIKE,
-    )
-    return classes[()]
 
 
 def check_plane_pairs(w: TangentVector, v: TangentVector) -> None:

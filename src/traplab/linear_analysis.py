@@ -25,8 +25,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DependentBasis
-
 RANK_RTOL = 1e-10
 
 
@@ -118,26 +116,19 @@ def adjoint_kernels_trivial(tr: OperatorTriple) -> np.ndarray:
     return _rank(np.concatenate([ker_t, ker_s], axis=-1)) == 2 * tr.h - rank_t - rank_s
 
 
-def codim_formula_check(l: np.ndarray, s_basis: np.ndarray,
-                        s=None) -> tuple[np.ndarray, np.ndarray]:
-    """Both sides of the preimage codimension formula, as exact integers.
+def codim_formula_check(l: np.ndarray, s_basis: np.ndarray, s=None) -> tuple:
+    """Both sides of the preimage codimension formula, as exact integers, and
+    the rank of the subspace basis.
 
     Left side: codimension in the domain of the preimage of span(s_basis)
     under l.  Right side: codim span(s_basis) minus codim (span + Im l).
     ``s`` is each instance's subspace dimension when s_basis carries zero
-    padding columns past it; by default every column counts.
+    padding columns past it; by default every column counts.  The sides hold
+    only where the rank equals s: a smaller rank marks a dependent basis.
     """
     l = np.atleast_2d(np.asarray(l, dtype=float))
     s_basis = np.atleast_2d(np.asarray(s_basis, dtype=float))
     s = s_basis.shape[-1] if s is None else np.asarray(s)
-    lhs, rhs, rank = _codim_sides(l, s_basis, s)
-    if np.any(rank != s):
-        raise DependentBasis("columns of the subspace basis are dependent")
-    return lhs, rhs
-
-
-def _codim_sides(l: np.ndarray, s_basis: np.ndarray, s) -> tuple:
-    """lhs, rhs and the basis rank; the sides hold only where the rank equals s."""
     v = l.shape[-2]
     # preimage kernel: x with P_{S^perp} L x = 0; the complement's SVD also gives the rank
     perp, rank = _image_complement(s_basis)

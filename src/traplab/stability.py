@@ -196,18 +196,10 @@ class StabilityCoefficients:
 
 
 def stability_coefficients(
-    data: InitialData, surface: SliceSurface, grid: SurfaceGrid
-) -> StabilityCoefficients:
-    """Assemble the geometric coefficients of the stability operator."""
-    ext = extrinsic_data(surface.embedding, data.h_field, grid.nodes)
-    q, x, norm_x = _pointwise_coefficients(data, surface, grid.nodes, ext)
-    return StabilityCoefficients(Q=q, X=x, divX=_divergence_on_grid(grid, x), normX_sq=norm_x)
-
-
-def _pointwise_coefficients(
     data: InitialData, surface: SliceSurface, u: np.ndarray, ext: ExtrinsicData
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Potential Q, drift X and |X|^2 at the parameters u, from their extrinsic data."""
+    """The pointwise coefficients of the stability operator: potential Q, drift X
+    and |X|^2 at the parameters u, from their extrinsic data ``ext``."""
     m = ext.metric
     k, dk = data.K_field(ext.H.base)
     nu = np.asarray(surface.nu(u), dtype=float)
@@ -241,7 +233,7 @@ def _curve_grids_and_coefficients(
     # the union's extrinsic data is freed on return, before any eigensolve
     ext = extrinsic_data(emb, data.h_field, u[:, None])
     h = ext.induced[:, 0, 0]
-    q, x, norm_x = _pointwise_coefficients(data, surface, u[:, None], ext)
+    q, x, norm_x = stability_coefficients(data, surface, u[:, None], ext)
     out = []
     for idx in np.split(inverse, np.cumsum(resolutions)[:-1]):
         grid = circle_grid(len(idx), period, h[idx], analytic_measure=surface.measure)

@@ -5,8 +5,8 @@ returns the chart point with its first and second parameter derivatives.
 From those and the ambient metric jet we build the induced metric, the shape
 tensor (normal projection of ambient accelerations of the coordinate frame),
 the mean curvature vector as its induced-metric trace, null normal frames in
-codimension two, the null expansion scalars, and the pointwise/aggregate
-trapping classification.
+codimension two, and the pointwise/aggregate trapping classification with its
+null expansion theta_+.
 """
 
 from __future__ import annotations
@@ -17,13 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (
-    CodimensionMismatch,
-    ImmersionFailure,
-    NonTimelikeOrientation,
-    NotSpacelike,
-    OrientationFailure,
-)
+from .errors import ImmersionFailure, NonTimelikeOrientation, NotSpacelike
 from .geometry import MetricJet2, TangentVector, norm
 
 MetricField = Callable[[np.ndarray], MetricJet2]
@@ -136,9 +130,12 @@ def extrinsic_data(e: EmbeddingJet2, m_field: MetricField, u: np.ndarray, jets=N
     m = m_field(x)
     g = m.g
     d_t = np.swapaxes(d, -1, -2)
-    induced = d_t @ g @ d
+    # an overflowing product is caught below as a non-finite induced metric
+    with np.errstate(over="ignore", invalid="ignore"):
+        induced = d_t @ g @ d
     eigs = np.linalg.eigvalsh(induced)
-    bad = eigs.min(axis=-1) <= 1e-12 * np.maximum(1.0, np.abs(eigs.max(axis=-1)))
+    bad = ~np.isfinite(induced).all(axis=(-2, -1)) | (
+        eigs.min(axis=-1) <= 1e-12 * np.maximum(1.0, np.abs(eigs.max(axis=-1))))
     if np.count_nonzero(bad):
         u = np.broadcast_to(u, bad.shape + u.shape[-1:])
         raise NotSpacelike(f"induced metric not positive definite at u={u[bad][0]}")
@@ -161,32 +158,18 @@ def extrinsic_data(e: EmbeddingJet2, m_field: MetricField, u: np.ndarray, jets=N
 
 
 def null_frame(
-    e: EmbeddingJet2, m_field: MetricField, x_field: VectorField, u: np.ndarray
-) -> NullFrame:
-    """Future-directed null normal frame with g(l+, l-) = -2, l+ outward.
-
-    Requires codimension exactly 2.  The timelike leg is the normalized
-    normal projection of the time-orientation field; the spacelike leg is the
-    normalized normal projection of the declared outward reference.
-    """
-    if e.codim != 2:
-        raise CodimensionMismatch(f"null frame needs codimension 2, got {e.codim}")
-    if e.outward is None:
-        raise OrientationFailure("embedding declares no outward reference")
-    data = extrinsic_data(e, m_field, u)
-    frame, oriented = _null_frame(e, data, x_field(data.H.base), u)
-    if not oriented.all():
-        raise OrientationFailure("outward reference degenerates in the normal space")
-    return frame
-
-
-def _null_frame(
     e: EmbeddingJet2, data: ExtrinsicData, xv: TangentVector, u: np.ndarray
 ) -> tuple[NullFrame, np.ndarray]:
-    """The null frame of ``null_frame`` from extrinsic data already at hand, at
-    parameter u or at each parameter of a (B, sigma) stack, and a mask that is
-    False where the outward reference degenerates in the normal space (the
-    frame is meaningless there)."""
+    """Future-directed null normal frame with g(l+, l-) = -2, l+ outward, at
+    parameter u or at each parameter of a (B, sigma) stack, from the extrinsic
+    data ``data`` there and the time orientation ``xv`` at ``data.H.base``.
+
+    Needs codimension 2 and an outward reference.  The timelike leg is the
+    normalized normal projection of xv; the spacelike leg is the normalized
+    normal projection of the outward reference.  The mask returned with the
+    frame is False where that reference degenerates in the normal space (the
+    frame is meaningless there).
+    """
     x = data.H.base
     m = data.metric
     x_perp = np.matvec(data.normal_projector, xv.components)
@@ -204,17 +187,6 @@ def _null_frame(
         l_plus=TangentVector(x, n_t + n_s),
         l_minus=TangentVector(x, n_t - n_s),
     ), oriented
-
-
-def null_expansions(
-    e: EmbeddingJet2, m_field: MetricField, frame: NullFrame, u: np.ndarray
-) -> tuple[float, float]:
-    """Null expansion scalars (-g(H, l+), -g(H, l-)) at parameter u."""
-    data = extrinsic_data(e, m_field, u)
-    m = data.metric
-    theta_p = -m.inner(data.H.components, frame.l_plus.components)
-    theta_m = -m.inner(data.H.components, frame.l_minus.components)
-    return float(theta_p), float(theta_m)
 
 
 def _trapping_data(e: EmbeddingJet2, m_field: MetricField, x_field: VectorField, jets=None):
@@ -253,11 +225,11 @@ def trapping_classify(
 
 
 def _theta_plus(e: EmbeddingJet2, data: ExtrinsicData, xv: TangentVector):
-    """theta_+ = -g(H, l+) at each sample of ``data`` with the mask of ``_null_frame``,
+    """theta_+ = -g(H, l+) at each sample of ``data`` with the mask of ``null_frame``,
     or None without a null frame (codimension other than 2, or no outward reference)."""
     if e.codim != 2 or e.outward is None:
         return None
-    frame, oriented = _null_frame(e, data, xv, e.sample_set)
+    frame, oriented = null_frame(e, data, xv, e.sample_set)
     return -data.metric.inner(data.H.components, frame.l_plus.components), oriented
 
 

@@ -477,7 +477,7 @@ def linear_lemma_results(seed: int = 2024):
         verdicts[idx] = np.stack([test(tr) for test in tests], axis=-1)
     sides = np.full((2, 500), -1)
     for idx, l, basis, _, s in codimension:
-        lhs, rhs, rank = la._codim_sides(l, basis, s)
+        lhs, rhs, rank = la.codim_formula_check(l, basis, s)
         sides[:, idx] = np.where(rank == s, [lhs, rhs], -1)
     fields: dict = {}
     for idx, t, s, e, f in projection:

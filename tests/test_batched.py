@@ -4,8 +4,8 @@ Every scenario field, conformal field and embedding is called once with a
 (B, dim) stack and once per point; the arrays must be equal bit for bit, and
 a stack with one bad point must raise what the call at that point raises.
 The same holds for the initial-data expansions and the trapping
-classification, which evaluate whole sample sets, for the frames, classes,
-tidal operators and curvature forms of a stack of cone directions, for
+classification, which evaluate whole sample sets, for the frames, causal
+signs, tidal operators and curvature forms of a stack of cone directions, for
 the cone directions and tidal operators of a stack of energy points, for
 conformal fields and formulas with one coefficient set per point, for the
 expansions of a stack of displacements, for ``riemann`` of a group of
@@ -38,7 +38,6 @@ from traplab.errors import (
     NonTimelikeOrientation,
     NotSpacelike,
     NotUnitNormal,
-    OrientationFailure,
     SingularMetric,
     ZeroVector,
 )
@@ -46,7 +45,6 @@ from traplab.geometry import (
     MetricJet2,
     Signature,
     TangentVector,
-    causal_classify,
     christoffel,
     lorentz_frame,
     riem_quadform,
@@ -68,7 +66,6 @@ from traplab.submanifold import (
     _trapping_bands,
     _trapping_label,
     extrinsic_data,
-    null_expansions,
     null_frame,
     trapping_classify,
 )
@@ -274,7 +271,11 @@ def test_non_timelike_orientation_point():
         at_bad = np.all(p == bad_point, axis=-1)[..., None]
         return TangentVector(p, np.where(at_bad, np.eye(4)[1], np.eye(4)[0]))
 
-    _raises_like_the_point(lambda u: null_frame(emb, sc.metric, x_field, u), emb.sample_set, bad)
+    def frame(u):
+        data = extrinsic_data(emb, sc.metric, u)
+        return null_frame(emb, data, x_field(data.H.base), u)
+
+    _raises_like_the_point(frame, emb.sample_set, bad)
     with pytest.raises(NonTimelikeOrientation):
         trapping_classify(emb, sc.metric, x_field)
 
@@ -339,8 +340,8 @@ def test_trapping_classify_records(label, emb, m_field, x_field):
         assert rec.g_H_H == m.inner(h, h)
         assert rec.g_H_X == m.inner(h, x_field(data.H.base).components)
         assert rec.H_aux == data.H.aux_norm()
-        frame = null_frame(emb, m_field, x_field, u)
-        assert rec.theta_plus == null_expansions(emb, m_field, frame, u)[0]
+        frame, oriented = null_frame(emb, data, x_field(data.H.base), u)
+        assert oriented and rec.theta_plus == -m.inner(h, frame.l_plus.components)
 
 
 def test_degenerate_outward_samples():
@@ -358,12 +359,13 @@ def test_degenerate_outward_samples():
     odd = dataclasses.replace(emb, outward=outward)
     out = trapping_classify(odd, sc.metric, sc.time_orientation)
     assert [r.theta_plus is None for r in out.per_point] == at_bad
-    for u, degenerate in zip(emb.sample_set, at_bad):
-        if degenerate:
-            with pytest.raises(OrientationFailure):
-                null_frame(odd, sc.metric, sc.time_orientation, u)
-    with pytest.raises(OrientationFailure):
-        null_frame(odd, sc.metric, sc.time_orientation, emb.sample_set)
+
+    def oriented(u):
+        data = extrinsic_data(odd, sc.metric, u)
+        return null_frame(odd, data, sc.time_orientation(data.H.base), u)[1]
+
+    assert [not oriented(u) for u in emb.sample_set] == at_bad
+    assert (~oriented(emb.sample_set)).tolist() == at_bad
 
 
 # --- cone directions at one point against per-direction calls -----------------
@@ -415,8 +417,10 @@ def _assert_tidal_stacks(stacked, singles):
 def test_cone_stack(label, m, cone, x):
     r = riemann(m)
     count = len(cone.components)
-    classes = causal_classify(m, cone, x)
-    assert np.array_equal(classes, [causal_classify(m, _single(cone, i), x) for i in range(count)])
+    # each direction's causal type and time direction: the signs of g(v, v) and g(v, X)
+    v, xc = cone.components, x.components
+    _assert_stacked(np.sign([m.inner(v, v), m.inner(v, xc)]).T,
+                    [np.sign([m.inner(u, u), m.inner(u, xc)]) for u in v])
     _assert_tidal_stacks(tidal_operator(m, r, cone),
                          [tidal_operator(m, r, _single(cone, i)) for i in range(count)])
     q = m.inner(cone.components, cone.components)

@@ -373,6 +373,14 @@ class TestCommandLine:
         assert config.split(" = ")[0] in captured.err
         assert captured.out == ""
 
+    def test_overflowing_fd_step_is_one_line_exit_three(self, capsys):
+        # the displaced equator's induced metric overflows: no warning reaches
+        # stderr, and the non-finite metric is refused as not positive definite
+        assert cli.main(["deform", "--fd-step", "1e200"]) == 3
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("scenario error: induced metric not positive definite")
+
     def test_bad_tolerance_exit_two(self):
         proc = run_cli("curvature", "--case", "timelike", "--n", "1", "--tol", "curvature=x")
         assert proc.returncode == 2

@@ -13,7 +13,7 @@ from traplab.initial_data import (
     mots_classify,
 )
 from traplab.scenarios import build_scenario, sphere_embedding
-from traplab.submanifold import null_expansions, null_frame
+from traplab.submanifold import extrinsic_data, null_frame
 
 MINK = build_scenario("minkowski", {})
 CYL = build_scenario("einstein_cylinder", {"n": 2})
@@ -148,8 +148,11 @@ class TestExpansions:
         ]
         for sc, st_name, sl_name, u in cases:
             emb = sc.embeddings[st_name]
-            fr = null_frame(emb, sc.metric, sc.time_orientation, u)
-            tp_st, tm_st = null_expansions(emb, sc.metric, fr, u)
+            data = extrinsic_data(emb, sc.metric, u)
+            fr, _ = null_frame(emb, data, sc.time_orientation(data.H.base), u)
+            # theta_+- = -g(H, l+-)
+            tp_st, tm_st = (-data.metric.inner(data.H.components, leg.components)
+                            for leg in (fr.l_plus, fr.l_minus))
             surf = sc.slice_surfaces[sl_name]
             tp_id, tm_id = initial_data_expansions(sc.initial_data, surf.embedding, surf.nu, u)
             assert tp_st == pytest.approx(tp_id, abs=1e-8)

@@ -9,6 +9,7 @@ from traplab.initial_data import InitialData
 from traplab.scenarios import build_scenario
 from traplab.stability import (
     StabilityCoefficients,
+    _divergence_on_grid,
     assemble_stability_operator,
     circle_grid,
     deformation_check,
@@ -21,6 +22,7 @@ from traplab.stability import (
     quadrature_symmetry_residual,
     stability_coefficients,
 )
+from traplab.submanifold import extrinsic_data
 from traplab.verify import random_circle_operators
 
 
@@ -128,12 +130,13 @@ class TestAssembly:
         sc = build_scenario("minkowski_torus_quotient", {"m": 2})
         surface = sc.slice_surfaces["Sigma"]
         grid = circle_grid(16, period=1.0)
-        coeffs = stability_coefficients(data, surface, grid)
+        ext = extrinsic_data(surface.embedding, data.h_field, grid.nodes)
+        q, x, norm_x = stability_coefficients(data, surface, grid.nodes, ext)
         rho = 0.5 * ((a + b) ** 2 - (a * a + 2 * c * c + b * b))
-        assert np.abs(coeffs.Q - (-rho - 0.5 * b * b)).max() < 1e-12
-        assert np.abs(coeffs.X[:, 0] - c).max() < 1e-12
-        assert np.abs(coeffs.normX_sq - c * c).max() < 1e-12
-        assert np.abs(coeffs.divX).max() < 1e-12
+        assert np.abs(q - (-rho - 0.5 * b * b)).max() < 1e-12
+        assert np.abs(x[:, 0] - c).max() < 1e-12
+        assert np.abs(norm_x - c * c).max() < 1e-12
+        assert np.abs(_divergence_on_grid(grid, x)).max() < 1e-12
 
     def test_torus_2d_grid_flat_laplacian(self):
         grid = periodic_tensor_grid((8, 8), (1.0, 1.0))
@@ -222,9 +225,11 @@ class TestPrincipalEigenvalue:
         sc = build_scenario("einstein_cylinder", {"n": 3})
         surface = sc.slice_surfaces["equator"]
         grid = latlong_sphere_grid(12, 24)
-        coeffs = stability_coefficients(sc.initial_data, surface, grid)
-        assert np.abs(coeffs.Q + 2.0).max() < 1e-10
-        assert np.abs(coeffs.X).max() == 0.0
+        ext = extrinsic_data(surface.embedding, sc.initial_data.h_field, grid.nodes)
+        q, x, norm_x = stability_coefficients(sc.initial_data, surface, grid.nodes, ext)
+        assert np.abs(q + 2.0).max() < 1e-10
+        assert np.abs(x).max() == 0.0
+        coeffs = StabilityCoefficients(q, x, _divergence_on_grid(grid, x), norm_x)
         mat = assemble_stability_operator(grid, coeffs)
         eig = principal_eigenvalue(mat, grid)
         assert eig.lambda1_real == pytest.approx(-2.0, abs=1e-9)

@@ -11,14 +11,13 @@ from traplab.conformal import (
     quadratic_scalar_field,
     rescaled_metric_field,
 )
-from traplab.errors import CodimensionMismatch, NotSpacelike, OrientationFailure
+from traplab.errors import NotSpacelike
 from traplab.scenarios import build_scenario, coordinate_plane_embedding, sphere_embedding
 from traplab.submanifold import (
     CLASSIFY_TOL,
     EmbeddingJet2,
     TrappingLabel,
     extrinsic_data,
-    null_expansions,
     null_frame,
     _trapping_label,
     trapping_classify,
@@ -92,15 +91,18 @@ class TestExtrinsicData:
 
 class TestNullFrame:
     def test_torus_frame(self):
-        fr = null_frame(TORUS.embeddings["Sigma"], TORUS.metric, TORUS.time_orientation,
-                        np.array([0.2, 0.5]))
+        emb, u = TORUS.embeddings["Sigma"], np.array([0.2, 0.5])
+        data = extrinsic_data(emb, TORUS.metric, u)
+        fr, oriented = null_frame(emb, data, TORUS.time_orientation(data.H.base), u)
+        assert oriented
         assert np.allclose(fr.l_plus.components, [1, 1, 0, 0])
         assert np.allclose(fr.l_minus.components, [1, -1, 0, 0])
 
     def test_sphere_frame_and_invariants(self):
         emb = MINK.embeddings["sphere"]
         u = np.array([0.9, 2.2])
-        fr = null_frame(emb, MINK.metric, MINK.time_orientation, u)
+        data = extrinsic_data(emb, MINK.metric, u)
+        fr, _ = null_frame(emb, data, MINK.time_orientation(data.H.base), u)
         m = MINK.metric(fr.l_plus.base)
         for leg in (fr.l_plus, fr.l_minus):
             assert abs(m.inner(leg.components, leg.components)) < 1e-10
@@ -112,24 +114,27 @@ class TestNullFrame:
         assert np.abs(fr.l_plus.components - (np.eye(4)[0] + radial)).max() < 1e-10
 
     def test_codimension_guard(self):
+        # a hypersurface has no null frame, so its record carries no theta_+
         hypersurface = coordinate_plane_embedding(4, (0,), np.zeros((1, 3)), outward_axis=0)
-        with pytest.raises(CodimensionMismatch):
-            null_frame(hypersurface, MINK.metric, MINK.time_orientation,
-                       np.array([0.0, 0.0, 0.0]))
+        out = trapping_classify(hypersurface, MINK.metric, MINK.time_orientation)
+        assert [r.theta_plus for r in out.per_point] == [None]
 
     def test_degenerate_outward_reference(self):
         emb = coordinate_plane_embedding(4, (0, 1), np.zeros((1, 2)), outward_axis=2)
-        with pytest.raises(OrientationFailure):
-            null_frame(emb, MINK.metric, MINK.time_orientation, np.array([0.0, 0.0]))
+        u = np.array([0.0, 0.0])
+        data = extrinsic_data(emb, MINK.metric, u)
+        assert not null_frame(emb, data, MINK.time_orientation(data.H.base), u)[1]
 
     def test_conformal_rescaling_preserves_directions(self, rng):
         emb = MINK.embeddings["sphere"]
         u = np.array([1.4, 0.7])
-        base = null_frame(emb, MINK.metric, MINK.time_orientation, u)
+        data = extrinsic_data(emb, MINK.metric, u)
+        base, _ = null_frame(emb, data, MINK.time_orientation(data.H.base), u)
         f_field = quadratic_scalar_field(0.3, rng.normal(size=4) * 0.2,
                                          rng.normal(size=(4, 4)) * 0.1)
         hat = rescaled_metric_field(MINK.metric, f_field)
-        fr = null_frame(emb, hat, MINK.time_orientation, u)
+        data = extrinsic_data(emb, hat, u)
+        fr, _ = null_frame(emb, data, MINK.time_orientation(data.H.base), u)
         for a, b in ((fr.l_plus, base.l_plus), (fr.l_minus, base.l_minus)):
             cross = np.outer(a.components, b.components)
             cross = cross - cross.T
@@ -140,16 +145,20 @@ class TestNullExpansions:
     def test_extremal_surface_zero(self):
         emb = TORUS.embeddings["Sigma"]
         u = np.array([0.3, 0.9])
-        fr = null_frame(emb, TORUS.metric, TORUS.time_orientation, u)
-        assert null_expansions(emb, TORUS.metric, fr, u) == (0.0, 0.0)
+        data = extrinsic_data(emb, TORUS.metric, u)
+        fr, _ = null_frame(emb, data, TORUS.time_orientation(data.H.base), u)
+        for leg in (fr.l_plus, fr.l_minus):
+            assert -data.metric.inner(data.H.components, leg.components) == 0.0
 
     def test_round_sphere_values(self):
         # oracle by substitution: theta_+- = -g(H, dt +- nu) = +-2/r
         for r in (1.0, 2.0):
             emb = sphere_embedding(r, 4)
             u = np.array([0.7, 1.9])
-            fr = null_frame(emb, MINK.metric, MINK.time_orientation, u)
-            tp, tm = null_expansions(emb, MINK.metric, fr, u)
+            data = extrinsic_data(emb, MINK.metric, u)
+            fr, _ = null_frame(emb, data, MINK.time_orientation(data.H.base), u)
+            tp, tm = (-data.metric.inner(data.H.components, leg.components)
+                      for leg in (fr.l_plus, fr.l_minus))
             assert tp == pytest.approx(2.0 / r, rel=1e-12)
             assert tm == pytest.approx(-2.0 / r, rel=1e-12)
 
@@ -162,9 +171,10 @@ class TestNullExpansions:
             )
             hat = rescaled_metric_field(MINK.metric, f_field)
             u = emb.sample_set[rng.integers(0, len(emb.sample_set))]
-            fr = null_frame(emb, hat, MINK.time_orientation, u)
-            tp, tm = null_expansions(emb, hat, fr, u)
             data = extrinsic_data(emb, hat, u)
+            fr, _ = null_frame(emb, data, MINK.time_orientation(data.H.base), u)
+            tp, tm = (-data.metric.inner(data.H.components, leg.components)
+                      for leg in (fr.l_plus, fr.l_minus))
             m = hat(data.H.base)
             hh = m.inner(data.H.components, data.H.components)
             assert hh == pytest.approx(-tp * tm, rel=1e-8, abs=1e-10)
@@ -179,11 +189,12 @@ class TestNullExpansions:
         hat = rescaled_metric_field(TORUS.metric, f_field)
         emb = TORUS.embeddings["Sigma"]
         u = np.array([0.4, 0.6])
-        fr = null_frame(emb, hat, TORUS.time_orientation, u)
-        tp, tm = null_expansions(emb, hat, fr, u)
+        data = extrinsic_data(emb, hat, u)
+        fr, _ = null_frame(emb, data, TORUS.time_orientation(data.H.base), u)
+        tp, tm = (-data.metric.inner(data.H.components, leg.components)
+                  for leg in (fr.l_plus, fr.l_minus))
         assert abs(tp) < 1e-12
         assert tm < -1e-3
-        data = extrinsic_data(emb, hat, u)
         m = hat(data.H.base)
         # H is null and parallel to l+
         assert abs(m.inner(data.H.components, data.H.components)) < 1e-12
