@@ -185,12 +185,12 @@ def rescale_metric(m: MetricJet2, f: ScalarJet2) -> MetricJet2:
     """Conformal rescaling e^{2f} g with jets from exact product/chain rules, ddg on first read."""
     w = elementwise(math.exp, 2.0 * f.value)
     w2, w3, w4 = (np.asarray(w).reshape(np.shape(w) + (1,) * k) for k in (2, 3, 4))
-    fg = f.grad
-    dg_over_w = 2.0 * np.einsum("...k,...ij->...kij", fg, m.g) + m.dg
+    fg = 2.0 * f.grad
+    dg_over_w = fg[..., :, None, None] * m.g[..., None, :, :] + m.dg
     return MetricJet2(m.dim, w2 * m.g, w3 * dg_over_w, lambda: w4 * (
-        2.0 * np.einsum("...l,...kij->...lkij", fg, dg_over_w)
-        + 2.0 * np.einsum("...lk,...ij->...lkij", f.hess, m.g)
-        + 2.0 * np.einsum("...k,...lij->...lkij", fg, m.dg)
+        fg[..., :, None, None, None] * dg_over_w[..., None, :, :, :]
+        + 2.0 * f.hess[..., :, :, None, None] * m.g[..., None, None, :, :]
+        + fg[..., None, :, None, None] * m.dg[..., :, None, :, :]
         + m.ddg
     ), m.signature)
 

@@ -4,7 +4,8 @@ A metric 2-jet carries the metric components together with their first and
 second coordinate derivatives at a point.  Everything downstream (curvature,
 extrinsic geometry, constraint quantities) is exact algebra on these jets, so
 scenarios that supply closed-form derivatives get curvature at rounding-error
-accuracy.
+accuracy.  Contractions run as stacked matmul kernels (``@``, ``np.matvec``,
+``np.vecdot``) over reshaped views; ``np.einsum`` only permutes axes.
 
 Index conventions used throughout:
 
@@ -124,6 +125,8 @@ class MetricJet2:
         if (self.g.shape != points + (n, n) or self.dg.shape != points + (n,) * 3
                 or eager and self.ddg.shape != points + (n,) * 4):
             raise ValueError("jet array shapes inconsistent with dim")
+        _check_finite(self.g, "g", 2)
+        _check_finite(self.dg, "dg", 3)
         for a, axes, rel, what in (
             (self.g, (-1, -2), 1e-12, "metric matrix must be symmetric"),
             (self.dg, (-1, -2), 1e-10, "dg must be symmetric in (i, j)"),
@@ -164,6 +167,7 @@ class MetricJet2:
 
     @staticmethod
     def _checked_ddg(ddg: np.ndarray) -> np.ndarray:
+        _check_finite(ddg, "ddg", 4)
         for axes, pair in (((-1, -2), "(i, j)"), ((-3, -4), "(k, l)")):
             if asymmetric(ddg, axes, 1e-10, 4):
                 raise ValueError(f"ddg must be symmetric in {pair}")
@@ -206,6 +210,15 @@ class MetricJet2:
     def inner(self, v: np.ndarray, w: np.ndarray):
         """g(v, w) at each point, computed as ``(v @ g) @ w``."""
         return np.vecdot(np.vecmat(v, self.g), w)
+
+
+def _check_finite(a: np.ndarray, name: str, core: int) -> None:
+    """Raise SingularMetric naming ``name`` and the first point (in C order) of the
+    leading axes where ``a``, with ``core`` axes per point, is not finite."""
+    finite = np.isfinite(a)
+    if np.count_nonzero(finite) != a.size:
+        at = np.argwhere(~finite.reshape(a.shape[: a.ndim - core] + (-1,)).all(axis=-1))[0]
+        raise SingularMetric(f"{name} is not finite" + (f" at point {tuple(at.tolist())}" if at.size else ""))
 
 
 def _max_abs(a: np.ndarray, core: int):
@@ -256,28 +269,23 @@ def christoffel(m: MetricJet2) -> np.ndarray:
     """
     ginv = m.inverse()
     # G^k_ij = 1/2 g^{kl} (d_i g_lj + d_j g_il - d_l g_ij)
-    bracket = np.einsum("...ilj->...lij", m.dg) + np.einsum("...jil->...lij", m.dg) - m.dg
-    return 0.5 * np.einsum("...kl,...lij->...kij", ginv, bracket)
+    b = _bracket(m.dg)
+    return 0.5 * (ginv @ flat2(b)).reshape(b.shape)
+
+
+def _bracket(a: np.ndarray) -> np.ndarray:
+    """``b[..., l, i, j] = a[..., i, l, j] + a[..., j, i, l] - a[..., l, i, j]``."""
+    return a.swapaxes(-3, -2) + a.swapaxes(-3, -1) - a
 
 
 def christoffel_derivative(m: MetricJet2) -> np.ndarray:
     """First coordinate derivatives ``dG[..., l, k, i, j] = d_l G^k_ij``."""
-    ginv = m.inverse()
-    dginv = -np.einsum("...ka,...lab,...bm->...lkm", ginv, m.dg, ginv)
-    b = (
-        np.einsum("...imj->...mij", m.dg)
-        + np.einsum("...jim->...mij", m.dg)
-        - m.dg
-    )
-    db = (
-        np.einsum("...pimj->...pmij", m.ddg)
-        + np.einsum("...pjim->...pmij", m.ddg)
-        - m.ddg
-    )
-    return 0.5 * (
-        np.einsum("...pkm,...mij->...pkij", dginv, b)
-        + np.einsum("...km,...pmij->...pkij", ginv, db)
-    )
+    # d_l G^k_ij = 1/2 (d_l g^{km} b_mij + g^{km} d_l b_mij) with b the bracket of christoffel
+    # and d_l g^{km} = -g^{ka} d_l g_ab g^{bm}
+    gi = m.inverse()[..., None, :, :]
+    b, db = _bracket(m.dg), _bracket(m.ddg)
+    t = -(gi @ m.dg @ gi) @ flat2(b)[..., None, :, :]
+    return 0.5 * (t + gi @ flat2(db)).reshape(db.shape)
 
 
 def riemann(m: MetricJet2) -> CurvatureTensor:
@@ -288,23 +296,18 @@ def riemann(m: MetricJet2) -> CurvatureTensor:
     residual over these four checks is stored for each point and must not
     exceed ``SYMMETRY_TOL`` at any point.
     """
-    gam = m.connection()
-    dgam = christoffel_derivative(m)
+    gam, dgam = m.connection(), christoffel_derivative(m)
     # R_ijk^l = d_i G^l_jk - d_j G^l_ik + G^l_ia G^a_jk - G^l_ja G^a_ik
-    r_up = (
-        np.einsum("...iljk->...ijkl", dgam)
-        - np.einsum("...jlik->...ijkl", dgam)
-        + np.einsum("...lia,...ajk->...ijkl", gam, gam)
-        - np.einsum("...lja,...aik->...ijkl", gam, gam)
-    )
-    r = np.einsum("...ijkm,...ml->...ijkl", r_up, m.g)
+    d = np.einsum("...iljk->...ijkl", dgam)
+    q = np.einsum("...lijk->...ijkl", (gam @ flat2(gam)[..., None, :, :]).reshape(dgam.shape))
+    r_up = d - d.swapaxes(-4, -3) + q - q.swapaxes(-4, -3)
+    r = (r_up.reshape(r_up.shape[:-4] + (-1, m.dim)) @ m.g).reshape(r_up.shape)
     res = _max_abs(np.maximum(
-        np.maximum(np.abs(r + np.einsum("...ijlk->...ijkl", r)),
-                   np.abs(r + np.einsum("...jikl->...ijkl", r))),
+        np.maximum(np.abs(r + r.swapaxes(-1, -2)), np.abs(r + r.swapaxes(-4, -3))),
         np.maximum(np.abs(r - np.einsum("...klij->...ijkl", r)),
                    np.abs(r + np.einsum("...iklj->...ijkl", r) + np.einsum("...iljk->...ijkl", r))),
     ), 4) / np.maximum(1.0, _max_abs(r, 4))
-    if np.count_nonzero(res > SYMMETRY_TOL):
+    if np.count_nonzero(~(res <= SYMMETRY_TOL)):  # a NaN residual fails too
         raise ValueError(f"curvature symmetry residual {res.max():.3e} exceeds {SYMMETRY_TOL:.1e}")
     return CurvatureTensor(R=r, symmetry_residual=res)
 
@@ -316,12 +319,22 @@ def ricci(m: MetricJet2) -> np.ndarray:
 
 def ricci_from_riemann(r: CurvatureTensor, m: MetricJet2) -> np.ndarray:
     ginv = m.inverse()
-    ric = np.einsum("...im,...ijkm->...jk", ginv, r.R)
+    ric = np.matvec(r.R.reshape(r.R.shape[:-3] + (-1, m.dim)), ginv).sum(axis=-2).reshape(ginv.shape)
     return 0.5 * (ric + np.swapaxes(ric, -1, -2))
 
 
 def scalar_curvature(m: MetricJet2):
-    return np.einsum("...jk,...jk->...", m.inverse(), ricci(m))
+    return trace_product(m.inverse(), ricci(m))
+
+
+def flat2(a: np.ndarray) -> np.ndarray:
+    """``a`` with its last two axes merged, a view when ``a`` is contiguous."""
+    return a.reshape(a.shape[:-2] + (-1,))
+
+
+def trace_product(a: np.ndarray, b: np.ndarray):
+    """tr(a b^T) = sum_ij a_ij b_ij at each point of two stacks of matrices."""
+    return np.vecdot(flat2(a), flat2(b))
 
 
 def check_time_orientation(m: MetricJet2, x: TangentVector) -> None:
@@ -348,8 +361,9 @@ def check_plane_pairs(w: TangentVector, v: TangentVector) -> None:
 def riem_quadform(r: CurvatureTensor, m: MetricJet2, w: TangentVector, v: TangentVector):
     """The scalar R(w, v, v, w), or its value for each pair of a stack, of checked pairs."""
     check_plane_pairs(w, v)
-    a, b = w.components, v.components
-    value = np.einsum("...ijkl,...i,...j,...k,...l->...", r.R, a, b, b, a)
+    wv = w.components[..., :, None] * v.components[..., None, :]  # w^i v^j
+    n2 = wv.shape[-1] ** 2
+    value = np.vecdot(flat2(wv), np.matvec(r.R.reshape(r.R.shape[:-4] + (n2, n2)), flat2(wv.mT)))
     return float(value) if value.ndim == 0 else value
 
 

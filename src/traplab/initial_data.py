@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NotUnitNormal
-from .geometry import MetricJet2, scalar_curvature
+from .geometry import MetricJet2, flat2, scalar_curvature, trace_product
 from .submanifold import EmbeddingJet2, extrinsic_data
 
 MOTS_TOL = 1e-9
@@ -65,17 +65,17 @@ def constraints_from_jet(m: MetricJet2, k: np.ndarray, dk: np.ndarray) -> Constr
     dk = np.asarray(dk, dtype=float)
     hinv = m.inverse()
     scal = scalar_curvature(m)
-    norm_k_sq = np.einsum("...ij,...kl,...ik,...jl->...", k, k, hinv, hinv)
-    tr_k = np.einsum("...ij,...ij->...", hinv, k)
+    k_up = hinv.mT @ k @ hinv.mT  # K^ab = h^ia K_ij h^bj
+    norm_k_sq = trace_product(k, k_up)
+    tr_k = trace_product(hinv, k)
     rho = 0.5 * (scal - norm_k_sq + tr_k * tr_k)
 
-    gam = m.connection()
-    # covariant derivative (nabla_i K)_{kj}; gam[l, i, k] = Gamma^l_{ik}
-    cov_dk = (dk - np.einsum("...lik,...lj->...ikj", gam, k)
-              - np.einsum("...lij,...kl->...ikj", gam, k))
-    div_k = np.einsum("...ik,...ikj->...j", hinv, cov_dk)
-    dhinv = -np.einsum("...ia,...jab,...bk->...jik", hinv, m.dg, hinv)
-    d_tr_k = np.einsum("...jik,...ik->...j", dhinv, k) + np.einsum("...ik,...jik->...j", hinv, dk)
+    # covariant derivative (nabla_i K)_{kj}, with gam[i, l, k] = Gamma^l_{ik}
+    gam, kk = m.connection().swapaxes(-3, -2), k[..., None, :, :]
+    cov_dk = dk - gam.mT @ kk - kk @ gam
+    div_k = np.vecmat(flat2(hinv), cov_dk.reshape(cov_dk.shape[:-3] + (-1, m.dim)))
+    # d_j tr K = h^ik d_j K_ik - d_j h_ab K^ab
+    d_tr_k = np.matvec(flat2(dk), flat2(hinv)) - np.matvec(flat2(m.dg), flat2(k_up))
     j = div_k - d_tr_k
     return ConstraintQuantities(rho=rho, J=j)
 
@@ -101,7 +101,7 @@ def initial_data_expansions(
         raise NotUnitNormal("nu is not h-normal to the surface")
     k, _ = d.K_field(data.H.base)
     k_pullback = tangent_t @ np.asarray(k, dtype=float) @ data.tangent
-    tr_sigma_k = np.einsum("...ab,...ab->...", data.induced_inv, k_pullback)
+    tr_sigma_k = trace_product(data.induced_inv, k_pullback)
     h_nu = -m.inner(nu_vec, data.H.components)
     return tr_sigma_k + h_nu, tr_sigma_k - h_nu
 

@@ -406,8 +406,8 @@ def _build_schwarzschild(params: dict) -> Scenario:
         p = np.asarray(p, dtype=float)
         v, grad, hess = radial_hessian(_schwarzschild_psi4(mass, norm(p)), p)
         g = np.asarray(v)[..., None, None] * eye
-        dg = np.einsum("...k,ij->...kij", grad, eye)
-        ddg = np.einsum("...lk,ij->...lkij", hess, eye)
+        dg = grad[..., :, None, None] * eye
+        ddg = hess[..., :, :, None, None] * eye
         return MetricJet2(slice_dim, g, dg, ddg, Signature.RIEMANNIAN)
 
     def metric(p: np.ndarray) -> MetricJet2:
@@ -424,8 +424,8 @@ def _build_schwarzschild(params: dict) -> Scenario:
         ddg = np.zeros(shape + (dim,) * 4)
         dg[..., 1:, 0, 0] = -gradn
         ddg[..., 1:, 1:, 0, 0] = -hessn
-        dg[..., 1:, 1:, 1:] += np.einsum("...k,ij->...kij", grad4, eye)
-        ddg[..., 1:, 1:, 1:, 1:] += np.einsum("...lk,ij->...lkij", hess4, eye)
+        dg[..., 1:, 1:, 1:] += grad4[..., :, None, None] * eye
+        ddg[..., 1:, 1:, 1:, 1:] += hess4[..., :, :, None, None] * eye
         return MetricJet2(dim, g, dg, ddg, Signature.LORENTZIAN)
 
     sc = Scenario(

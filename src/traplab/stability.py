@@ -53,6 +53,7 @@ from .errors import (
     EigensolverFailure,
     ResolutionTooLow,
 )
+from .geometry import flat2, trace_product
 from .initial_data import InitialData, constraints_from_jet, initial_data_expansions
 from .jets import elementwise
 from .scenarios import SliceSurface, build_scenario
@@ -205,11 +206,12 @@ def stability_coefficients(
     nu = np.asarray(surface.nu(u), dtype=float)
     cq = constraints_from_jet(m, k, dk)
     # scalar second fundamental form in direction nu, as a form on Sigma
-    k_nu = -np.einsum("...a,...aij->...ij", np.matvec(m.g, nu), ext.II)
+    ii = ext.II
+    k_nu = -np.vecmat(np.matvec(m.g, nu), flat2(ii)).reshape(ii.shape[:-3] + ii.shape[-2:])
     tangent_t = np.swapaxes(ext.tangent, -1, -2)
     total = k_nu + tangent_t @ k @ ext.tangent
     inv = ext.induced_inv
-    norm_total_sq = np.einsum("...ac,...bd,...ab,...cd->...", inv, inv, total, total)
+    norm_total_sq = trace_product(total, inv @ total @ inv.mT)
     q = 0.5 * surface.scal_sigma(u) - (np.vecdot(cq.J, nu) + cq.rho) - 0.5 * norm_total_sq
     omega = np.matvec(tangent_t @ k, nu)
     return q, np.matvec(inv, omega), np.vecdot(np.vecmat(omega, inv), omega)

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ImmersionFailure, NonTimelikeOrientation, NotSpacelike
-from .geometry import MetricJet2, TangentVector, norm
+from .geometry import MetricJet2, TangentVector, flat2, norm
 
 MetricField = Callable[[np.ndarray], MetricJet2]
 VectorField = Callable[[np.ndarray], TangentVector]
@@ -141,11 +141,11 @@ def extrinsic_data(e: EmbeddingJet2, m_field: MetricField, u: np.ndarray, jets=N
         raise NotSpacelike(f"induced metric not positive definite at u={u[bad][0]}")
     induced_inv = np.linalg.inv(induced)
     gam = m.connection()
-    accel = dd + np.einsum("...abc,...bi,...cj->...aij", gam, d, d)
+    accel = dd + d_t[..., None, :, :] @ gam @ d[..., None, :, :]
     p_tan = d @ induced_inv @ d_t @ g
     p_norm = np.eye(m.dim) - p_tan
-    ii = np.einsum("...ab,...bij->...aij", p_norm, accel)
-    h_comps = np.einsum("...ij,...aij->...a", induced_inv, ii)
+    ii = (p_norm @ flat2(accel)).reshape(accel.shape)
+    h_comps = np.matvec(flat2(ii), flat2(induced_inv))
     return ExtrinsicData(
         induced=induced,
         induced_inv=induced_inv,

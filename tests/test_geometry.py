@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -306,6 +307,45 @@ class TestJetValidation:
         assert calls == [1]
         assert stack.ddg is stack.ddg and taken.ddg is taken.ddg
         assert calls == [1]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("lead", [(), (2, 3)], ids=["single", "stacked"])
+    @pytest.mark.parametrize("name", ["g", "dg", "ddg"])
+    @pytest.mark.parametrize("deferred", [False, True], ids=["eager", "deferred"])
+    def test_non_finite_jet_rejected(self, bad, lead, name, deferred):
+        # a SingularMetric names the array and the first bad point of the stack
+        arrays = {"g": np.diag([-1.0, 1, 1]), "dg": np.zeros((3,) * 3), "ddg": np.zeros((3,) * 4)}
+        arrays = {key: np.broadcast_to(a, lead + a.shape).copy() for key, a in arrays.items()}
+        for at in [(1, 2), (0, 1)] if lead else [()]:
+            arrays[name][at + (0,) * (arrays[name].ndim - len(lead))] = bad
+        where = " at point (0, 1)" if lead else ""
+        ddg = arrays["ddg"]
+        make = lambda: MetricJet2(3, arrays["g"], arrays["dg"], (lambda: ddg) if deferred else ddg)
+        message = rf"^{name} is not finite{re.escape(where)}$"
+        if name == "ddg" and deferred:
+            jet = make()
+            with pytest.raises(SingularMetric, match=message):
+                jet.ddg
+        else:
+            with pytest.raises(SingularMetric, match=message):
+                make()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_constant_metric_rejected(self, bad):
+        g = np.diag([-1.0, 1, 1, 1])
+        g[2, 2] = bad
+        with pytest.raises(SingularMetric, match=r"^g is not finite$"):
+            MetricJet2.constant(g)
+        stack = np.stack([np.diag([-1.0, 1, 1, 1]), g])
+        with pytest.raises(SingularMetric, match=r"^g is not finite at point \(1,\)$"):
+            MetricJet2.constant(stack)
+
+    def test_nan_curvature_residual_fails_the_symmetry_gate(self):
+        # a jet whose arrays changed after its checks: the NaN residual is a failure
+        jet = MetricJet2.flat(4)
+        jet.dg[1, 2, 2] = np.nan
+        with pytest.raises(ValueError, match="curvature symmetry residual nan exceeds"):
+            riemann(jet)
 
     def test_wrong_signature_rejected(self):
         with pytest.raises(ValueError):
