@@ -13,23 +13,31 @@ Subpackage map:
 * ``scenarios``: built-in analytic geometry families.
 * ``cli``: batch verification front end.
 
+``import traplab`` loads no submodule: each one is imported on its first use,
+as ``traplab.energy`` or ``from traplab import energy``.  A scenario build
+loads ``scenarios`` and what it needs (``errors``, ``geometry``, ``jets``,
+``submanifold``, ``initial_data``).  Every command of ``cli`` adds
+``conformal``, ``reporting`` and ``stability``; ``energy-check`` also loads
+``energy``, and ``verify``, ``linear`` and ``verify --help`` load ``verify``
+(with ``energy`` and ``linear_analysis``).
+
 All computations are pure functions of their inputs; no module keeps shared
 mutable state, so everything is safe to call concurrently.
 """
 
+import importlib
+
 __version__ = "0.1.0"
 
-from . import (  # noqa: F401
-    conformal,
-    energy,
-    errors,
-    geometry,
-    initial_data,
-    jets,
-    linear_analysis,
-    reporting,
-    scenarios,
-    stability,
-    submanifold,
-    verify,
-)
+_SUBMODULES = ("cli", "conformal", "energy", "errors", "geometry", "initial_data", "jets",
+               "linear_analysis", "reporting", "scenarios", "stability", "submanifold", "verify")
+
+
+def __getattr__(name):
+    if name not in _SUBMODULES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return importlib.import_module(f"{__name__}.{name}")
+
+
+def __dir__():
+    return sorted({*globals(), *_SUBMODULES})

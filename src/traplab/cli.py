@@ -26,7 +26,7 @@ from typing import Any, Callable, NamedTuple, Optional
 
 import numpy as np
 
-from . import __version__, energy, stability, verify
+from . import __version__, stability
 from .conformal import (
     BumpProfile,
     CurvatureCase,
@@ -85,7 +85,7 @@ class Opt:
     choices: tuple = ()
     source: str = FLAG
     echo: bool = False
-    help: Optional[str] = None
+    help: Optional[str | Callable[[], str]] = None  # a callable is called for --help
 
 
 class Command(NamedTuple):
@@ -209,6 +209,8 @@ def _cmd_curvature(cfg: dict):
 
 def _cmd_energy(cfg: dict):
     """sampled curvature-condition verdicts"""
+    from . import energy
+
     sc = _get_scenario(cfg)
     sc.require_spacetime()
     reports = energy.condition_suite(
@@ -332,6 +334,9 @@ def _cmd_deform(cfg: dict):
     """normal deformation of a marginal surface"""
     _check_array_bytes(cfg)
     case = stability.equator_deformation_case(cfg["resolution"], q_offset=cfg["q_offset"])
+    if cfg["fd_step"] >= case.injectivity_scale:  # the displaced curve would pass the pole
+        raise ConfigError(f"fd_step must be less than the injectivity scale "
+                          f"{case.injectivity_scale!r}, got {cfg['fd_step']!r}")
     anchor = "deformation-derivative-identity"
     try:
         rep = stability.deformation_check(case, fd_step=cfg["fd_step"])
@@ -355,6 +360,7 @@ def _cmd_deform(cfg: dict):
 
 def _cmd_linear(cfg: dict):
     """linear-analysis verification batches"""
+    from . import verify
     from .linear_analysis import RANK_RTOL
 
     checks = verify.verify_linear_lemmas(seed=cfg["seed"])
@@ -363,6 +369,8 @@ def _cmd_linear(cfg: dict):
 
 def _cmd_verify(cfg: dict):
     """run verification suites"""
+    from . import verify
+
     try:
         results = verify.run_suites(cfg["suites"])
     except KeyError as exc:
@@ -375,6 +383,12 @@ def _cmd_verify(cfg: dict):
         passed = sum(1 for r in records if r.passed)
         payload[suite] = {"passed": passed, "failed": len(records) - passed}
     return checks, payload
+
+
+def _suites_help() -> str:
+    from .verify import SUITES
+
+    return "suites to run: all, " + ", ".join(sorted(SUITES))
 
 
 _SEED = Opt(int, 0, low=0, help="random seed")
@@ -440,7 +454,7 @@ COMMANDS = {
     "linear": _command(_cmd_linear, {"seed": replace(_SEED, default=2024)}),
     "verify": _command(_cmd_verify, {
         "suites": Opt(list, ["all"], source=ARG, echo=True,
-                      help="suites to run: all, " + ", ".join(sorted(verify.SUITES))),
+                      help=_suites_help),
     }),
 }
 
@@ -522,7 +536,8 @@ def _help(command: Optional[str]) -> str:
         usage, about = command, spec.run.__doc__
         rows = [(f"[{k} ...]" if o.source == ARG else f"--{k.replace('_', '-')} " + (
                     "{" + ",".join(map(str, o.choices)) + "}" if o.choices else k.upper()),
-                 o.help) for k, o in spec.options.items() if o.source in (FLAG, ARG)]
+                 o.help() if callable(o.help) else o.help)
+                for k, o in spec.options.items() if o.source in (FLAG, ARG)]
         rows += [("--config PATH", "flat key = value file; flags override it"), (
             "--tol NAME=VALUE", f"tolerance, repeatable: {', '.join(spec.tolerances) or 'none'}")]
     return f"usage: traplab {usage} [FLAG VALUE ...]\n\n{about}\n\n" + "\n".join(

@@ -63,7 +63,19 @@ class Scenario:
     embeddings: dict[str, EmbeddingJet2] = field(default_factory=dict)
     initial_data: Optional[InitialData] = None
     slice_surfaces: dict[str, SliceSurface] = field(default_factory=dict)
-    energy_points: list[np.ndarray] = field(default_factory=list)
+    # a callable is called on the first read, the way MetricJet2 forms a deferred ddg
+    energy_points: list[np.ndarray] | Callable[[], list[np.ndarray]] = field(default_factory=list)
+
+    def __post_init__(self):
+        if callable(self.energy_points):
+            self._draw_points = vars(self).pop("energy_points")
+
+    def __getattr__(self, name):
+        # reached only for attributes not set: ``energy_points`` given as a callable
+        if name != "energy_points" or "_draw_points" not in vars(self):
+            raise AttributeError(name)
+        self.energy_points = self._draw_points()
+        return self.energy_points
 
     def require_spacetime(self):
         if self.metric is None:
@@ -72,7 +84,8 @@ class Scenario:
 
 
 def _flat_field(dim: int, signature: Signature = Signature.LORENTZIAN) -> MetricField:
-    g = MetricJet2.flat(dim, signature).g
+    g = np.eye(dim)
+    g[0, 0] = -1.0 if signature is Signature.LORENTZIAN else 1.0
     return lambda p: MetricJet2.constant(stacked(g, np.shape(p)[:-1]), signature)
 
 
@@ -254,6 +267,7 @@ def _build_minkowski(params: dict) -> Scenario:
         dim=dim,
         metric=_flat_field(dim),
         time_orientation=_coordinate_time_field(dim),
+        energy_points=lambda: [np.zeros(dim), 0.1 * np.arange(1, dim + 1., dtype=float)],
     )
     slice_dim = dim - 1
     if slice_dim >= 2:  # a metric jet needs dimension at least 2
@@ -278,7 +292,6 @@ def _build_minkowski(params: dict) -> Scenario:
             scal_sigma=lambda u: 2.0 / radius**2,
             measure=4.0 * math.pi * radius**2,
         )
-    sc.energy_points = [np.zeros(dim), 0.1 * np.arange(1, dim + 1., dtype=float)]
     return sc
 
 
@@ -288,12 +301,18 @@ def _build_torus_quotient(params: dict) -> Scenario:
         raise BadParams("torus quotient needs at least 2 spatial dimensions")
     dim = m + 1
     periods = (None,) + (1.0,) * m
+
+    def energy_points():  # the one random draw of a scenario, made on the first read
+        rng = np.random.default_rng(7)
+        return [np.concatenate(([0.0], rng.uniform(0, 1, m))) for _ in range(3)]
+
     sc = Scenario(
         name="minkowski_torus_quotient",
         dim=dim,
         metric=_flat_field(dim),
         time_orientation=_coordinate_time_field(dim),
         periods=periods,
+        energy_points=energy_points,
     )
     per_axis = int(params.pop("samples_per_axis", 8))
     sigma_samples = _grid_samples(per_axis, m - 1)
@@ -313,8 +332,6 @@ def _build_torus_quotient(params: dict) -> Scenario:
         injectivity_scale=0.5,
         param_period=1.0,
     )
-    rng = np.random.default_rng(7)
-    sc.energy_points = [np.concatenate(([0.0], rng.uniform(0, 1, m))) for _ in range(3)]
     return sc
 
 
@@ -329,53 +346,25 @@ def _build_einstein_cylinder(params: dict) -> Scenario:
         metric=_cylinder_metric_field(n),
         time_orientation=_coordinate_time_field(dim),
         periods=(None,) * n + (2.0 * math.pi,),
+        energy_points=lambda: [np.array(p) for p in (
+            ((0.0, math.pi / 3.0, 0.3), (0.4, 2.0, 1.1)) if n == 2
+            else ((0.0, math.pi / 3.0, math.pi / 2.5, 0.3), (0.4, 2.0, 1.1, 1.0)))],
     )
     sc.initial_data = InitialData(dim=n, h_field=_sphere_slice_field(n), K_field=zero_K_field(n))
     n_samples = int(params.pop("equator_samples", 16))
-    if n == 2:
-        # equator circle {t = 0, theta = pi/2} of the sphere slice
-        sc.embeddings["equator"] = coordinate_plane_embedding(
-            dim, (0, 1), _circle_samples(n_samples), outward_axis=1,
-            fixed_values=(0.0, math.pi / 2.0),
-        )
-        slice_equator = coordinate_plane_embedding(
-            n, (0,), _circle_samples(n_samples), outward_axis=0,
-            fixed_values=(math.pi / 2.0,),
-        )
-        sc.slice_surfaces["equator"] = SliceSurface(
-            embedding=slice_equator,
-            nu=lambda u: np.array([1.0, 0.0]),
-            mots_candidate=True,
-            scal_sigma=lambda u: 0.0,
-            measure=2.0 * math.pi,
-            injectivity_scale=math.pi / 2.0,
-        )
-        sc.energy_points = [
-            np.array([0.0, math.pi / 3.0, 0.3]),
-            np.array([0.4, 2.0, 1.1]),
-        ]
-    else:
-        # equatorial 2-sphere {t = 0, theta_1 = pi/2} of the 3-sphere slice
-        sc.embeddings["equator"] = coordinate_plane_embedding(
-            dim, (0, 1), _latlong_samples(5, 8), outward_axis=1,
-            fixed_values=(0.0, math.pi / 2.0),
-        )
-        slice_eq = coordinate_plane_embedding(
-            n, (0,), _latlong_samples(5, 8), outward_axis=0,
-            fixed_values=(math.pi / 2.0,),
-        )
-        sc.slice_surfaces["equator"] = SliceSurface(
-            embedding=slice_eq,
-            nu=lambda u: np.eye(n)[0],
-            mots_candidate=True,
-            scal_sigma=lambda u: 2.0,
-            measure=4.0 * math.pi,
-            injectivity_scale=math.pi / 2.0,
-        )
-        sc.energy_points = [
-            np.array([0.0, math.pi / 3.0, math.pi / 2.5, 0.3]),
-            np.array([0.4, 2.0, 1.1, 1.0]),
-        ]
+    # the equator {t = 0, theta_1 = pi/2}: a circle of the 2-sphere, a 2-sphere of the 3-sphere
+    samples = _circle_samples(n_samples) if n == 2 else _latlong_samples(5, 8)
+    sc.embeddings["equator"] = coordinate_plane_embedding(
+        dim, (0, 1), samples, outward_axis=1, fixed_values=(0.0, math.pi / 2.0))
+    sc.slice_surfaces["equator"] = SliceSurface(
+        embedding=coordinate_plane_embedding(
+            n, (0,), samples, outward_axis=0, fixed_values=(math.pi / 2.0,)),
+        nu=lambda u: np.eye(n)[0],
+        mots_candidate=True,
+        scal_sigma=lambda u: 0.0 if n == 2 else 2.0,
+        measure=(2.0 if n == 2 else 4.0) * math.pi,
+        injectivity_scale=math.pi / 2.0,
+    )
     return sc
 
 
@@ -433,6 +422,11 @@ def _build_schwarzschild(params: dict) -> Scenario:
         dim=dim,
         metric=metric,
         time_orientation=_coordinate_time_field(dim),
+        energy_points=lambda: [
+            np.array([0.0, 0.9, 0.0, 0.0]),
+            np.array([0.0, 0.7, 1.1, 0.4]),
+            np.array([0.0, -0.3, 0.5, 1.6]),
+        ],
     )
     sc.initial_data = InitialData(dim=slice_dim, h_field=h_field, K_field=zero_K_field(slice_dim))
 
@@ -464,11 +458,6 @@ def _build_schwarzschild(params: dict) -> Scenario:
     if exterior_r <= mass / 2.0:
         raise BadParams("spacetime sphere radius must exceed mass/2")
     sc.embeddings["sphere"] = sphere_embedding(exterior_r, dim)
-    sc.energy_points = [
-        np.array([0.0, 0.9, 0.0, 0.0]),
-        np.array([0.0, 0.7, 1.1, 0.4]),
-        np.array([0.0, -0.3, 0.5, 1.6]),
-    ]
     return sc
 
 
@@ -494,18 +483,17 @@ def _build_flrw_dust(params: dict) -> Scenario:
             ddg[..., 0, 0, i, i] = dda2
         return MetricJet2(dim, g, dg, ddg, Signature.LORENTZIAN)
 
-    sc = Scenario(
+    return Scenario(
         name="flrw_dust",
         dim=dim,
         metric=metric,
         time_orientation=_coordinate_time_field(dim),
+        energy_points=lambda: [
+            np.concatenate(([0.8], np.zeros(ns))),
+            np.concatenate(([1.0], 0.3 * np.ones(ns))),
+            np.concatenate(([1.4], np.linspace(0, 1, ns))),
+        ],
     )
-    sc.energy_points = [
-        np.concatenate(([0.8], np.zeros(ns))),
-        np.concatenate(([1.0], 0.3 * np.ones(ns))),
-        np.concatenate(([1.4], np.linspace(0, 1, ns))),
-    ]
-    return sc
 
 
 # each builder pops the parameters it reads from its own copy of the dict

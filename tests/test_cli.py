@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -373,13 +374,20 @@ class TestCommandLine:
         assert config.split(" = ")[0] in captured.err
         assert captured.out == ""
 
-    def test_overflowing_fd_step_is_one_line_exit_three(self, capsys):
-        # the displaced equator's induced metric overflows: no warning reaches
-        # stderr, and the non-finite metric is refused as not positive definite
-        assert cli.main(["deform", "--fd-step", "1e200"]) == 3
-        captured = capsys.readouterr()
-        assert len(captured.err.splitlines()) == 1
-        assert captured.err.startswith("scenario error: induced metric not positive definite")
+    @pytest.mark.parametrize("step", ["1e200", "1e20", "10", repr(math.pi / 2)])
+    def test_fd_step_past_the_injectivity_scale_is_one_line_exit_two(self, step, capsys,
+                                                                     monkeypatch):
+        # the displaced equator would pass the pole: refused before the eigensolve
+        monkeypatch.setattr(stability, "principal_eigenvalue", None)
+        assert cli.main(["deform", "--fd-step", step]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "configuration error: fd_step must be less than the injectivity scale "
+            f"{math.pi / 2!r}, got {float(step)!r}"]
+
+    def test_fd_step_below_the_injectivity_scale_runs(self, capsys):
+        # a large step inside the scale is a failing record, not an error
+        assert cli.main(["deform", "--fd-step", "1.5"]) == 1
+        assert "[FAIL] derivative-identity" in capsys.readouterr().out
 
     def test_bad_tolerance_exit_two(self):
         proc = run_cli("curvature", "--case", "timelike", "--n", "1", "--tol", "curvature=x")
@@ -764,8 +772,8 @@ class TestArgvParser:
             else:
                 assert f"--{key.replace('_', '-')} " not in text
                 continue
-            if opt.help:
-                assert " ".join(opt.help.split()) in text
+            if opt.help:  # a callable help is the text of a deferred import
+                assert " ".join((opt.help() if callable(opt.help) else opt.help).split()) in text
             if opt.choices:
                 assert "{" + ",".join(map(str, opt.choices)) + "}" in text
         for tolerance in command.tolerances:

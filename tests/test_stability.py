@@ -1,9 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from traplab.errors import DegenerateMOTS, ResolutionTooLow
+from traplab.errors import DegenerateMOTS, ResolutionTooLow, TrapLabError
 from traplab.geometry import MetricJet2, Signature
 from traplab.initial_data import InitialData
 from traplab.scenarios import build_scenario
@@ -341,6 +342,14 @@ class TestDeformation:
     def test_fd_step_robustness(self):
         rep = deformation_check(equator_deformation_case(32), fd_step=1e-3)
         assert rep.max_rel_error < 2e-3
+
+    def test_overflowing_fd_step_is_a_trap_lab_error(self):
+        # the displaced equator's induced metric overflows: the guard of
+        # extrinsic_data refuses it as not positive definite, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrapLabError, match="^induced metric not positive definite"):
+                deformation_check(equator_deformation_case(64), fd_step=1e200)
 
     @pytest.mark.parametrize("build", [equator_deformation_case, flat_torus_degenerate_case])
     def test_one_geometry_evaluation_per_grid_node(self, build, monkeypatch):
