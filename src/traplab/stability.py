@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import enum
 import math
-from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
@@ -399,13 +398,19 @@ class BlockOperator:
         return out.reshape(self.shape)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """A x for x of shape (N,) or (N, c), or (S, N, c) for a stack of S."""
-        # block row i of x is the view xb[..., i, :, :], as in ``shifted_solver``
+        """A x for x of shape (N,) or (N, c), or (S, N, c) for a stack of S.
+
+        Block row i of x is the view xb[..., i, :, :]; blocks i - 1 and i + 1
+        (mod m) are read through shifted slices of it, the wrapped block alone,
+        so each block's products and sums are bitwise a per-block loop's."""
         xb = x.reshape(x.shape[:-2] + (self.m, self.b, -1))
         out = self.bands[..., 0, :, :, :] @ xb
-        # bands 1 and 2, which one block has not, meet block rows i - 1 and i + 1
-        for band, shift in zip(range(1, self.bands.shape[-4]), (1, -1)):
-            out += self.bands[..., band, :, :, :] @ np.roll(xb, shift, axis=-3)
+        if self.bands.shape[-4] > 1:  # bands 1 and 2, which one block has not
+            lo, up = self.bands[..., 1, :, :, :], self.bands[..., 2, :, :, :]
+            out[..., 1:, :, :] += lo[..., 1:, :, :] @ xb[..., :-1, :, :]
+            out[..., 0, :, :] += lo[..., 0, :, :] @ xb[..., -1, :, :]
+            out[..., :-1, :, :] += up[..., :-1, :, :] @ xb[..., 1:, :, :]
+            out[..., -1, :, :] += up[..., -1, :, :] @ xb[..., 0, :, :]
         return out.reshape(x.shape)
 
     def shifted_solver(self, sigma) -> Callable[..., np.ndarray]:
@@ -415,57 +420,61 @@ class BlockOperator:
         stable because A - sigma I is strictly row diagonally dominant for the
         Gershgorin shift.  The cyclic corner blocks are carried as a fill
         column (block column m-1) and a fill row (block row m-1): block-arrow
-        elimination.  Each pivot block is inverted once.  One block (m = 1) is
-        the case of no elimination step: its one pivot is the whole shifted
-        matrix, inverted once and applied by one product.  A stack takes a
-        shift per member and x of shape (S, N, c).
+        elimination.  Each pivot block is inverted once.  The fill row and the
+        fill column are arrays with a block axis: each enters a solve as one
+        stacked product, subtracted in a per-block loop's order and bitwise its
+        result, and only the two block-tridiagonal recurrences loop over blocks.
+        One block (m = 1), with empty block axes, is the case of no elimination
+        step: its one pivot is the whole shifted matrix, inverted once and
+        applied by one product.  A stack takes a shift per member and x of
+        shape (S, N, c).
         """
         m, b, last = self.m, self.b, self.m - 1
-        # the band and block axes first: blocks[k, i] is block i of band k of every member
-        blocks = np.moveaxis(self.bands, (-4, -3), (0, 1))
-        zero = np.broadcast_to(0.0, (b, b))  # no memory: one block (b = N) never reads it
-        # block[i, j] is block (i, j) of every member, zero off the block diagonals
-        block = defaultdict(lambda: zero, {(i, j): blocks[k, i]
-                                           for k, js in enumerate(_band_blocks(m)[1].tolist())
-                                           for i, j in enumerate(js)})
-        d = blocks[0] - np.asarray(sigma)[..., None, None] * np.eye(b)
+        # lo[..., i, :, :] and up[..., i, :, :] are blocks (i, i - 1) and (i, i + 1);
+        # one block, which never reads them, has its one band in their place
+        lo, up = (self.bands[..., k % self.bands.shape[-4], :, :, :] for k in (1, 2))
+        d = self.bands[..., 0, :, :, :] - np.asarray(sigma)[..., None, None, None] * np.eye(b)
         # step i keeps the pivot inverse P_i = S_i^-1, the fill column F_i
         # (block (i, m-1) of U), the fill-row multiplier V_i = G_i P_i and,
         # below the last block row, the lower multiplier W_{i+1} = A_{i+1,i} P_i
-        pivots, fill_col, fill_row, lower = [], [], [], []
-        up = [block[i, i + 1] for i in range(last - 1)]
-        s, t, f, g = d[0], d[last], block[0, last], block[last, 0]
+        pivots, lower = [], []
+        fill_col, fill_row = np.empty((2,) + d[..., 1:, :, :].shape)
+        s, t, f, g = d[..., 0, :, :], d[..., last, :, :], lo[..., 0, :, :], up[..., last, :, :]
         for i in range(last):
-            p = np.linalg.inv(s)
-            v = g @ p
+            pivots.append(p := np.linalg.inv(s))
+            fill_col[..., i, :, :] = f
+            v = np.matmul(g, p, out=fill_row[..., i, :, :])
             t = t - v @ f
-            pivots.append(p)
-            fill_col.append(f)
-            fill_row.append(v)
             if i + 1 < last:
-                w = block[i + 1, i] @ p
-                s = d[i + 1] - w @ up[i]
+                lower.append(w := lo[..., i + 1, :, :] @ p)
+                s = d[..., i + 1, :, :] - w @ up[..., i, :, :]
                 # blocks (i+1, m-1) and (m-1, i+1) are nonzero only when adjacent
-                f = block[i + 1, last] - w @ f
-                g = block[last, i + 1] - v @ up[i]
-                lower.append(w)
+                adjacent = i + 2 == last
+                f = (up[..., i + 1, :, :] if adjacent else 0.0) - w @ f
+                g = (lo[..., last, :, :] if adjacent else 0.0) - v @ up[..., i, :, :]
         pivots.append(np.linalg.inv(t))
 
         def solve(y: np.ndarray) -> np.ndarray:
             yb = y.reshape(y.shape[:-2] + (m, b, -1))
-            z = [yb[..., 0, :, :]]
+            # work holds z_i = y_i - W_i z_{i-1}, later r_i = z_i - F_i x_{m-1}, in blocks
+            # 0 .. m-2, y_{m-1} in block m-1 and the fill row's products V_i z_i after it
+            work = np.empty(yb.shape[:-3] + (2 * m - 1,) + yb.shape[-2:])
+            work[..., :m, :, :] = yb
+            z = work[..., :last, :, :]
             for i in range(1, last):
-                z.append(yb[..., i, :, :] - lower[i - 1] @ z[-1])
-            acc = yb[..., last, :, :]
-            for i in range(last):
-                acc = acc - fill_row[i] @ z[i]
+                z_i = z[..., i, :, :]
+                z_i -= lower[i - 1] @ z[..., i - 1, :, :]
+            np.matmul(fill_row, z, out=work[..., m:, :, :])
             x = np.empty(yb.shape)
-            x_last = np.matmul(pivots[last], acc, out=x[..., last, :, :])
+            # y_{m-1} - V_0 z_0 - V_1 z_1 - ..., subtracted left to right
+            x_last = np.matmul(pivots[last], np.subtract.reduce(work[..., last:, :, :], axis=-3),
+                               out=x[..., last, :, :])
+            z -= fill_col @ x_last[..., None, :, :]
             for i in reversed(range(last)):
-                r = z[i] - fill_col[i] @ x_last
+                r_i = z[..., i, :, :]
                 if i + 1 < last:
-                    r = r - up[i] @ x[..., i + 1, :, :]
-                np.matmul(pivots[i], r, out=x[..., i, :, :])
+                    r_i -= up[..., i, :, :] @ x[..., i + 1, :, :]
+                np.matmul(pivots[i], r_i, out=x[..., i, :, :])
             return x.reshape(y.shape)
 
         return solve
@@ -527,7 +536,8 @@ def _orthogonal_iteration(op: BlockOperator, k: int) -> tuple[np.ndarray, np.nda
                 # a group of every member, as one operator always is, is taken without copies
                 sel = slice(None) if size == count else rows
                 v, c = (ritz[sel].real, coeffs[sel].real) if taken_real else (ritz[sel], coeffs[sel])
-                order = np.lexsort((np.abs(v.imag), v.real), axis=-1)[:, :k]
+                # real values have no imaginary key: one stable key sorts them alike
+                order = np.lexsort((v,) if taken_real else (np.abs(v.imag), v.real), axis=-1)[:, :k]
                 # np.take_along_axis written out, at half its cost for these small arrays
                 member = np.arange(size)[:, None]
                 v, c = v[member, order], c[member[:, None], columns, order[:, None, :]]

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
@@ -232,6 +233,140 @@ class TestBlockPath:
         assert a.eigenfunction.tobytes() == b.eigenfunction.tobytes()
         assert a.spectrum_head.tobytes() == b.spectrum_head.tobytes()
         assert repr(a.residual) == repr(b.residual)
+
+
+def _reference_apply(op, x):
+    """A x with the neighbour blocks copied by ``np.roll``, the per-band form the
+    shifted views of ``BlockOperator.apply`` must reproduce bit for bit."""
+    xb = x.reshape(x.shape[:-2] + (op.m, op.b, -1))
+    out = op.bands[..., 0, :, :, :] @ xb
+    for band, shift in zip(range(1, op.bands.shape[-4]), (1, -1)):
+        out += op.bands[..., band, :, :, :] @ np.roll(xb, shift, axis=-3)
+    return out.reshape(x.shape)
+
+
+def _reference_shifted_solver(op, sigma):
+    """(A - sigma I)^-1 by block-arrow elimination with the factors in lists and
+    every fill-row and fill-column product in its own loop step, the form the
+    stacked products of ``BlockOperator.shifted_solver`` must reproduce bit for bit."""
+    m, b, last = op.m, op.b, op.m - 1
+    blocks = np.moveaxis(op.bands, (-4, -3), (0, 1))
+    zero = np.broadcast_to(0.0, (b, b))
+    block = defaultdict(lambda: zero, {(i, j): blocks[k, i]
+                                       for k, js in enumerate(stability._band_blocks(m)[1].tolist())
+                                       for i, j in enumerate(js)})
+    d = blocks[0] - np.asarray(sigma)[..., None, None] * np.eye(b)
+    pivots, fill_col, fill_row, lower = [], [], [], []
+    up = [block[i, i + 1] for i in range(last - 1)]
+    s, t, f, g = d[0], d[last], block[0, last], block[last, 0]
+    for i in range(last):
+        p = np.linalg.inv(s)
+        v = g @ p
+        t = t - v @ f
+        pivots.append(p)
+        fill_col.append(f)
+        fill_row.append(v)
+        if i + 1 < last:
+            w = block[i + 1, i] @ p
+            s = d[i + 1] - w @ up[i]
+            f = block[i + 1, last] - w @ f
+            g = block[last, i + 1] - v @ up[i]
+            lower.append(w)
+    pivots.append(np.linalg.inv(t))
+
+    def solve(y):
+        yb = y.reshape(y.shape[:-2] + (m, b, -1))
+        z = [yb[..., 0, :, :]]
+        for i in range(1, last):
+            z.append(yb[..., i, :, :] - lower[i - 1] @ z[-1])
+        acc = yb[..., last, :, :]
+        for i in range(last):
+            acc = acc - fill_row[i] @ z[i]
+        x = np.empty(yb.shape)
+        x_last = np.matmul(pivots[last], acc, out=x[..., last, :, :])
+        for i in reversed(range(last)):
+            r = z[i] - fill_col[i] @ x_last
+            if i + 1 < last:
+                r = r - up[i] @ x[..., i + 1, :, :]
+            np.matmul(pivots[i], r, out=x[..., i, :, :])
+        return x.reshape(y.shape)
+
+    return solve
+
+
+def _assert_same_bits(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    if a.dtype == np.longdouble and a.dtype.itemsize > 10:
+        # x87 extended values leave padding bytes unwritten, so compare value and sign
+        assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+    else:
+        assert a.tobytes() == b.tobytes()
+
+
+def _gershgorin_shift(op):
+    """One below the Gershgorin lower bound of each member, as the eigensolver shifts."""
+    diag = np.diagonal(op.bands[..., 0, :, :, :], axis1=-2, axis2=-1)
+    off = np.abs(op.bands).sum(axis=-1).sum(axis=-3) - np.abs(diag)
+    return (diag - off).min(axis=(-2, -1)) - 1.0
+
+
+def _random_arrow_operator(m, b, count, seed):
+    """A stack of ``count`` block-cyclic operators of m blocks of b nodes with random,
+    strictly diagonally dominant bands; m = 3 feeds the superdiagonal block of
+    row 1 into the fill column on the first elimination step."""
+    bands = np.random.default_rng(seed).uniform(-1.0, 1.0, (count, 3, m, b, b))
+    rows = np.arange(b)
+    bands[:, 0][..., rows, rows] += np.abs(bands).sum(axis=(1, -1)) + 0.5
+    return BlockOperator(bands)
+
+
+def _stacks(op):
+    """One operator, a stack of one and a stack of three of it and two variants."""
+    three = np.stack([op.bands, 0.75 * op.bands, op.bands.copy()])
+    rows = np.arange(op.b)
+    three[2, 0][..., rows, rows] += 0.5
+    return [op, BlockOperator(op.bands[None]), BlockOperator(three)]
+
+
+class TestAgainstPerBlockReference:
+    """``apply`` and ``shifted_solver`` against the per-block loops they replace."""
+
+    @pytest.mark.parametrize("name", ["circle-48", "circle-256-0", "torus-16x32", "sphere-16x32",
+                                      "sphere-24x48", "circle-1024"])
+    @pytest.mark.parametrize("c", [1, 9, 16])
+    def test_block_operators(self, name, c):
+        _, op = BLOCK_OPERATORS[name]()
+        self._assert_matches_reference(op, c)
+
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    @pytest.mark.parametrize("c", [1, 9, 16])
+    def test_few_block_cycles(self, m, c):
+        op = _random_arrow_operator(m, 6, 3, seed=m)
+        self._assert_matches_reference(op, c)
+        # and against a dense solve, member by member
+        sigma = _gershgorin_shift(op)
+        y = np.random.default_rng(c).standard_normal((3, m * 6, c))
+        x = op.shifted_solver(sigma)(y)
+        for j in range(3):
+            shifted = BlockOperator(op.bands[j]).dense() - sigma[j] * np.eye(m * 6)
+            ref = np.linalg.solve(shifted, y[j])
+            assert np.abs(x[j] - ref).max() <= 1e-15 * np.abs(ref).max()
+
+    @staticmethod
+    def _assert_matches_reference(op, c):
+        rng = np.random.default_rng(c)
+        for member in _stacks(op):
+            lead = member.bands.shape[:-4]
+            x = rng.standard_normal(lead + (member.shape[0], c))
+            for dtype in (float, np.longdouble):
+                wide = x.astype(dtype)
+                _assert_same_bits(member.apply(wide), _reference_apply(member, wide))
+            sigma = _gershgorin_shift(member)
+            _assert_same_bits(member.shifted_solver(sigma)(x),
+                              _reference_shifted_solver(member, sigma)(x))
+            if c == 1 and not lead:
+                _assert_same_bits(member.shifted_solver(sigma)(x[:, 0]),
+                                  _reference_shifted_solver(member, sigma)(x[:, 0]))
 
 
 CSV_WRITERS = [

@@ -5,10 +5,14 @@ Each file ``tests/golden/<name>.json`` holds
 ``CONFIGS``.  A fresh report matches its golden file when keys, JSON types,
 strings, ints and bools (every ``passed`` among them) are equal, and every
 float agrees to within ``FLOAT_RTOL * max(1, |golden|)``; the float band
-absorbs the rounding differences of BLAS kernels between CPUs.  The fresh
-bytes must also equal the file exactly, which pins every byte the report
-writer lays out; on a CPU whose BLAS rounds differently that test fails
-while the band test names the float that moved and by how much.
+absorbs the rounding differences of BLAS kernels between CPUs in JSON floats.
+It does not absorb floats formatted into strings, which are compared as
+strings: the ``detail`` of a record, such as the ``min sampled value
+-1.108113e-17`` of the ``energy-check`` Ricci records, a vacuum value at the
+rounding level that another summation order or BLAS kernel changes in its
+leading digits.  The fresh bytes must also equal the file exactly, which pins
+every byte the report writer lays out; on a CPU whose BLAS rounds differently
+that test fails while the band test names the float that moved and by how much.
 
 Regenerate the corpus (after a deliberate, documented output change) with::
 
