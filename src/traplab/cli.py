@@ -229,7 +229,6 @@ def _cmd_energy(cfg: dict):
         checks.append(CheckRecord(
             name=f"condition-{cond.value}", anchor="condition-set-inclusions",
             measured=rep.verdict.value, expected="(report only)", tolerance=None, passed=True,
-            detail=f"min sampled value {rep.min_value:.6e}",
         ))
     return checks, payload
 

@@ -139,9 +139,9 @@ class MetricJet2:
         eigs = np.linalg.eigvalsh(self.g)
         if self.signature is Signature.LORENTZIAN:
             if np.count_nonzero(~((eigs[..., 0] < 0) & (eigs[..., 1] > 0))):
-                raise ValueError("Lorentzian metric needs exactly one negative eigenvalue")
+                raise SingularMetric("Lorentzian metric needs exactly one negative eigenvalue")
         elif np.count_nonzero(~(eigs[..., 0] > 0)):
-            raise ValueError("Riemannian metric must be positive definite")
+            raise SingularMetric("Riemannian metric must be positive definite")
         abs_eigs = np.abs(eigs)
         self.cond = np.maximum.reduce(abs_eigs, axis=-1) / np.minimum.reduce(abs_eigs, axis=-1)
 

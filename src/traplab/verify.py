@@ -1,44 +1,77 @@
 """Aggregated verification suites behind the command-line ``verify`` command.
 
 Each suite returns a list of check records; the registry maps suite names to
-functions.  The pytest acceptance module drives the same functions, so the
-command line and the test suite cannot drift apart.
+functions, which the pytest acceptance module drives too.  A suite that
+repeats a command is a list of its configs, run through the command's own
+code, so each check builder exists once: ``curvature-perturbation`` (12
+``curvature`` runs), ``energy-chain`` (one ``energy-check`` per scenario),
+``constraints`` (three ``constraints`` runs) and ``determinism`` (two
+configs, each reported twice).  Three suites keep their own checks, each for
+a measured reason: ``deformation`` makes one geometry pass for its equator
+case and its shift, where two ``deform`` runs make two; ``spectral-suite``
+solves for lambda1 alone, where ``spectrum`` solves an eight-eigenvalue head
+(16 against 11 ms for the suite); ``trapping-construction`` stacks the torus
+sequence over n = 1..32, where ``perturb`` checks one n.
 
-One check is expected to report a failure by design: the null-v/spacelike-w
-curvature perturbation is verified against the published reference constant
--4/n * g(w, w), while the directly computed value of the rescaled curvature
-is -8/n * g(w, w).  The -8/n value is derived three independent ways: in
-closed form in the README, as a numeric pin in tests/test_conformal.py, and
-by the sympy oracle in tests/_oracles.py.  The reference is kept as published
-rather than silently corrected; the acceptance test asserts that this check,
-at n = 1, 2, 5 and 10, is the only one that fails.
+One check fails by design: the null-v/spacelike-w curvature perturbation is
+verified against the published reference -4/n * g(w, w), while the computed
+value is -8/n * g(w, w), derived in closed form in the README, pinned in
+tests/test_conformal.py and checked by the sympy oracle in tests/_oracles.py.
+The reference is kept as published; the acceptance test asserts that this
+check, at n = 1, 2, 5 and 10, is the only one that fails.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
-from . import conformal, energy, linear_analysis, stability
+from . import cli, conformal, energy, linear_analysis, stability
 from .conformal import (
     BumpProfile,
     CurvatureCase,
     coordinate_scalar_field,
-    curvature_perturbation,
-    curvature_perturbation_reference,
     quadratic_scalar_field,
     rescaled_metric_field,
 )
 from .errors import DegenerateMOTS
 from .geometry import MetricJet2, Signature, riemann
-from .initial_data import constraint_quantities
-from .reporting import CheckRecord, Stopwatch, approx_record, flag_record, relative_error
+from .reporting import (
+    CheckRecord, Stopwatch, approx_record, flag_record, relative_error, report_bytes,
+)
 from .scenarios import build_scenario, scenario_names
 from .submanifold import TrappingLabel, extrinsic_data
 
 
+# --- command configs --------------------------------------------------------
+
+_CURVATURE_RUNS = [{"command": "curvature", "case": case.value, "n": n}
+                   for case in CurvatureCase for n in (1, 2, 5, 10)]
+_ENERGY_RUNS = [{"command": "energy-check", "scenario": name, "seed": 11, "count": 24}
+                for name in scenario_names()]
+_CONSTRAINTS_RUNS = [
+    {"command": "constraints", "scenario": "minkowski", "points": 3},
+    {"command": "constraints", "scenario": "schwarzschild_slice_isotropic", "seed": 23,
+     "points": 200},
+    {"command": "constraints", "scenario": "einstein_cylinder", "points": 3},
+]
+_REPLAY_RUNS = [
+    {"command": "energy-check", "scenario": "minkowski_torus_quotient", "seed": 3, "count": 16},
+    {"command": "spectrum", "scenario": "einstein_cylinder", "n": 2, "resolution": 32},
+]
+
+
 # --- helpers ----------------------------------------------------------------
+
+def _command_run(cfg: dict) -> tuple[list[CheckRecord], Any]:
+    """The checks and payload of one command config, made by the command's own code; the
+    name of each check of a config that names a scenario ends in ``-<scenario>``."""
+    checks, payload, *_ = cli.COMMANDS[cfg["command"]].run(cli.resolve(cfg))
+    for rec in checks:
+        rec.name += f"-{cfg['scenario']}" if "scenario" in cfg else ""
+    return checks, payload
+
 
 def _random_jet_arrays(rng: np.random.Generator, dim: int, signature: Signature):
     """The (g, dg, ddg) arrays of a random analytic metric jet, unchecked: the
@@ -84,29 +117,9 @@ def _surface_cases():
 # --- suites -----------------------------------------------------------------
 
 def verify_curvature_perturbation_values() -> list[CheckRecord]:
-    """Closed-form values of the three curvature perturbation cases."""
-    records = []
+    """Closed-form values of the three curvature perturbation cases: the `curvature` runs."""
     with Stopwatch() as sw:
-        for case in CurvatureCase:
-            for n in (1, 2, 5, 10):
-                measured = curvature_perturbation(case, n)
-                expected = curvature_perturbation_reference(case, n)
-                detail = ""
-                if case is CurvatureCase.NULL_V_SPACELIKE_W:
-                    detail = (
-                        "published reference constant -4/n; direct computation "
-                        "gives -8/n (see README and tests/test_conformal.py)"
-                    )
-                records.append(
-                    approx_record(
-                        name=f"curvature-perturbation-{case.value}-n{n}",
-                        anchor="conformal-curvature-closed-form",
-                        measured=measured,
-                        expected=expected,
-                        tolerance=1e-6,
-                        detail=detail,
-                    )
-                )
+        records = [rec for cfg in _CURVATURE_RUNS for rec in _command_run(cfg)[0]]
     records.append(_runtime_record("curvature-perturbation", sw.elapsed, 5.0))
     return records
 
@@ -226,88 +239,28 @@ def verify_curvature_axioms() -> list[CheckRecord]:
 
 
 def verify_energy_chain() -> list[CheckRecord]:
-    """Sampled condition verdicts respect the inclusion chain on every scenario."""
+    """Sampled condition verdicts respect the inclusion chain on every scenario: one
+    `energy-check` run each, its verdicts the detail of its chain record; the flat torus
+    quotient satisfies the weak Ricci condition and violates the strict one at a zero value."""
     records = []
-    for name in scenario_names():
-        sc = build_scenario(name, {})
-        reports = energy.condition_suite(
-            sc.metric, sc.energy_points, sc.time_orientation, seed=11, count=24
-        )
-        records.append(
-            flag_record(
-                f"inclusion-chain-{name}", "condition-set-inclusions",
-                energy.inclusion_chain_holds(reports),
-                detail=str({c.value: r.verdict.value for c, r in reports.items()}),
-            )
-        )
-        if name == "minkowski_torus_quotient":
-            weak = reports[energy.Condition.RICCI_WEAK]
-            strict = reports[energy.Condition.RICCI_STRICT]
-            records.append(
-                flag_record(
-                    "torus-weak-ricci-satisfied", "flat-quotient-energy-membership",
-                    weak.satisfied, detail=f"min value {weak.min_value:.3e}",
-                )
-            )
-            witness_ok = (
-                not strict.satisfied
-                and strict.witness is not None
-                and abs(strict.witness.value) <= 1e-12
-            )
-            records.append(
-                flag_record(
-                    "torus-strict-ricci-violated-witness-zero",
-                    "flat-quotient-energy-membership", witness_ok,
-                    detail="witness value "
-                    + (f"{strict.witness.value:.3e}" if strict.witness else "missing"),
-                )
-            )
+    for cfg in _ENERGY_RUNS:
+        [chain, *_], payload = _command_run(cfg)
+        chain.detail = str({c.value: payload[c.value]["verdict"] for c in energy.Condition})
+        records.append(chain)
+        if cfg["scenario"] == "minkowski_torus_quotient":
+            anchor, witness = "flat-quotient-energy-membership", payload["ricci_strict"]["witness"]
+            records.append(flag_record("torus-weak-ricci-satisfied", anchor,
+                                       payload["ricci_weak"]["verdict"] == "satisfied_on_samples",
+                                       detail="the Ricci form of the flat quotient vanishes"))
+            records.append(flag_record("torus-strict-ricci-violated-witness-zero", anchor,
+                                       witness is not None and abs(witness.value) <= 1e-12,
+                                       detail="violated at a witness value within 1e-12 of zero"))
     return records
 
 
 def verify_constraints() -> list[CheckRecord]:
-    """Vacuum and non-vacuum constraint values on the shipped data sets."""
-    records = []
-    def worst(name: str, points: list, rho: float = 0.0) -> tuple[float, float]:
-        """Largest |rho - rho_expected| and |J| over the points, one batched call."""
-        cq = constraint_quantities(build_scenario(name, {}).initial_data, np.array(points))
-        return float(np.abs(cq.rho - rho).max()), float(np.abs(cq.J).max())
-
-    records.append(
-        approx_record(
-            "flat-data-vacuum", "constraint-energy-density",
-            max(worst("minkowski", [[0.0, 0.0, 0.0], [0.3, -0.7, 1.9], [5.0, 2.0, -3.0]])),
-            0.0, 1e-12, relative=False,
-        )
-    )
-    rng = np.random.default_rng(23)
-    points = []
-    for _ in range(200):
-        direction = rng.normal(size=3)
-        direction /= np.linalg.norm(direction)
-        points.append(direction * rng.uniform(0.6, 3.0))
-    records.append(
-        approx_record(
-            "schwarzschild-slice-vacuum", "constraint-energy-density",
-            max(worst("schwarzschild_slice_isotropic", points)), 0.0, 1e-8, relative=False,
-            detail="200 sampled points, isotropic time-symmetric data",
-        )
-    )
-    worst_rho, worst_j = worst("einstein_cylinder", [[0.4, 1.0], [1.8, 2.2], [2.4, 5.0]], 1.0)
-    records.append(
-        approx_record(
-            "cylinder-slice-energy-density", "constraint-energy-density",
-            1.0 + worst_rho, 1.0, 1e-9,
-            detail="unit-sphere slice has scalar curvature 2, so density 1",
-        )
-    )
-    records.append(
-        approx_record(
-            "cylinder-slice-current", "constraint-energy-density",
-            worst_j, 0.0, 1e-9, relative=False,
-        )
-    )
-    return records
+    """Vacuum and non-vacuum constraint values on the shipped data sets: the `constraints` runs."""
+    return [rec for cfg in _CONSTRAINTS_RUNS for rec in _command_run(cfg)[0]]
 
 
 def _reference_circle_operator(n: int):
@@ -564,28 +517,12 @@ def verify_spectral_properties() -> list[CheckRecord]:
 
 
 def verify_determinism() -> list[CheckRecord]:
-    """Identical configuration and seed give byte-identical reports."""
-    from . import cli
+    """Identical configuration and seed give byte-identical reports: each config run twice."""
+    def replay(cfg: dict) -> bytes:
+        return report_bytes(cli.execute_config(cfg), drop_wall_time=True)
 
-    config = {
-        "command": "energy-check",
-        "scenario": "minkowski_torus_quotient",
-        "seed": 3,
-        "count": 16,
-    }
-    a = cli.execute_config(dict(config))
-    b = cli.execute_config(dict(config))
-    from .reporting import report_bytes
-
-    same = report_bytes(a, drop_wall_time=True) == report_bytes(b, drop_wall_time=True)
-    config2 = {"command": "spectrum", "scenario": "einstein_cylinder", "n": 2, "resolution": 32}
-    c = cli.execute_config(dict(config2))
-    d = cli.execute_config(dict(config2))
-    same2 = report_bytes(c, drop_wall_time=True) == report_bytes(d, drop_wall_time=True)
-    return [
-        flag_record("replay-energy-check", "plumbing", same),
-        flag_record("replay-spectrum", "plumbing", same2),
-    ]
+    return [flag_record(f"replay-{cfg['command']}", "plumbing", replay(cfg) == replay(cfg))
+            for cfg in _REPLAY_RUNS]
 
 
 SUITES: dict[str, Callable[[], list[CheckRecord]]] = {

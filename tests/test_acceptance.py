@@ -20,7 +20,7 @@ pass.
 
 import pytest
 
-from traplab import verify
+from traplab import cli, verify
 
 
 def _report(name, records):
@@ -120,3 +120,31 @@ def test_criterion_10_spectral_properties():
 def test_criterion_11_determinism():
     # identical config and seed give byte-identical reports modulo wall time.
     _assert_all("criterion-11", verify.verify_determinism())
+
+
+# --- suites that are command runs cannot drift from their commands ----------
+
+def test_curvature_records_are_the_curvature_command_records():
+    runs = [cli.resolve({"command": "curvature", "case": case, "n": n})
+            for case in ("timelike", "null-spacelike", "null-null") for n in (1, 2, 5, 10)]
+    expected = [rec for cfg in runs for rec in cli._cmd_curvature(cfg)[0]]
+    assert verify.verify_curvature_perturbation_values()[:12] == expected
+
+
+@pytest.mark.parametrize("suite, configs, own", [
+    ("constraints", verify._CONSTRAINTS_RUNS, set()),
+    ("energy-chain", verify._ENERGY_RUNS,
+     {"torus-weak-ricci-satisfied", "torus-strict-ricci-violated-witness-zero"}),
+])
+def test_suite_records_are_their_command_records(suite, configs, own):
+    # every record but the suite's own is a record of its config's report, named by the scenario
+    records = {rec.name: rec for rec in verify.SUITES[suite]()}
+    for cfg in configs:
+        checks = {f"{c['name']}-{cfg['scenario']}": c for c in cli.execute_config(cfg)["checks"]}
+        names = checks.keys() & records.keys()
+        assert names, cfg
+        for name in names:
+            rec, check = records.pop(name), checks[name]
+            assert (rec.measured, rec.expected, rec.tolerance) == (
+                check["measured"], check["expected"], check["tolerance"]), name
+    assert set(records) == own

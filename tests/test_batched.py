@@ -199,7 +199,7 @@ def test_signature_point():
     g = np.tile(np.diag([-1.0, 1.0, 1.0]), (4, 1, 1))
     g[2, 0, 0] = 1.0
     _raises_like_the_point(MetricJet2.constant, g, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(SingularMetric):
         MetricJet2.constant(g)
     h = np.tile(np.eye(3), (4, 1, 1))
     h[1, 0, 0] = -1.0

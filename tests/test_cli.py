@@ -374,6 +374,19 @@ class TestCommandLine:
         assert config.split(" = ")[0] in captured.err
         assert captured.out == ""
 
+    def test_degenerate_scenario_metric_is_scenario_error_exit_three(self, tmp_path, capsys):
+        # mass 1.8 puts the first energy point (0, 0.9, 0, 0) on r = m/2, where the
+        # isotropic lapse and so g00 vanish: the signature check refuses the jet
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("mass = 1.8\n")
+        argv = ["energy-check", "--scenario", "schwarzschild_slice_isotropic", "--config", str(cfg)]
+        assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "scenario error: Lorentzian metric needs exactly one negative eigenvalue"
+        ]
+        assert captured.out == ""
+
     @pytest.mark.parametrize("step", ["1e200", "1e20", "10", repr(math.pi / 2)])
     def test_fd_step_past_the_injectivity_scale_is_one_line_exit_two(self, step, capsys,
                                                                      monkeypatch):

@@ -348,10 +348,10 @@ class TestJetValidation:
             riemann(jet)
 
     def test_wrong_signature_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(SingularMetric, match="Lorentzian metric needs exactly one negative"):
             MetricJet2(3, np.eye(3), np.zeros((3,) * 3), np.zeros((3,) * 4),
                        Signature.LORENTZIAN)
-        with pytest.raises(ValueError):
+        with pytest.raises(SingularMetric, match="Riemannian metric must be positive definite"):
             MetricJet2.constant(np.diag([-1.0, 1, 1]), Signature.RIEMANNIAN)
 
     def test_degenerate_embedding_rejected(self):

@@ -7,12 +7,13 @@ strings, ints and bools (every ``passed`` among them) are equal, and every
 float agrees to within ``FLOAT_RTOL * max(1, |golden|)``; the float band
 absorbs the rounding differences of BLAS kernels between CPUs in JSON floats.
 It does not absorb floats formatted into strings, which are compared as
-strings: the ``detail`` of a record, such as the ``min sampled value
--1.108113e-17`` of the ``energy-check`` Ricci records, a vacuum value at the
-rounding level that another summation order or BLAS kernel changes in its
-leading digits.  The fresh bytes must also equal the file exactly, which pins
-every byte the report writer lays out; on a CPU whose BLAS rounds differently
-that test fails while the band test names the float that moved and by how much.
+strings: the ``detail`` of a record, such as the ``displacement +0.078540`` of
+the ``deform`` reports.  The ``energy-check`` records keep their sampled
+minima, vacuum Ricci values at the rounding level among them, in the payload
+only, and no ``detail`` of their goldens holds a float.  The fresh bytes must
+also equal the file exactly, which pins every byte the report writer lays
+out; on a CPU whose BLAS rounds differently that test fails while the band
+test names the float that moved and by how much.
 
 Regenerate the corpus (after a deliberate, documented output change) with::
 
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -33,6 +35,8 @@ from traplab.reporting import report_bytes
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 FLOAT_RTOL = 1e-9
+# a formatted float: digits around a decimal point, or a mantissa with an exponent
+FLOAT_TEXT = re.compile(r"\d\.\d|\d[eE][-+]?\d")
 
 CONFIGS = {
     "verify-all": {"command": "verify", "suites": ["all"]},
@@ -112,6 +116,13 @@ def test_report_matches_golden(name):
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_report_bytes_match_golden_exactly(name):
     assert golden_bytes(name) + b"\n" == (GOLDEN_DIR / f"{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(n for n in CONFIGS if n.startswith("energy-")))
+def test_energy_details_hold_no_float(name):
+    # a float in a detail is compared as text, outside the float band
+    golden = json.loads((GOLDEN_DIR / f"{name}.json").read_bytes())
+    assert [c["detail"] for c in golden["checks"] if FLOAT_TEXT.search(c["detail"])] == []
 
 
 def test_corpus_has_one_file_per_config():
