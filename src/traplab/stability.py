@@ -23,8 +23,9 @@ block diagonals (``BlockOperator``), for one operator or, from coefficient
 stacks, a stack of them.  ``principal_eigenvalues`` factors a stack of shifted
 operators once by one block-arrow elimination over those blocks, the same code
 for every block count m, without pivoting since they are strictly diagonally
-dominant, runs orthogonal iteration with Rayleigh-Ritz extraction on the
-factors (``_orthogonal_iteration``) and finishes the eigenpairs, each step one
+dominant, runs orthogonal iteration on the factors (``_orthogonal_iteration``:
+``SOLVES_PER_STEP`` solves per Rayleigh-Ritz step, one before the first,
+``MAX_ITERATIONS`` steps at most) and finishes the eigenpairs, each step one
 array operation over the stack and each member bitwise as alone; one operator
 is a stack of one.  Blocks under ``MIN_BLOCK_NODES`` nodes give m = 1, one dense
 inverse: so on every circle whose N has no divisor in [MIN_BLOCK_NODES, sqrt(N)],
@@ -62,6 +63,7 @@ MIN_NODES_PER_AXIS = 8
 DEGENERACY_TOL = 1e-6
 # extra Ritz directions carried beyond the k wanted eigenpairs
 OVERSAMPLING = 8
+SOLVES_PER_STEP = 3  # solves per Rayleigh-Ritz step but the first, which has one
 MAX_ITERATIONS = 500
 # smallest block of the factored eigensolve: below it the per-block Python
 # work of a solve costs more than the dense arithmetic it saves
@@ -491,14 +493,15 @@ def _orthogonal_iteration(op: BlockOperator, k: int) -> tuple[np.ndarray, np.nda
     beyond the k wanted ones (the block spans the whole space when
     k + OVERSAMPLING >= N); Rayleigh-Ritz on Q^T A Q extracts the pairs,
     ordered by real part with ties broken by minimal imaginary magnitude.
-    For a real spectrum these are the k lowest eigenvalues.  Iteration stops
-    once every residual ||A phi - lambda phi|| of a unit eigenvector is below
-    N eps ||A||_inf.  The starting block is the constant vector followed by
-    fixed-seed columns, so the result is a pure function of the matrix.
-    A - sigma I is factored once by the operator's blocks (``_block_size``,
-    ``BlockOperator.shifted_solver``).  The finiteness check, the Gershgorin
-    sums and A Q read only the three block diagonals; a non-finite entry
-    raises ``EigensolverFailure``.
+    For a real spectrum these are the k lowest eigenvalues.  Each Ritz step
+    follows ``SOLVES_PER_STEP`` solves (``BlockOperator.shifted_solver``) and a
+    QR, the first one solve, so a starting block that holds an eigenvector stops
+    after one solve.  Iteration stops once every residual ||A phi - lambda phi||
+    of a unit eigenvector is below N eps ||A||_inf, and fails after
+    ``MAX_ITERATIONS`` Ritz steps.  The starting block is the constant vector
+    followed by fixed-seed columns, so the result is a pure function of the
+    matrix.  The finiteness check, the Gershgorin sums and A Q read only the
+    three block diagonals; a non-finite entry raises ``EigensolverFailure``.
 
     Members iterate together until the last one converges, and each result is
     stored at the first iteration that meets its member's own stop rule, so it
@@ -524,8 +527,10 @@ def _orthogonal_iteration(op: BlockOperator, k: int) -> tuple[np.ndarray, np.nda
     try:
         solve = op.shifted_solver(sigma)
         step = "orthogonal iteration on (A - sigma I)^-1"
-        for _ in range(MAX_ITERATIONS):
-            q, _ = np.linalg.qr(solve(q))
+        for iteration in range(MAX_ITERATIONS):
+            for _ in range(SOLVES_PER_STEP if iteration else 1):
+                q = solve(q)
+            q, _ = np.linalg.qr(q)
             aq = op.apply(q)
             ritz, coeffs = np.linalg.eig(q.mT @ aq)
             ritz_real = ~ritz.imag.any(axis=-1)

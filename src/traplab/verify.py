@@ -10,7 +10,7 @@ configs, each reported twice).  Three suites keep their own checks, each for
 a measured reason: ``deformation`` makes one geometry pass for its equator
 case and its shift, where two ``deform`` runs make two; ``spectral-suite``
 solves for lambda1 alone, where ``spectrum`` solves an eight-eigenvalue head
-(16 against 11 ms for the suite); ``trapping-construction`` stacks the torus
+(12 against 10 ms for the suite); ``trapping-construction`` stacks the torus
 sequence over n = 1..32, where ``perturb`` checks one n.
 
 One check fails by design: the null-v/spacelike-w curvature perturbation is

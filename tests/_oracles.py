@@ -459,10 +459,11 @@ def reference_dense_operator(grid, coeffs):
 
 def reference_principal_eigen(op, k):
     """(lambda1, eigenfunction, residual, spectrum head) of one unstacked
-    ``BlockOperator`` by the one-operator form of the solve: Ritz values
-    taken real when all are, selection, residual and finishing one vector at
-    a time."""
-    from traplab.stability import MAX_ITERATIONS, OVERSAMPLING
+    ``BlockOperator`` by the one-operator form of the solve: the package's
+    step rule (one solve before the first Rayleigh-Ritz step,
+    ``SOLVES_PER_STEP`` before each later one), Ritz values taken real when
+    all are, selection, residual and finishing one vector at a time."""
+    from traplab.stability import MAX_ITERATIONS, OVERSAMPLING, SOLVES_PER_STEP
 
     num = op.shape[0]
     diag = np.diagonal(op.bands[0], axis1=-2, axis2=-1).reshape(num)
@@ -472,8 +473,10 @@ def reference_principal_eigen(op, k):
     q = np.random.default_rng(0).standard_normal((num, min(num, k + OVERSAMPLING)))
     q[:, 0] = 1.0
     solve = op.shifted_solver(sigma)
-    for _ in range(MAX_ITERATIONS):
-        q, _ = np.linalg.qr(solve(q))
+    for iteration in range(MAX_ITERATIONS):
+        for _ in range(SOLVES_PER_STEP if iteration else 1):
+            q = solve(q)
+        q, _ = np.linalg.qr(q)
         aq = op.apply(q)
         vals, coeffs = np.linalg.eig(q.T @ aq)
         if np.iscomplexobj(vals) and not vals.imag.any():

@@ -23,7 +23,7 @@ from traplab.stability import (
     periodic_tensor_grid,
     principal_eigenvalue,
 )
-from traplab.verify import random_circle_operators
+from traplab.verify import _reference_circle_operator, random_circle_operators
 
 from _oracles import reference_dense_operator, reference_principal_eigen
 
@@ -696,10 +696,10 @@ class TestStackedSolve:
         with pytest.raises(EigensolverFailure, match="no convergence in 2 iterations"):
             stability.principal_eigenvalues([op for _, op, _ in cases], cases[0][0])
 
-    @pytest.mark.parametrize("cap", [10, 11, 12, 13])
+    @pytest.mark.parametrize("cap", [4, 5])
     def test_iteration_cap_on_a_partly_converged_stack(self, monkeypatch, cap):
-        # the 50 seeded operators converge in 10 to 13 iterations, so at these
-        # caps some members have converged when the others hit the cap
+        # the 50 seeded operators converge in 4 or 5 Ritz steps, so at cap 4 some
+        # members have converged when the others hit the cap, and at 5 all have
         cases = list(random_circle_operators())
         grid, ops = cases[0][0], [op for _, op, _ in cases]
         monkeypatch.setattr(stability, "MAX_ITERATIONS", cap)
@@ -713,6 +713,61 @@ class TestStackedSolve:
             return None
 
         alone = first_failure([[op] for op in ops])
-        assert (alone is None) == (cap == 13)
+        assert (alone is None) == (cap == 5)
         assert first_failure([ops]) == alone
         assert first_failure([ops[:25], ops[25:]]) == alone
+
+
+def _solves_and_ritz_steps(grid, coeffs, monkeypatch):
+    """The applications of (A - sigma I)^-1 and the Rayleigh-Ritz ``eig`` calls
+    of one ``principal_eigenvalue`` call on the assembled operator."""
+    counts = {"solves": 0, "steps": 0}
+    factor, eig = BlockOperator.shifted_solver, np.linalg.eig
+
+    def counted_factor(self, sigma):
+        solve = factor(self, sigma)
+
+        def counted_solve(y):
+            counts["solves"] += 1
+            return solve(y)
+
+        return counted_solve
+
+    def counted_eig(a):
+        counts["steps"] += 1
+        return eig(a)
+
+    monkeypatch.setattr(BlockOperator, "shifted_solver", counted_factor)
+    monkeypatch.setattr(np.linalg, "eig", counted_eig)
+    principal_eigenvalue(assemble_stability_operator(grid, coeffs), grid)
+    return counts["solves"], counts["steps"]
+
+
+def _horizon_case():
+    """Constant Q = 1/4 on the radius-2 sphere, the Schwarzschild m = 1 horizon."""
+    grid = latlong_sphere_grid(24, 48, radius=2.0)
+    return grid, StabilityCoefficients.zero(grid).shifted(0.25)
+
+
+CONSTANT_POTENTIAL_CASES = {
+    "equator-64-0.0": lambda: _equator_case(64, 0.0),
+    "equator-64-2.0": lambda: _equator_case(64, 2.0),
+    "horizon-24x48": _horizon_case,
+}
+
+
+class TestStepRule:
+    """One solve before the first Rayleigh-Ritz step, three before each later one."""
+
+    @pytest.mark.parametrize("name", CONSTANT_POTENTIAL_CASES)
+    def test_constant_start_takes_one_solve(self, name, monkeypatch):
+        # the constant vector, the first column of the starting block, is an
+        # eigenvector of every constant-potential operator
+        grid, coeffs = CONSTANT_POTENTIAL_CASES[name]()
+        assert _solves_and_ritz_steps(grid, coeffs, monkeypatch) == (1, 1)
+
+    def test_later_steps_take_three_solves(self, monkeypatch):
+        grid, coeffs = _reference_circle_operator(64)
+        solves, steps = _solves_and_ritz_steps(grid, coeffs, monkeypatch)
+        assert steps > 1
+        assert solves == 1 + 3 * (steps - 1)
